@@ -13,7 +13,6 @@ from .dsl import (
     parse_expr,
 )
 from .errors import (
-    BackendDisagreement,
     FetaError,
     InvalidProductError,
     ResourceLimitError,
@@ -39,9 +38,6 @@ from .features import (
     FALSE,
     TRUE,
     And,
-    CrossCheckBackend,
-    DpllBackend,
-    EnumerationBackend,
     FeatureExpr,
     FeatureSpace,
     Iff,
@@ -57,11 +53,11 @@ from .features import (
     entails,
     equivalent,
     evaluate,
+    expr_mask,
     format_expr,
     is_satisfiable,
     product_expr,
     product_set_expr,
-    resolve_backend,
     simplified,
     valid_products,
     variables,

@@ -10,7 +10,6 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings as _warnings
 from importlib import resources
@@ -31,7 +30,6 @@ from .features import (
     Product,
     evaluate,
     format_expr,
-    resolve_backend,
     valid_products,
 )
 from .automata import Lts
@@ -67,9 +65,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
-BACKEND_CHOICES = ("enumerative", "sat", "crosscheck")
-BACKEND_ENV = "FETA_BACKEND"
-
 
 class CliError(Exception):
     """An input problem: bad file, bad specification, bad flag value."""
@@ -90,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json")):
         p.add_argument("input", help="specification file (.feta)")
         p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.add_argument(
-            "--backend",
-            choices=BACKEND_CHOICES,
-            default=None,
-            help=f"satisfiability backend (default: ${BACKEND_ENV} or automatic)",
-        )
         p.add_argument("--max-states", type=int, default=DEFAULT_STATE_LIMIT, metavar="N")
         p.add_argument(
             "--max-participants", type=int, default=DEFAULT_PARTICIPANT_LIMIT, metavar="N"
@@ -229,6 +218,8 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {args.input}: not UTF-8 text (byte {exc.start})") from None
     result = elaborate_text(text)
     notes: list[str] = []
     errors: list[str] = []
@@ -251,24 +242,6 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
             )
             raise CliError("overlapping synchronisation rules (--strict-sync)", lines)
     return result.system, result.sync, notes
-
-
-def _resolve(args, fsys):
-    return resolve_backend(_backend_name(args), fsys.space)
-
-
-def _backend_name(args) -> str | None:
-    if args.backend is not None:
-        return args.backend
-    name = os.environ.get(BACKEND_ENV)
-    if name:
-        if name not in BACKEND_CHOICES:
-            raise CliError(
-                f"unknown backend {name!r} in ${BACKEND_ENV};"
-                f" choose one of: {', '.join(BACKEND_CHOICES)}"
-            )
-        return name
-    return None
 
 
 def _build_team(args, fsys, fspec, warns: list[str]):
@@ -295,9 +268,6 @@ def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
 
 def _envelope(args, warns: list[str], **payload) -> dict:
     out = {"schema": SCHEMA, "command": args.command, "input": args.input}
-    name = _backend_name(args)
-    if name:
-        out["backend"] = name
     if warns:
         out["warnings"] = list(warns)
     out.update(payload)
@@ -382,13 +352,12 @@ def cmd_compose(args) -> int:
 
 def cmd_feta(args) -> int:
     fsys, fspec, warns = _load(args)
-    backend = _resolve(args, fsys)
     feta = _build_team(args, fsys, fspec, warns)
-    pruned = prune_for_display(feta, backend)
+    pruned = prune_for_display(feta)
     if args.format == "dot":
         notes = None
         if args.reqs:
-            freqs = derive_family_requirements(feta, fsys, fspec, backend, args.max_participants)
+            freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
             notes = family_notes(freqs)
         _emit(args, to_dot(pruned, notes=notes))
         return EXIT_OK
@@ -460,9 +429,8 @@ def cmd_reqs(args) -> int:
         lines += [f"  {req}" for req in reqs]
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    backend = _resolve(args, fsys)
     feta = _build_team(args, fsys, fspec, warns)
-    freqs = derive_family_requirements(feta, fsys, fspec, backend, args.max_participants)
+    freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
     if args.format == "json":
         payload = _envelope(
             args, warns, requirements=[family_requirement_json(f) for f in freqs]
@@ -491,9 +459,8 @@ def cmd_check(args) -> int:
     fsys, fspec, warns = _load(args)
     if args.product is not None:
         return _check_product(args, fsys, fspec, warns)
-    backend = _resolve(args, fsys)
     feta = _build_team(args, fsys, fspec, warns)
-    report = check_family_receptiveness(feta, fsys, fspec, args.mode, backend, args.max_participants)
+    report = check_family_receptiveness(feta, fsys, fspec, args.mode, args.max_participants)
     verdict = _family_verdict(args.mode, report.holds)
     if args.format == "json":
         payload = _envelope(args, warns, verdict=verdict, **family_report_json(report))
@@ -557,7 +524,6 @@ def _check_product(args, fsys, fspec, warns) -> int:
 
 def cmd_verify(args) -> int:
     fsys, fspec, warns = _load(args)
-    backend = _resolve(args, fsys)
     feta = _build_team(args, fsys, fspec, warns)
     checks: list[tuple[str, bool, str]] = []
     products = valid_products(fsys.feature_model, fsys.space, args.max_products)
@@ -568,7 +534,7 @@ def cmd_verify(args) -> int:
             extra = len(result.only_in_projection) + len(result.only_in_composition)
             detail = f"{extra} transitions differ"
         checks.append((f"projection of the team commutes for {product}", result.ok, detail))
-    for agreement in crosscheck_requirement_projection(fsys, fspec, feta, backend):
+    for agreement in crosscheck_requirement_projection(fsys, fspec, feta):
         detail = ""
         if not agreement.ok:
             detail = (
@@ -578,13 +544,13 @@ def cmd_verify(args) -> int:
         checks.append(
             (f"requirements project correctly for {agreement.product}", agreement.ok, detail)
         )
-    freqs = derive_family_requirements(feta, fsys, fspec, backend, args.max_participants)
-    unfolds = all(crosscheck_compliance_unfolding(feta, freq, backend) for freq in freqs)
+    freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
+    unfolds = all(crosscheck_compliance_unfolding(feta, freq) for freq in freqs)
     checks.append(
         (f"compliance unfolds product by product ({len(freqs)} requirements)", unfolds, "")
     )
     for mode in (STRICT, WEAK):
-        agreement = crosscheck_family_vs_products(fsys, fspec, mode, feta, backend)
+        agreement = crosscheck_family_vs_products(fsys, fspec, mode, feta)
         detail = f"family {agreement.family_holds}, products {agreement.products_hold}"
         checks.append(
             (f"family verdict equals all product verdicts ({mode})", agreement.ok, detail)

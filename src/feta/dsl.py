@@ -33,7 +33,8 @@ covers every action.
 
 Feature expressions use `true false ! && xor || -> <->` with precedence
 `!` over `&&` over `xor` over `||` over `->` over `<->`, and `->`
-associating to the right.
+associating to the right. An expression may nest at most `MAX_EXPR_DEPTH`
+levels, counting operators and parentheses.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ _KEYWORDS = {
 
 _MULTI_SYMBOLS = ("<->", "->", "&&", "||")
 _SINGLE_SYMBOLS = set("{}()[],;:=*!?")
+
+# Every pass over a feature expression recurses on its operands, so deeper
+# input would exhaust the interpreter's stack instead of being diagnosed.
+MAX_EXPR_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -269,6 +274,13 @@ class _TokenStream:
 _EXPR_LEVELS = {"<->": 1, "->": 2, "||": 3, "xor": 4, "&&": 5}
 
 
+def _check_depth(depth: int, tok: Token) -> None:
+    if depth > MAX_EXPR_DEPTH:
+        raise _SyntaxError(
+            f"feature expression nested deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.col
+        )
+
+
 def _flatten(kind, left: FeatureExpr, right: FeatureExpr) -> FeatureExpr:
     lhs = left.operands if isinstance(left, kind) else (left,)
     rhs = right.operands if isinstance(right, kind) else (right,)
@@ -285,44 +297,62 @@ class _Parser:
 
     # expressions
 
-    def parse_expr(self, min_level: int = 0) -> FeatureExpr:
-        left = self._unary()
+    def parse_expr(self) -> FeatureExpr:
+        return self._expr(0, 0)[0]
+
+    def _expr(self, min_level: int, nesting: int) -> tuple[FeatureExpr, int]:
+        """An expression and the depth of its tree.
+
+        `nesting` counts the operators and parentheses enclosing it; it bounds
+        the recursion here, while the returned depth bounds chains such as
+        `a xor b xor c` that grow the tree without recursing.
+        """
+        left, depth = self._unary(nesting)
         while True:
             tok = self.stream.peek()
             level = _EXPR_LEVELS.get(tok.text) if tok.kind in ("sym", "ident") else None
             if level is None or level < min_level:
-                return left
+                return left, depth
             self.stream.advance()
+            right_level = level if tok.text == "->" else level + 1
+            right, right_depth = self._expr(right_level, nesting + 1)
             if tok.text == "->":
-                left = Implies(left, self.parse_expr(level))
+                left = Implies(left, right)
             elif tok.text == "<->":
-                left = Iff(left, self.parse_expr(level + 1))
+                left = Iff(left, right)
             elif tok.text == "xor":
-                left = Xor(left, self.parse_expr(level + 1))
-            elif tok.text == "||":
-                left = _flatten(Or, left, self.parse_expr(level + 1))
+                left = Xor(left, right)
             else:
-                left = _flatten(And, left, self.parse_expr(level + 1))
+                kind = Or if tok.text == "||" else And
+                # Flattening lifts the operands of a same-kind side one level.
+                depth -= isinstance(left, kind)
+                right_depth -= isinstance(right, kind)
+                left = _flatten(kind, left, right)
+            depth = max(depth, right_depth) + 1
+            _check_depth(depth, tok)
 
-    def _unary(self) -> FeatureExpr:
+    def _unary(self, nesting: int) -> tuple[FeatureExpr, int]:
         tok = self.stream.peek()
+        _check_depth(nesting + 1, tok)
         if tok.text == "!":
             self.stream.advance()
-            return Not(self._unary())
+            operand, depth = self._unary(nesting + 1)
+            _check_depth(depth + 1, tok)
+            return Not(operand), depth + 1
         if tok.text == "(":
             self.stream.advance()
-            expr = self.parse_expr()
+            result = self._expr(0, nesting + 1)
             self.stream.expect(")")
-            return expr
+            return result
         if tok.text == "true":
             self.stream.advance()
-            return TRUE
+            return TRUE, 1
         if tok.text == "false":
             self.stream.advance()
-            return Const(False)
+            return Const(False), 1
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             self.stream.advance()
-            return Var(tok.text)
+            return Var(tok.text), 1
         found = "end of input" if tok.kind == "eof" else repr(tok.text)
         raise _SyntaxError(f"expected a feature expression, found {found}", tok.line, tok.col)
 
@@ -353,14 +383,22 @@ class _Parser:
             names.append(self._state_name().text)
         return names
 
+    def _number(self, what: str) -> int:
+        tok = self.stream.expect_kind("number", what)
+        try:
+            return int(tok.text)
+        except ValueError:  # a digit such as '²' that is not decimal, or 4300+ digits
+            shown = tok.text if len(tok.text) <= 20 else tok.text[:20] + "..."
+            raise _SyntaxError(f"expected {what}, found {shown!r}", tok.line, tok.col) from None
+
     def _interval(self) -> tuple[int, int | None]:
         self.stream.expect("[")
-        lo = int(self.stream.expect_kind("number", "an interval minimum").text)
+        lo = self._number("an interval minimum")
         self.stream.expect(",")
         if self.stream.accept("*"):
             hi: int | None = None
         else:
-            hi = int(self.stream.expect_kind("number", "an interval maximum").text)
+            hi = self._number("an interval maximum")
         self.stream.expect("]")
         return lo, hi
 
@@ -768,6 +806,9 @@ def _elaborate_sync(rules, fsys, space, model, error) -> FeaturedSyncSpec | None
     try:
         fspec = FeaturedSyncSpec(tuple(built), alphabet, space, model)
         missing = fspec.validate_total()
+    except ResourceLimitError as exc:
+        error((1, 1), str(exc), "resource")
+        return None
     except FetaError as exc:
         error((1, 1), str(exc), "invalid-sync")
         return None

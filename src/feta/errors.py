@@ -21,7 +21,3 @@ class TotalityError(FetaError):
 
 class ResourceLimitError(FetaError):
     """An analysis would exceed a configured state, product or participant bound."""
-
-
-class BackendDisagreement(FetaError):
-    """The enumerative and SAT satisfiability backends returned different answers."""

@@ -155,7 +155,6 @@ def derive_family_requirements(
     feta: Fts,
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
-    backend=None,
     max_group: int = DEFAULT_PARTICIPANT_LIMIT,
 ) -> tuple[FamilyRequirement, ...]:
     """All family requirements with a satisfiable application condition.
@@ -191,7 +190,7 @@ def derive_family_requirements(
                         products_for_group(fspec, group, action), feta.space
                     )
                     condition = And((enabling, sync_condition, reach_condition))
-                    if not is_satisfiable(condition, feta.space, backend):
+                    if not is_satisfiable(condition, feta.space):
                         continue
                     out.append(
                         FamilyRequirement(
@@ -221,7 +220,7 @@ def _condition_products(feta: Fts, freq: FamilyRequirement) -> list[Product]:
     ]
 
 
-def check_family_compliance(feta: Fts, freq: FamilyRequirement, backend=None) -> FamilyVerdict:
+def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Does the condition entail that some guarded send of the group fires?
 
     The evidence is the disjunction of the candidate transitions' guards; on
@@ -230,7 +229,7 @@ def check_family_compliance(feta: Fts, freq: FamilyRequirement, backend=None) ->
     """
     candidates = _send_candidates(feta, freq)
     evidence = disj(feta.guards[t] for t in candidates)
-    if entails(freq.condition, evidence, feta.space, backend):
+    if entails(freq.condition, evidence, feta.space):
         return FamilyVerdict(freq, FEATURED_COMPLIANT, evidence, tuple(candidates), None)
     culprit = next(
         (
@@ -243,9 +242,7 @@ def check_family_compliance(feta: Fts, freq: FamilyRequirement, backend=None) ->
     return FamilyVerdict(freq, VIOLATED, evidence, (), culprit)
 
 
-def check_family_weak_compliance(
-    feta: Fts, freq: FamilyRequirement, backend=None
-) -> FamilyVerdict:
+def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Per product satisfying the condition: warm up without the group, then send.
 
     Each product is decided on its own projection of the featured team; the
@@ -273,7 +270,6 @@ def check_family_receptiveness(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     mode: str = STRICT,
-    backend=None,
     max_group: int = DEFAULT_PARTICIPANT_LIMIT,
 ) -> FamilyReport:
     """Verdict over all family requirements, in strict or weak mode."""
@@ -283,10 +279,10 @@ def check_family_receptiveness(
     if not valid_products(feta.feature_model, feta.space):
         warnings_.append("the feature model has no valid products; receptiveness holds vacuously")
     entries = []
-    for freq in derive_family_requirements(feta, fsys, fspec, backend, max_group):
-        verdict = check_family_compliance(feta, freq, backend)
+    for freq in derive_family_requirements(feta, fsys, fspec, max_group):
+        verdict = check_family_compliance(feta, freq)
         if verdict.status == VIOLATED and mode == WEAK:
-            verdict = check_family_weak_compliance(feta, freq, backend)
+            verdict = check_family_weak_compliance(feta, freq)
         entries.append(verdict)
     return FamilyReport(mode, tuple(entries), tuple(warnings_))
 
@@ -311,11 +307,10 @@ def crosscheck_requirement_projection(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     feta: Fts,
-    backend=None,
 ) -> tuple[ProjectionAgreement, ...]:
     """For every valid product, the family requirements whose condition the
     product satisfies must be exactly the product's own requirements."""
-    freqs = derive_family_requirements(feta, fsys, fspec, backend)
+    freqs = derive_family_requirements(feta, fsys, fspec)
     out = []
     for product in valid_products(fsys.feature_model, fsys.space):
         family_side = {
@@ -342,11 +337,9 @@ def crosscheck_requirement_projection(
     return tuple(out)
 
 
-def crosscheck_compliance_unfolding(
-    feta: Fts, freq: FamilyRequirement, backend=None
-) -> bool:
+def crosscheck_compliance_unfolding(feta: Fts, freq: FamilyRequirement) -> bool:
     """The symbolic compliance answer must match product-by-product unfolding."""
-    symbolic = check_family_compliance(feta, freq, backend).status == FEATURED_COMPLIANT
+    symbolic = check_family_compliance(feta, freq).status == FEATURED_COMPLIANT
     candidates = _send_candidates(feta, freq)
     unfolded = all(
         any(evaluate(feta.guards[t], p) for t in candidates)
@@ -377,10 +370,9 @@ def crosscheck_family_vs_products(
     fspec: FeaturedSyncSpec,
     mode: str,
     feta: Fts,
-    backend=None,
 ) -> FamilyProductsAgreement:
     """Family receptiveness must equal receptiveness of every product's team."""
-    family = check_family_receptiveness(feta, fsys, fspec, mode, backend)
+    family = check_family_receptiveness(feta, fsys, fspec, mode)
     verdicts = []
     for product in valid_products(fsys.feature_model, fsys.space):
         with _warnings.catch_warnings():

@@ -18,14 +18,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BackendDisagreement, ResourceLimitError, SpecificationError
+from .errors import ResourceLimitError, SpecificationError
 
-# Number of products an enumeration is allowed to touch before aborting.
+# Number of products an enumeration or a bit-mask may span before aborting.
 DEFAULT_PRODUCT_LIMIT = 1 << 16
-
-# Feature spaces up to this size are decided by enumeration unless a backend
-# is forced; larger spaces fall back to the SAT backend.
-ENUMERATION_CUTOFF = 16
 
 
 @dataclass(frozen=True)
@@ -222,12 +218,16 @@ def evaluate(expr: FeatureExpr, product: Product) -> bool:
     return _holds(expr, product.selected)
 
 
-def all_products(space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT) -> tuple[Product, ...]:
-    """Every subset of the space, ordered lexicographically by feature names."""
+def _check_product_limit(space: FeatureSpace, limit: int) -> None:
     if 2 ** len(space) > limit:
         raise ResourceLimitError(
             f"feature space of {len(space)} features exceeds the product bound {limit}"
         )
+
+
+def all_products(space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT) -> tuple[Product, ...]:
+    """Every subset of the space, ordered lexicographically by feature names."""
+    _check_product_limit(space, limit)
     names = space.sorted_names()
     subsets = [
         tuple(n for n, keep in zip(names, mask) if keep)
@@ -264,185 +264,79 @@ def product_set_expr(products, space: FeatureSpace) -> FeatureExpr:
     return disj(product_expr(p) for p in chosen)
 
 
-# --- satisfiability backends ---------------------------------------------
+# --- satisfiability ---------------------------------------------------------
 
 
-class EnumerationBackend:
-    """Reference decision procedure: try every assignment of the occurring features."""
+@lru_cache(maxsize=None)
+def _var_mask(index: int, width: int) -> int:
+    """The assignments of a `width`-feature space that select feature `index`.
 
-    name = "enumerative"
-
-    def satisfiable(self, expr: FeatureExpr, space: FeatureSpace) -> bool:
-        _check_vars(expr, space)
-        vs = sorted(variables(expr))
-        for mask in itertools.product((False, True), repeat=len(vs)):
-            selected = {v for v, keep in zip(vs, mask) if keep}
-            if _holds(expr, selected):
-                return True
-        return False
-
-
-class DpllBackend:
-    """Tseitin encoding into CNF followed by a plain DPLL search."""
-
-    name = "sat"
-
-    def satisfiable(self, expr: FeatureExpr, space: FeatureSpace) -> bool:
-        _check_vars(expr, space)
-        clauses, root = _to_clauses(expr)
-        return _dpll(clauses + [[root]])
+    Bounded by the size check in `expr_mask`: at most 136 (index, width) pairs.
+    """
+    run = 1 << index
+    mask = ((1 << run) - 1) << run
+    span = 2 * run
+    while span < 1 << width:
+        mask |= mask << span
+        span *= 2
+    return mask
 
 
-class CrossCheckBackend:
-    """Runs both backends and fails loudly if they ever disagree."""
+def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
+    """The products of the space (valid or not) satisfying the expression, as bits.
 
-    name = "crosscheck"
+    Bit `k` stands for the product selecting each feature `space.names[j]`
+    for which bit `j` of `k` is set, so a space of n features has 2**n bits.
+    """
+    _check_product_limit(space, DEFAULT_PRODUCT_LIMIT)
+    width = len(space)
+    full = (1 << (1 << width)) - 1
+    index = {name: i for i, name in enumerate(space.names)}
 
-    def __init__(self) -> None:
-        self._enum = EnumerationBackend()
-        self._sat = DpllBackend()
-        self.queries = 0
-
-    def satisfiable(self, expr: FeatureExpr, space: FeatureSpace) -> bool:
-        a = self._enum.satisfiable(expr, space)
-        b = self._sat.satisfiable(expr, space)
-        self.queries += 1
-        if a != b:
-            raise BackendDisagreement(
-                f"enumerative says {a}, sat says {b} for {format_expr(expr)}"
-            )
-        return a
-
-
-_BACKENDS = {"enumerative": EnumerationBackend, "sat": DpllBackend, "crosscheck": CrossCheckBackend}
-
-
-def resolve_backend(name: str | None, space: FeatureSpace):
-    """Pick a backend by name, or by space size when no name is given."""
-    if name is None:
-        return EnumerationBackend() if len(space) <= ENUMERATION_CUTOFF else DpllBackend()
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise SpecificationError(f"unknown backend {name!r}") from None
-
-
-def is_satisfiable(expr: FeatureExpr, space: FeatureSpace, backend=None) -> bool:
-    """Whether some product of the space (valid or not) satisfies the expression."""
-    backend = backend or resolve_backend(None, space)
-    return backend.satisfiable(expr, space)
-
-
-def entails(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace, backend=None) -> bool:
-    """Whether every product satisfying lhs also satisfies rhs."""
-    return not is_satisfiable(And((lhs, Not(rhs))), space, backend)
-
-
-def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace, backend=None) -> bool:
-    """Whether the two expressions are satisfied by exactly the same products."""
-    return entails(lhs, rhs, space, backend) and entails(rhs, lhs, space, backend)
-
-
-# --- CNF conversion and DPLL ----------------------------------------------
-
-
-def _to_clauses(expr: FeatureExpr):
-    """Tseitin transform. Returns (clauses, literal equisatisfiable with expr)."""
-    ids: dict[str, int] = {}
-    clauses: list[list[int]] = []
-    counter = itertools.count(1)
-    cache: dict[FeatureExpr, int] = {}
-
-    def fresh() -> int:
-        return next(counter)
-
-    def var_id(name: str) -> int:
-        if name not in ids:
-            ids[name] = fresh()
-        return ids[name]
-
-    def encode(node: FeatureExpr) -> int:
-        if node in cache:
-            return cache[node]
+    def walk(node: FeatureExpr) -> int:
         match node:
             case Const(value):
-                v = fresh()
-                clauses.append([v] if value else [-v])
-                lit = v
+                return full if value else 0
             case Var(name):
-                lit = var_id(name)
+                if name not in index:
+                    _check_vars(expr, space)
+                return _var_mask(index[name], width)
             case Not(operand):
-                lit = -encode(operand)
+                return full ^ walk(operand)
             case And(operands):
-                parts = [encode(op) for op in operands]
-                v = fresh()
-                for p in parts:
-                    clauses.append([-v, p])
-                clauses.append([v] + [-p for p in parts])
-                lit = v
+                out = full
+                for op in operands:
+                    out &= walk(op)
+                return out
             case Or(operands):
-                parts = [encode(op) for op in operands]
-                v = fresh()
-                for p in parts:
-                    clauses.append([v, -p])
-                clauses.append([-v] + parts)
-                lit = v
-            case Implies(ant, con):
-                a, b = encode(ant), encode(con)
-                v = fresh()
-                clauses.extend([[-v, -a, b], [v, a], [v, -b]])
-                lit = v
-            case Iff(left, right):
-                a, b = encode(left), encode(right)
-                v = fresh()
-                clauses.extend([[-v, -a, b], [-v, a, -b], [v, a, b], [v, -a, -b]])
-                lit = v
-            case Xor(left, right):
-                a, b = encode(left), encode(right)
-                v = fresh()
-                clauses.extend([[-v, a, b], [-v, -a, -b], [v, -a, b], [v, a, -b]])
-                lit = v
-            case _:
-                raise SpecificationError(f"not a feature expression: {node!r}")
-        cache[node] = lit
-        return lit
+                out = 0
+                for op in operands:
+                    out |= walk(op)
+                return out
+            case Implies(a, b):
+                return (full ^ walk(a)) | walk(b)
+            case Iff(a, b):
+                return full ^ walk(a) ^ walk(b)
+            case Xor(a, b):
+                return walk(a) ^ walk(b)
+        raise SpecificationError(f"not a feature expression: {node!r}")
 
-    root = encode(expr)
-    return clauses, root
+    return walk(expr)
 
 
-def _dpll(clauses: list[list[int]]) -> bool:
-    clauses = [list(c) for c in clauses]
+def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:
+    """Whether some product of the space (valid or not) satisfies the expression."""
+    return expr_mask(expr, space) != 0
 
-    def simplify(cs: list[list[int]], lit: int) -> list[list[int]] | None:
-        out = []
-        for c in cs:
-            if lit in c:
-                continue
-            reduced = [x for x in c if x != -lit]
-            if not reduced:
-                return None
-            out.append(reduced)
-        return out
 
-    def solve(cs: list[list[int]]) -> bool:
-        while True:
-            unit = next((c[0] for c in cs if len(c) == 1), None)
-            if unit is None:
-                break
-            cs = simplify(cs, unit)
-            if cs is None:
-                return False
-        if not cs:
-            return True
-        pivot = cs[0][0]
-        for choice in (pivot, -pivot):
-            reduced = simplify(cs, choice)
-            if reduced is not None and solve(reduced):
-                return True
-        return False
+def entails(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
+    """Whether every product satisfying lhs also satisfies rhs."""
+    return expr_mask(lhs, space) & ~expr_mask(rhs, space) == 0
 
-    return solve(clauses)
+
+def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
+    """Whether the two expressions are satisfied by exactly the same products."""
+    return expr_mask(lhs, space) == expr_mask(rhs, space)
 
 
 # --- rendering -------------------------------------------------------------
@@ -502,7 +396,7 @@ def format_expr(expr: FeatureExpr) -> str:
 def simplified(expr: FeatureExpr) -> FeatureExpr:
     """A lighter equivalent for display: folds constants, flattens, dedups.
 
-    Not a normal form. Semantic questions go through the backends instead.
+    Not a normal form. Semantic questions go through `expr_mask` instead.
     """
     match expr:
         case Const() | Var():

@@ -12,7 +12,6 @@ total: every valid product and every action must hit some rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import InvalidProductError, SpecificationError, TotalityError
@@ -120,6 +119,7 @@ class FeaturedSyncSpec:
             if rule.actions is not None and not rule.actions <= self.alphabet:
                 unknown = sorted(rule.actions - self.alphabet)
                 raise SpecificationError(f"sync rule names unknown actions {unknown}")
+        self._allowed: dict[tuple[str, int, int], tuple[Product, ...]] = {}
 
     def lookup(self, product: Product, action: str) -> SyncType:
         """First-match rule lookup for one product and action."""
@@ -170,14 +170,19 @@ class FeaturedSyncSpec:
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
         return SyncTypeSpec({a: self.lookup(product, a) for a in sorted(self.alphabet)})
 
-    @lru_cache(maxsize=None)
     def allowed_products(
         self, action: str, n_senders: int, n_receivers: int
     ) -> tuple[Product, ...]:
-        """Valid products whose type for the action admits these participant counts."""
-        out = []
-        for product in valid_products(self.feature_model, self.space):
-            st = self.lookup(product, action)
-            if st.senders.contains(n_senders) and st.receivers.contains(n_receivers):
-                out.append(product)
-        return tuple(out)
+        """Valid products whose type for the action admits these participant counts.
+
+        Memoised on the instance, so the memo lives exactly as long as the spec.
+        """
+        key = (action, n_senders, n_receivers)
+        if key not in self._allowed:
+            out = []
+            for product in valid_products(self.feature_model, self.space):
+                st = self.lookup(product, action)
+                if st.senders.contains(n_senders) and st.receivers.contains(n_receivers):
+                    out.append(product)
+            self._allowed[key] = tuple(out)
+        return self._allowed[key]

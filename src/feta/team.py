@@ -134,7 +134,7 @@ def build_team(
     )
 
 
-def prune_for_display(feta: Fts, backend=None) -> Fts:
+def prune_for_display(feta: Fts) -> Fts:
     """A trimmed copy for presentation: no unsatisfiable guards, no unreachable states.
 
     Transitions whose guard no product (valid or not) can satisfy are
@@ -142,7 +142,7 @@ def prune_for_display(feta: Fts, backend=None) -> Fts:
     initial states. Analyses never use this view; they work on the full team.
     """
     live = tuple(
-        t for t in feta.transitions if is_satisfiable(feta.guards[t], feta.space, backend)
+        t for t in feta.transitions if is_satisfiable(feta.guards[t], feta.space)
     )
     trimmed = Lts(feta.states, feta.initial, feta.actions, live)
     keep = trimmed.reachable()

@@ -3,7 +3,9 @@
 Instances are kept deliberately small (up to 3 components, 3 states each,
 3 actions, 3 features) so that whole-family checks against every product
 stay cheap. Every instance is closed by construction and its specification
-is total thanks to a final catch-all rule.
+is total thanks to a final catch-all rule. Guards use every binary
+connective, so that the battery's comparison of bit-masks against direct
+evaluation covers each of them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,23 @@ from feta import (
     FeaturedSystem,
     FeatureExpr,
     FeatureSpace,
+    Iff,
+    Implies,
     Interval,
     Not,
     Or,
     SyncRule,
     SyncType,
     Var,
+    Xor,
+    all_products,
+    evaluate,
+    expr_mask,
     valid_products,
 )
+
+
+_SHAPES = (lambda a, b: And((a, b)), lambda a, b: Or((a, b)), Xor, Iff, Implies)
 
 
 def random_guard(rng: random.Random, names) -> FeatureExpr:
@@ -42,8 +53,8 @@ def random_guard(rng: random.Random, names) -> FeatureExpr:
     second = Var(rng.choice(names))
     if rng.random() < 0.5:
         second = Not(second)
-    shape = And if rng.random() < 0.5 else Or
-    return shape((first, second))
+    shape = _SHAPES[int(rng.random() * len(_SHAPES))]
+    return shape(first, second)
 
 
 def random_model(rng: random.Random, space: FeatureSpace) -> FeatureExpr:
@@ -129,9 +140,9 @@ class BatteryResults:
     """Outcome of running every cross-check over the random instances.
 
     Each failure list holds (seed, detail) pairs; an empty list means the
-    property held on every instance. All satisfiability queries go through
-    one cross-checking backend, so a disagreement between the enumerative
-    and the SAT backend raises instead of being recorded.
+    property held on every instance. `queries` counts the bits on which a
+    team guard's or a requirement condition's mask was compared with direct
+    evaluation of the expression.
     """
 
     instances: int = 0
@@ -145,6 +156,23 @@ class BatteryResults:
     guard_model_failures: list = dataclasses.field(default_factory=list)
     reachability_failures: list = dataclasses.field(default_factory=list)
     monotonicity_failures: list = dataclasses.field(default_factory=list)
+    mask_failures: list = dataclasses.field(default_factory=list)
+
+
+def mask_disagreements(expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
+    """Compare the expression's mask bit by bit with evaluation on every product.
+
+    Returns the number of comparisons and the products where they differ. The
+    bit of a product is worked out here, independently of `expr_mask`.
+    """
+    mask = expr_mask(expr, space)
+    products = all_products(space)
+    wrong = [
+        p
+        for p in products
+        if (mask >> sum(1 << space.names.index(n) for n in p.selected)) & 1 != evaluate(expr, p)
+    ]
+    return len(products), wrong
 
 
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
@@ -163,10 +191,8 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
         entails,
         reachable_products,
     )
-    from feta.features import CrossCheckBackend
     from feta.receptiveness import COMPLIANT, VIOLATED
 
-    backend = CrossCheckBackend()
     results = BatteryResults()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OpenSystemWarning)
@@ -177,21 +203,27 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             for product in products:
                 if not check_projection_commutes(fsys, fspec, product, team).ok:
                     results.projection_failures.append((seed, product))
-            for agreement in crosscheck_requirement_projection(fsys, fspec, team, backend):
+            for agreement in crosscheck_requirement_projection(fsys, fspec, team):
                 if not agreement.ok:
                     results.requirement_projection_failures.append((seed, agreement.product))
-            freqs = derive_family_requirements(team, fsys, fspec, backend)
+            freqs = derive_family_requirements(team, fsys, fspec)
             results.requirements += len(freqs)
             for freq in freqs:
-                if not crosscheck_compliance_unfolding(team, freq, backend):
+                if not crosscheck_compliance_unfolding(team, freq):
                     results.unfolding_failures.append((seed, freq))
-            if not crosscheck_family_vs_products(fsys, fspec, "strict", team, backend).ok:
+            if not crosscheck_family_vs_products(fsys, fspec, "strict", team).ok:
                 results.family_strict_failures.append((seed,))
-            if not crosscheck_family_vs_products(fsys, fspec, "weak", team, backend).ok:
+            if not crosscheck_family_vs_products(fsys, fspec, "weak", team).ok:
                 results.family_weak_failures.append((seed,))
             for t in team.transitions:
-                if not entails(team.guards[t], team.feature_model, team.space, backend):
+                if not entails(team.guards[t], team.feature_model, team.space):
                     results.guard_model_failures.append((seed, t))
+            exprs = [team.guards[t] for t in team.transitions] + [f.condition for f in freqs]
+            for expr in exprs:
+                compared, wrong = mask_disagreements(expr, team.space)
+                results.queries += compared
+                if wrong:
+                    results.mask_failures.append((seed, expr, wrong))
             for state in team.states:
                 symbolic = set(reachable_products(team, state))
                 direct = {p for p in products if state in team.project(p).reachable()}
@@ -206,5 +238,4 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     weak = check_weak_compliance(team_p, req).status
                     if strict == COMPLIANT and weak == VIOLATED:
                         results.monotonicity_failures.append((seed, req))
-    results.queries = backend.queries
     return results

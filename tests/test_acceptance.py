@@ -2,7 +2,7 @@
 
 One test per criterion, so `pytest -v tests/test_acceptance.py` prints one
 pass or fail line for each. All values are exact; the random battery uses
-fixed seeds and cross-checked satisfiability backends throughout.
+fixed seeds and checks every feature bit-mask against direct evaluation.
 """
 
 import models
@@ -155,4 +155,5 @@ def test_10_global_invariants(access, team, battery):
     assert battery.guard_model_failures == []
     assert battery.reachability_failures == []
     assert battery.monotonicity_failures == []
+    assert battery.mask_failures == []
     assert battery.queries > 0

@@ -5,9 +5,12 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import models
 from feta import cli
@@ -76,13 +79,67 @@ def test_invalid_product_is_an_input_error(capsys):
     assert "unknown features in product: padlock" in err
 
 
-def test_bogus_backend_env_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BACKEND_ENV, "bogus")
-    code, _, err = run(capsys, "check", ACCESS)
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.feta"
+    bad.write_bytes(b"\xff\xfe features coin;")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"error: cannot read {bad}: not UTF-8 text (byte 0)" in err
+
+
+TURNSTILE = models.example_path("turnstile")
+
+
+def turnstile_with(tmp_path, old, new):
+    """The turnstile example with one piece of text replaced, as a file."""
+    text = Path(TURNSTILE).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "variant.feta"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+# The model starts in column 15; the error points at the 101st "(" or "!",
+# or at the 100th "xor".
+@pytest.mark.parametrize(
+    "model, column",
+    [
+        ("(" * 3000 + "coin" + ")" * 3000, 115),
+        ("!" * 3000 + "coin", 115),
+        (" xor ".join(["coin"] * 3001), 911),
+    ],
+    ids=["parentheses", "negations", "xor-chain"],
+)
+def test_too_deep_expressions_are_syntax_errors(capsys, tmp_path, model, column):
+    spec = turnstile_with(tmp_path, "feature_model true;", f"feature_model {model};")
+    code, _, err = run(capsys, "check", spec)
     assert code == 2
     assert (
-        "unknown backend 'bogus' in $FETA_BACKEND;"
-        " choose one of: enumerative, sat, crosscheck" in err
+        f"variant.feta:6:{column}: error: feature expression nested deeper than 100 levels [syntax]"
+        in err
+    )
+
+
+@pytest.mark.parametrize(
+    "bound, shown",
+    [("\u00b2", "'\u00b2'"), ("9" * 5000, "'" + "9" * 20 + "...'")],
+    ids=["superscript", "5000-digits"],
+)
+def test_unreadable_interval_bounds_are_syntax_errors(capsys, tmp_path, bound, shown):
+    spec = turnstile_with(tmp_path, "default [1,1]", f"default [1,{bound}]")
+    code, _, err = run(capsys, "check", spec)
+    assert code == 2
+    assert f"variant.feta:27:14: error: expected an interval maximum, found {shown} [syntax]" in err
+
+
+def test_too_many_features_is_a_resource_error(capsys, tmp_path):
+    extra = ", ".join(f"f{i}" for i in range(18))
+    spec = turnstile_with(tmp_path, "features coin;", f"features coin, {extra};")
+    code, _, err = run(capsys, "check", "--max-products", "1000000", spec)
+    assert code == 2
+    assert (
+        "variant.feta:1:1: error: feature space of 19 features"
+        " exceeds the product bound 65536 [resource]" in err
     )
 
 
@@ -93,6 +150,42 @@ def test_specification_errors_are_input_errors(capsys, tmp_path):
     assert code == 2
     assert "missing feature model" in err
     assert "error: the specification has errors" in err
+
+
+EXAMPLE_BYTES = [
+    entry.read_bytes()
+    for entry in sorted((resources.files("feta") / "examples").iterdir(), key=lambda e: e.name)
+    if entry.name.endswith(".feta")
+]
+
+
+@st.composite
+def mutated_examples(draw):
+    data = bytearray(draw(st.sampled_from(EXAMPLE_BYTES)))
+    edits = st.tuples(st.sampled_from(("delete", "duplicate", "substitute")), st.integers(0), st.integers(0, 255))
+    for op, pos, byte in draw(st.lists(edits, min_size=1, max_size=8)):
+        i = pos % len(data)
+        if op == "delete":
+            del data[i]
+        elif op == "duplicate":
+            data.insert(i, data[i])
+        else:
+            data[i] = byte
+    return bytes(data)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(mutated_examples(), st.binary(max_size=300)))
+def test_malformed_input_ends_in_an_exit_code(capsys, tmp_path, data):
+    spec = tmp_path / "fuzz.feta"
+    spec.write_bytes(data)
+    code, _, _ = run(capsys, "check", "--weak", str(spec))
+    assert code in (0, 1, 2)
 
 
 # --- text reports -------------------------------------------------------------
@@ -242,24 +335,6 @@ def test_json_error_envelope(capsys, schema):
     jsonschema.validate(payload, schema)
     assert payload["error"]["message"].startswith("unknown features")
     assert "error:" in err
-
-
-def test_backend_env_is_honored_and_the_flag_wins(capsys, schema, monkeypatch):
-    monkeypatch.setenv(cli.BACKEND_ENV, "sat")
-    _, payload = run_json(capsys, schema, "check", "--format", "json", "--weak", ACCESS)
-    assert payload["backend"] == "sat"
-    _, payload = run_json(
-        capsys,
-        schema,
-        "check",
-        "--format",
-        "json",
-        "--weak",
-        "--backend",
-        "enumerative",
-        ACCESS,
-    )
-    assert payload["backend"] == "enumerative"
 
 
 # --- DOT output -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Feature expressions, products and the satisfiability backends."""
+"""Feature expressions, products and their bit-masks."""
 
 import itertools
 
@@ -10,9 +10,6 @@ from feta import (
     FALSE,
     TRUE,
     And,
-    CrossCheckBackend,
-    DpllBackend,
-    EnumerationBackend,
     FeatureSpace,
     Iff,
     Implies,
@@ -29,11 +26,11 @@ from feta import (
     entails,
     equivalent,
     evaluate,
+    expr_mask,
     format_expr,
     is_satisfiable,
     product_expr,
     product_set_expr,
-    resolve_backend,
     simplified,
     valid_products,
     variables,
@@ -171,21 +168,15 @@ def test_entails_and_equivalent():
     assert not equivalent(A, B, AB)
 
 
-def test_resolve_backend_by_name_and_default():
-    assert isinstance(resolve_backend("enumerative", AB), EnumerationBackend)
-    assert isinstance(resolve_backend("sat", AB), DpllBackend)
-    assert isinstance(resolve_backend(None, AB), EnumerationBackend)
+def test_masks_refuse_spaces_above_the_product_bound():
     big = FeatureSpace.of(*[f"f{i}" for i in range(17)])
-    assert isinstance(resolve_backend(None, big), DpllBackend)
-    with pytest.raises(SpecificationError):
-        resolve_backend("smt", AB)
+    with pytest.raises(ResourceLimitError, match="17 features exceeds the product bound 65536"):
+        is_satisfiable(Var("f0"), big)
 
 
-def test_crosscheck_backend_counts_queries():
-    backend = CrossCheckBackend()
-    assert backend.satisfiable(A, AB)
-    assert not backend.satisfiable(And((A, Not(A))), AB)
-    assert backend.queries == 2
+def test_mask_rejects_unknown_variables():
+    with pytest.raises(SpecificationError, match="undeclared features"):
+        expr_mask(And((A, Var("z"))), AB)
 
 
 # --- formatting -----------------------------------------------------------------
@@ -234,10 +225,12 @@ exprs = st.recursive(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(exprs)
-def test_backends_agree(expr):
-    enum = EnumerationBackend().satisfiable(expr, SPACE4)
-    sat = DpllBackend().satisfiable(expr, SPACE4)
-    assert enum == sat == brute_satisfiable(expr, SPACE4)
+def test_mask_agrees_with_evaluation(expr):
+    mask = expr_mask(expr, SPACE4)
+    for p in all_products(SPACE4):
+        bit = sum(1 << SPACE4.names.index(name) for name in p.selected)
+        assert (mask >> bit) & 1 == brute_holds(expr, p)
+    assert is_satisfiable(expr, SPACE4) == brute_satisfiable(expr, SPACE4)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

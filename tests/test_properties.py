@@ -1,8 +1,8 @@
 """Randomised cross-checks of the product-projection laws.
 
 The battery runs every law over a fixed population of seeded random
-systems, with all satisfiability queries answered by both backends in
-lockstep. A failure here names the seed that broke the law, so the case
+systems, and compares the bit-mask of every team guard and requirement
+condition with direct evaluation on every product. A failure here names the seed that broke the law, so the case
 can be replayed with `instancegen.random_instance(seed)`.
 """
 
@@ -52,6 +52,10 @@ def test_symbolic_reachability_matches_per_product_search(battery):
 
 def test_strict_compliance_implies_weak_compliance(battery):
     assert battery.monotonicity_failures == []
+
+
+def test_masks_agree_with_evaluation_on_every_product(battery):
+    assert battery.mask_failures == []
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,5 +1,8 @@
 """Synchronisation types, rule lists and first-match lookup."""
 
+import gc
+import weakref
+
 import pytest
 
 import models
@@ -191,3 +194,12 @@ def test_allowed_products_by_counts():
     assert both == {"{lock}", "{unlock}"}
     assert multi == {"{unlock}"}
     assert none == ()
+
+
+def test_allowed_products_memo_does_not_keep_the_spec_alive():
+    spec = models.make_sync()
+    assert spec.allowed_products("join", 1, 1) is spec.allowed_products("join", 1, 1)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
