@@ -57,6 +57,7 @@ from .features import (
     format_expr,
     is_satisfiable,
     product_expr,
+    product_index,
     product_set_expr,
     simplified,
     valid_products,
@@ -88,6 +89,7 @@ from .team import (
     build_team,
     check_projection_commutes,
     participants_guard,
+    product_team,
     products_allowing,
     prune_for_display,
 )

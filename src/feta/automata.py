@@ -13,12 +13,13 @@ and structured labels.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .errors import InvalidProductError, SpecificationError
-from .features import FeatureExpr, FeatureSpace, Product, evaluate, variables
+from .features import FeatureExpr, FeatureSpace, Product, evaluate, expr_mask, variables
 
 
 def state_key(state):
@@ -105,6 +106,16 @@ class Lts:
         return frozenset(seen)
 
 
+def _split_alphabet(automaton) -> None:
+    automaton.inputs = frozenset(automaton.inputs)
+    automaton.outputs = frozenset(automaton.outputs)
+    overlap = automaton.inputs & automaton.outputs
+    if overlap:
+        raise SpecificationError(f"actions {sorted(overlap)} declared both input and output")
+    if automaton.inputs | automaton.outputs != automaton.actions:
+        raise SpecificationError("alphabet must equal inputs plus outputs")
+
+
 @dataclass(eq=False)
 class Component(Lts):
     """A component automaton: an LTS whose alphabet is split into inputs and outputs."""
@@ -114,13 +125,7 @@ class Component(Lts):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.inputs = frozenset(self.inputs)
-        self.outputs = frozenset(self.outputs)
-        overlap = self.inputs & self.outputs
-        if overlap:
-            raise SpecificationError(f"actions {sorted(overlap)} declared both input and output")
-        if self.inputs | self.outputs != self.actions:
-            raise SpecificationError("alphabet must equal inputs plus outputs")
+        _split_alphabet(self)
 
 
 @dataclass(eq=False)
@@ -144,8 +149,32 @@ class Fts(Lts):
                     f"guard of {t!r} references undeclared features {sorted(unknown)}"
                 )
 
-    def guard(self, transition) -> FeatureExpr:
-        return self.guards[transition]
+    @cached_property
+    def guard_masks(self) -> dict:
+        """The `expr_mask` of every transition's guard."""
+        return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
+
+    @cached_property
+    def reachable_masks(self) -> dict:
+        """Per state, the mask of the valid products under which it is reachable.
+
+        One forward fixpoint over all products at once: a transition carries
+        the products that reach its source and satisfy its guard.
+        """
+        guards = self.guard_masks
+        reach = dict.fromkeys(self.states, 0)
+        for q in self.initial:
+            reach[q] = expr_mask(self.feature_model, self.space)
+        pending = deque(self.initial)
+        while pending:
+            src = pending.popleft()
+            for t in self._adjacency[src]:
+                dst = t[2]
+                gained = reach[src] & guards[t] & ~reach[dst]
+                if gained:
+                    reach[dst] |= gained
+                    pending.append(dst)
+        return reach
 
     def _check_product(self, product: Product) -> None:
         if product.space != self.space:
@@ -176,13 +205,7 @@ class FeaturedComponent(Fts):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.inputs = frozenset(self.inputs)
-        self.outputs = frozenset(self.outputs)
-        overlap = self.inputs & self.outputs
-        if overlap:
-            raise SpecificationError(f"actions {sorted(overlap)} declared both input and output")
-        if self.inputs | self.outputs != self.actions:
-            raise SpecificationError("alphabet must equal inputs plus outputs")
+        _split_alphabet(self)
 
     def project(self, product: Product) -> Component:
         states, initial, actions, kept = self._projected_parts(product)

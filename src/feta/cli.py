@@ -59,7 +59,7 @@ from .reporting import (
 )
 from .synctypes import FeaturedSyncSpec
 from .system import DEFAULT_PARTICIPANT_LIMIT, DEFAULT_STATE_LIMIT, FeaturedSystem
-from .team import OpenSystemWarning, build_featured_team, build_team, check_projection_commutes, prune_for_display
+from .team import OpenSystemWarning, build_featured_team, check_projection_commutes, product_team, prune_for_display
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -410,12 +410,8 @@ def cmd_reqs(args) -> int:
     fsys, fspec, warns = _load(args)
     if args.product is not None:
         product = _parse_product(args.product, fsys)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", OpenSystemWarning)
-            sys_p = fsys.project(product)
-            spec_p = fspec.project(product)
-            team_p = build_team(sys_p, spec_p, args.max_states, args.max_participants)
-        reqs = derive_requirements(team_p, spec_p, sys_p, args.max_participants)
+        parts = product_team(fsys, fspec, product, args.max_states, args.max_participants)
+        reqs = derive_requirements(*parts, args.max_participants)
         if args.format == "json":
             payload = _envelope(
                 args,
@@ -492,12 +488,8 @@ def _product_verdict(mode: str, holds: bool) -> str:
 
 def _check_product(args, fsys, fspec, warns) -> int:
     product = _parse_product(args.product, fsys)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", OpenSystemWarning)
-        sys_p = fsys.project(product)
-        spec_p = fspec.project(product)
-        team_p = build_team(sys_p, spec_p, args.max_states, args.max_participants)
-    report = check_receptiveness(team_p, spec_p, sys_p, args.mode, args.max_participants)
+    parts = product_team(fsys, fspec, product, args.max_states, args.max_participants)
+    report = check_receptiveness(*parts, args.mode, args.max_participants)
     verdict = _product_verdict(args.mode, report.holds)
     if args.format == "json":
         payload = _envelope(

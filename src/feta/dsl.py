@@ -174,7 +174,7 @@ class Token:
     col: int
 
 
-class _SyntaxError(Exception):
+class _SyntaxError(SpecificationError):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(message)
         self.message = message

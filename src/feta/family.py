@@ -6,20 +6,19 @@ guards can fire), the specification expects the send to be received, and the
 state is actually reachable. The featured team complies when, within the
 condition, some suitably guarded team transition lets the group send; it
 complies weakly when every product satisfying the condition has a group-free
-warm-up leading to such a send. Deciding this once on the featured team must
-agree with checking each valid product's own team separately; the crosscheck
-functions at the bottom compare the two routes.
+warm-up leading to such a send. All products are answered at once on the
+team's guard and reachability masks (`Fts.guard_masks`, `Fts.reachable_masks`).
+This must agree with checking each valid product's own team separately; the
+crosscheck functions at the bottom compare the two routes, and only they
+evaluate products one by one.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings as _warnings
-import weakref
 from dataclasses import dataclass
 
-from .automata import Fts, Lts, state_key
-from .errors import ResourceLimitError, SpecificationError
+from .automata import Fts, state_key
 from .features import (
     And,
     FeatureExpr,
@@ -28,8 +27,10 @@ from .features import (
     disj,
     entails,
     evaluate,
+    expr_mask,
     format_expr,
     is_satisfiable,
+    product_index,
     product_set_expr,
     valid_products,
 )
@@ -38,18 +39,19 @@ from .receptiveness import (
     VIOLATED,
     WEAK,
     Requirement,
+    _check_mode,
     check_receptiveness,
-    check_weak_compliance,
     derive_requirements,
+    ready_senders,
+    search_weak_compliance,
+    sends,
 )
 from .synctypes import FeaturedSyncSpec
 from .system import DEFAULT_PARTICIPANT_LIMIT, FeaturedSystem
-from .team import OpenSystemWarning, build_team
+from .team import product_team
 
 FEATURED_COMPLIANT = "featured-compliant"
 FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
-
-_projection_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -103,21 +105,17 @@ class FamilyReport:
         return tuple(e for e in self.entries if e.status == VIOLATED)
 
 
-def _projections(feta: Fts) -> dict[Product, Lts]:
-    """Per-product projections of the featured team, cached on the team."""
-    cache = _projection_cache.setdefault(feta, {})
-    for product in valid_products(feta.feature_model, feta.space):
-        if product not in cache:
-            cache[product] = feta.project(product)
-    return cache
+def _products_in(feta: Fts, mask: int) -> tuple[Product, ...]:
+    """The valid products whose bit is set in the mask, in lexicographic order."""
+    return tuple(
+        p for p in valid_products(feta.feature_model, feta.space)
+        if mask >> product_index(p) & 1
+    )
 
 
 def reachable_products(feta: Fts, state) -> tuple[Product, ...]:
     """Valid products under which the state is reachable in the featured team."""
-    return tuple(
-        p for p, proj in sorted(_projections(feta).items(), key=lambda kv: kv[0].sort_key())
-        if state in proj.reachable()
-    )
+    return _products_in(feta, feta.reachable_masks.get(state, 0))
 
 
 def senders_guard(
@@ -172,16 +170,7 @@ def derive_family_requirements(
             continue
         reach_condition = product_set_expr(reach, feta.space)
         for action in sorted(fsys.actions):
-            ready = [
-                name
-                for idx, name in enumerate(fsys.names)
-                if action in fsys.components[name].outputs
-                and fsys.components[name].enabled(q[idx], action)
-            ]
-            if len(ready) > max_group:
-                raise ResourceLimitError(
-                    f"{len(ready)} ready senders for {action!r}, above the bound {max_group}"
-                )
+            ready = ready_senders(fsys, q, action, max_group)
             for size in range(1, len(ready) + 1):
                 for names in itertools.combinations(ready, size):
                     group = frozenset(names)
@@ -202,60 +191,43 @@ def derive_family_requirements(
     return tuple(out)
 
 
-def _send_candidates(feta: Fts, freq: FamilyRequirement):
-    return [
-        t
-        for t in feta.successors_from(freq.state)
-        if t[1].action == freq.action
-        and t[1].senders == freq.senders
-        and t[1].receivers
-    ]
-
-
-def _condition_products(feta: Fts, freq: FamilyRequirement) -> list[Product]:
-    return [
-        p
-        for p in valid_products(feta.feature_model, feta.space)
-        if evaluate(freq.condition, p)
-    ]
-
-
 def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Does the condition entail that some guarded send of the group fires?
 
     The evidence is the disjunction of the candidate transitions' guards; on
-    violation, a concrete product satisfying the condition but none of the
-    guards is reported.
+    violation, the first valid product satisfying the condition but none of
+    the guards is reported.
     """
-    candidates = _send_candidates(feta, freq)
+    candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
     evidence = disj(feta.guards[t] for t in candidates)
     if entails(freq.condition, evidence, feta.space):
         return FamilyVerdict(freq, FEATURED_COMPLIANT, evidence, tuple(candidates), None)
-    culprit = next(
-        (
-            p
-            for p in _condition_products(feta, freq)
-            if not any(evaluate(feta.guards[t], p) for t in candidates)
-        ),
-        None,
-    )
+    uncovered = expr_mask(freq.condition, feta.space)
+    for t in candidates:
+        uncovered &= ~feta.guard_masks[t]
+    culprit = next(iter(_products_in(feta, uncovered)), None)
     return FamilyVerdict(freq, VIOLATED, evidence, (), culprit)
 
 
 def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Per product satisfying the condition: warm up without the group, then send.
 
-    Each product is decided on its own projection of the featured team; the
-    verdict carries one witness path per product and, on failure, the first
-    product with no witness. The evidence disjoins the guard conjunctions of
-    the witness paths.
+    Each product's shortest witness is searched on the team's transitions
+    whose guard mask holds the product's bit. The verdict carries one witness
+    path per product and, on failure, the first product with no witness. The
+    evidence disjoins the guard conjunctions of the witness paths.
     """
-    projections = _projections(feta)
+    req = Requirement(freq.state, freq.senders, freq.action)
+    masks = feta.guard_masks
     witnesses = []
     evidence_parts = []
-    for product in _condition_products(feta, freq):
-        req = Requirement(freq.state, freq.senders, freq.action)
-        verdict = check_weak_compliance(projections[product], req)
+    for product in _products_in(feta, expr_mask(freq.condition, feta.space)):
+        bit = 1 << product_index(product)
+
+        def successors(state, bit=bit):
+            return [t for t in feta.successors_from(state) if masks[t] & bit]
+
+        verdict = search_weak_compliance(req, successors)
         if verdict.status == VIOLATED:
             return FamilyVerdict(freq, VIOLATED, None, tuple(witnesses), product)
         witnesses.append((product, verdict.witness))
@@ -273,8 +245,7 @@ def check_family_receptiveness(
     max_group: int = DEFAULT_PARTICIPANT_LIMIT,
 ) -> FamilyReport:
     """Verdict over all family requirements, in strict or weak mode."""
-    if mode not in (STRICT, WEAK):
-        raise SpecificationError(f"unknown receptiveness mode {mode!r}")
+    _check_mode(mode)
     warnings_: list[str] = []
     if not valid_products(feta.feature_model, feta.space):
         warnings_.append("the feature model has no valid products; receptiveness holds vacuously")
@@ -318,14 +289,9 @@ def crosscheck_requirement_projection(
             for f in freqs
             if evaluate(f.condition, product)
         }
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", OpenSystemWarning)
-            sys_p = fsys.project(product)
-            spec_p = fspec.project(product)
-            team_p = build_team(sys_p, spec_p)
         product_side = {
             (r.state, r.senders, r.action)
-            for r in derive_requirements(team_p, spec_p, sys_p)
+            for r in derive_requirements(*product_team(fsys, fspec, product))
         }
         out.append(
             ProjectionAgreement(
@@ -340,10 +306,11 @@ def crosscheck_requirement_projection(
 def crosscheck_compliance_unfolding(feta: Fts, freq: FamilyRequirement) -> bool:
     """The symbolic compliance answer must match product-by-product unfolding."""
     symbolic = check_family_compliance(feta, freq).status == FEATURED_COMPLIANT
-    candidates = _send_candidates(feta, freq)
+    candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
     unfolded = all(
         any(evaluate(feta.guards[t], p) for t in candidates)
-        for p in _condition_products(feta, freq)
+        for p in valid_products(feta.feature_model, feta.space)
+        if evaluate(freq.condition, p)
     )
     return symbolic == unfolded
 
@@ -375,12 +342,6 @@ def crosscheck_family_vs_products(
     family = check_family_receptiveness(feta, fsys, fspec, mode)
     verdicts = []
     for product in valid_products(fsys.feature_model, fsys.space):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", OpenSystemWarning)
-            sys_p = fsys.project(product)
-            spec_p = fspec.project(product)
-            team_p = build_team(sys_p, spec_p)
-        verdicts.append(
-            (product, check_receptiveness(team_p, spec_p, sys_p, mode).holds)
-        )
+        report = check_receptiveness(*product_team(fsys, fspec, product), mode)
+        verdicts.append((product, report.holds))
     return FamilyProductsAgreement(mode, family.holds, tuple(verdicts))

@@ -324,6 +324,11 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
     return walk(expr)
 
 
+def product_index(product: Product) -> int:
+    """The bit of `expr_mask` that stands for this product."""
+    return sum(1 << product.space.names.index(name) for name in product.selected)
+
+
 def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:
     """Whether some product of the space (valid or not) satisfies the expression."""
     return expr_mask(expr, space) != 0

@@ -78,6 +78,21 @@ def _check_mode(mode: str) -> None:
         raise SpecificationError(f"unknown receptiveness mode {mode!r}")
 
 
+def ready_senders(sys, state: tuple, action: str, max_group: int) -> list[str]:
+    """Components that output the action and are locally ready for it, guards aside."""
+    ready = [
+        name
+        for idx, name in enumerate(sys.names)
+        if action in sys.components[name].outputs
+        and sys.components[name].enabled(state[idx], action)
+    ]
+    if len(ready) > max_group:
+        raise ResourceLimitError(
+            f"{len(ready)} ready senders for {action!r}, above the bound {max_group}"
+        )
+    return ready
+
+
 def derive_requirements(
     team: Lts,
     spec: SyncTypeSpec,
@@ -97,16 +112,7 @@ def derive_requirements(
             st = spec.for_action(action)
             if st.receivers.contains(0):
                 continue
-            ready = [
-                name
-                for idx, name in enumerate(sys.names)
-                if action in sys.components[name].outputs
-                and sys.components[name].enabled(q[idx], action)
-            ]
-            if len(ready) > max_group:
-                raise ResourceLimitError(
-                    f"{len(ready)} ready senders for {action!r}, above the bound {max_group}"
-                )
+            ready = ready_senders(sys, q, action, max_group)
             for size in range(1, len(ready) + 1):
                 if not st.senders.contains(size):
                     continue
@@ -116,25 +122,24 @@ def derive_requirements(
     return tuple(out)
 
 
-def _immediate_witness(team: Lts, state, req: Requirement) -> SystemTransition | None:
-    for t in team.successors_from(state):
-        label = t[1]
-        if label.action == req.action and label.senders == req.senders and label.receivers:
-            return t
-    return None
+def sends(transition, req) -> bool:
+    """Whether the transition lets exactly the requirement's group send to someone."""
+    label = transition[1]
+    return label.action == req.action and label.senders == req.senders and bool(label.receivers)
 
 
 def check_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
     """Can exactly this group send right now, with someone receiving?"""
-    witness = _immediate_witness(team, req.state, req)
+    witness = next((t for t in team.successors_from(req.state) if sends(t, req)), None)
     if witness is None:
         return ComplianceVerdict(req, VIOLATED, None)
     return ComplianceVerdict(req, COMPLIANT, (witness,))
 
 
-def check_weak_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
+def search_weak_compliance(req: Requirement, successors) -> ComplianceVerdict:
     """Breadth-first search for a group-free warm-up after which the send works.
 
+    `successors(state)` gives the transitions leaving a state, in order.
     Returns the shortest witness path; a requirement met immediately counts
     as compliant with an empty warm-up.
     """
@@ -142,7 +147,8 @@ def check_weak_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
     queue = deque((req.state,))
     while queue:
         state = queue.popleft()
-        witness = _immediate_witness(team, state, req)
+        steps = successors(state)
+        witness = next((t for t in steps if sends(t, req)), None)
         if witness is not None:
             path = [witness]
             cursor = state
@@ -153,13 +159,18 @@ def check_weak_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
             path.reverse()
             status = COMPLIANT if len(path) == 1 else WEAKLY_COMPLIANT
             return ComplianceVerdict(req, status, tuple(path))
-        for t in team.successors_from(state):
+        for t in steps:
             if t[1].participants() & req.senders:
                 continue
             if t[2] not in parents:
                 parents[t[2]] = t
                 queue.append(t[2])
     return ComplianceVerdict(req, VIOLATED, None)
+
+
+def check_weak_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
+    """The shortest group-free warm-up in the team after which the send works."""
+    return search_weak_compliance(req, team.successors_from)
 
 
 def check_receptiveness(

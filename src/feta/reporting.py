@@ -24,13 +24,9 @@ def state_json(state):
     return list(state) if isinstance(state, tuple) else state
 
 
-def label_text(label) -> str:
-    return str(label) if isinstance(label, SystemLabel) else str(label)
-
-
 def transition_text(transition) -> str:
     src, label, dst = transition
-    return f"{state_text(src)} --{label_text(label)}--> {state_text(dst)}"
+    return f"{state_text(src)} --{label}--> {state_text(dst)}"
 
 
 def transition_json(transition):
@@ -45,15 +41,10 @@ def transition_json(transition):
     return out
 
 
-def requirement_text(req: Requirement) -> str:
-    return str(req)
-
-
-def family_requirement_text(freq: FamilyRequirement, pretty: bool = True) -> str:
-    condition = simplified(freq.condition) if pretty else freq.condition
+def family_requirement_text(freq: FamilyRequirement) -> str:
     group = ",".join(sorted(freq.senders))
     return (
-        f"[{format_expr(condition)}] rcp({{{group}}}, {freq.action})"
+        f"[{format_expr(simplified(freq.condition))}] rcp({{{group}}}, {freq.action})"
         f" @ {state_text(freq.state)}"
     )
 
@@ -68,9 +59,7 @@ def requirement_json(req: Requirement):
 
 def family_requirement_json(freq: FamilyRequirement):
     return {
-        "state": state_json(freq.state),
-        "senders": sorted(freq.senders),
-        "action": freq.action,
+        **requirement_json(freq),
         "condition": format_expr(freq.condition),
         "condition_pretty": format_expr(simplified(freq.condition)),
         "factors": {
@@ -154,8 +143,7 @@ def _node_id(state) -> str:
 
 
 def _edge_label(automaton, transition) -> str:
-    _, label, _ = transition
-    core = label_text(label)
+    core = str(transition[1])
     if isinstance(automaton, Fts):
         guard = format_expr(simplified(automaton.guards[transition]))
         return f"[{guard}] {core}"

@@ -134,6 +134,24 @@ def build_team(
     )
 
 
+def product_team(
+    fsys: FeaturedSystem,
+    fspec: FeaturedSyncSpec,
+    product: Product,
+    max_states: int = DEFAULT_STATE_LIMIT,
+    max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
+) -> tuple[Lts, SyncTypeSpec, System]:
+    """The product's own team, specification and system: the per-product route.
+
+    A projected system may be open where the family is closed; that warning is silenced.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OpenSystemWarning)
+        sys_p = fsys.project(product)
+        spec_p = fspec.project(product)
+        return build_team(sys_p, spec_p, max_states, max_participants), spec_p, sys_p
+
+
 def prune_for_display(feta: Fts) -> Fts:
     """A trimmed copy for presentation: no unsatisfiable guards, no unreachable states.
 
@@ -185,10 +203,8 @@ def check_projection_commutes(
     """
     if feta is None:
         feta = build_featured_team(fsys, fspec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OpenSystemWarning)
-        left = feta.project(product)
-        right = build_team(fsys.project(product), fspec.project(product))
+    left = feta.project(product)
+    right = product_team(fsys, fspec, product)[0]
     left_set, right_set = set(left.transitions), set(right.transitions)
     states_agree = left.states == right.states
     initial_agree = left.initial == right.initial

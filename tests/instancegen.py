@@ -142,12 +142,14 @@ class BatteryResults:
     Each failure list holds (seed, detail) pairs; an empty list means the
     property held on every instance. `queries` counts the bits on which a
     team guard's or a requirement condition's mask was compared with direct
-    evaluation of the expression.
+    evaluation of the expression; `weak_checks` counts the weak witnesses and
+    culprits of the family route compared with the search on a projection.
     """
 
     instances: int = 0
     requirements: int = 0
     queries: int = 0
+    weak_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -157,6 +159,7 @@ class BatteryResults:
     reachability_failures: list = dataclasses.field(default_factory=list)
     monotonicity_failures: list = dataclasses.field(default_factory=list)
     mask_failures: list = dataclasses.field(default_factory=list)
+    witness_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -173,6 +176,36 @@ def mask_disagreements(expr: FeatureExpr, space: FeatureSpace) -> tuple[int, lis
         if (mask >> sum(1 << space.names.index(n) for n in p.selected)) & 1 != evaluate(expr, p)
     ]
     return len(products), wrong
+
+
+def weak_disagreements(team, freq, projections, products) -> tuple[int, list]:
+    """Compare the family route's weak verdict with the search on each projection.
+
+    Every (product, path) witness must be the projection's own shortest
+    witness, the culprit must be violated on its projection, and the products
+    decided must be the condition's products, in order, evaluated directly.
+    Returns the number of witnesses and culprits compared and the mismatches.
+    """
+    from feta import Requirement, check_family_weak_compliance, check_weak_compliance
+    from feta.receptiveness import VIOLATED
+
+    verdict = check_family_weak_compliance(team, freq)
+    req = Requirement(freq.state, freq.senders, freq.action)
+    wrong = []
+    decided = []
+    for product, path in verdict.witnesses:
+        decided.append(product)
+        if check_weak_compliance(projections[product], req).witness != path:
+            wrong.append(("witness", product))
+    culprit = verdict.violation_product
+    if culprit is not None:
+        decided.append(culprit)
+        if check_weak_compliance(projections[culprit], req).status != VIOLATED:
+            wrong.append(("culprit", culprit))
+    expected = [p for p in products if evaluate(freq.condition, p)]
+    if decided != (expected[: len(decided)] if culprit is not None else expected):
+        wrong.append(("products", decided))
+    return len(decided), wrong
 
 
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
@@ -208,9 +241,14 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     results.requirement_projection_failures.append((seed, agreement.product))
             freqs = derive_family_requirements(team, fsys, fspec)
             results.requirements += len(freqs)
+            projections = {p: team.project(p) for p in products}
             for freq in freqs:
                 if not crosscheck_compliance_unfolding(team, freq):
                     results.unfolding_failures.append((seed, freq))
+                compared, wrong = weak_disagreements(team, freq, projections, products)
+                results.weak_checks += compared
+                if wrong:
+                    results.witness_failures.append((seed, freq, wrong))
             if not crosscheck_family_vs_products(fsys, fspec, "strict", team).ok:
                 results.family_strict_failures.append((seed,))
             if not crosscheck_family_vs_products(fsys, fspec, "weak", team).ok:
@@ -226,7 +264,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     results.mask_failures.append((seed, expr, wrong))
             for state in team.states:
                 symbolic = set(reachable_products(team, state))
-                direct = {p for p in products if state in team.project(p).reachable()}
+                direct = {p for p in products if state in projections[p].reachable()}
                 if symbolic != direct:
                     results.reachability_failures.append((seed, state))
             for product in products:

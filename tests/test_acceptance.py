@@ -130,6 +130,8 @@ def test_09_family_analyses_unfold_per_product(access, team, battery):
     assert battery.unfolding_failures == []
     assert battery.family_strict_failures == []
     assert battery.family_weak_failures == []
+    assert battery.witness_failures == []
+    assert battery.weak_checks > 0
 
 
 def test_10_global_invariants(access, team, battery):

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, exit codes and report formats."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -404,8 +405,12 @@ sync {
 
 def test_dot_output_is_byte_identical_across_runs():
     argv = [sys.executable, "-m", "feta.cli", "feta", "--format", "dot", ACCESS]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    # The children run the package this test imported, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"digraph {")
 

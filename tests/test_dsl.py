@@ -6,6 +6,7 @@ import models
 from feta import (
     TRUE,
     And,
+    FetaError,
     Var,
     Xor,
     elaborate_text,
@@ -123,6 +124,13 @@ def test_syntax_error_reports_position():
     assert diag.code == "syntax"
     assert (diag.line, diag.col) == (3, 11)
     assert "component name" in diag.message
+
+
+@pytest.mark.parametrize("text, position", [("(", (1, 2)), ("a b", (1, 3))])
+def test_parse_expr_raises_a_package_error_with_its_position(text, position):
+    with pytest.raises(FetaError) as caught:
+        parse_expr(text)
+    assert (caught.value.line, caught.value.col) == position
 
 
 # --- elaboration diagnostics ------------------------------------------------

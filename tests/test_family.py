@@ -5,8 +5,11 @@ import pytest
 import models
 from feta import (
     And,
+    Fts,
+    Lts,
     Not,
     Var,
+    build_featured_team,
     check_family_compliance,
     check_family_receptiveness,
     check_family_weak_compliance,
@@ -161,6 +164,20 @@ def test_family_weak_verdict(team, access):
     assert report.holds
     statuses = {e.status for e in report.entries}
     assert statuses == {FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT}
+
+
+def test_family_route_does_not_go_product_by_product(access, monkeypatch):
+    fsys, fspec = access
+    team = build_featured_team(fsys, fspec)
+
+    def refuse(*args):
+        raise AssertionError("the family route projected the team or searched a projection")
+
+    monkeypatch.setattr(Fts, "project", refuse)
+    monkeypatch.setattr(Lts, "reachable", refuse)
+    report = check_family_receptiveness(team, fsys, fspec, "weak")
+    assert report.holds
+    assert FEATURED_WEAKLY_COMPLIANT in {e.status for e in report.entries}
 
 
 def test_requirement_projection_agrees_per_product(team, access):
