@@ -59,6 +59,7 @@ from .features import (
     product_expr,
     product_index,
     product_set_expr,
+    products_mask,
     simplified,
     valid_products,
     variables,

@@ -14,7 +14,7 @@ and structured labels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -135,6 +135,8 @@ class Fts(Lts):
     space: FeatureSpace
     feature_model: FeatureExpr
     guards: Mapping
+    # The guard masks when the builder already has them; compiled otherwise.
+    masks: Mapping | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -151,7 +153,9 @@ class Fts(Lts):
 
     @cached_property
     def guard_masks(self) -> dict:
-        """The `expr_mask` of every transition's guard."""
+        """The `expr_mask` of every transition's guard: `masks` if given, else compiled."""
+        if self.masks is not None:
+            return dict(self.masks)
         return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
 
     @cached_property

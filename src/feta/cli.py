@@ -28,6 +28,7 @@ from .family import (
 from .features import (
     DEFAULT_PRODUCT_LIMIT,
     Product,
+    check_product_limit,
     evaluate,
     format_expr,
     valid_products,
@@ -232,8 +233,13 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
             print(line, file=sys.stderr)
     if not result.ok:
         raise CliError("the specification has errors", tuple(errors))
+    if args.max_products > DEFAULT_PRODUCT_LIMIT:
+        raise CliError(
+            f"--max-products {args.max_products} is above its ceiling {DEFAULT_PRODUCT_LIMIT}"
+        )
+    check_product_limit(result.system.space, args.max_products)
     if args.strict_sync:
-        overlaps = result.sync.find_overlaps(args.max_products)
+        overlaps = result.sync.find_overlaps()
         if overlaps:
             lines = tuple(
                 f"for {product} and {action!r} the matching rule gives {first}"
@@ -289,7 +295,7 @@ def _core(lts: Lts) -> Lts:
 
 def cmd_products(args) -> int:
     fsys, _, warns = _load(args)
-    products = valid_products(fsys.feature_model, fsys.space, args.max_products)
+    products = valid_products(fsys.feature_model, fsys.space)
     if args.format == "json":
         payload = _envelope(
             args,
@@ -321,7 +327,7 @@ def cmd_compose(args) -> int:
         "states": len(states),
         "transitions": len(transitions),
         "features": len(fsys.space),
-        "products": len(valid_products(fsys.feature_model, fsys.space, args.max_products)),
+        "products": len(valid_products(fsys.feature_model, fsys.space)),
     }
     if args.format == "json":
         payload = _envelope(
@@ -518,7 +524,7 @@ def cmd_verify(args) -> int:
     fsys, fspec, warns = _load(args)
     feta = _build_team(args, fsys, fspec, warns)
     checks: list[tuple[str, bool, str]] = []
-    products = valid_products(fsys.feature_model, fsys.space, args.max_products)
+    products = valid_products(fsys.feature_model, fsys.space)
     for product in products:
         result = check_projection_commutes(fsys, fspec, product, feta)
         detail = ""

@@ -7,8 +7,10 @@ state is actually reachable. The featured team complies when, within the
 condition, some suitably guarded team transition lets the group send; it
 complies weakly when every product satisfying the condition has a group-free
 warm-up leading to such a send. All products are answered at once on the
-team's guard and reachability masks (`Fts.guard_masks`, `Fts.reachable_masks`).
-This must agree with checking each valid product's own team separately; the
+team's guard and reachability masks (`Fts.guard_masks`, `Fts.reachable_masks`)
+and on each condition's mask, built from the same three factors; the
+expressions are kept for display and for the per-product route. This must
+agree with checking each valid product's own team separately; the
 crosscheck functions at the bottom compare the two routes, and only they
 evaluate products one by one.
 """
@@ -16,7 +18,7 @@ evaluate products one by one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automata import Fts, state_key
 from .features import (
@@ -25,13 +27,11 @@ from .features import (
     Product,
     conj,
     disj,
-    entails,
     evaluate,
-    expr_mask,
     format_expr,
-    is_satisfiable,
     product_index,
     product_set_expr,
+    products_mask,
     valid_products,
 )
 from .receptiveness import (
@@ -56,7 +56,11 @@ FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
 
 @dataclass(frozen=True)
 class FamilyRequirement:
-    """A sender group, action and state with their application condition."""
+    """A sender group, action and state with their application condition.
+
+    `mask` holds the bits of the products satisfying the condition, as
+    `expr_mask` would compile it.
+    """
 
     state: tuple
     senders: frozenset[str]
@@ -65,6 +69,7 @@ class FamilyRequirement:
     enabling: FeatureExpr
     sync_condition: FeatureExpr
     reach_condition: FeatureExpr
+    mask: int = field(compare=False)
 
     def sort_key(self):
         return (state_key(self.state), self.action, tuple(sorted(self.senders)))
@@ -113,9 +118,23 @@ def _products_in(feta: Fts, mask: int) -> tuple[Product, ...]:
     )
 
 
+def _union(masks) -> int:
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
 def reachable_products(feta: Fts, state) -> tuple[Product, ...]:
     """Valid products under which the state is reachable in the featured team."""
     return _products_in(feta, feta.reachable_masks.get(state, 0))
+
+
+def _local_sends(fsys: FeaturedSystem, name: str, action: str, state: tuple):
+    """The local transitions on the action from the component's part of the state."""
+    comp = fsys.components[name]
+    local = state[fsys.names.index(name)]
+    return comp, [t for t in comp.successors_from(local) if t[1] == action]
 
 
 def senders_guard(
@@ -123,17 +142,10 @@ def senders_guard(
 ) -> FeatureExpr:
     """Products in which every group member can locally fire the action."""
     parts = []
-    for idx, name in enumerate(fsys.names):
-        if name not in group:
-            continue
-        comp = fsys.components[name]
-        local = state[idx]
-        options = [
-            comp.guards[t]
-            for t in comp.successors_from(local)
-            if t[1] == action
-        ]
-        parts.append(disj(options))
+    for name in fsys.names:
+        if name in group:
+            comp, steps = _local_sends(fsys, name, action, state)
+            parts.append(disj(comp.guards[t] for t in steps))
     return conj(parts)
 
 
@@ -161,30 +173,51 @@ def derive_family_requirements(
     ready for it ignoring guards; readiness of the guards, fit with the
     synchronisation types and reachability of the state each contribute one
     conjunct of the condition. States no valid product can reach yield
-    nothing.
+    nothing. The condition's mask is the AND of the factors' masks: the
+    members' local guard masks, the bits of the products whose type admits
+    the group and the state's reachability mask. The sync factor is worked
+    out once per group size and action; the enabling and reach expressions
+    only for the groups that remain.
     """
     out: list[FamilyRequirement] = []
+    sync: dict[tuple[int, str], tuple[FeatureExpr, int]] = {}
     for q in feta.states:
-        reach = reachable_products(feta, q)
-        if not reach:
+        reach_mask = feta.reachable_masks[q]
+        if not reach_mask:
             continue
-        reach_condition = product_set_expr(reach, feta.space)
+        reach_condition = None
         for action in sorted(fsys.actions):
             ready = ready_senders(fsys, q, action, max_group)
+            enabling_masks = {}
+            for name in ready:
+                comp, steps = _local_sends(fsys, name, action, q)
+                enabling_masks[name] = _union(comp.guard_masks[t] for t in steps)
             for size in range(1, len(ready) + 1):
+                key = (size, action)
+                if key not in sync:
+                    allowed = products_for_group(fspec, ready[:size], action)
+                    sync[key] = (product_set_expr(allowed, feta.space), products_mask(allowed))
+                sync_condition, sync_mask = sync[key]
+                size_mask = sync_mask & reach_mask
+                if not size_mask:
+                    continue
                 for names in itertools.combinations(ready, size):
-                    group = frozenset(names)
-                    enabling = senders_guard(fsys, group, action, q)
-                    sync_condition = product_set_expr(
-                        products_for_group(fspec, group, action), feta.space
-                    )
-                    condition = And((enabling, sync_condition, reach_condition))
-                    if not is_satisfiable(condition, feta.space):
+                    mask = size_mask
+                    for name in names:
+                        mask &= enabling_masks[name]
+                    if not mask:
                         continue
+                    group = frozenset(names)
+                    if reach_condition is None:
+                        reach_condition = product_set_expr(
+                            _products_in(feta, reach_mask), feta.space
+                        )
+                    enabling = senders_guard(fsys, group, action, q)
+                    condition = And((enabling, sync_condition, reach_condition))
                     out.append(
                         FamilyRequirement(
                             q, group, action, condition,
-                            enabling, sync_condition, reach_condition,
+                            enabling, sync_condition, reach_condition, mask,
                         )
                     )
     out.sort(key=FamilyRequirement.sort_key)
@@ -194,17 +227,15 @@ def derive_family_requirements(
 def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Does the condition entail that some guarded send of the group fires?
 
-    The evidence is the disjunction of the candidate transitions' guards; on
-    violation, the first valid product satisfying the condition but none of
-    the guards is reported.
+    The evidence is the disjunction of the candidate transitions' guards; it
+    is decided on their guard masks. On violation, the first valid product
+    satisfying the condition but none of the guards is reported.
     """
     candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
     evidence = disj(feta.guards[t] for t in candidates)
-    if entails(freq.condition, evidence, feta.space):
+    uncovered = freq.mask & ~_union(feta.guard_masks[t] for t in candidates)
+    if not uncovered:
         return FamilyVerdict(freq, FEATURED_COMPLIANT, evidence, tuple(candidates), None)
-    uncovered = expr_mask(freq.condition, feta.space)
-    for t in candidates:
-        uncovered &= ~feta.guard_masks[t]
     culprit = next(iter(_products_in(feta, uncovered)), None)
     return FamilyVerdict(freq, VIOLATED, evidence, (), culprit)
 
@@ -221,7 +252,7 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
     masks = feta.guard_masks
     witnesses = []
     evidence_parts = []
-    for product in _products_in(feta, expr_mask(freq.condition, feta.space)):
+    for product in _products_in(feta, freq.mask):
         bit = 1 << product_index(product)
 
         def successors(state, bit=bit):

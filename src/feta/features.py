@@ -218,7 +218,8 @@ def evaluate(expr: FeatureExpr, product: Product) -> bool:
     return _holds(expr, product.selected)
 
 
-def _check_product_limit(space: FeatureSpace, limit: int) -> None:
+def check_product_limit(space: FeatureSpace, limit: int) -> None:
+    """Refuse a space with more than `limit` products, valid or not."""
     if 2 ** len(space) > limit:
         raise ResourceLimitError(
             f"feature space of {len(space)} features exceeds the product bound {limit}"
@@ -227,7 +228,7 @@ def _check_product_limit(space: FeatureSpace, limit: int) -> None:
 
 def all_products(space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT) -> tuple[Product, ...]:
     """Every subset of the space, ordered lexicographically by feature names."""
-    _check_product_limit(space, limit)
+    check_product_limit(space, limit)
     names = space.sorted_names()
     subsets = [
         tuple(n for n, keep in zip(names, mask) if keep)
@@ -288,7 +289,7 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
     Bit `k` stands for the product selecting each feature `space.names[j]`
     for which bit `j` of `k` is set, so a space of n features has 2**n bits.
     """
-    _check_product_limit(space, DEFAULT_PRODUCT_LIMIT)
+    check_product_limit(space, DEFAULT_PRODUCT_LIMIT)
     width = len(space)
     full = (1 << (1 << width)) - 1
     index = {name: i for i, name in enumerate(space.names)}
@@ -327,6 +328,14 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
 def product_index(product: Product) -> int:
     """The bit of `expr_mask` that stands for this product."""
     return sum(1 << product.space.names.index(name) for name in product.selected)
+
+
+def products_mask(products) -> int:
+    """The mask with exactly the bits of the given products set."""
+    mask = 0
+    for product in products:
+        mask |= 1 << product_index(product)
+    return mask
 
 
 def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:

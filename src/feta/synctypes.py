@@ -16,7 +16,6 @@ from typing import Mapping
 
 from .errors import InvalidProductError, SpecificationError, TotalityError
 from .features import (
-    DEFAULT_PRODUCT_LIMIT,
     FeatureExpr,
     FeatureSpace,
     Product,
@@ -120,6 +119,7 @@ class FeaturedSyncSpec:
                 unknown = sorted(rule.actions - self.alphabet)
                 raise SpecificationError(f"sync rule names unknown actions {unknown}")
         self._allowed: dict[tuple[str, int, int], tuple[Product, ...]] = {}
+        self._missing: tuple[tuple[Product, str], ...] | None = None
 
     def lookup(self, product: Product, action: str) -> SyncType:
         """First-match rule lookup for one product and action."""
@@ -132,26 +132,27 @@ class FeaturedSyncSpec:
             f"no synchronisation type for product {product} and action {action!r}"
         )
 
-    def validate_total(
-        self, limit: int = DEFAULT_PRODUCT_LIMIT
-    ) -> tuple[tuple[Product, str], ...]:
-        """The (product, action) pairs left uncovered; empty when total."""
-        missing = []
-        for product in valid_products(self.feature_model, self.space, limit):
-            for action in sorted(self.alphabet):
-                if not any(
-                    rule.covers(action) and evaluate(rule.guard, product)
-                    for rule in self.rules
-                ):
-                    missing.append((product, action))
-        return tuple(missing)
+    def validate_total(self) -> tuple[tuple[Product, str], ...]:
+        """The (product, action) pairs left uncovered; empty when total.
 
-    def find_overlaps(
-        self, limit: int = DEFAULT_PRODUCT_LIMIT
-    ) -> tuple[tuple[Product, str, SyncType, SyncType], ...]:
+        Memoised on the instance, like `allowed_products`.
+        """
+        if self._missing is None:
+            missing = []
+            for product in valid_products(self.feature_model, self.space):
+                for action in sorted(self.alphabet):
+                    if not any(
+                        rule.covers(action) and evaluate(rule.guard, product)
+                        for rule in self.rules
+                    ):
+                        missing.append((product, action))
+            self._missing = tuple(missing)
+        return self._missing
+
+    def find_overlaps(self) -> tuple[tuple[Product, str, SyncType, SyncType], ...]:
         """Pairs where a later rule would assign a different type than the match."""
         out = []
-        for product in valid_products(self.feature_model, self.space, limit):
+        for product in valid_products(self.feature_model, self.space):
             for action in sorted(self.alphabet):
                 hits = [
                     rule.sync_type

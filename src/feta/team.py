@@ -23,8 +23,8 @@ from .features import (
     FeatureExpr,
     Product,
     conj,
-    is_satisfiable,
     product_set_expr,
+    products_mask,
 )
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
 from .system import (
@@ -40,17 +40,18 @@ class OpenSystemWarning(UserWarning):
     """A team is being built over a system with unmatched inputs or outputs."""
 
 
+def _local_steps(fsys: FeaturedSystem, transition: SystemTransition):
+    """(component, local transition) of every participant, in system order."""
+    involved = transition.label.participants()
+    for idx, name in enumerate(fsys.names):
+        if name in involved:
+            local = (transition.source[idx], transition.action, transition.target[idx])
+            yield fsys.components[name], local
+
+
 def participants_guard(fsys: FeaturedSystem, transition: SystemTransition) -> FeatureExpr:
     """Conjunction of the local guards of every participant's step."""
-    involved = transition.label.participants()
-    parts = []
-    for idx, name in enumerate(fsys.names):
-        if name not in involved:
-            continue
-        comp = fsys.components[name]
-        local = (transition.source[idx], transition.action, transition.target[idx])
-        parts.append(comp.guards[local])
-    return conj(parts)
+    return conj(comp.guards[local] for comp, local in _local_steps(fsys, transition))
 
 
 def products_allowing(
@@ -82,8 +83,12 @@ def build_featured_team(
     """The featured team automaton of a featured system and specification.
 
     Every induced transition is kept and receives the guard described above,
-    stored as the plain two-part conjunction without simplification. The
-    specification must be total over the valid products.
+    stored as the plain two-part conjunction without simplification; all
+    transitions with the same action and participant counts share one sync
+    expression. The guard masks are built from the same two parts, the
+    participants' local guard masks and the bits of the allowed products,
+    without compiling the guards. The specification must be total over the
+    valid products.
     """
     missing = fspec.validate_total()
     if missing:
@@ -94,15 +99,18 @@ def build_featured_team(
         )
     _warn_if_open(fsys)
     states, transitions = fsys.state_space(max_states, max_participants)
-    guards = {
-        t: And(
-            (
-                participants_guard(fsys, t),
-                product_set_expr(products_allowing(fspec, t), fsys.space),
-            )
-        )
-        for t in transitions
-    }
+    sync: dict[tuple[str, int, int], tuple[FeatureExpr, int]] = {}
+    guards, masks = {}, {}
+    for t in transitions:
+        key = (t.action, len(t.senders), len(t.receivers))
+        if key not in sync:
+            allowed = products_allowing(fspec, t)
+            sync[key] = (product_set_expr(allowed, fsys.space), products_mask(allowed))
+        sync_expr, mask = sync[key]
+        guards[t] = And((participants_guard(fsys, t), sync_expr))
+        for comp, local in _local_steps(fsys, t):
+            mask &= comp.guard_masks[local]
+        masks[t] = mask
     return Fts(
         states=states,
         initial=fsys.initial_states(),
@@ -111,6 +119,7 @@ def build_featured_team(
         space=fsys.space,
         feature_model=fsys.feature_model,
         guards=guards,
+        masks=masks,
     )
 
 
@@ -155,23 +164,24 @@ def product_team(
 def prune_for_display(feta: Fts) -> Fts:
     """A trimmed copy for presentation: no unsatisfiable guards, no unreachable states.
 
-    Transitions whose guard no product (valid or not) can satisfy are
-    dropped, then states that the remaining transitions cannot reach from the
-    initial states. Analyses never use this view; they work on the full team.
+    Transitions whose guard no product (valid or not) can satisfy, that is
+    whose guard mask is zero, are dropped, then states that the remaining
+    transitions cannot reach from the initial states. Analyses never use this
+    view; they work on the full team.
     """
-    live = tuple(
-        t for t in feta.transitions if is_satisfiable(feta.guards[t], feta.space)
-    )
+    masks = feta.guard_masks
+    live = tuple(t for t in feta.transitions if masks[t])
     trimmed = Lts(feta.states, feta.initial, feta.actions, live)
     keep = trimmed.reachable()
+    kept = tuple(t for t in live if t[0] in keep)
     return Fts(
         states=tuple(sorted(keep, key=state_key)),
         initial=feta.initial,
         actions=feta.actions,
-        transitions=tuple(t for t in live if t[0] in keep),
+        transitions=kept,
         space=feta.space,
         feature_model=feta.feature_model,
-        guards={t: feta.guards[t] for t in live if t[0] in keep},
+        guards={t: feta.guards[t] for t in kept},
     )
 
 

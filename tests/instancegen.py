@@ -33,7 +33,6 @@ from feta import (
     Xor,
     all_products,
     evaluate,
-    expr_mask,
     valid_products,
 )
 
@@ -140,10 +139,12 @@ class BatteryResults:
     """Outcome of running every cross-check over the random instances.
 
     Each failure list holds (seed, detail) pairs; an empty list means the
-    property held on every instance. `queries` counts the bits on which a
-    team guard's or a requirement condition's mask was compared with direct
-    evaluation of the expression; `weak_checks` counts the weak witnesses and
-    culprits of the family route compared with the search on a projection.
+    property held on every instance. `queries` counts the bits on which the
+    mask a team stores for a guard (`Fts.guard_masks`) or a requirement
+    carries for its condition (`FamilyRequirement.mask`) was compared with
+    direct evaluation of the expression; `weak_checks` counts the weak
+    witnesses and culprits of the family route compared with the search on a
+    projection.
     """
 
     instances: int = 0
@@ -162,13 +163,12 @@ class BatteryResults:
     witness_failures: list = dataclasses.field(default_factory=list)
 
 
-def mask_disagreements(expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
-    """Compare the expression's mask bit by bit with evaluation on every product.
+def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
+    """Compare a stored mask bit by bit with evaluating its expression on every product.
 
     Returns the number of comparisons and the products where they differ. The
-    bit of a product is worked out here, independently of `expr_mask`.
+    bit of a product is worked out here, independently of `product_index`.
     """
-    mask = expr_mask(expr, space)
     products = all_products(space)
     wrong = [
         p
@@ -256,9 +256,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             for t in team.transitions:
                 if not entails(team.guards[t], team.feature_model, team.space):
                     results.guard_model_failures.append((seed, t))
-            exprs = [team.guards[t] for t in team.transitions] + [f.condition for f in freqs]
-            for expr in exprs:
-                compared, wrong = mask_disagreements(expr, team.space)
+            stored = [(team.guard_masks[t], team.guards[t]) for t in team.transitions]
+            stored += [(f.mask, f.condition) for f in freqs]
+            for mask, expr in stored:
+                compared, wrong = mask_disagreements(mask, expr, team.space)
                 results.queries += compared
                 if wrong:
                     results.mask_failures.append((seed, expr, wrong))

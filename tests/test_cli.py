@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import models
-from feta import cli
+from feta import cli, features
 
 ACCESS = models.example_path()
 RELAY = models.example_path("relay")
@@ -63,6 +63,29 @@ def test_weak_check_passes(capsys):
     code, out, _ = run(capsys, "check", "--weak", ACCESS)
     assert code == 0
     assert "the family is featured weakly receptive" in out
+
+
+@pytest.mark.parametrize("argv", [("check", "--weak"), ("feta",)], ids=" ".join)
+def test_no_team_guard_is_compiled(capsys, monkeypatch, access, argv):
+    """Only component guards and the feature model go through `expr_mask`.
+
+    Team guard and requirement masks are built from those parts.
+    """
+    original = features.expr_mask
+    compiled = []
+
+    def counting(expr, space):
+        compiled.append(expr)
+        return original(expr, space)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "feta" and getattr(module, "expr_mask", None) is original:
+            monkeypatch.setattr(module, "expr_mask", counting)
+    code, _, _ = run(capsys, *argv, ACCESS)
+    assert code == 0
+    fsys, _ = access
+    parts = sum(len(fsys.components[name].transitions) for name in fsys.names) + 1
+    assert 0 < len(compiled) <= parts
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -142,6 +165,37 @@ def test_too_many_features_is_a_resource_error(capsys, tmp_path):
         "variant.feta:1:1: error: feature space of 19 features"
         " exceeds the product bound 65536 [resource]" in err
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("products",),
+        ("compose",),
+        ("feta",),
+        ("feta", "--format", "dot", "--reqs"),
+        ("project", "-p", "lock"),
+        ("reqs",),
+        ("reqs", "-p", "lock"),
+        ("check", "--weak"),
+        ("check", "-p", "lock"),
+        ("verify",),
+    ],
+    ids=" ".join,
+)
+def test_every_command_honours_the_product_bound(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-products", "3", ACCESS)
+    assert code == 2
+    assert out == ""
+    assert err == "error: feature space of 2 features exceeds the product bound 3\n"
+
+
+def test_product_bounds_above_the_ceiling_are_refused(capsys):
+    code, _, err = run(capsys, "feta", "--max-products", "65537", ACCESS)
+    assert code == 2
+    assert err == "error: --max-products 65537 is above its ceiling 65536\n"
+    code, _, _ = run(capsys, "feta", "--max-products", "65536", ACCESS)
+    assert code == 0
 
 
 def test_specification_errors_are_input_errors(capsys, tmp_path):

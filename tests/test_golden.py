@@ -1,0 +1,99 @@
+"""Golden command line outputs: the behaviour contract, byte for byte.
+
+For each bundled example and each command below, `tests/golden/` holds the
+exact stdout (`<example>.<command>.out`), the stderr when there is any
+(`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
+commands run in-process from the examples directory on the bare file name,
+so no path of the checkout ends up in the outputs.
+
+Re-record after an intended change of output with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and review the diff of `tests/golden/` before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from feta import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit-codes.json"
+EXAMPLES = (
+    "access_management",
+    "broadcast_logger",
+    "dual_sign",
+    "relay",
+    "sensor_fusion",
+    "turnstile",
+)
+COMMANDS = {
+    "feta": ("feta",),
+    "feta-dot-reqs": ("feta", "--format", "dot", "--reqs"),
+    "feta-json": ("feta", "--format", "json"),
+    "reqs-factors": ("reqs", "--show-factors"),
+    "check-strict": ("check", "--strict"),
+    "check-weak-json": ("check", "--weak", "--format", "json"),
+    "verify": ("verify",),
+}
+CASES = [(example, command) for example in EXAMPLES for command in COMMANDS]
+
+
+def run_case(example: str, command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command on one bundled example."""
+    argv = [*COMMANDS[command], f"{example}.feta"]
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(resources.files("feta") / "examples")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("example,command", CASES)
+def test_output_matches_the_golden_file(example, command, exit_codes):
+    code, out, err = run_case(example, command)
+    stem = f"{example}.{command}"
+    assert out == (GOLDEN / f"{stem}.out").read_text(encoding="utf-8")
+    err_file = GOLDEN / f"{stem}.err"
+    assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+    assert code == exit_codes[stem]
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.glob("*.err"):
+        old.unlink()
+    codes = {}
+    for example, command in CASES:
+        code, out, err = run_case(example, command)
+        stem = f"{example}.{command}"
+        (GOLDEN / f"{stem}.out").write_text(out, encoding="utf-8")
+        if err:
+            (GOLDEN / f"{stem}.err").write_text(err, encoding="utf-8")
+        codes[stem] = code
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    record()

@@ -1,9 +1,10 @@
 """Randomised cross-checks of the product-projection laws.
 
 The battery runs every law over a fixed population of seeded random
-systems, and compares the bit-mask of every team guard and requirement
-condition with direct evaluation on every product. A failure here names the seed that broke the law, so the case
-can be replayed with `instancegen.random_instance(seed)`.
+systems, and compares the mask stored for every team guard and requirement
+condition with direct evaluation on every product. A failure here names the
+seed that broke the law, so the case can be replayed with
+`instancegen.random_instance(seed)`.
 """
 
 import random

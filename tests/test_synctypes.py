@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from feta import (
     SystemTransition,
     TotalityError,
     Var,
+    elaborate_text,
+    synctypes,
     transition_satisfies,
 )
 
@@ -184,6 +187,17 @@ def test_projection_rejects_invalid_products():
     spec = models.make_sync()
     with pytest.raises(InvalidProductError):
         spec.project(Product.of(models.SPACE, "lock", "unlock"))
+
+
+def test_totality_is_validated_once_per_spec(monkeypatch):
+    spec = elaborate_text(Path(models.example_path()).read_text(encoding="utf-8")).sync
+    evaluated = []
+    real = synctypes.evaluate
+    monkeypatch.setattr(synctypes, "evaluate", lambda e, p: evaluated.append(e) or real(e, p))
+    # Elaboration already validated totality; the team builder asks again.
+    assert spec.validate_total() == ()
+    assert spec.validate_total() is spec.validate_total()
+    assert evaluated == []
 
 
 def test_allowed_products_by_counts():
