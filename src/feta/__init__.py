@@ -93,6 +93,7 @@ from .team import (
     product_team,
     products_allowing,
     prune_for_display,
+    reachable_featured_team,
 )
 
 __version__ = "0.1.0"

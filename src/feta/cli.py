@@ -60,7 +60,14 @@ from .reporting import (
 )
 from .synctypes import FeaturedSyncSpec
 from .system import DEFAULT_PARTICIPANT_LIMIT, DEFAULT_STATE_LIMIT, FeaturedSystem
-from .team import OpenSystemWarning, build_featured_team, check_projection_commutes, product_team, prune_for_display
+from .team import (
+    OpenSystemWarning,
+    build_featured_team,
+    check_projection_commutes,
+    product_team,
+    prune_for_display,
+    reachable_featured_team,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,6 +82,17 @@ class CliError(Exception):
         self.details = tuple(details)
 
 
+def _budget(text: str) -> int:
+    """A resource bound given on the command line: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feta",
@@ -86,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json")):
         p.add_argument("input", help="specification file (.feta)")
         p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.add_argument("--max-states", type=int, default=DEFAULT_STATE_LIMIT, metavar="N")
+        p.add_argument("--max-states", type=_budget, default=DEFAULT_STATE_LIMIT, metavar="N")
         p.add_argument(
-            "--max-participants", type=int, default=DEFAULT_PARTICIPANT_LIMIT, metavar="N"
+            "--max-participants", type=_budget, default=DEFAULT_PARTICIPANT_LIMIT, metavar="N"
         )
-        p.add_argument("--max-products", type=int, default=DEFAULT_PRODUCT_LIMIT, metavar="N")
+        p.add_argument("--max-products", type=_budget, default=DEFAULT_PRODUCT_LIMIT, metavar="N")
         p.add_argument(
             "--strict-sync",
             action="store_true",
@@ -202,7 +220,12 @@ def _fail(args, message: str, details: tuple[str, ...]) -> int:
             "input": getattr(args, "input", ""),
             "error": {"message": message, "diagnostics": list(details)},
         }
-        _emit(args, render_json(payload))
+        try:
+            _emit(args, render_json(payload))
+        except OSError as exc:
+            # The report's destination itself may be what failed.
+            if str(exc) != message:
+                print(f"error: {exc}", file=sys.stderr)
     return EXIT_INPUT
 
 
@@ -250,15 +273,18 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
     return result.system, result.sync, notes
 
 
-def _build_team(args, fsys, fspec, warns: list[str]):
+def _build_teams(args, fsys, fspec, warns: list[str], *builders) -> list:
+    """One team per builder; each distinct warning of the builds is reported once."""
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always", OpenSystemWarning)
-        feta = build_featured_team(fsys, fspec, args.max_states, args.max_participants)
-    for item in caught:
-        line = f"{args.input}: warning: {item.message}"
+        teams = [
+            build(fsys, fspec, args.max_states, args.max_participants) for build in builders
+        ]
+    for message in dict.fromkeys(str(item.message) for item in caught):
+        line = f"{args.input}: warning: {message}"
         warns.append(line)
         print(line, file=sys.stderr)
-    return feta
+    return teams
 
 
 def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
@@ -358,7 +384,7 @@ def cmd_compose(args) -> int:
 
 def cmd_feta(args) -> int:
     fsys, fspec, warns = _load(args)
-    feta = _build_team(args, fsys, fspec, warns)
+    (feta,) = _build_teams(args, fsys, fspec, warns, build_featured_team)
     pruned = prune_for_display(feta)
     if args.format == "dot":
         notes = None
@@ -378,7 +404,7 @@ def cmd_feta(args) -> int:
 def cmd_project(args) -> int:
     fsys, fspec, warns = _load(args)
     product = _parse_product(args.product, fsys)
-    feta = _build_team(args, fsys, fspec, warns)
+    (feta,) = _build_teams(args, fsys, fspec, warns, build_featured_team)
     projection = feta.project(product)
     result = check_projection_commutes(fsys, fspec, product, feta)
     if args.format == "dot":
@@ -431,7 +457,7 @@ def cmd_reqs(args) -> int:
         lines += [f"  {req}" for req in reqs]
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    feta = _build_team(args, fsys, fspec, warns)
+    (feta,) = _build_teams(args, fsys, fspec, warns, reachable_featured_team)
     freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
     if args.format == "json":
         payload = _envelope(
@@ -461,7 +487,7 @@ def cmd_check(args) -> int:
     fsys, fspec, warns = _load(args)
     if args.product is not None:
         return _check_product(args, fsys, fspec, warns)
-    feta = _build_team(args, fsys, fspec, warns)
+    (feta,) = _build_teams(args, fsys, fspec, warns, reachable_featured_team)
     report = check_family_receptiveness(feta, fsys, fspec, args.mode, args.max_participants)
     verdict = _family_verdict(args.mode, report.holds)
     if args.format == "json":
@@ -522,11 +548,15 @@ def _check_product(args, fsys, fspec, warns) -> int:
 
 def cmd_verify(args) -> int:
     fsys, fspec, warns = _load(args)
-    feta = _build_team(args, fsys, fspec, warns)
+    # Projections commute on the full team; the family is decided, as by
+    # `check` and `reqs`, on its reachable part.
+    full, feta = _build_teams(
+        args, fsys, fspec, warns, build_featured_team, reachable_featured_team
+    )
     checks: list[tuple[str, bool, str]] = []
     products = valid_products(fsys.feature_model, fsys.space)
     for product in products:
-        result = check_projection_commutes(fsys, fspec, product, feta)
+        result = check_projection_commutes(fsys, fspec, product, full)
         detail = ""
         if not result.ok:
             extra = len(result.only_in_projection) + len(result.only_in_composition)

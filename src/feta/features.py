@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import ResourceLimitError, SpecificationError
 
@@ -355,6 +355,27 @@ def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
 
 # --- rendering -------------------------------------------------------------
 
+
+def _kept_on_node(fn):
+    """Keep `fn(expr)` on the node itself, so a shared subexpression is done once.
+
+    Family conditions share their sync and reach factors, which are large
+    disjunctions of products; the result lives and dies with the node.
+    """
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def kept(expr):
+        memo = getattr(expr, "__dict__", None)
+        if memo is None:
+            return fn(expr)
+        if key not in memo:
+            memo[key] = fn(expr)
+        return memo[key]
+
+    return kept
+
+
 # Binding strength of each connective, loosest first.
 _LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_XOR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = range(7)
 
@@ -378,6 +399,7 @@ def _level(expr: FeatureExpr) -> int:
     raise SpecificationError(f"not a feature expression: {expr!r}")
 
 
+@_kept_on_node
 def format_expr(expr: FeatureExpr) -> str:
     """Surface syntax of an expression with minimal parentheses."""
 
@@ -407,6 +429,7 @@ def format_expr(expr: FeatureExpr) -> str:
     raise SpecificationError(f"not a feature expression: {expr!r}")
 
 
+@_kept_on_node
 def simplified(expr: FeatureExpr) -> FeatureExpr:
     """A lighter equivalent for display: folds constants, flattens, dedups.
 

@@ -144,13 +144,15 @@ class BatteryResults:
     carries for its condition (`FamilyRequirement.mask`) was compared with
     direct evaluation of the expression; `weak_checks` counts the weak
     witnesses and culprits of the family route compared with the search on a
-    projection.
+    projection; `reachable_team_checks` counts the states, transitions and
+    verdict entries of the reachable team compared with the full team.
     """
 
     instances: int = 0
     requirements: int = 0
     queries: int = 0
     weak_checks: int = 0
+    reachable_team_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -161,6 +163,7 @@ class BatteryResults:
     monotonicity_failures: list = dataclasses.field(default_factory=list)
     mask_failures: list = dataclasses.field(default_factory=list)
     witness_failures: list = dataclasses.field(default_factory=list)
+    reachable_team_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -208,6 +211,62 @@ def weak_disagreements(team, freq, projections, products) -> tuple[int, list]:
     return len(decided), wrong
 
 
+def _verdict_outcomes(report) -> list:
+    """Requirement, mask, status, culprit and weak witness paths of every entry.
+
+    A featured-compliant entry's witnesses are its candidate transitions,
+    which a team without the unreachable or unrealisable part lacks; they
+    are left out.
+    """
+    from feta.family import FEATURED_COMPLIANT
+
+    return [
+        (
+            e.requirement,
+            e.requirement.mask,
+            e.status,
+            e.violation_product,
+            None if e.status == FEATURED_COMPLIANT else e.witnesses,
+        )
+        for e in report.entries
+    ]
+
+
+def reachable_team_disagreements(full, reachable, fsys, fspec) -> tuple[int, list]:
+    """Compare the on-the-fly reachable team with the full team.
+
+    Its states must be the full team's states with a non-zero reachability
+    mask, with the same masks; its transitions the full team's transitions
+    that some product reaching their source can take, with the same guards
+    and guard masks; and strict and weak family receptiveness must give the
+    same requirements, statuses, culprits and weak witness paths on both.
+    Returns the number of items compared and the mismatches.
+    """
+    from feta import check_family_receptiveness
+
+    reach, masks = full.reachable_masks, full.guard_masks
+    wrong = []
+    states = {q: reach[q] for q in full.states if reach[q]}
+    if {q: reachable.reachable_masks[q] for q in reachable.states} != states:
+        wrong.append(("states", reachable.states))
+    transitions = [t for t in full.transitions if masks[t] & reach[t[0]]]
+    if list(reachable.transitions) != transitions:
+        wrong.append(("transitions", reachable.transitions))
+    for t in set(transitions) & set(reachable.transitions):
+        if reachable.guards[t] != full.guards[t] or reachable.guard_masks[t] != masks[t]:
+            wrong.append(("guard", t))
+    compared = len(states) + len(transitions)
+    for mode in ("strict", "weak"):
+        expected, got = (
+            _verdict_outcomes(check_family_receptiveness(team, fsys, fspec, mode))
+            for team in (full, reachable)
+        )
+        compared += len(expected)
+        if got != expected:
+            wrong.append((mode, got, expected))
+    return compared, wrong
+
+
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     from feta import (
         OpenSystemWarning,
@@ -222,6 +281,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
         derive_family_requirements,
         derive_requirements,
         entails,
+        reachable_featured_team,
         reachable_products,
     )
     from feta.receptiveness import COMPLIANT, VIOLATED
@@ -253,6 +313,12 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.family_strict_failures.append((seed,))
             if not crosscheck_family_vs_products(fsys, fspec, "weak", team).ok:
                 results.family_weak_failures.append((seed,))
+            compared, wrong = reachable_team_disagreements(
+                team, reachable_featured_team(fsys, fspec), fsys, fspec
+            )
+            results.reachable_team_checks += compared
+            if wrong:
+                results.reachable_team_failures.append((seed, wrong))
             for t in team.transitions:
                 if not entails(team.guards[t], team.feature_model, team.space):
                     results.guard_model_failures.append((seed, t))

@@ -18,6 +18,9 @@ from feta import cli, features
 
 ACCESS = models.example_path()
 RELAY = models.example_path("relay")
+INPUTS = Path(__file__).parent / "inputs"
+ACC4 = str(INPUTS / "acc4.feta")
+PRODUCT_FAMILY = str(INPUTS / "product_family_v08.feta")
 
 STATE_LINE = re.compile(r'^  "[^"]+";$')
 EDGE_LINE = re.compile(r'^  "[^"]+" -> "')
@@ -88,6 +91,64 @@ def test_no_team_guard_is_compiled(capsys, monkeypatch, access, argv):
     assert 0 < len(compiled) <= parts
 
 
+def test_shared_condition_factors_are_simplified_once(capsys, monkeypatch):
+    """Conditions share their sync and reach factors; each is simplified once.
+
+    Without keeping the results on the nodes, this family's `check --weak`
+    walks 12,690 nodes.
+    """
+    original = features.simplified
+    calls = []
+
+    def counting(expr):
+        calls.append(expr)
+        return original(expr)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "feta" and getattr(module, "simplified", None) is original:
+            monkeypatch.setattr(module, "simplified", counting)
+    code, _, _ = run(capsys, "check", "--weak", PRODUCT_FAMILY)
+    assert code == 1
+    assert 0 < len(calls) < 3000
+
+
+def test_max_states_bounds_the_states_each_command_builds(capsys):
+    """`check` and `reqs` reach 48 of acc4's 162 states; `feta` and `verify` build all."""
+    for command in (("check", "--weak"), ("reqs",)):
+        code, _, _ = run(capsys, *command, "--max-states", "48", ACC4)
+        assert code == 0
+        code, out, err = run(capsys, *command, "--max-states", "47", ACC4)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the reachable featured team exceeds the bound of 47 states\n"
+    for command in ("feta", "verify"):
+        code, _, err = run(capsys, command, "--max-states", "161", ACC4)
+        assert code == 2
+        assert err == "error: system has 162 composite states, above the bound 161\n"
+    code, _, _ = run(capsys, "feta", "--max-states", "162", ACC4)
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-states", "--max-participants", "--max-products"])
+def test_negative_budgets_are_refused(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["check", flag, "-3", ACCESS])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must not be negative, got -3" in captured.err
+
+
+def test_unwritable_output_is_an_input_error_in_every_format(capsys, tmp_path):
+    target = tmp_path / "missing" / "report"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "check", "--weak", "--format", fmt, "-o", str(target), ACCESS)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "check", "no_such_file.feta")
     assert code == 2
@@ -154,6 +215,18 @@ def test_unreadable_interval_bounds_are_syntax_errors(capsys, tmp_path, bound, s
     code, _, err = run(capsys, "check", spec)
     assert code == 2
     assert f"variant.feta:27:14: error: expected an interval maximum, found {shown} [syntax]" in err
+
+
+def test_verify_reports_an_open_system_once(capsys, schema, tmp_path):
+    """`verify` builds the full and the reachable team; the warning is one line."""
+    spec = turnstile_with(tmp_path, "output coin, push;", "output coin, push, wave;")
+    warning = f"{spec}: warning: system is not closed: no receiver for wave"
+    code, _, err = run(capsys, "verify", spec)
+    assert code == 0
+    assert err.splitlines().count(warning) == 1
+    code, payload = run_json(capsys, schema, "verify", "--format", "json", spec)
+    assert code == 0
+    assert payload["warnings"].count(warning) == 1
 
 
 def test_too_many_features_is_a_resource_error(capsys, tmp_path):

@@ -3,8 +3,11 @@
 For each bundled example and each command below, `tests/golden/` holds the
 exact stdout (`<example>.<command>.out`), the stderr when there is any
 (`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
-commands run in-process from the examples directory on the bare file name,
-so no path of the checkout ends up in the outputs.
+same is kept for the family commands on two scaled inputs in `tests/inputs/`:
+`acc4`, the access example with four users (162 states, of which 48 are
+reachable), and `product_family_v08`, a six-feature family with 12 products.
+The commands run in-process from the input's directory on the bare file
+name, so no path of the checkout ends up in the outputs.
 
 Re-record after an intended change of output with
 
@@ -28,6 +31,7 @@ import pytest
 from feta import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = Path(__file__).parent / "inputs"
 EXIT_CODES = GOLDEN / "exit-codes.json"
 EXAMPLES = (
     "access_management",
@@ -46,15 +50,20 @@ COMMANDS = {
     "check-weak-json": ("check", "--weak", "--format", "json"),
     "verify": ("verify",),
 }
-CASES = [(example, command) for example in EXAMPLES for command in COMMANDS]
+SCALED = ("acc4", "product_family_v08")
+SCALED_COMMANDS = ("reqs-factors", "check-strict", "check-weak-json", "verify")
+CASES = [(example, command) for example in EXAMPLES for command in COMMANDS] + [
+    (example, command) for example in SCALED for command in SCALED_COMMANDS
+]
 
 
 def run_case(example: str, command: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one command on one bundled example."""
+    """Exit code, stdout and stderr of one command on one input."""
     argv = [*COMMANDS[command], f"{example}.feta"]
+    folder = INPUTS if example in SCALED else resources.files("feta") / "examples"
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
-    os.chdir(resources.files("feta") / "examples")
+    os.chdir(folder)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -59,6 +59,11 @@ def test_masks_agree_with_evaluation_on_every_product(battery):
     assert battery.mask_failures == []
 
 
+def test_reachable_team_is_the_reachable_realisable_part_of_the_full_team(battery):
+    assert battery.reachable_team_failures == []
+    assert battery.reachable_team_checks > 0
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=10_000), shuffle=st.randoms())
 def test_rule_order_is_irrelevant_without_overlaps(seed, shuffle):
