@@ -13,6 +13,7 @@ from .dsl import (
     parse_expr,
 )
 from .errors import (
+    Budget,
     FetaError,
     InvalidProductError,
     ResourceLimitError,

@@ -162,33 +162,23 @@ class Fts(Lts):
     def reachable_masks(self) -> dict:
         """Per state, the mask of the valid products under which it is reachable.
 
-        One forward fixpoint over all products at once: a transition carries
-        the products that reach its source and satisfy its guard.
+        One forward fixpoint over all products at once (`reach_masks`): a
+        transition carries the products that reach its source and satisfy
+        its guard. Unreached states read 0.
         """
         guards = self.guard_masks
-        reach = dict.fromkeys(self.states, 0)
-        for q in self.initial:
-            reach[q] = expr_mask(self.feature_model, self.space)
-        pending = deque(self.initial)
-        while pending:
-            src = pending.popleft()
-            for t in self._adjacency[src]:
-                dst = t[2]
-                gained = reach[src] & guards[t] & ~reach[dst]
-                if gained:
-                    reach[dst] |= gained
-                    pending.append(dst)
-        return reach
+        reach = reach_masks(
+            self.initial,
+            expr_mask(self.feature_model, self.space),
+            lambda q: ((t, guards[t]) for t in self._adjacency[q]),
+        )
+        return {q: reach.get(q, 0) for q in self.states}
 
     def _check_product(self, product: Product) -> None:
         if product.space != self.space:
             raise InvalidProductError(f"product {product} is over a different feature space")
         if not evaluate(self.feature_model, product):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
-
-    def realisable(self, transition, product: Product) -> bool:
-        """Whether the product satisfies the transition's guard."""
-        return evaluate(self.guards[transition], product)
 
     def _projected_parts(self, product: Product):
         self._check_product(product)
@@ -198,6 +188,37 @@ class Fts(Lts):
     def project(self, product: Product) -> Lts:
         """The behaviour of one valid product: same states, guarded transitions kept."""
         return Lts(*self._projected_parts(product))
+
+
+def reach_masks(initial, seed: int, steps, reached=lambda count: None) -> dict:
+    """Per reached state, the mask of the products that reach it from `initial`.
+
+    The initial states start with `seed`; `steps(state)` yields the (transition,
+    mask) pairs leaving a state, which a worklist propagates as
+    `reach[dst] |= reach[src] & mask` until nothing changes, re-queueing a
+    state whenever it gains products. `reached(count)` hears the number of
+    states reached, first for the initial states and then for each new one.
+    """
+    reach = dict.fromkeys(initial, seed)
+    reached(len(reach))
+    pending = deque(sorted(reach, key=state_key))
+    queued = set(pending)
+    while pending:
+        src = pending.popleft()
+        queued.discard(src)
+        for t, mask in steps(src):
+            dst = t[2]
+            gained = reach[src] & mask & ~reach.get(dst, 0)
+            if not gained:
+                continue
+            if dst not in reach:
+                reach[dst] = 0
+                reached(len(reach))
+            reach[dst] |= gained
+            if dst not in queued:
+                queued.add(dst)
+                pending.append(dst)
+    return reach
 
 
 @dataclass(eq=False)

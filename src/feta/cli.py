@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .dsl import elaborate_text
-from .errors import FetaError
+from .errors import Budget, FetaError, ResourceLimitError
 from .family import (
     check_family_receptiveness,
     crosscheck_compliance_unfolding,
@@ -25,14 +25,7 @@ from .family import (
     crosscheck_requirement_projection,
     derive_family_requirements,
 )
-from .features import (
-    DEFAULT_PRODUCT_LIMIT,
-    Product,
-    check_product_limit,
-    evaluate,
-    format_expr,
-    valid_products,
-)
+from .features import Product, evaluate, format_expr, valid_products
 from .automata import Lts
 from .receptiveness import (
     COMPLIANT,
@@ -59,7 +52,7 @@ from .reporting import (
     transition_text,
 )
 from .synctypes import FeaturedSyncSpec
-from .system import DEFAULT_PARTICIPANT_LIMIT, DEFAULT_STATE_LIMIT, FeaturedSystem
+from .system import FeaturedSystem
 from .team import (
     OpenSystemWarning,
     build_featured_team,
@@ -100,15 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    defaults = Budget()
 
     def common(p, formats=("text", "json")):
         p.add_argument("input", help="specification file (.feta)")
         p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.add_argument("--max-states", type=_budget, default=DEFAULT_STATE_LIMIT, metavar="N")
+        p.add_argument("--max-states", type=_budget, default=defaults.states, metavar="N")
         p.add_argument(
-            "--max-participants", type=_budget, default=DEFAULT_PARTICIPANT_LIMIT, metavar="N"
+            "--max-participants", type=_budget, default=defaults.participants, metavar="N"
         )
-        p.add_argument("--max-products", type=_budget, default=DEFAULT_PRODUCT_LIMIT, metavar="N")
+        p.add_argument("--max-products", type=_budget, default=defaults.products, metavar="N")
         p.add_argument(
             "--strict-sync",
             action="store_true",
@@ -203,6 +197,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except CliError as exc:
         return _fail(args, str(exc), exc.details)
+    except ResourceLimitError as exc:
+        return _fail(args, f"{exc} (--max-{exc.bound})", ())
     except FetaError as exc:
         return _fail(args, str(exc), ())
     except OSError as exc:
@@ -237,7 +233,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
+def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, Budget, list[str]]:
+    """Read and elaborate the input, and build the budget from the `--max-*` flags."""
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
@@ -256,11 +253,12 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
             print(line, file=sys.stderr)
     if not result.ok:
         raise CliError("the specification has errors", tuple(errors))
-    if args.max_products > DEFAULT_PRODUCT_LIMIT:
-        raise CliError(
-            f"--max-products {args.max_products} is above its ceiling {DEFAULT_PRODUCT_LIMIT}"
-        )
-    check_product_limit(result.system.space, args.max_products)
+    ceiling = Budget().products
+    if args.max_products > ceiling:
+        raise CliError(f"--max-products {args.max_products} is above its ceiling {ceiling}")
+    budget = Budget(args.max_states, args.max_participants, args.max_products)
+    space = result.system.space
+    budget.check("products", 2 ** len(space), f"products of the {len(space)}-feature space")
     if args.strict_sync:
         overlaps = result.sync.find_overlaps()
         if overlaps:
@@ -270,16 +268,14 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, list[str]]:
                 for product, action, first, later in overlaps
             )
             raise CliError("overlapping synchronisation rules (--strict-sync)", lines)
-    return result.system, result.sync, notes
+    return result.system, result.sync, budget, notes
 
 
-def _build_teams(args, fsys, fspec, warns: list[str], *builders) -> list:
+def _build_teams(args, fsys, fspec, budget, warns: list[str], *builders) -> list:
     """One team per builder; each distinct warning of the builds is reported once."""
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always", OpenSystemWarning)
-        teams = [
-            build(fsys, fspec, args.max_states, args.max_participants) for build in builders
-        ]
+        teams = [build(fsys, fspec, budget) for build in builders]
     for message in dict.fromkeys(str(item.message) for item in caught):
         line = f"{args.input}: warning: {message}"
         warns.append(line)
@@ -320,7 +316,7 @@ def _core(lts: Lts) -> Lts:
 
 
 def cmd_products(args) -> int:
-    fsys, _, warns = _load(args)
+    fsys, _, _, warns = _load(args)
     products = valid_products(fsys.feature_model, fsys.space)
     if args.format == "json":
         payload = _envelope(
@@ -343,11 +339,11 @@ def cmd_products(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    fsys, _, warns = _load(args)
+    fsys, _, budget, warns = _load(args)
     if args.format == "dot":
         _emit(args, components_dot(fsys))
         return EXIT_OK
-    states, transitions = fsys.state_space(args.max_states, args.max_participants)
+    states, transitions = fsys.state_space(budget)
     closure = fsys.validate_closed()
     stats = {
         "states": len(states),
@@ -383,13 +379,13 @@ def cmd_compose(args) -> int:
 
 
 def cmd_feta(args) -> int:
-    fsys, fspec, warns = _load(args)
-    (feta,) = _build_teams(args, fsys, fspec, warns, build_featured_team)
+    fsys, fspec, budget, warns = _load(args)
+    (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
     pruned = prune_for_display(feta)
     if args.format == "dot":
         notes = None
         if args.reqs:
-            freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
+            freqs = derive_family_requirements(feta, fsys, fspec, budget)
             notes = family_notes(freqs)
         _emit(args, to_dot(pruned, notes=notes))
         return EXIT_OK
@@ -402,11 +398,11 @@ def cmd_feta(args) -> int:
 
 
 def cmd_project(args) -> int:
-    fsys, fspec, warns = _load(args)
+    fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
-    (feta,) = _build_teams(args, fsys, fspec, warns, build_featured_team)
+    (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
     projection = feta.project(product)
-    result = check_projection_commutes(fsys, fspec, product, feta)
+    result = check_projection_commutes(fsys, fspec, product, feta, budget)
     if args.format == "dot":
         _emit(args, to_dot(_core(projection)))
         return EXIT_OK if result.ok else EXIT_VIOLATION
@@ -439,11 +435,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_reqs(args) -> int:
-    fsys, fspec, warns = _load(args)
+    fsys, fspec, budget, warns = _load(args)
     if args.product is not None:
         product = _parse_product(args.product, fsys)
-        parts = product_team(fsys, fspec, product, args.max_states, args.max_participants)
-        reqs = derive_requirements(*parts, args.max_participants)
+        reqs = derive_requirements(*product_team(fsys, fspec, product, budget), budget)
         if args.format == "json":
             payload = _envelope(
                 args,
@@ -457,8 +452,8 @@ def cmd_reqs(args) -> int:
         lines += [f"  {req}" for req in reqs]
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    (feta,) = _build_teams(args, fsys, fspec, warns, reachable_featured_team)
-    freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
+    (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+    freqs = derive_family_requirements(feta, fsys, fspec, budget)
     if args.format == "json":
         payload = _envelope(
             args, warns, requirements=[family_requirement_json(f) for f in freqs]
@@ -484,11 +479,11 @@ _PRODUCT_STATUS = {
 
 
 def cmd_check(args) -> int:
-    fsys, fspec, warns = _load(args)
+    fsys, fspec, budget, warns = _load(args)
     if args.product is not None:
-        return _check_product(args, fsys, fspec, warns)
-    (feta,) = _build_teams(args, fsys, fspec, warns, reachable_featured_team)
-    report = check_family_receptiveness(feta, fsys, fspec, args.mode, args.max_participants)
+        return _check_product(args, fsys, fspec, budget, warns)
+    (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+    report = check_family_receptiveness(feta, fsys, fspec, args.mode, budget)
     verdict = _family_verdict(args.mode, report.holds)
     if args.format == "json":
         payload = _envelope(args, warns, verdict=verdict, **family_report_json(report))
@@ -518,10 +513,9 @@ def _product_verdict(mode: str, holds: bool) -> str:
     return f"the team is {name}" if holds else f"the team is not {name}"
 
 
-def _check_product(args, fsys, fspec, warns) -> int:
+def _check_product(args, fsys, fspec, budget, warns) -> int:
     product = _parse_product(args.product, fsys)
-    parts = product_team(fsys, fspec, product, args.max_states, args.max_participants)
-    report = check_receptiveness(*parts, args.mode, args.max_participants)
+    report = check_receptiveness(*product_team(fsys, fspec, product, budget), args.mode, budget)
     verdict = _product_verdict(args.mode, report.holds)
     if args.format == "json":
         payload = _envelope(
@@ -547,22 +541,23 @@ def _check_product(args, fsys, fspec, warns) -> int:
 
 
 def cmd_verify(args) -> int:
-    fsys, fspec, warns = _load(args)
+    fsys, fspec, budget, warns = _load(args)
     # Projections commute on the full team; the family is decided, as by
-    # `check` and `reqs`, on its reachable part.
+    # `check` and `reqs`, on its reachable part. Every per-product half runs
+    # under the same budget.
     full, feta = _build_teams(
-        args, fsys, fspec, warns, build_featured_team, reachable_featured_team
+        args, fsys, fspec, budget, warns, build_featured_team, reachable_featured_team
     )
     checks: list[tuple[str, bool, str]] = []
     products = valid_products(fsys.feature_model, fsys.space)
     for product in products:
-        result = check_projection_commutes(fsys, fspec, product, full)
+        result = check_projection_commutes(fsys, fspec, product, full, budget)
         detail = ""
         if not result.ok:
             extra = len(result.only_in_projection) + len(result.only_in_composition)
             detail = f"{extra} transitions differ"
         checks.append((f"projection of the team commutes for {product}", result.ok, detail))
-    for agreement in crosscheck_requirement_projection(fsys, fspec, feta):
+    for agreement in crosscheck_requirement_projection(fsys, fspec, feta, budget):
         detail = ""
         if not agreement.ok:
             detail = (
@@ -572,13 +567,13 @@ def cmd_verify(args) -> int:
         checks.append(
             (f"requirements project correctly for {agreement.product}", agreement.ok, detail)
         )
-    freqs = derive_family_requirements(feta, fsys, fspec, args.max_participants)
+    freqs = derive_family_requirements(feta, fsys, fspec, budget)
     unfolds = all(crosscheck_compliance_unfolding(feta, freq) for freq in freqs)
     checks.append(
         (f"compliance unfolds product by product ({len(freqs)} requirements)", unfolds, "")
     )
     for mode in (STRICT, WEAK):
-        agreement = crosscheck_family_vs_products(fsys, fspec, mode, feta)
+        agreement = crosscheck_family_vs_products(fsys, fspec, mode, feta, budget)
         detail = f"family {agreement.family_holds}, products {agreement.products_hold}"
         checks.append(
             (f"family verdict equals all product verdicts ({mode})", agreement.ok, detail)

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automata import Fts, state_key
+from .errors import Budget
 from .features import (
     And,
     FeatureExpr,
@@ -47,7 +48,7 @@ from .receptiveness import (
     sends,
 )
 from .synctypes import FeaturedSyncSpec
-from .system import DEFAULT_PARTICIPANT_LIMIT, FeaturedSystem
+from .system import FeaturedSystem
 from .team import product_team
 
 FEATURED_COMPLIANT = "featured-compliant"
@@ -165,7 +166,7 @@ def derive_family_requirements(
     feta: Fts,
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
-    max_group: int = DEFAULT_PARTICIPANT_LIMIT,
+    budget: Budget = Budget(),
 ) -> tuple[FamilyRequirement, ...]:
     """All family requirements with a satisfiable application condition.
 
@@ -187,7 +188,7 @@ def derive_family_requirements(
             continue
         reach_condition = None
         for action in sorted(fsys.actions):
-            ready = ready_senders(fsys, q, action, max_group)
+            ready = ready_senders(fsys, q, action, budget)
             enabling_masks = {}
             for name in ready:
                 comp, steps = _local_sends(fsys, name, action, q)
@@ -273,7 +274,7 @@ def check_family_receptiveness(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     mode: str = STRICT,
-    max_group: int = DEFAULT_PARTICIPANT_LIMIT,
+    budget: Budget = Budget(),
 ) -> FamilyReport:
     """Verdict over all family requirements, in strict or weak mode."""
     _check_mode(mode)
@@ -281,7 +282,7 @@ def check_family_receptiveness(
     if not valid_products(feta.feature_model, feta.space):
         warnings_.append("the feature model has no valid products; receptiveness holds vacuously")
     entries = []
-    for freq in derive_family_requirements(feta, fsys, fspec, max_group):
+    for freq in derive_family_requirements(feta, fsys, fspec, budget):
         verdict = check_family_compliance(feta, freq)
         if verdict.status == VIOLATED and mode == WEAK:
             verdict = check_family_weak_compliance(feta, freq)
@@ -309,10 +310,15 @@ def crosscheck_requirement_projection(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     feta: Fts,
+    budget: Budget = Budget(),
 ) -> tuple[ProjectionAgreement, ...]:
     """For every valid product, the family requirements whose condition the
-    product satisfies must be exactly the product's own requirements."""
-    freqs = derive_family_requirements(feta, fsys, fspec)
+    product satisfies must be exactly the product's own requirements.
+
+    Both sides run under `budget`, the per-product side on each product's
+    own team.
+    """
+    freqs = derive_family_requirements(feta, fsys, fspec, budget)
     out = []
     for product in valid_products(fsys.feature_model, fsys.space):
         family_side = {
@@ -322,7 +328,7 @@ def crosscheck_requirement_projection(
         }
         product_side = {
             (r.state, r.senders, r.action)
-            for r in derive_requirements(*product_team(fsys, fspec, product))
+            for r in derive_requirements(*product_team(fsys, fspec, product, budget), budget)
         }
         out.append(
             ProjectionAgreement(
@@ -368,11 +374,16 @@ def crosscheck_family_vs_products(
     fspec: FeaturedSyncSpec,
     mode: str,
     feta: Fts,
+    budget: Budget = Budget(),
 ) -> FamilyProductsAgreement:
-    """Family receptiveness must equal receptiveness of every product's team."""
-    family = check_family_receptiveness(feta, fsys, fspec, mode)
+    """Family receptiveness must equal receptiveness of every product's team.
+
+    Both sides run under `budget`, the per-product side on each product's
+    own team.
+    """
+    family = check_family_receptiveness(feta, fsys, fspec, mode, budget)
     verdicts = []
     for product in valid_products(fsys.feature_model, fsys.space):
-        report = check_receptiveness(*product_team(fsys, fspec, product), mode)
+        report = check_receptiveness(*product_team(fsys, fspec, product, budget), mode, budget)
         verdicts.append((product, report.holds))
     return FamilyProductsAgreement(mode, family.holds, tuple(verdicts))

@@ -18,10 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
-from .errors import ResourceLimitError, SpecificationError
-
-# Number of products an enumeration or a bit-mask may span before aborting.
-DEFAULT_PRODUCT_LIMIT = 1 << 16
+from .errors import Budget, SpecificationError
 
 
 @dataclass(frozen=True)
@@ -165,9 +162,34 @@ def disj(operands) -> FeatureExpr:
     return Or(ops)
 
 
-@lru_cache(maxsize=None)
+def _kept_on_node(fn):
+    """Keep `fn(expr)` on the node itself, so a shared subexpression is done once.
+
+    Family conditions share their sync and reach factors, which are large
+    disjunctions of products; the result, never None, lives and dies with
+    the node. It is an attribute because reading `__dict__` would give the
+    node a dictionary of its own (66 bytes per node on CPython 3.11).
+    """
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def kept(expr):
+        value = getattr(expr, key, None)
+        if value is None:
+            value = fn(expr)
+            object.__setattr__(expr, key, value)
+        return value
+
+    return kept
+
+
+@_kept_on_node
 def variables(expr: FeatureExpr) -> frozenset[str]:
-    """The feature names occurring in the expression."""
+    """The feature names occurring in the expression.
+
+    A node shares an operand's set when that holds all its names, as a team
+    guard's sync part, which names every feature, does.
+    """
     match expr:
         case Const():
             return frozenset()
@@ -178,11 +200,17 @@ def variables(expr: FeatureExpr) -> frozenset[str]:
         case And(operands) | Or(operands):
             out: frozenset[str] = frozenset()
             for op in operands:
-                out |= variables(op)
+                out = _union(out, variables(op))
             return out
         case Implies(a, b) | Iff(a, b) | Xor(a, b):
-            return variables(a) | variables(b)
+            return _union(variables(a), variables(b))
     raise SpecificationError(f"not a feature expression: {expr!r}")
+
+
+def _union(left: frozenset[str], right: frozenset[str]) -> frozenset[str]:
+    if right <= left:
+        return left
+    return right if left <= right else left | right
 
 
 def _holds(expr: FeatureExpr, selected) -> bool:
@@ -218,17 +246,9 @@ def evaluate(expr: FeatureExpr, product: Product) -> bool:
     return _holds(expr, product.selected)
 
 
-def check_product_limit(space: FeatureSpace, limit: int) -> None:
-    """Refuse a space with more than `limit` products, valid or not."""
-    if 2 ** len(space) > limit:
-        raise ResourceLimitError(
-            f"feature space of {len(space)} features exceeds the product bound {limit}"
-        )
-
-
-def all_products(space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT) -> tuple[Product, ...]:
+def all_products(space: FeatureSpace, budget: Budget = Budget()) -> tuple[Product, ...]:
     """Every subset of the space, ordered lexicographically by feature names."""
-    check_product_limit(space, limit)
+    budget.check("products", 2 ** len(space), f"products of the {len(space)}-feature space")
     names = space.sorted_names()
     subsets = [
         tuple(n for n, keep in zip(names, mask) if keep)
@@ -239,14 +259,10 @@ def all_products(space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT) -> tup
 
 
 @lru_cache(maxsize=None)
-def valid_products(
-    feature_model: FeatureExpr, space: FeatureSpace, limit: int = DEFAULT_PRODUCT_LIMIT
-) -> tuple[Product, ...]:
+def valid_products(feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
     """The products satisfying the feature model, in lexicographic order."""
     _check_vars(feature_model, space)
-    return tuple(
-        p for p in all_products(space, limit) if _holds(feature_model, p.selected)
-    )
+    return tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
 
 
 def product_expr(product: Product) -> FeatureExpr:
@@ -289,7 +305,7 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
     Bit `k` stands for the product selecting each feature `space.names[j]`
     for which bit `j` of `k` is set, so a space of n features has 2**n bits.
     """
-    check_product_limit(space, DEFAULT_PRODUCT_LIMIT)
+    Budget().check("products", 2 ** len(space), f"products of the {len(space)}-feature space")
     width = len(space)
     full = (1 << (1 << width)) - 1
     index = {name: i for i, name in enumerate(space.names)}
@@ -354,26 +370,6 @@ def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
 
 
 # --- rendering -------------------------------------------------------------
-
-
-def _kept_on_node(fn):
-    """Keep `fn(expr)` on the node itself, so a shared subexpression is done once.
-
-    Family conditions share their sync and reach factors, which are large
-    disjunctions of products; the result lives and dies with the node.
-    """
-    key = f"_{fn.__name__}"
-
-    @wraps(fn)
-    def kept(expr):
-        memo = getattr(expr, "__dict__", None)
-        if memo is None:
-            return fn(expr)
-        if key not in memo:
-            memo[key] = fn(expr)
-        return memo[key]
-
-    return kept
 
 
 # Binding strength of each connective, loosest first.

@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import Lts, state_key
-from .errors import ResourceLimitError, SpecificationError
+from .errors import Budget, SpecificationError
 from .synctypes import SyncTypeSpec
-from .system import DEFAULT_PARTICIPANT_LIMIT, System, SystemTransition
+from .system import System, SystemTransition
 
 STRICT = "strict"
 WEAK = "weak"
@@ -78,7 +78,7 @@ def _check_mode(mode: str) -> None:
         raise SpecificationError(f"unknown receptiveness mode {mode!r}")
 
 
-def ready_senders(sys, state: tuple, action: str, max_group: int) -> list[str]:
+def ready_senders(sys, state: tuple, action: str, budget: Budget = Budget()) -> list[str]:
     """Components that output the action and are locally ready for it, guards aside."""
     ready = [
         name
@@ -86,10 +86,7 @@ def ready_senders(sys, state: tuple, action: str, max_group: int) -> list[str]:
         if action in sys.components[name].outputs
         and sys.components[name].enabled(state[idx], action)
     ]
-    if len(ready) > max_group:
-        raise ResourceLimitError(
-            f"{len(ready)} ready senders for {action!r}, above the bound {max_group}"
-        )
+    budget.check("participants", len(ready), f"ready senders of {action!r}")
     return ready
 
 
@@ -97,7 +94,7 @@ def derive_requirements(
     team: Lts,
     spec: SyncTypeSpec,
     sys: System,
-    max_group: int = DEFAULT_PARTICIPANT_LIMIT,
+    budget: Budget = Budget(),
 ) -> tuple[Requirement, ...]:
     """All requirements at the team's reachable states.
 
@@ -112,7 +109,7 @@ def derive_requirements(
             st = spec.for_action(action)
             if st.receivers.contains(0):
                 continue
-            ready = ready_senders(sys, q, action, max_group)
+            ready = ready_senders(sys, q, action, budget)
             for size in range(1, len(ready) + 1):
                 if not st.senders.contains(size):
                     continue
@@ -178,7 +175,7 @@ def check_receptiveness(
     spec: SyncTypeSpec,
     sys: System,
     mode: str = STRICT,
-    max_group: int = DEFAULT_PARTICIPANT_LIMIT,
+    budget: Budget = Budget(),
 ) -> ReceptivenessReport:
     """Verdict over all requirements, in strict or weak mode."""
     _check_mode(mode)
@@ -186,7 +183,7 @@ def check_receptiveness(
     if not team.initial:
         warnings_.append("team has no initial states; receptiveness holds vacuously")
     entries = []
-    for req in derive_requirements(team, spec, sys, max_group):
+    for req in derive_requirements(team, spec, sys, budget):
         verdict = check_compliance(team, req)
         if verdict.status == VIOLATED:
             verdict = check_weak_compliance(team, req)

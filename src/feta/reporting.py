@@ -150,11 +150,7 @@ def _edge_label(automaton, transition) -> str:
     return core
 
 
-def to_dot(
-    automaton: Lts,
-    title: str = "",
-    notes: Mapping | None = None,
-) -> str:
+def to_dot(automaton: Lts, notes: Mapping | None = None) -> str:
     """Deterministic DOT text for an automaton.
 
     `notes` maps states to lines drawn in a dashed annotation box next to
@@ -163,9 +159,6 @@ def to_dot(
     """
     lines = ["digraph {"]
     lines.append("  rankdir=LR;")
-    if title:
-        lines.append(f"  label={_quote(title)};")
-        lines.append("  labelloc=t;")
     lines.append("  node [shape=ellipse];")
     for idx, state in enumerate(sorted(automaton.initial, key=_node_id)):
         lines.append(f"  __init{idx} [shape=point, style=invis];")

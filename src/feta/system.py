@@ -22,11 +22,8 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
-from .errors import ResourceLimitError, SpecificationError
+from .errors import Budget, SpecificationError
 from .features import FeatureExpr, FeatureSpace, Product
-
-DEFAULT_STATE_LIMIT = 10**6
-DEFAULT_PARTICIPANT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,7 @@ class _ComposeMixin:
                 no_receiver.append(action)
         return ClosureReport(tuple(no_sender), tuple(no_receiver))
 
-    def successors(
-        self, state: tuple, max_participants: int = DEFAULT_PARTICIPANT_LIMIT
-    ) -> tuple[SystemTransition, ...]:
+    def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
         """All induced transitions from the state, in deterministic order."""
         if len(state) != len(self.names):
             raise SpecificationError(f"state {state!r} has wrong arity")
@@ -160,11 +155,9 @@ class _ComposeMixin:
                     continue
                 targets[name] = dests
                 (senders if action in comp.outputs else receivers).append(name)
-            if len(senders) + len(receivers) > max_participants:
-                raise ResourceLimitError(
-                    f"action {action!r} has {len(senders) + len(receivers)} ready participants,"
-                    f" above the bound {max_participants}"
-                )
+            budget.check(
+                "participants", len(senders) + len(receivers), f"ready participants of {action!r}"
+            )
             for chosen_s in _subsets(senders):
                 for chosen_r in _subsets(receivers):
                     involved = chosen_s + chosen_r
@@ -178,28 +171,21 @@ class _ComposeMixin:
         out.sort(key=lambda t: (t.label.sort_key(), state_key(t.target)))
         return tuple(out)
 
-    def state_space(
-        self,
-        max_states: int = DEFAULT_STATE_LIMIT,
-        max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
-    ) -> tuple[tuple, tuple[SystemTransition, ...]]:
+    def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
         """The full product state set and every induced transition.
 
         The state set is the whole product of the local state sets, not just
         its reachable part; projections of a featured team must agree with
-        per-product composition on the full sets.
+        per-product composition on the full sets, and `budget.states` bounds
+        that whole product.
         """
-        count = self.state_count()
-        if count > max_states:
-            raise ResourceLimitError(
-                f"system has {count} composite states, above the bound {max_states}"
-            )
+        budget.check("states", self.state_count(), "states in the full product of local states")
         states = tuple(
             itertools.product(*(list(self.components[n].states) for n in self.names))
         )
         transitions: list[SystemTransition] = []
         for q in states:
-            transitions.extend(self.successors(q, max_participants))
+            transitions.extend(self.successors(q, budget))
         return states, tuple(transitions)
 
 

@@ -19,11 +19,10 @@ full product of the local state sets and stays the reference.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import Fts, Lts, state_key, transition_key
-from .errors import ResourceLimitError, TotalityError
+from .automata import Fts, Lts, reach_masks, state_key, transition_key
+from .errors import Budget, TotalityError
 from .features import (
     And,
     FeatureExpr,
@@ -34,13 +33,7 @@ from .features import (
     valid_products,
 )
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
-from .system import (
-    DEFAULT_PARTICIPANT_LIMIT,
-    DEFAULT_STATE_LIMIT,
-    FeaturedSystem,
-    System,
-    SystemTransition,
-)
+from .system import FeaturedSystem, System, SystemTransition
 
 
 class OpenSystemWarning(UserWarning):
@@ -132,21 +125,18 @@ class _TeamGuards:
 
 
 def build_featured_team(
-    fsys: FeaturedSystem,
-    fspec: FeaturedSyncSpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-    max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
+    fsys: FeaturedSystem, fspec: FeaturedSyncSpec, budget: Budget = Budget()
 ) -> Fts:
     """The featured team automaton of a featured system and specification.
 
     Every induced transition over the full product of the local state sets
     is kept and receives the guard described above (`_TeamGuards`), so
-    `max_states` bounds that full product. This is the reference
+    `budget.states` bounds that full product. This is the reference
     construction: projections, display and the battery compare against it.
     The specification must be total over the valid products.
     """
     _check_featured_inputs(fsys, fspec)
-    states, transitions = fsys.state_space(max_states, max_participants)
+    states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
     return Fts(
         states=states,
@@ -161,55 +151,38 @@ def build_featured_team(
 
 
 def reachable_featured_team(
-    fsys: FeaturedSystem,
-    fspec: FeaturedSyncSpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-    max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
+    fsys: FeaturedSystem, fspec: FeaturedSyncSpec, budget: Budget = Budget()
 ) -> Fts:
     """The reachable, realisable part of the featured team, built on the fly.
 
-    A worklist from the initial states, seeded with the feature model's
-    mask, works out each newly reached state's induced transitions once and
-    propagates `reach[dst] |= reach[src] & mask` until nothing changes (the
-    on-the-fly exploration of featured transition systems of Classen et
-    al., ICSE 2010). It keeps exactly the full team's states that some valid
+    The fixpoint of `Fts.reachable_masks` (`reach_masks`), seeded with the
+    feature model's mask at the initial states, works out each newly
+    reached state's induced transitions once, as it first leaves the state
+    (the on-the-fly exploration of featured transition systems of Classen
+    et al., ICSE 2010). It keeps exactly the full team's states that some valid
     product reaches and the transitions some product reaching their source
     can take, with the full team's guards and masks. Every family
     requirement, strict verdict, culprit and weak witness path depends only
-    on this part. `max_states` bounds the states reached.
+    on this part. `budget.states` bounds the states reached.
     """
     _check_featured_inputs(fsys, fspec)
     parts = _TeamGuards(fsys, fspec)
-    over_limit = f"the reachable featured team exceeds the bound of {max_states} states"
     initial = fsys.initial_states()
-    if len(initial) > max_states:
-        raise ResourceLimitError(over_limit)
-    reach = dict.fromkeys(initial, products_mask(valid_products(fsys.feature_model, fsys.space)))
     steps: dict[tuple, list[tuple[SystemTransition, int]]] = {}
-    pending = deque(sorted(initial, key=state_key))
-    queued = set(pending)
-    while pending:
-        src = pending.popleft()
-        queued.discard(src)
+
+    def leaving(src: tuple) -> list[tuple[SystemTransition, int]]:
         if src not in steps:
             steps[src] = [
-                (t, mask)
-                for t in fsys.successors(src, max_participants)
-                if (mask := parts.mask(t))
+                (t, mask) for t in fsys.successors(src, budget) if (mask := parts.mask(t))
             ]
-        for t, mask in steps[src]:
-            dst = t.target
-            gained = reach[src] & mask & ~reach.get(dst, 0)
-            if not gained:
-                continue
-            if dst not in reach:
-                if len(reach) == max_states:
-                    raise ResourceLimitError(over_limit)
-                reach[dst] = 0
-            reach[dst] |= gained
-            if dst not in queued:
-                queued.add(dst)
-                pending.append(dst)
+        return steps[src]
+
+    reach = reach_masks(
+        initial,
+        products_mask(valid_products(fsys.feature_model, fsys.space)),
+        leaving,
+        lambda count: budget.check("states", count, "states reached by the featured team"),
+    )
     kept = {t: mask for src, out in steps.items() for t, mask in out if mask & reach[src]}
     return Fts(
         states=tuple(reach),
@@ -223,15 +196,10 @@ def reachable_featured_team(
     )
 
 
-def build_team(
-    sys: System,
-    spec: SyncTypeSpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-    max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
-) -> Lts:
+def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lts:
     """The plain team automaton: induced transitions filtered by the types."""
     _warn_if_open(sys)
-    states, transitions = sys.state_space(max_states, max_participants)
+    states, transitions = sys.state_space(budget)
     kept = tuple(
         t for t in transitions if transition_satisfies(t, spec.for_action(t.action))
     )
@@ -247,8 +215,7 @@ def product_team(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     product: Product,
-    max_states: int = DEFAULT_STATE_LIMIT,
-    max_participants: int = DEFAULT_PARTICIPANT_LIMIT,
+    budget: Budget = Budget(),
 ) -> tuple[Lts, SyncTypeSpec, System]:
     """The product's own team, specification and system: the per-product route.
 
@@ -258,7 +225,7 @@ def product_team(
         warnings.simplefilter("ignore", OpenSystemWarning)
         sys_p = fsys.project(product)
         spec_p = fspec.project(product)
-        return build_team(sys_p, spec_p, max_states, max_participants), spec_p, sys_p
+        return build_team(sys_p, spec_p, budget), spec_p, sys_p
 
 
 def prune_for_display(feta: Fts) -> Fts:
@@ -302,19 +269,20 @@ def check_projection_commutes(
     fsys: FeaturedSystem,
     fspec: FeaturedSyncSpec,
     product: Product,
-    feta: Fts | None = None,
+    feta: Fts,
+    budget: Budget = Budget(),
 ) -> CommutationResult:
     """Compare the featured team's projection with the product's own team.
 
     The two sides are built along independent paths: the left projects the
     featured team, the right composes the projected components under the
     projected specification. They must agree exactly on states, initial
-    states, actions and the transition set.
+    states, actions and the transition set. `feta` is the full featured
+    team (`build_featured_team`); the product's own team is built under
+    `budget`.
     """
-    if feta is None:
-        feta = build_featured_team(fsys, fspec)
     left = feta.project(product)
-    right = product_team(fsys, fspec, product)[0]
+    right = product_team(fsys, fspec, product, budget)[0]
     left_set, right_set = set(left.transitions), set(right.transitions)
     states_agree = left.states == right.states
     initial_agree = left.initial == right.initial

@@ -170,8 +170,9 @@ def test_projection_rejects_products_outside_the_model():
 
 def test_realisable():
     fts = guarded()
-    assert fts.realisable(("q0", "go", "q1"), PX)
-    assert not fts.realisable(("q0", "go", "q1"), PY)
+    go = ("q0", "go", "q1")
+    assert go in fts.project(PX).transitions
+    assert go not in fts.project(PY).transitions
 
 
 def test_component_alphabet_must_split():

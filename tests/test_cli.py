@@ -120,13 +120,60 @@ def test_max_states_bounds_the_states_each_command_builds(capsys):
         code, out, err = run(capsys, *command, "--max-states", "47", ACC4)
         assert code == 2
         assert out == ""
-        assert err == "error: the reachable featured team exceeds the bound of 47 states\n"
+        assert err == (
+            "error: states reached by the featured team: 48, above the bound 47 (--max-states)\n"
+        )
     for command in ("feta", "verify"):
         code, _, err = run(capsys, command, "--max-states", "161", ACC4)
         assert code == 2
-        assert err == "error: system has 162 composite states, above the bound 161\n"
+        assert err == (
+            "error: states in the full product of local states: 162,"
+            " above the bound 161 (--max-states)\n"
+        )
     code, _, _ = run(capsys, "feta", "--max-states", "162", ACC4)
     assert code == 0
+
+
+_REACHED = "states reached by the featured team: 48, above the bound 47 (--max-states)"
+_FULL = "states in the full product of local states: 162, above the bound 161 (--max-states)"
+# What --max-states counts for each analysis command on acc4, and the bound just below it.
+_STATES_BOUND = {
+    ("check",): ("47", _REACHED),
+    ("check", "--weak"): ("47", _REACHED),
+    ("reqs",): ("47", _REACHED),
+    ("feta",): ("161", _FULL),
+    ("feta", "--format", "dot", "--reqs"): ("161", _FULL),
+    ("project", "-p", "lock"): ("161", _FULL),
+    ("verify",): ("161", _FULL),
+    ("compose",): ("161", _FULL),
+    ("check", "-p", "lock"): ("161", _FULL),
+    ("reqs", "-p", "lock"): ("161", _FULL),
+}
+_PARTICIPANTS = "ready participants of 'join': 5, above the bound 4 (--max-participants)"
+_PRODUCTS = "products of the 2-feature space: 4, above the bound 3 (--max-products)"
+
+
+def _bound_cases():
+    cases = [(("products",), ("--max-products", "3"), _PRODUCTS)]
+    for argv, (states, message) in _STATES_BOUND.items():
+        cases.append((argv, ("--max-states", states), message))
+        cases.append((argv, ("--max-participants", "4"), _PARTICIPANTS))
+        cases.append((argv, ("--max-products", "3"), _PRODUCTS))
+    return [pytest.param(*case, id=" ".join(case[0] + case[1])) for case in cases]
+
+
+@pytest.mark.parametrize("argv, bound, message", _bound_cases())
+def test_every_resource_error_names_its_flag_and_what_it_counted(capsys, argv, bound, message):
+    code, out, err = run(capsys, *argv, *bound, ACC4)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_json_resource_errors_name_the_flag(capsys):
+    code, out, _ = run(capsys, "check", "--format", "json", "--max-states", "47", ACC4)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == _REACHED
 
 
 @pytest.mark.parametrize("flag", ["--max-states", "--max-participants", "--max-products"])
@@ -235,8 +282,8 @@ def test_too_many_features_is_a_resource_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--max-products", "1000000", spec)
     assert code == 2
     assert (
-        "variant.feta:1:1: error: feature space of 19 features"
-        " exceeds the product bound 65536 [resource]" in err
+        "variant.feta:1:1: error: products of the 19-feature space: 524288,"
+        " above the bound 65536 [resource]" in err
     )
 
 
@@ -260,7 +307,9 @@ def test_every_command_honours_the_product_bound(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-products", "3", ACCESS)
     assert code == 2
     assert out == ""
-    assert err == "error: feature space of 2 features exceeds the product bound 3\n"
+    assert err == (
+        "error: products of the 2-feature space: 4, above the bound 3 (--max-products)\n"
+    )
 
 
 def test_product_bounds_above_the_ceiling_are_refused(capsys):

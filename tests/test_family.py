@@ -5,14 +5,17 @@ import pytest
 import models
 from feta import (
     And,
+    Budget,
     Fts,
     Lts,
     Not,
+    ResourceLimitError,
     Var,
     build_featured_team,
     check_family_compliance,
     check_family_receptiveness,
     check_family_weak_compliance,
+    check_projection_commutes,
     crosscheck_compliance_unfolding,
     crosscheck_family_vs_products,
     crosscheck_requirement_projection,
@@ -206,3 +209,40 @@ def test_family_verdict_equals_product_verdicts(team, access, mode):
         assert verdicts == {"{lock}": False, "{unlock}": True}
     else:
         assert verdicts == {"{lock}": True, "{unlock}": True}
+
+
+# Each of verify's cross-checks against the per-product route, as a verdict.
+CROSSCHECKS = {
+    "commutation": lambda fsys, fspec, team, budget: check_projection_commutes(
+        fsys, fspec, models.LOCK, team, budget
+    ).ok,
+    "requirement projection": lambda fsys, fspec, team, budget: all(
+        a.ok for a in crosscheck_requirement_projection(fsys, fspec, team, budget)
+    ),
+    "family vs products": lambda fsys, fspec, team, budget: crosscheck_family_vs_products(
+        fsys, fspec, "weak", team, budget
+    ).ok,
+}
+
+
+@pytest.mark.parametrize("name", CROSSCHECKS)
+def test_crosschecks_build_the_product_teams_under_the_budget(access, team, name):
+    """Each product's own team spans the full product of local states."""
+    fsys, fspec = access
+    crosscheck = CROSSCHECKS[name]
+    with pytest.raises(ResourceLimitError) as refused:
+        crosscheck(fsys, fspec, team, Budget(states=models.TEAM_STATES - 1))
+    assert refused.value.bound == "states"
+    assert str(refused.value) == (
+        f"states in the full product of local states: {models.TEAM_STATES},"
+        f" above the bound {models.TEAM_STATES - 1}"
+    )
+    assert crosscheck(fsys, fspec, team, Budget(states=models.TEAM_STATES))
+
+
+def test_family_requirements_bound_the_ready_senders(access, team):
+    fsys, fspec = access
+    with pytest.raises(ResourceLimitError) as refused:
+        derive_family_requirements(team, fsys, fspec, Budget(participants=1))
+    assert refused.value.bound == "participants"
+    assert str(refused.value) == "ready senders of 'join': 2, above the bound 1"

@@ -1,6 +1,8 @@
 """Feature expressions, products and their bit-masks."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from feta import (
     FALSE,
     TRUE,
     And,
+    Budget,
     FeatureSpace,
     Iff,
     Implies,
@@ -76,8 +79,11 @@ def test_all_products_is_lexicographic():
 
 
 def test_all_products_respects_limit():
-    with pytest.raises(ResourceLimitError):
-        all_products(ABC, limit=4)
+    with pytest.raises(ResourceLimitError) as refused:
+        all_products(ABC, Budget(products=7))
+    assert refused.value.bound == "products"
+    assert str(refused.value) == "products of the 3-feature space: 8, above the bound 7"
+    assert len(all_products(ABC, Budget(products=8))) == 8
 
 
 def test_valid_products_filters_by_model():
@@ -119,6 +125,15 @@ def test_empty_conjunction_is_true_and_empty_disjunction_is_false():
 def test_variables():
     expr = Implies(And((A, Not(B))), Xor(C, TRUE))
     assert variables(expr) == frozenset({"a", "b", "c"})
+
+
+def test_variables_keeps_no_expression_alive():
+    expr = And((Var("kept"), Not(Var("gone"))))
+    assert variables(expr) == frozenset({"kept", "gone"})
+    dropped = weakref.ref(expr)
+    del expr
+    gc.collect()
+    assert dropped() is None
 
 
 def test_operator_sugar():
@@ -170,8 +185,10 @@ def test_entails_and_equivalent():
 
 def test_masks_refuse_spaces_above_the_product_bound():
     big = FeatureSpace.of(*[f"f{i}" for i in range(17)])
-    with pytest.raises(ResourceLimitError, match="17 features exceeds the product bound 65536"):
+    with pytest.raises(ResourceLimitError) as refused:
         is_satisfiable(Var("f0"), big)
+    assert refused.value.bound == "products"
+    assert str(refused.value) == "products of the 17-feature space: 131072, above the bound 65536"
 
 
 def test_mask_rejects_unknown_variables():

@@ -4,6 +4,7 @@ import pytest
 
 import models
 from feta import (
+    Budget,
     Component,
     FeaturedSystem,
     FeatureSpace,
@@ -106,16 +107,21 @@ def test_state_space_limit():
     comp = component(states=("0", "1"), outputs=("go",))
     other = component(states=("0", "1"), inputs=("go",))
     sys = System(("a", "b"), {"a": comp, "b": other})
-    with pytest.raises(ResourceLimitError):
-        sys.state_space(max_states=3)
+    with pytest.raises(ResourceLimitError) as refused:
+        sys.state_space(Budget(states=3))
+    assert refused.value.bound == "states"
+    assert len(sys.state_space(Budget(states=4))[0]) == 4
 
 
 def test_participant_limit():
     worker = component(outputs=("go",), transitions=(("0", "go", "0"),))
     sink = component(inputs=("go",), transitions=(("0", "go", "0"),))
     sys = System(("w1", "w2", "k"), {"w1": worker, "w2": worker, "k": sink})
-    with pytest.raises(ResourceLimitError):
-        sys.successors(("0", "0", "0"), max_participants=2)
+    with pytest.raises(ResourceLimitError) as refused:
+        sys.successors(("0", "0", "0"), Budget(participants=2))
+    assert refused.value.bound == "participants"
+    assert str(refused.value) == "ready participants of 'go': 3, above the bound 2"
+    assert sys.successors(("0", "0", "0"), Budget(participants=3))
 
 
 def test_validate_closed_reports_missing_roles():
