@@ -402,7 +402,8 @@ def cmd_project(args) -> int:
     product = _parse_product(args.product, fsys)
     (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
     projection = feta.project(product)
-    result = check_projection_commutes(fsys, fspec, product, feta, budget)
+    own = product_team(fsys, fspec, product, budget)[0]
+    result = check_projection_commutes(feta, product, own)
     if args.format == "dot":
         _emit(args, to_dot(_core(projection)))
         return EXIT_OK if result.ok else EXIT_VIOLATION
@@ -543,37 +544,44 @@ def _check_product(args, fsys, fspec, budget, warns) -> int:
 def cmd_verify(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     # Projections commute on the full team; the family is decided, as by
-    # `check` and `reqs`, on its reachable part. Every per-product half runs
-    # under the same budget.
+    # `check` and `reqs`, on its reachable part. Each valid product's own
+    # team is built once, under the same budget, and feeds every
+    # per-product half; only the outcomes outlive the loop.
     full, feta = _build_teams(
         args, fsys, fspec, budget, warns, build_featured_team, reachable_featured_team
     )
-    checks: list[tuple[str, bool, str]] = []
-    products = valid_products(fsys.feature_model, fsys.space)
-    for product in products:
-        result = check_projection_commutes(fsys, fspec, product, full, budget)
+    family = {
+        mode: check_family_receptiveness(feta, fsys, fspec, mode, budget) for mode in (STRICT, WEAK)
+    }
+    freqs = [entry.requirement for entry in family[STRICT].entries]
+    commutes, projects = [], []
+    product_reports = {mode: [] for mode in family}
+    for product in valid_products(fsys.feature_model, fsys.space):
+        own, spec_p, sys_p = product_team(fsys, fspec, product, budget)
+        result = check_projection_commutes(full, product, own)
         detail = ""
         if not result.ok:
             extra = len(result.only_in_projection) + len(result.only_in_composition)
             detail = f"{extra} transitions differ"
-        checks.append((f"projection of the team commutes for {product}", result.ok, detail))
-    for agreement in crosscheck_requirement_projection(fsys, fspec, feta, budget):
+        commutes.append((f"projection of the team commutes for {product}", result.ok, detail))
+        own_reqs = derive_requirements(own, spec_p, sys_p, budget)
+        agreement = crosscheck_requirement_projection(freqs, product, own_reqs)
         detail = ""
         if not agreement.ok:
             detail = (
                 f"{len(agreement.only_in_family)} only in the family,"
                 f" {len(agreement.only_in_product)} only in the product"
             )
-        checks.append(
-            (f"requirements project correctly for {agreement.product}", agreement.ok, detail)
-        )
-    freqs = derive_family_requirements(feta, fsys, fspec, budget)
-    unfolds = all(crosscheck_compliance_unfolding(feta, freq) for freq in freqs)
+        projects.append((f"requirements project correctly for {product}", agreement.ok, detail))
+        for mode, reports in product_reports.items():
+            reports.append((product, check_receptiveness(own, spec_p, sys_p, mode, budget)))
+    checks: list[tuple[str, bool, str]] = commutes + projects
+    unfolds = all(crosscheck_compliance_unfolding(feta, v) for v in family[STRICT].entries)
     checks.append(
         (f"compliance unfolds product by product ({len(freqs)} requirements)", unfolds, "")
     )
-    for mode in (STRICT, WEAK):
-        agreement = crosscheck_family_vs_products(fsys, fspec, mode, feta, budget)
+    for mode, reports in product_reports.items():
+        agreement = crosscheck_family_vs_products(family[mode], reports)
         detail = f"family {agreement.family_holds}, products {agreement.products_hold}"
         checks.append(
             (f"family verdict equals all product verdicts ({mode})", agreement.ok, detail)

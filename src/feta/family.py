@@ -11,13 +11,14 @@ team's guard and reachability masks (`Fts.guard_masks`, `Fts.reachable_masks`)
 and on each condition's mask, built from the same three factors; the
 expressions are kept for display and for the per-product route. This must
 agree with checking each valid product's own team separately; the
-crosscheck functions at the bottom compare the two routes, and only they
-evaluate products one by one.
+crosscheck functions at the bottom compare results their caller has built
+on the two routes, and only they evaluate products one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .automata import Fts, state_key
@@ -40,16 +41,14 @@ from .receptiveness import (
     VIOLATED,
     WEAK,
     Requirement,
+    ReceptivenessReport,
     _check_mode,
-    check_receptiveness,
-    derive_requirements,
     ready_senders,
     search_weak_compliance,
     sends,
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
-from .team import product_team
 
 FEATURED_COMPLIANT = "featured-compliant"
 FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
@@ -87,7 +86,6 @@ class FamilyVerdict:
 
     requirement: FamilyRequirement
     status: str
-    evidence: FeatureExpr | None
     witnesses: tuple
     violation_product: Product | None
 
@@ -228,17 +226,16 @@ def derive_family_requirements(
 def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Does the condition entail that some guarded send of the group fires?
 
-    The evidence is the disjunction of the candidate transitions' guards; it
-    is decided on their guard masks. On violation, the first valid product
-    satisfying the condition but none of the guards is reported.
+    Decided on the candidate transitions' guard masks; the candidates are the
+    witnesses. On violation, the first valid product satisfying the
+    condition but none of the guards is reported.
     """
     candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
-    evidence = disj(feta.guards[t] for t in candidates)
     uncovered = freq.mask & ~_union(feta.guard_masks[t] for t in candidates)
     if not uncovered:
-        return FamilyVerdict(freq, FEATURED_COMPLIANT, evidence, tuple(candidates), None)
+        return FamilyVerdict(freq, FEATURED_COMPLIANT, tuple(candidates), None)
     culprit = next(iter(_products_in(feta, uncovered)), None)
-    return FamilyVerdict(freq, VIOLATED, evidence, (), culprit)
+    return FamilyVerdict(freq, VIOLATED, (), culprit)
 
 
 def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
@@ -246,13 +243,11 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
 
     Each product's shortest witness is searched on the team's transitions
     whose guard mask holds the product's bit. The verdict carries one witness
-    path per product and, on failure, the first product with no witness. The
-    evidence disjoins the guard conjunctions of the witness paths.
+    path per product and, on failure, the first product with no witness.
     """
     req = Requirement(freq.state, freq.senders, freq.action)
     masks = feta.guard_masks
     witnesses = []
-    evidence_parts = []
     for product in _products_in(feta, freq.mask):
         bit = 1 << product_index(product)
 
@@ -261,12 +256,9 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
 
         verdict = search_weak_compliance(req, successors)
         if verdict.status == VIOLATED:
-            return FamilyVerdict(freq, VIOLATED, None, tuple(witnesses), product)
+            return FamilyVerdict(freq, VIOLATED, tuple(witnesses), product)
         witnesses.append((product, verdict.witness))
-        evidence_parts.append(conj(feta.guards[t] for t in verdict.witness))
-    return FamilyVerdict(
-        freq, FEATURED_WEAKLY_COMPLIANT, disj(evidence_parts), tuple(witnesses), None
-    )
+    return FamilyVerdict(freq, FEATURED_WEAKLY_COMPLIANT, tuple(witnesses), None)
 
 
 def check_family_receptiveness(
@@ -307,49 +299,31 @@ class ProjectionAgreement:
 
 
 def crosscheck_requirement_projection(
-    fsys: FeaturedSystem,
-    fspec: FeaturedSyncSpec,
-    feta: Fts,
-    budget: Budget = Budget(),
-) -> tuple[ProjectionAgreement, ...]:
-    """For every valid product, the family requirements whose condition the
-    product satisfies must be exactly the product's own requirements.
-
-    Both sides run under `budget`, the per-product side on each product's
-    own team.
+    freqs: Iterable[FamilyRequirement], product: Product, own_reqs: Iterable[Requirement]
+) -> ProjectionAgreement:
+    """The family requirements whose condition the product satisfies must be
+    exactly the product's own requirements, `own_reqs`, as `derive_requirements`
+    gives them on the product's own team.
     """
-    freqs = derive_family_requirements(feta, fsys, fspec, budget)
-    out = []
-    for product in valid_products(fsys.feature_model, fsys.space):
-        family_side = {
-            (f.state, f.senders, f.action)
-            for f in freqs
-            if evaluate(f.condition, product)
-        }
-        product_side = {
-            (r.state, r.senders, r.action)
-            for r in derive_requirements(*product_team(fsys, fspec, product, budget), budget)
-        }
-        out.append(
-            ProjectionAgreement(
-                product,
-                tuple(sorted(family_side - product_side, key=str)),
-                tuple(sorted(product_side - family_side, key=str)),
-            )
-        )
-    return tuple(out)
+    family_side = {(f.state, f.senders, f.action) for f in freqs if evaluate(f.condition, product)}
+    product_side = {(r.state, r.senders, r.action) for r in own_reqs}
+    return ProjectionAgreement(
+        product,
+        tuple(sorted(family_side - product_side, key=str)),
+        tuple(sorted(product_side - family_side, key=str)),
+    )
 
 
-def crosscheck_compliance_unfolding(feta: Fts, freq: FamilyRequirement) -> bool:
-    """The symbolic compliance answer must match product-by-product unfolding."""
-    symbolic = check_family_compliance(feta, freq).status == FEATURED_COMPLIANT
+def crosscheck_compliance_unfolding(feta: Fts, verdict: FamilyVerdict) -> bool:
+    """A strict family verdict must match product-by-product unfolding."""
+    freq = verdict.requirement
     candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
     unfolded = all(
         any(evaluate(feta.guards[t], p) for t in candidates)
         for p in valid_products(feta.feature_model, feta.space)
         if evaluate(freq.condition, p)
     )
-    return symbolic == unfolded
+    return (verdict.status == FEATURED_COMPLIANT) == unfolded
 
 
 @dataclass(frozen=True)
@@ -370,20 +344,13 @@ class FamilyProductsAgreement:
 
 
 def crosscheck_family_vs_products(
-    fsys: FeaturedSystem,
-    fspec: FeaturedSyncSpec,
-    mode: str,
-    feta: Fts,
-    budget: Budget = Budget(),
+    family_report: FamilyReport,
+    product_reports: Iterable[tuple[Product, ReceptivenessReport]],
 ) -> FamilyProductsAgreement:
     """Family receptiveness must equal receptiveness of every product's team.
 
-    Both sides run under `budget`, the per-product side on each product's
-    own team.
+    `product_reports` pairs each valid product with `check_receptiveness` of
+    its own team, in the family report's mode.
     """
-    family = check_family_receptiveness(feta, fsys, fspec, mode, budget)
-    verdicts = []
-    for product in valid_products(fsys.feature_model, fsys.space):
-        report = check_receptiveness(*product_team(fsys, fspec, product, budget), mode, budget)
-        verdicts.append((product, report.holds))
-    return FamilyProductsAgreement(mode, family.holds, tuple(verdicts))
+    verdicts = tuple((product, report.holds) for product, report in product_reports)
+    return FamilyProductsAgreement(family_report.mode, family_report.holds, verdicts)

@@ -258,11 +258,21 @@ def all_products(space: FeatureSpace, budget: Budget = Budget()) -> tuple[Produc
     return tuple(Product(frozenset(s), space) for s in subsets)
 
 
-@lru_cache(maxsize=None)
 def valid_products(feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
-    """The products satisfying the feature model, in lexicographic order."""
-    _check_vars(feature_model, space)
-    return tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
+    """The products satisfying the feature model, in lexicographic order.
+
+    The answer is kept on the model's node with the space it was asked for,
+    so it lives and dies with the node. One node can meet many spaces (the
+    shared `TRUE` is the model of every specification without a
+    `feature_model` line); it keeps the last.
+    """
+    kept = getattr(feature_model, "_valid_products", None)
+    if kept is None or kept[0] != space:
+        _check_vars(feature_model, space)
+        products = tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
+        kept = (space, products)
+        object.__setattr__(feature_model, "_valid_products", kept)
+    return kept[1]
 
 
 def product_expr(product: Product) -> FeatureExpr:

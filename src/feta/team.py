@@ -265,28 +265,20 @@ class CommutationResult:
     actions_agree: bool
 
 
-def check_projection_commutes(
-    fsys: FeaturedSystem,
-    fspec: FeaturedSyncSpec,
-    product: Product,
-    feta: Fts,
-    budget: Budget = Budget(),
-) -> CommutationResult:
+def check_projection_commutes(feta: Fts, product: Product, own: Lts) -> CommutationResult:
     """Compare the featured team's projection with the product's own team.
 
     The two sides are built along independent paths: the left projects the
-    featured team, the right composes the projected components under the
-    projected specification. They must agree exactly on states, initial
-    states, actions and the transition set. `feta` is the full featured
-    team (`build_featured_team`); the product's own team is built under
-    `budget`.
+    featured team, the right, `own`, composes the projected components under
+    the projected specification (`product_team`). They must agree exactly on
+    states, initial states, actions and the transition set. `feta` is the
+    full featured team (`build_featured_team`).
     """
     left = feta.project(product)
-    right = product_team(fsys, fspec, product, budget)[0]
-    left_set, right_set = set(left.transitions), set(right.transitions)
-    states_agree = left.states == right.states
-    initial_agree = left.initial == right.initial
-    actions_agree = left.actions == right.actions
+    left_set, right_set = set(left.transitions), set(own.transitions)
+    states_agree = left.states == own.states
+    initial_agree = left.initial == own.initial
+    actions_agree = left.actions == own.actions
     return CommutationResult(
         product=product,
         ok=states_agree and initial_agree and actions_agree and left_set == right_set,

@@ -271,16 +271,17 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     from feta import (
         OpenSystemWarning,
         build_featured_team,
-        build_team,
         check_compliance,
+        check_family_receptiveness,
         check_projection_commutes,
+        check_receptiveness,
         check_weak_compliance,
         crosscheck_compliance_unfolding,
         crosscheck_family_vs_products,
         crosscheck_requirement_projection,
-        derive_family_requirements,
         derive_requirements,
         entails,
+        product_team,
         reachable_featured_team,
         reachable_products,
     )
@@ -293,25 +294,41 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             results.instances += 1
             team = build_featured_team(fsys, fspec)
             products = valid_products(fsys.feature_model, fsys.space)
+            family = {
+                mode: check_family_receptiveness(team, fsys, fspec, mode)
+                for mode in ("strict", "weak")
+            }
+            freqs = tuple(v.requirement for v in family["strict"].entries)
+            product_reports = {mode: [] for mode in family}
+            # Each product's own team is built once and feeds every
+            # per-product check.
             for product in products:
-                if not check_projection_commutes(fsys, fspec, product, team).ok:
+                own, spec_p, sys_p = product_team(fsys, fspec, product)
+                if not check_projection_commutes(team, product, own).ok:
                     results.projection_failures.append((seed, product))
-            for agreement in crosscheck_requirement_projection(fsys, fspec, team):
-                if not agreement.ok:
-                    results.requirement_projection_failures.append((seed, agreement.product))
-            freqs = derive_family_requirements(team, fsys, fspec)
+                own_reqs = derive_requirements(own, spec_p, sys_p)
+                if not crosscheck_requirement_projection(freqs, product, own_reqs).ok:
+                    results.requirement_projection_failures.append((seed, product))
+                for mode, reports in product_reports.items():
+                    reports.append((product, check_receptiveness(own, spec_p, sys_p, mode)))
+                for req in own_reqs:
+                    strict = check_compliance(own, req).status
+                    weak = check_weak_compliance(own, req).status
+                    if strict == COMPLIANT and weak == VIOLATED:
+                        results.monotonicity_failures.append((seed, req))
             results.requirements += len(freqs)
             projections = {p: team.project(p) for p in products}
-            for freq in freqs:
-                if not crosscheck_compliance_unfolding(team, freq):
+            for verdict in family["strict"].entries:
+                freq = verdict.requirement
+                if not crosscheck_compliance_unfolding(team, verdict):
                     results.unfolding_failures.append((seed, freq))
                 compared, wrong = weak_disagreements(team, freq, projections, products)
                 results.weak_checks += compared
                 if wrong:
                     results.witness_failures.append((seed, freq, wrong))
-            if not crosscheck_family_vs_products(fsys, fspec, "strict", team).ok:
+            if not crosscheck_family_vs_products(family["strict"], product_reports["strict"]).ok:
                 results.family_strict_failures.append((seed,))
-            if not crosscheck_family_vs_products(fsys, fspec, "weak", team).ok:
+            if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
                 results.family_weak_failures.append((seed,))
             compared, wrong = reachable_team_disagreements(
                 team, reachable_featured_team(fsys, fspec), fsys, fspec
@@ -334,13 +351,4 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 direct = {p for p in products if state in projections[p].reachable()}
                 if symbolic != direct:
                     results.reachability_failures.append((seed, state))
-            for product in products:
-                sys_p = fsys.project(product)
-                spec_p = fspec.project(product)
-                team_p = build_team(sys_p, spec_p)
-                for req in derive_requirements(team_p, spec_p, sys_p):
-                    strict = check_compliance(team_p, req).status
-                    weak = check_weak_compliance(team_p, req).status
-                    if strict == COMPLIANT and weak == VIOLATED:
-                        results.monotonicity_failures.append((seed, req))
     return results

@@ -64,9 +64,8 @@ def test_04_pruning(team, pruned):
 
 
 def test_05_projection_commutes(access, team, battery):
-    fsys, fspec = access
-    for product, _, _ in project_all(access):
-        assert check_projection_commutes(fsys, fspec, product, team).ok
+    for product, sys_p, spec_p in project_all(access):
+        assert check_projection_commutes(team, product, build_team(sys_p, spec_p)).ok
     assert battery.instances == 200
     assert battery.projection_failures == []
 
@@ -121,11 +120,20 @@ def test_08_family_receptiveness(access, team):
 
 def test_09_family_analyses_unfold_per_product(access, team, battery):
     fsys, fspec = access
-    assert all(a.ok for a in crosscheck_requirement_projection(fsys, fspec, team))
-    freqs = derive_family_requirements(team, fsys, fspec)
-    assert all(crosscheck_compliance_unfolding(team, f) for f in freqs)
-    for mode in ("strict", "weak"):
-        assert crosscheck_family_vs_products(fsys, fspec, mode, team).ok
+    family = {
+        mode: check_family_receptiveness(team, fsys, fspec, mode) for mode in ("strict", "weak")
+    }
+    freqs = [v.requirement for v in family["strict"].entries]
+    reports = {mode: [] for mode in family}
+    for product, sys_p, spec_p in project_all(access):
+        team_p = build_team(sys_p, spec_p)
+        own_reqs = derive_requirements(team_p, spec_p, sys_p)
+        assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
+        for mode, out in reports.items():
+            out.append((product, check_receptiveness(team_p, spec_p, sys_p, mode)))
+    assert all(crosscheck_compliance_unfolding(team, v) for v in family["strict"].entries)
+    for mode, out in reports.items():
+        assert crosscheck_family_vs_products(family[mode], out).ok
     assert battery.requirement_projection_failures == []
     assert battery.unfolding_failures == []
     assert battery.family_strict_failures == []

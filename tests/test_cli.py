@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, exit codes and report formats."""
 
+import inspect
 import json
 import os
 import re
@@ -13,8 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import feta.family
+import feta.team
 import models
-from feta import cli, features
+from feta import Budget, cli, features
+from feta.automata import Lts
 
 ACCESS = models.example_path()
 RELAY = models.example_path("relay")
@@ -449,6 +453,97 @@ def test_verify_passes_on_every_bundled_example(capsys, name):
     code, out, _ = run(capsys, "verify", models.example_path(name))
     assert code == 0
     assert "checks passed" in out
+
+
+def _patch_everywhere(monkeypatch, module, attr, replacement):
+    """Replace `module.attr` in every `feta` module that holds it by name."""
+    original = getattr(module, attr)
+    for name, mod in list(sys.modules.items()):
+        if (name == "feta" or name.startswith("feta.")) and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, replacement)
+    return original
+
+
+def _counting(monkeypatch, module, attr, calls):
+    original = None
+
+    def counted(*args, **kwargs):
+        calls.append(inspect.signature(original).bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    original = _patch_everywhere(monkeypatch, module, attr, counted)
+
+
+def test_verify_builds_each_product_team_once(capsys, monkeypatch):
+    """One own team per valid product, under the CLI's budget.
+
+    The family requirements come with the strict and the weak family verdict.
+    """
+    calls = {"build_team": [], "product_team": [], "derive_family_requirements": []}
+    _counting(monkeypatch, feta.team, "build_team", calls["build_team"])
+    _counting(monkeypatch, feta.team, "product_team", calls["product_team"])
+    _counting(
+        monkeypatch, feta.family, "derive_family_requirements",
+        calls["derive_family_requirements"],
+    )
+    flags = ("--max-states", "1000", "--max-participants", "7", "--max-products", "100")
+    code, out, _ = run(capsys, "verify", *flags, ACCESS)
+    assert code == 0, out
+    assert len(calls["build_team"]) == 2
+    assert len(calls["derive_family_requirements"]) <= 2
+    budget = Budget(states=1000, participants=7, products=100)
+    assert [c["budget"] for c in calls["product_team"]] == [budget] * 2
+
+
+_DROPPED_FIRST_TRANSITION = [
+    ("projection of the team commutes for {lock}", False, "1 transitions differ"),
+    ("projection of the team commutes for {unlock}", False, "1 transitions differ"),
+    (
+        "requirements project correctly for {lock}",
+        False,
+        "2 only in the family, 0 only in the product",
+    ),
+    ("requirements project correctly for {unlock}", True, ""),
+    ("compliance unfolds product by product (18 requirements)", True, ""),
+    ("family verdict equals all product verdicts (strict)", True, "family False, products False"),
+    ("family verdict equals all product verdicts (weak)", True, "family True, products True"),
+]
+
+
+def test_verify_renders_failed_checks(capsys, monkeypatch, schema):
+    """Every product's own team loses its first transition."""
+    original = None
+
+    def dropping(*args, **kwargs):
+        team = original(*args, **kwargs)
+        return Lts(team.states, team.initial, team.actions, team.transitions[1:])
+
+    original = _patch_everywhere(monkeypatch, feta.team, "build_team", dropping)
+    code, out, _ = run(capsys, "verify", ACCESS)
+    assert code == 1
+    assert out == (
+        "FAIL: projection of the team commutes for {lock} (1 transitions differ)\n"
+        "FAIL: projection of the team commutes for {unlock} (1 transitions differ)\n"
+        "FAIL: requirements project correctly for {lock}"
+        " (2 only in the family, 0 only in the product)\n"
+        "ok: requirements project correctly for {unlock}\n"
+        "ok: compliance unfolds product by product (18 requirements)\n"
+        "ok: family verdict equals all product verdicts (strict)\n"
+        "ok: family verdict equals all product verdicts (weak)\n"
+        "verify: 3 of 7 checks failed\n"
+    )
+    code, payload = run_json(capsys, schema, "verify", "--format", "json", ACCESS)
+    assert code == 1
+    assert payload == {
+        "schema": "report-v1",
+        "command": "verify",
+        "input": ACCESS,
+        "checks": [
+            {"name": name, "ok": ok, "details": details}
+            for name, ok, details in _DROPPED_FIRST_TRANSITION
+        ],
+        "ok": False,
+    }
 
 
 def test_relay_fails_strict_but_passes_weak(capsys):

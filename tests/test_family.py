@@ -1,5 +1,7 @@
 """Family-level requirements, featured compliance and the cross-checks."""
 
+import dataclasses
+
 import pytest
 
 import models
@@ -15,16 +17,19 @@ from feta import (
     check_family_compliance,
     check_family_receptiveness,
     check_family_weak_compliance,
-    check_projection_commutes,
+    check_receptiveness,
     crosscheck_compliance_unfolding,
     crosscheck_family_vs_products,
     crosscheck_requirement_projection,
     derive_family_requirements,
+    derive_requirements,
     equivalent,
     is_satisfiable,
+    product_team,
     products_for_group,
     reachable_products,
     senders_guard,
+    valid_products,
 )
 from feta.family import FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT
 from feta.receptiveness import VIOLATED
@@ -37,6 +42,16 @@ UNLOCK_ONLY = And((Var("unlock"), Not(Var("lock"))))
 def freqs(team, access):
     fsys, fspec = access
     return derive_family_requirements(team, fsys, fspec)
+
+
+@pytest.fixture(scope="module")
+def own_teams(access):
+    """Each valid product's own team, specification and system."""
+    fsys, fspec = access
+    return {
+        product: product_team(fsys, fspec, product)
+        for product in valid_products(fsys.feature_model, fsys.space)
+    }
 
 
 def by_identity(freqs):
@@ -183,24 +198,34 @@ def test_family_route_does_not_go_product_by_product(access, monkeypatch):
     assert FEATURED_WEAKLY_COMPLIANT in {e.status for e in report.entries}
 
 
-def test_requirement_projection_agrees_per_product(team, access):
-    fsys, fspec = access
-    for agreement in crosscheck_requirement_projection(fsys, fspec, team):
+def test_requirement_projection_agrees_per_product(own_teams, freqs):
+    for product, own in own_teams.items():
+        agreement = crosscheck_requirement_projection(freqs, product, derive_requirements(*own))
         assert agreement.ok, (
-            f"{agreement.product}: only in family {agreement.only_in_family},"
+            f"{product}: only in family {agreement.only_in_family},"
             f" only in product {agreement.only_in_product}"
         )
 
 
-def test_compliance_unfolds_product_by_product(team, freqs):
-    assert all(crosscheck_compliance_unfolding(team, f) for f in freqs)
+def test_compliance_unfolds_product_by_product(team, access):
+    fsys, fspec = access
+    strict = check_family_receptiveness(team, fsys, fspec, "strict")
+    assert all(crosscheck_compliance_unfolding(team, v) for v in strict.entries)
+    flipped = {FEATURED_COMPLIANT: VIOLATED, VIOLATED: FEATURED_COMPLIANT}
+    assert not any(
+        crosscheck_compliance_unfolding(team, dataclasses.replace(v, status=flipped[v.status]))
+        for v in strict.entries
+    )
 
 
 @pytest.mark.parametrize("mode", ["strict", "weak"])
-def test_family_verdict_equals_product_verdicts(team, access, mode):
+def test_family_verdict_equals_product_verdicts(team, access, own_teams, mode):
     fsys, fspec = access
-    agreement = crosscheck_family_vs_products(fsys, fspec, mode, team)
+    family = check_family_receptiveness(team, fsys, fspec, mode)
+    reports = [(product, check_receptiveness(*own, mode)) for product, own in own_teams.items()]
+    agreement = crosscheck_family_vs_products(family, reports)
     assert agreement.ok
+    assert agreement.mode == mode
     expected = {"strict": False, "weak": True}[mode]
     assert agreement.family_holds is expected
     assert agreement.products_hold is expected
@@ -209,35 +234,6 @@ def test_family_verdict_equals_product_verdicts(team, access, mode):
         assert verdicts == {"{lock}": False, "{unlock}": True}
     else:
         assert verdicts == {"{lock}": True, "{unlock}": True}
-
-
-# Each of verify's cross-checks against the per-product route, as a verdict.
-CROSSCHECKS = {
-    "commutation": lambda fsys, fspec, team, budget: check_projection_commutes(
-        fsys, fspec, models.LOCK, team, budget
-    ).ok,
-    "requirement projection": lambda fsys, fspec, team, budget: all(
-        a.ok for a in crosscheck_requirement_projection(fsys, fspec, team, budget)
-    ),
-    "family vs products": lambda fsys, fspec, team, budget: crosscheck_family_vs_products(
-        fsys, fspec, "weak", team, budget
-    ).ok,
-}
-
-
-@pytest.mark.parametrize("name", CROSSCHECKS)
-def test_crosschecks_build_the_product_teams_under_the_budget(access, team, name):
-    """Each product's own team spans the full product of local states."""
-    fsys, fspec = access
-    crosscheck = CROSSCHECKS[name]
-    with pytest.raises(ResourceLimitError) as refused:
-        crosscheck(fsys, fspec, team, Budget(states=models.TEAM_STATES - 1))
-    assert refused.value.bound == "states"
-    assert str(refused.value) == (
-        f"states in the full product of local states: {models.TEAM_STATES},"
-        f" above the bound {models.TEAM_STATES - 1}"
-    )
-    assert crosscheck(fsys, fspec, team, Budget(states=models.TEAM_STATES))
 
 
 def test_family_requirements_bound_the_ready_senders(access, team):

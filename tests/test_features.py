@@ -95,6 +95,24 @@ def test_valid_products_of_unsatisfiable_model():
     assert valid_products(And((A, Not(A))), AB) == ()
 
 
+def test_valid_products_keep_no_model_or_space_alive():
+    space = FeatureSpace.of("dropped", "too")
+    model = Or((Var("dropped"), Var("too")))
+    assert len(valid_products(model, space)) == 3
+    assert valid_products(model, space) is valid_products(model, space)
+    dropped = [weakref.ref(model), weakref.ref(space)]
+    del model, space
+    gc.collect()
+    assert [ref() for ref in dropped] == [None, None]
+
+
+def test_one_model_answers_each_space_it_meets():
+    """`TRUE` is the model of every specification without a feature model."""
+    assert len(valid_products(TRUE, AB)) == 4
+    assert len(valid_products(TRUE, ABC)) == 8
+    assert {p.space for p in valid_products(TRUE, AB)} == {AB}
+
+
 # --- evaluation ---------------------------------------------------------------
 
 

@@ -6,9 +6,11 @@ import models
 from feta import (
     TRUE,
     And,
+    Budget,
     FeaturedSyncSpec,
     Not,
     OpenSystemWarning,
+    ResourceLimitError,
     SyncRule,
     TotalityError,
     Var,
@@ -20,6 +22,7 @@ from feta import (
     is_satisfiable,
     participants_guard,
     products_allowing,
+    product_team,
     prune_for_display,
     valid_products,
 )
@@ -105,7 +108,7 @@ def test_pruned_view_keeps_only_satisfiable_guards(team, pruned):
 def test_projection_commutes_for_both_products(access, team):
     fsys, fspec = access
     for product in valid_products(fsys.feature_model, fsys.space):
-        result = check_projection_commutes(fsys, fspec, product, team)
+        result = check_projection_commutes(team, product, product_team(fsys, fspec, product)[0])
         assert result.ok, (
             f"{product}: only in projection {result.only_in_projection},"
             f" only in composition {result.only_in_composition}"
@@ -122,10 +125,26 @@ def test_commutation_result_reports_differences(access, team):
         space=fspec.space,
         feature_model=fspec.feature_model,
     )
-    result = check_projection_commutes(fsys, loose, models.UNLOCK, team)
+    own = product_team(fsys, loose, models.UNLOCK)[0]
+    result = check_projection_commutes(team, models.UNLOCK, own)
     assert not result.ok
     assert result.only_in_projection
     assert result.states_agree
+
+
+@pytest.mark.parametrize("product", [models.LOCK, models.UNLOCK], ids=str)
+def test_product_team_is_built_under_the_budget(access, product):
+    """Each product's own team spans the full product of local states."""
+    fsys, fspec = access
+    with pytest.raises(ResourceLimitError) as refused:
+        product_team(fsys, fspec, product, Budget(states=models.TEAM_STATES - 1))
+    assert refused.value.bound == "states"
+    assert str(refused.value) == (
+        f"states in the full product of local states: {models.TEAM_STATES},"
+        f" above the bound {models.TEAM_STATES - 1}"
+    )
+    own, _, _ = product_team(fsys, fspec, product, Budget(states=models.TEAM_STATES))
+    assert len(own.states) == models.TEAM_STATES
 
 
 def test_plain_team_filters_by_type(access):
