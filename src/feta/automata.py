@@ -14,7 +14,6 @@ and structured labels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -43,22 +42,17 @@ def label_action(label) -> str:
     return getattr(label, "action", label)
 
 
-@dataclass(eq=False)
 class Lts:
     """A labelled transition system over hashable states and labels."""
 
-    states: tuple
-    initial: frozenset
-    actions: frozenset
-    transitions: tuple
+    __match_args__ = ("states", "initial", "actions", "transitions")
 
-    def __post_init__(self) -> None:
-        states = tuple(sorted(set(self.states), key=state_key))
-        self.states = states
-        self.initial = frozenset(self.initial)
-        self.actions = frozenset(self.actions)
-        self.transitions = tuple(sorted(set(self.transitions), key=transition_key))
-        known = set(states)
+    def __init__(self, states, initial, actions, transitions) -> None:
+        self.states = tuple(sorted(set(states), key=state_key))
+        self.initial = frozenset(initial)
+        self.actions = frozenset(actions)
+        self.transitions = tuple(sorted(set(transitions), key=transition_key))
+        known = set(self.states)
         if not self.initial <= known:
             raise SpecificationError(f"initial states {sorted(self.initial - known, key=state_key)} not declared")
         for src, label, dst in self.transitions:
@@ -106,9 +100,9 @@ class Lts:
         return frozenset(seen)
 
 
-def _split_alphabet(automaton) -> None:
-    automaton.inputs = frozenset(automaton.inputs)
-    automaton.outputs = frozenset(automaton.outputs)
+def _split_alphabet(automaton, inputs, outputs) -> None:
+    automaton.inputs = frozenset(inputs)
+    automaton.outputs = frozenset(outputs)
     overlap = automaton.inputs & automaton.outputs
     if overlap:
         raise SpecificationError(f"actions {sorted(overlap)} declared both input and output")
@@ -116,31 +110,34 @@ def _split_alphabet(automaton) -> None:
         raise SpecificationError("alphabet must equal inputs plus outputs")
 
 
-@dataclass(eq=False)
 class Component(Lts):
     """A component automaton: an LTS whose alphabet is split into inputs and outputs."""
 
-    inputs: frozenset
-    outputs: frozenset
+    __match_args__ = Lts.__match_args__ + ("inputs", "outputs")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _split_alphabet(self)
+    def __init__(self, states, initial, actions, transitions, inputs, outputs) -> None:
+        super().__init__(states, initial, actions, transitions)
+        _split_alphabet(self, inputs, outputs)
 
 
-@dataclass(eq=False)
 class Fts(Lts):
-    """A featured LTS: every transition carries a feature-expression guard."""
+    """A featured LTS: every transition carries a feature-expression guard.
 
-    space: FeatureSpace
-    feature_model: FeatureExpr
-    guards: Mapping
-    # The guard masks when the builder already has them; compiled otherwise.
-    masks: Mapping | None = field(default=None, kw_only=True, repr=False)
+    `masks` holds the guard masks when the builder already has them; they are
+    compiled otherwise.
+    """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.guards = dict(self.guards)
+    __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
+
+    def __init__(
+        self, states, initial, actions, transitions, space: FeatureSpace,
+        feature_model: FeatureExpr, guards: Mapping, *, masks: Mapping | None = None,
+    ) -> None:
+        super().__init__(states, initial, actions, transitions)
+        self.space = space
+        self.feature_model = feature_model
+        self.guards = dict(guards)
+        self.masks = masks
         missing = set(self.transitions) - set(self.guards)
         if missing:
             raise SpecificationError(f"{len(missing)} transitions have no guard")
@@ -221,16 +218,20 @@ def reach_masks(initial, seed: int, steps, reached=lambda count: None) -> dict:
     return reach
 
 
-@dataclass(eq=False)
 class FeaturedComponent(Fts):
     """A featured component automaton: a featured LTS with an input/output split."""
 
-    inputs: frozenset
-    outputs: frozenset
+    __match_args__ = Fts.__match_args__ + ("inputs", "outputs")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _split_alphabet(self)
+    def __init__(
+        self, states, initial, actions, transitions, space: FeatureSpace,
+        feature_model: FeatureExpr, guards: Mapping, inputs, outputs, *,
+        masks: Mapping | None = None,
+    ) -> None:
+        super().__init__(
+            states, initial, actions, transitions, space, feature_model, guards, masks=masks
+        )
+        _split_alphabet(self, inputs, outputs)
 
     def project(self, product: Product) -> Component:
         states, initial, actions, kept = self._projected_parts(product)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings as _warnings
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -564,7 +563,10 @@ def cmd_verify(args) -> int:
             extra = len(result.only_in_projection) + len(result.only_in_composition)
             detail = f"{extra} transitions differ"
         commutes.append((f"projection of the team commutes for {product}", result.ok, detail))
-        own_reqs = derive_requirements(own, spec_p, sys_p, budget)
+        # A product's verdict entries are the same in both modes; only the
+        # report's mode, and so how `holds` reads them, differs.
+        verdicts = check_receptiveness(own, spec_p, sys_p, STRICT, budget)
+        own_reqs = [entry.requirement for entry in verdicts.entries]
         agreement = crosscheck_requirement_projection(freqs, product, own_reqs)
         detail = ""
         if not agreement.ok:
@@ -574,7 +576,7 @@ def cmd_verify(args) -> int:
             )
         projects.append((f"requirements project correctly for {product}", agreement.ok, detail))
         for mode, reports in product_reports.items():
-            reports.append((product, check_receptiveness(own, spec_p, sys_p, mode, budget)))
+            reports.append((product, verdicts._replace(mode=mode)))
     checks: list[tuple[str, bool, str]] = commutes + projects
     unfolds = all(crosscheck_compliance_unfolding(feta, v) for v in family[STRICT].entries)
     checks.append(
@@ -614,6 +616,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    # Imported here: `importlib.resources` pulls in dozens of modules that
+    # no other command needs.
+    from importlib import resources
+
     root = resources.files("feta") / "examples"
     names = sorted(
         entry.name for entry in root.iterdir() if entry.name.endswith(".feta")

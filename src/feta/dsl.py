@@ -39,7 +39,7 @@ levels, counting operators and parentheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import FeaturedComponent
 from .errors import FetaError, ResourceLimitError, SpecificationError
@@ -61,6 +61,7 @@ from .features import (
 )
 from .synctypes import FeaturedSyncSpec, Interval, SyncRule, SyncType
 from .system import FeaturedSystem
+from .values import Value, init_field
 
 ERROR = "error"
 WARNING = "warning"
@@ -79,8 +80,7 @@ _SINGLE_SYMBOLS = set("{}()[],;:=*!?")
 MAX_EXPR_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     line: int
     col: int
@@ -96,49 +96,84 @@ def has_errors(diagnostics) -> bool:
 
 
 # --- abstract syntax --------------------------------------------------------
+#
+# A declaration's `loc` (line, column) is shown by `repr` but left out of
+# `==` and `hash`: the same text parsed at two places gives equal nodes.
 
 
-@dataclass(frozen=True)
-class TransitionDecl:
-    source: str
-    target: str
-    action: str
-    suffix: str | None
-    guard: FeatureExpr | None
-    loc: tuple[int, int] = field(compare=False, default=(1, 1))
+class TransitionDecl(Value):
+    __match_args__ = ("source", "target", "action", "suffix", "guard", "loc")
+
+    def __init__(
+        self, source: str, target: str, action: str, suffix: str | None,
+        guard: FeatureExpr | None, loc: tuple[int, int] = (1, 1),
+    ) -> None:
+        init_field(self, "source", source)
+        init_field(self, "target", target)
+        init_field(self, "action", action)
+        init_field(self, "suffix", suffix)
+        init_field(self, "guard", guard)
+        init_field(self, "loc", loc)
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.action, self.suffix, self.guard)
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    states: tuple[str, ...] | None
-    init: tuple[str, ...]
-    transitions: tuple[TransitionDecl, ...]
-    loc: tuple[int, int] = field(compare=False, default=(1, 1))
+class ComponentDecl(Value):
+    __match_args__ = ("name", "inputs", "outputs", "states", "init", "transitions", "loc")
+
+    def __init__(
+        self, name: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
+        states: tuple[str, ...] | None, init: tuple[str, ...],
+        transitions: tuple[TransitionDecl, ...], loc: tuple[int, int] = (1, 1),
+    ) -> None:
+        init_field(self, "name", name)
+        init_field(self, "inputs", inputs)
+        init_field(self, "outputs", outputs)
+        init_field(self, "states", states)
+        init_field(self, "init", init)
+        init_field(self, "transitions", transitions)
+        init_field(self, "loc", loc)
+
+    def _key(self) -> tuple:
+        return (self.name, self.inputs, self.outputs, self.states, self.init, self.transitions)
 
 
-@dataclass(frozen=True)
-class SystemDecl:
-    name: str
-    bindings: tuple[tuple[str, str], ...]
-    loc: tuple[int, int] = field(compare=False, default=(1, 1))
+class SystemDecl(Value):
+    __match_args__ = ("name", "bindings", "loc")
+
+    def __init__(
+        self, name: str, bindings: tuple[tuple[str, str], ...], loc: tuple[int, int] = (1, 1)
+    ) -> None:
+        init_field(self, "name", name)
+        init_field(self, "bindings", bindings)
+        init_field(self, "loc", loc)
+
+    def _key(self) -> tuple:
+        return (self.name, self.bindings)
 
 
-@dataclass(frozen=True)
-class SyncRuleDecl:
-    actions: tuple[str, ...] | None
-    send_lo: int
-    send_hi: int | None
-    recv_lo: int
-    recv_hi: int | None
-    guard: FeatureExpr | None
-    loc: tuple[int, int] = field(compare=False, default=(1, 1))
+class SyncRuleDecl(Value):
+    __match_args__ = ("actions", "send_lo", "send_hi", "recv_lo", "recv_hi", "guard", "loc")
+
+    def __init__(
+        self, actions: tuple[str, ...] | None, send_lo: int, send_hi: int | None,
+        recv_lo: int, recv_hi: int | None, guard: FeatureExpr | None,
+        loc: tuple[int, int] = (1, 1),
+    ) -> None:
+        init_field(self, "actions", actions)
+        init_field(self, "send_lo", send_lo)
+        init_field(self, "send_hi", send_hi)
+        init_field(self, "recv_lo", recv_lo)
+        init_field(self, "recv_hi", recv_hi)
+        init_field(self, "guard", guard)
+        init_field(self, "loc", loc)
+
+    def _key(self) -> tuple:
+        return (self.actions, self.send_lo, self.send_hi, self.recv_lo, self.recv_hi, self.guard)
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     features: tuple[str, ...]
     model: FeatureExpr | None
     components: tuple[ComponentDecl, ...]
@@ -146,14 +181,12 @@ class SpecDocument:
     sync: tuple[SyncRuleDecl, ...] | None
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     document: SpecDocument | None
     diagnostics: tuple[Diagnostic, ...]
 
 
-@dataclass(frozen=True)
-class ElaborationResult:
+class ElaborationResult(NamedTuple):
     system: FeaturedSystem | None
     sync: FeaturedSyncSpec | None
     diagnostics: tuple[Diagnostic, ...]
@@ -166,8 +199,7 @@ class ElaborationResult:
 # --- lexer ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | sym | eof
     text: str
     line: int

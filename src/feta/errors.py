@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class FetaError(Exception):
@@ -29,8 +29,7 @@ class ResourceLimitError(FetaError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """The resource bounds of an analysis, one field per `--max-*` flag.
 
     `states` bounds the team states a builder materialises, `participants`

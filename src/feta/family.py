@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import Fts, state_key
 from .errors import Budget
@@ -49,27 +49,44 @@ from .receptiveness import (
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
+from .values import Value, init_field
 
 FEATURED_COMPLIANT = "featured-compliant"
 FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
 
 
-@dataclass(frozen=True)
-class FamilyRequirement:
+class FamilyRequirement(Value):
     """A sender group, action and state with their application condition.
 
     `mask` holds the bits of the products satisfying the condition, as
-    `expr_mask` would compile it.
+    `expr_mask` would compile it; it follows from the condition, so `==` and
+    `hash` leave it out.
     """
 
-    state: tuple
-    senders: frozenset[str]
-    action: str
-    condition: FeatureExpr
-    enabling: FeatureExpr
-    sync_condition: FeatureExpr
-    reach_condition: FeatureExpr
-    mask: int = field(compare=False)
+    __match_args__ = (
+        "state", "senders", "action", "condition", "enabling", "sync_condition",
+        "reach_condition", "mask",
+    )
+
+    def __init__(
+        self, state: tuple, senders: frozenset[str], action: str, condition: FeatureExpr,
+        enabling: FeatureExpr, sync_condition: FeatureExpr, reach_condition: FeatureExpr,
+        mask: int,
+    ) -> None:
+        init_field(self, "state", state)
+        init_field(self, "senders", senders)
+        init_field(self, "action", action)
+        init_field(self, "condition", condition)
+        init_field(self, "enabling", enabling)
+        init_field(self, "sync_condition", sync_condition)
+        init_field(self, "reach_condition", reach_condition)
+        init_field(self, "mask", mask)
+
+    def _key(self) -> tuple:
+        return (
+            self.state, self.senders, self.action, self.condition, self.enabling,
+            self.sync_condition, self.reach_condition,
+        )
 
     def sort_key(self):
         return (state_key(self.state), self.action, tuple(sorted(self.senders)))
@@ -80,8 +97,7 @@ class FamilyRequirement:
         return f"[{format_expr(self.condition)}] rcp({{{group}}}, {self.action}) @ {st}"
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     """How one family requirement fared across the whole family."""
 
     requirement: FamilyRequirement
@@ -90,8 +106,7 @@ class FamilyVerdict:
     violation_product: Product | None
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     mode: str
     entries: tuple[FamilyVerdict, ...]
     warnings: tuple[str, ...]
@@ -285,8 +300,7 @@ def check_family_receptiveness(
 # --- cross-checks between the family route and the per-product route -------
 
 
-@dataclass(frozen=True)
-class ProjectionAgreement:
+class ProjectionAgreement(NamedTuple):
     """Per product: requirements read off the family versus derived directly."""
 
     product: Product
@@ -326,8 +340,7 @@ def crosscheck_compliance_unfolding(feta: Fts, verdict: FamilyVerdict) -> bool:
     return (verdict.status == FEATURED_COMPLIANT) == unfolded
 
 
-@dataclass(frozen=True)
-class FamilyProductsAgreement:
+class FamilyProductsAgreement(NamedTuple):
     """Family verdict versus the conjunction of per-product verdicts."""
 
     mode: str

@@ -15,21 +15,24 @@ equivalent for display only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from .errors import Budget, SpecificationError
+from .values import Value, init_field
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
+class FeatureSpace(Value):
     """The finite universe of feature names, in declaration order."""
 
-    names: tuple[str, ...]
+    __match_args__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise SpecificationError(f"duplicate feature names in {self.names}")
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if len(set(names)) != len(names):
+            raise SpecificationError(f"duplicate feature names in {names}")
+        init_field(self, "names", names)
+
+    def _key(self) -> tuple:
+        return (self.names,)
 
     @classmethod
     def of(cls, *names: str) -> FeatureSpace:
@@ -45,17 +48,20 @@ class FeatureSpace:
         return tuple(sorted(self.names))
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Value):
     """A subset of the feature space: one variant of the family."""
 
-    selected: frozenset[str]
-    space: FeatureSpace
+    __match_args__ = ("selected", "space")
 
-    def __post_init__(self) -> None:
-        extra = self.selected - set(self.space.names)
+    def __init__(self, selected: frozenset[str], space: FeatureSpace) -> None:
+        extra = selected - set(space.names)
         if extra:
             raise SpecificationError(f"product selects unknown features {sorted(extra)}")
+        init_field(self, "selected", selected)
+        init_field(self, "space", space)
+
+    def _key(self) -> tuple:
+        return (self.selected, self.space)
 
     @classmethod
     def of(cls, space: FeatureSpace, *names: str) -> Product:
@@ -77,8 +83,11 @@ class Product:
         return "{" + ",".join(self.names()) + "}"
 
 
-class FeatureExpr:
-    """Base class of the expression nodes. Nodes are immutable and hashable."""
+class FeatureExpr(Value):
+    """Base class of the expression nodes. Nodes are immutable and hashable.
+
+    Nodes of different classes are never equal: `And((a, b)) != Or((a, b))`.
+    """
 
     __slots__ = ()
 
@@ -95,51 +104,91 @@ class FeatureExpr:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Const(FeatureExpr):
-    value: bool
+    __match_args__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        init_field(self, "value", value)
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
 class Var(FeatureExpr):
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        init_field(self, "name", name)
+
+    def _key(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class Not(FeatureExpr):
-    operand: FeatureExpr
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: FeatureExpr) -> None:
+        init_field(self, "operand", operand)
+
+    def _key(self) -> tuple:
+        return (self.operand,)
 
 
-@dataclass(frozen=True)
 class And(FeatureExpr):
-    operands: tuple[FeatureExpr, ...]
+    __match_args__ = ("operands",)
+
+    def __init__(self, operands: tuple[FeatureExpr, ...]) -> None:
+        init_field(self, "operands", operands)
+
+    def _key(self) -> tuple:
+        return (self.operands,)
 
 
-@dataclass(frozen=True)
 class Or(FeatureExpr):
-    operands: tuple[FeatureExpr, ...]
+    __match_args__ = ("operands",)
+
+    def __init__(self, operands: tuple[FeatureExpr, ...]) -> None:
+        init_field(self, "operands", operands)
+
+    def _key(self) -> tuple:
+        return (self.operands,)
 
 
-@dataclass(frozen=True)
 class Implies(FeatureExpr):
-    antecedent: FeatureExpr
-    consequent: FeatureExpr
+    __match_args__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: FeatureExpr, consequent: FeatureExpr) -> None:
+        init_field(self, "antecedent", antecedent)
+        init_field(self, "consequent", consequent)
+
+    def _key(self) -> tuple:
+        return (self.antecedent, self.consequent)
 
 
-@dataclass(frozen=True)
 class Iff(FeatureExpr):
-    left: FeatureExpr
-    right: FeatureExpr
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: FeatureExpr, right: FeatureExpr) -> None:
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True)
 class Xor(FeatureExpr):
-    left: FeatureExpr
-    right: FeatureExpr
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: FeatureExpr, right: FeatureExpr) -> None:
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
 
 def conj(operands) -> FeatureExpr:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import Lts, state_key
 from .errors import Budget, SpecificationError
@@ -28,8 +28,7 @@ WEAKLY_COMPLIANT = "weakly-compliant"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     """A group of ready senders and the action they want received, at a state."""
 
     state: tuple
@@ -45,8 +44,7 @@ class Requirement:
         return f"rcp({{{group}}}, {self.action}) @ {st}"
 
 
-@dataclass(frozen=True)
-class ComplianceVerdict:
+class ComplianceVerdict(NamedTuple):
     """How one requirement fared; the witness is a path ending in the send."""
 
     requirement: Requirement
@@ -54,8 +52,7 @@ class ComplianceVerdict:
     witness: tuple[SystemTransition, ...] | None
 
 
-@dataclass(frozen=True)
-class ReceptivenessReport:
+class ReceptivenessReport(NamedTuple):
     mode: str
     entries: tuple[ComplianceVerdict, ...]
     warnings: tuple[str, ...]

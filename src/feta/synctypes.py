@@ -11,8 +11,7 @@ total: every valid product and every action must hit some rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidProductError, SpecificationError, TotalityError
 from .features import (
@@ -23,23 +22,27 @@ from .features import (
     format_expr,
     valid_products,
 )
+from .values import Value, init_field
 
 # Upper bound of an interval without a finite maximum.
 STAR = None
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """A closed integer interval [lo, hi]; hi may be STAR for "no maximum"."""
 
-    lo: int
-    hi: int | None
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise SpecificationError(f"interval minimum {self.lo} is negative")
-        if self.hi is not STAR and self.hi < self.lo:
-            raise SpecificationError(f"empty interval [{self.lo},{self.hi}]")
+    def __init__(self, lo: int, hi: int | None) -> None:
+        if lo < 0:
+            raise SpecificationError(f"interval minimum {lo} is negative")
+        if hi is not STAR and hi < lo:
+            raise SpecificationError(f"empty interval [{lo},{hi}]")
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+
+    def _key(self) -> tuple:
+        return (self.lo, self.hi)
 
     def contains(self, value: int) -> bool:
         return value >= self.lo and (self.hi is STAR or value <= self.hi)
@@ -49,8 +52,7 @@ class Interval:
         return f"[{self.lo},{hi}]"
 
 
-@dataclass(frozen=True)
-class SyncType:
+class SyncType(NamedTuple):
     """How many senders and receivers a transition of one action may have."""
 
     senders: Interval
@@ -67,14 +69,13 @@ def transition_satisfies(transition, sync_type: SyncType) -> bool:
     )
 
 
-@dataclass(eq=False)
 class SyncTypeSpec:
     """A total map from actions to synchronisation types (one product's view)."""
 
-    types: Mapping[str, SyncType]
+    __match_args__ = ("types",)
 
-    def __post_init__(self) -> None:
-        self.types = dict(self.types)
+    def __init__(self, types: Mapping[str, SyncType]) -> None:
+        self.types = dict(types)
 
     def for_action(self, action: str) -> SyncType:
         try:
@@ -86,8 +87,7 @@ class SyncTypeSpec:
         return frozenset(self.types)
 
 
-@dataclass(frozen=True)
-class SyncRule:
+class SyncRule(NamedTuple):
     """One guarded rule; actions is None for a rule covering every action."""
 
     guard: FeatureExpr
@@ -102,18 +102,19 @@ class SyncRule:
         return f"{names}: {self.sync_type} when {format_expr(self.guard)}"
 
 
-@dataclass(eq=False)
 class FeaturedSyncSpec:
     """An ordered, guarded rule list assigning types per product and action."""
 
-    rules: tuple[SyncRule, ...]
-    alphabet: frozenset[str]
-    space: FeatureSpace
-    feature_model: FeatureExpr
+    __match_args__ = ("rules", "alphabet", "space", "feature_model")
 
-    def __post_init__(self) -> None:
-        self.rules = tuple(self.rules)
-        self.alphabet = frozenset(self.alphabet)
+    def __init__(
+        self, rules: tuple[SyncRule, ...], alphabet: frozenset[str], space: FeatureSpace,
+        feature_model: FeatureExpr,
+    ) -> None:
+        self.rules = tuple(rules)
+        self.alphabet = frozenset(alphabet)
+        self.space = space
+        self.feature_model = feature_model
         for rule in self.rules:
             if rule.actions is not None and not rule.actions <= self.alphabet:
                 unknown = sorted(rule.actions - self.alphabet)

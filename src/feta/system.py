@@ -18,27 +18,30 @@ team builder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
 from .errors import Budget, SpecificationError
 from .features import FeatureExpr, FeatureSpace, Product
+from .values import Value, init_field
 
 
-@dataclass(frozen=True)
-class SystemLabel:
+class SystemLabel(Value):
     """A synchronising label: senders, one action, receivers."""
 
-    senders: frozenset[str]
-    action: str
-    receivers: frozenset[str]
+    __match_args__ = ("senders", "action", "receivers")
 
-    def __post_init__(self) -> None:
-        if not (self.senders or self.receivers):
+    def __init__(self, senders: frozenset[str], action: str, receivers: frozenset[str]) -> None:
+        if not (senders or receivers):
             raise SpecificationError("a system label needs at least one participant")
-        if self.senders & self.receivers:
+        if senders & receivers:
             raise SpecificationError("a component cannot send and receive the same action")
+        init_field(self, "senders", senders)
+        init_field(self, "action", action)
+        init_field(self, "receivers", receivers)
+
+    def _key(self) -> tuple:
+        return (self.senders, self.action, self.receivers)
 
     def participants(self) -> frozenset[str]:
         return self.senders | self.receivers
@@ -79,8 +82,7 @@ class SystemTransition(NamedTuple):
         return f"{src} --{self.label}--> {dst}"
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Which actions lack a potential sender or receiver somewhere in the system."""
 
     missing_senders: tuple[str, ...]
@@ -189,31 +191,30 @@ class _ComposeMixin:
         return states, tuple(transitions)
 
 
-@dataclass(eq=False)
 class System(_ComposeMixin):
     """An ordered family of plain component automata."""
 
-    names: tuple[str, ...]
-    components: Mapping[str, Component]
+    __match_args__ = ("names", "components")
 
-    def __post_init__(self) -> None:
-        self.names = tuple(self.names)
-        self.components = dict(self.components)
+    def __init__(self, names: tuple[str, ...], components: Mapping[str, Component]) -> None:
+        self.names = tuple(names)
+        self.components = dict(components)
         _check_bindings(self.names, self.components, Component)
 
 
-@dataclass(eq=False)
 class FeaturedSystem(_ComposeMixin):
     """An ordered family of featured components over one shared feature model."""
 
-    names: tuple[str, ...]
-    components: Mapping[str, FeaturedComponent]
-    space: FeatureSpace
-    feature_model: FeatureExpr
+    __match_args__ = ("names", "components", "space", "feature_model")
 
-    def __post_init__(self) -> None:
-        self.names = tuple(self.names)
-        self.components = dict(self.components)
+    def __init__(
+        self, names: tuple[str, ...], components: Mapping[str, FeaturedComponent],
+        space: FeatureSpace, feature_model: FeatureExpr,
+    ) -> None:
+        self.names = tuple(names)
+        self.components = dict(components)
+        self.space = space
+        self.feature_model = feature_model
         _check_bindings(self.names, self.components, FeaturedComponent)
         for name in self.names:
             comp = self.components[name]

@@ -19,7 +19,7 @@ full product of the local state sets and stays the reference.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
@@ -252,8 +252,7 @@ def prune_for_display(feta: Fts) -> Fts:
     )
 
 
-@dataclass(frozen=True)
-class CommutationResult:
+class CommutationResult(NamedTuple):
     """Outcome of comparing team projection against per-product composition."""
 
     product: Product

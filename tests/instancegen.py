@@ -279,7 +279,6 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
         crosscheck_compliance_unfolding,
         crosscheck_family_vs_products,
         crosscheck_requirement_projection,
-        derive_requirements,
         entails,
         product_team,
         reachable_featured_team,
@@ -306,11 +305,13 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 own, spec_p, sys_p = product_team(fsys, fspec, product)
                 if not check_projection_commutes(team, product, own).ok:
                     results.projection_failures.append((seed, product))
-                own_reqs = derive_requirements(own, spec_p, sys_p)
+                # The entries do not depend on the mode, only `holds` does.
+                verdicts = check_receptiveness(own, spec_p, sys_p)
+                own_reqs = [entry.requirement for entry in verdicts.entries]
                 if not crosscheck_requirement_projection(freqs, product, own_reqs).ok:
                     results.requirement_projection_failures.append((seed, product))
                 for mode, reports in product_reports.items():
-                    reports.append((product, check_receptiveness(own, spec_p, sys_p, mode)))
+                    reports.append((product, verdicts._replace(mode=mode)))
                 for req in own_reqs:
                     strict = check_compliance(own, req).status
                     weak = check_weak_compliance(own, req).status

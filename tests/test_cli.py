@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import feta.family
+import feta.receptiveness
 import feta.team
 import models
 from feta import Budget, cli, features
@@ -477,20 +478,30 @@ def _counting(monkeypatch, module, attr, calls):
 def test_verify_builds_each_product_team_once(capsys, monkeypatch):
     """One own team per valid product, under the CLI's budget.
 
-    The family requirements come with the strict and the weak family verdict.
+    The family requirements come with the strict and the weak family verdict,
+    and each product's requirements with its one receptiveness report.
     """
-    calls = {"build_team": [], "product_team": [], "derive_family_requirements": []}
+    calls = {
+        "build_team": [],
+        "product_team": [],
+        "derive_family_requirements": [],
+        "derive_requirements": [],
+    }
     _counting(monkeypatch, feta.team, "build_team", calls["build_team"])
     _counting(monkeypatch, feta.team, "product_team", calls["product_team"])
     _counting(
         monkeypatch, feta.family, "derive_family_requirements",
         calls["derive_family_requirements"],
     )
+    _counting(
+        monkeypatch, feta.receptiveness, "derive_requirements", calls["derive_requirements"]
+    )
     flags = ("--max-states", "1000", "--max-participants", "7", "--max-products", "100")
     code, out, _ = run(capsys, "verify", *flags, ACCESS)
     assert code == 0, out
     assert len(calls["build_team"]) == 2
     assert len(calls["derive_family_requirements"]) <= 2
+    assert len(calls["derive_requirements"]) == 2
     budget = Budget(states=1000, participants=7, products=100)
     assert [c["budget"] for c in calls["product_team"]] == [budget] * 2
 
@@ -749,3 +760,25 @@ def test_no_command_prints_help_and_fails(capsys):
     code, _, err = run(capsys)
     assert code == 2
     assert "usage:" in err
+
+
+# --- start-up -----------------------------------------------------------------
+
+
+def test_start_up_imports_no_code_generation_or_resource_loading():
+    """`import feta.cli` stays off `dataclasses` (and the `inspect` it loads)
+    and off `importlib.resources`, which only `feta examples` needs.
+
+    The child runs isolated and without `site`, so no `.pth` file of the
+    installation loads any of them first.
+    """
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    unwanted = ("dataclasses", "inspect", "importlib.resources")
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import feta.cli; "
+        f"print([name for name in {unwanted!r} if name in sys.modules])"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "[]\n"

@@ -1,7 +1,5 @@
 """Family-level requirements, featured compliance and the cross-checks."""
 
-import dataclasses
-
 import pytest
 
 import models
@@ -213,7 +211,7 @@ def test_compliance_unfolds_product_by_product(team, access):
     assert all(crosscheck_compliance_unfolding(team, v) for v in strict.entries)
     flipped = {FEATURED_COMPLIANT: VIOLATED, VIOLATED: FEATURED_COMPLIANT}
     assert not any(
-        crosscheck_compliance_unfolding(team, dataclasses.replace(v, status=flipped[v.status]))
+        crosscheck_compliance_unfolding(team, v._replace(status=flipped[v.status]))
         for v in strict.entries
     )
 

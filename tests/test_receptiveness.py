@@ -141,6 +141,14 @@ def test_lock_product_is_weakly_receptive(lock_team):
     assert statuses == {COMPLIANT, WEAKLY_COMPLIANT}
 
 
+def test_verdict_entries_do_not_depend_on_the_mode(lock_team):
+    """`verify` reads a product's strict and weak verdicts off one report."""
+    strict, weak = (check_receptiveness(*lock_team, mode=mode) for mode in ("strict", "weak"))
+    assert strict.entries == weak.entries
+    assert strict._replace(mode="weak") == weak
+    assert (strict.holds, weak.holds) == (False, True)
+
+
 def test_weak_witness_goes_through_the_servers_confirm(lock_team):
     team, spec, sys_p = lock_team
     req = Requirement(("1", "0", "1"), frozenset({"u2"}), "join")
