@@ -60,7 +60,7 @@ from .features import (
     product_expr,
     product_index,
     product_set_expr,
-    products_mask,
+    products_in,
     simplified,
     valid_products,
     variables,
@@ -92,7 +92,6 @@ from .team import (
     check_projection_commutes,
     participants_guard,
     product_team,
-    products_allowing,
     prune_for_display,
     reachable_featured_team,
 )

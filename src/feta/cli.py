@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings as _warnings
-from pathlib import Path
 
 from . import __version__
 from .dsl import elaborate_text
@@ -227,7 +226,8 @@ def _fail(args, message: str, details: tuple[str, ...]) -> int:
 def _emit(args, text: str) -> None:
     output = getattr(args, "output", None)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -235,7 +235,8 @@ def _emit(args, text: str) -> None:
 def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, Budget, list[str]]:
     """Read and elaborate the input, and build the budget from the `--max-*` flags."""
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        with open(args.input, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -549,10 +550,11 @@ def cmd_verify(args) -> int:
     full, feta = _build_teams(
         args, fsys, fspec, budget, warns, build_featured_team, reachable_featured_team
     )
-    family = {
-        mode: check_family_receptiveness(feta, fsys, fspec, mode, budget) for mode in (STRICT, WEAK)
-    }
-    freqs = [entry.requirement for entry in family[STRICT].entries]
+    # Weak mode keeps every strictly compliant entry and re-decides only the
+    # violated ones, so read in strict mode the same entries give its verdict.
+    weak = check_family_receptiveness(feta, fsys, fspec, WEAK, budget)
+    family = {STRICT: weak._replace(mode=STRICT), WEAK: weak}
+    freqs = [entry.requirement for entry in weak.entries]
     commutes, projects = [], []
     product_reports = {mode: [] for mode in family}
     for product in valid_products(fsys.feature_model, fsys.space):

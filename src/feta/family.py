@@ -31,9 +31,10 @@ from .features import (
     disj,
     evaluate,
     format_expr,
+    mask_union,
     product_index,
     product_set_expr,
-    products_mask,
+    products_in,
     valid_products,
 )
 from .receptiveness import (
@@ -124,24 +125,9 @@ class FamilyReport(NamedTuple):
         return tuple(e for e in self.entries if e.status == VIOLATED)
 
 
-def _products_in(feta: Fts, mask: int) -> tuple[Product, ...]:
-    """The valid products whose bit is set in the mask, in lexicographic order."""
-    return tuple(
-        p for p in valid_products(feta.feature_model, feta.space)
-        if mask >> product_index(p) & 1
-    )
-
-
-def _union(masks) -> int:
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
-
-
 def reachable_products(feta: Fts, state) -> tuple[Product, ...]:
     """Valid products under which the state is reachable in the featured team."""
-    return _products_in(feta, feta.reachable_masks.get(state, 0))
+    return products_in(feta.reachable_masks.get(state, 0), feta.feature_model, feta.space)
 
 
 def _local_sends(fsys: FeaturedSystem, name: str, action: str, state: tuple):
@@ -163,16 +149,12 @@ def senders_guard(
     return conj(parts)
 
 
-def products_for_group(
-    fspec: FeaturedSyncSpec, group: frozenset[str], action: str
-) -> tuple[Product, ...]:
-    """Valid products whose type lets this group send and forbids zero receivers."""
-    out = []
-    for product in valid_products(fspec.feature_model, fspec.space):
-        st = fspec.lookup(product, action)
-        if st.senders.contains(len(group)) and not st.receivers.contains(0):
-            out.append(product)
-    return tuple(out)
+def products_for_group(fspec: FeaturedSyncSpec, group: frozenset[str], action: str) -> int:
+    """The valid products whose type lets this group send and forbids zero receivers."""
+    return mask_union(
+        decides for st, _, decides in fspec.table(action).rules
+        if st.senders.contains(len(group)) and not st.receivers.contains(0)
+    )
 
 
 def derive_family_requirements(
@@ -205,12 +187,13 @@ def derive_family_requirements(
             enabling_masks = {}
             for name in ready:
                 comp, steps = _local_sends(fsys, name, action, q)
-                enabling_masks[name] = _union(comp.guard_masks[t] for t in steps)
+                enabling_masks[name] = mask_union(comp.guard_masks[t] for t in steps)
             for size in range(1, len(ready) + 1):
                 key = (size, action)
                 if key not in sync:
                     allowed = products_for_group(fspec, ready[:size], action)
-                    sync[key] = (product_set_expr(allowed, feta.space), products_mask(allowed))
+                    products = products_in(allowed, feta.feature_model, feta.space)
+                    sync[key] = (product_set_expr(products, feta.space), allowed)
                 sync_condition, sync_mask = sync[key]
                 size_mask = sync_mask & reach_mask
                 if not size_mask:
@@ -224,7 +207,7 @@ def derive_family_requirements(
                     group = frozenset(names)
                     if reach_condition is None:
                         reach_condition = product_set_expr(
-                            _products_in(feta, reach_mask), feta.space
+                            products_in(reach_mask, feta.feature_model, feta.space), feta.space
                         )
                     enabling = senders_guard(fsys, group, action, q)
                     condition = And((enabling, sync_condition, reach_condition))
@@ -246,10 +229,10 @@ def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict
     condition but none of the guards is reported.
     """
     candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
-    uncovered = freq.mask & ~_union(feta.guard_masks[t] for t in candidates)
+    uncovered = freq.mask & ~mask_union(feta.guard_masks[t] for t in candidates)
     if not uncovered:
         return FamilyVerdict(freq, FEATURED_COMPLIANT, tuple(candidates), None)
-    culprit = next(iter(_products_in(feta, uncovered)), None)
+    culprit = next(iter(products_in(uncovered, feta.feature_model, feta.space)), None)
     return FamilyVerdict(freq, VIOLATED, (), culprit)
 
 
@@ -263,7 +246,7 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
     req = Requirement(freq.state, freq.senders, freq.action)
     masks = feta.guard_masks
     witnesses = []
-    for product in _products_in(feta, freq.mask):
+    for product in products_in(freq.mask, feta.feature_model, feta.space):
         bit = 1 << product_index(product)
 
         def successors(state, bit=bit):
@@ -329,7 +312,11 @@ def crosscheck_requirement_projection(
 
 
 def crosscheck_compliance_unfolding(feta: Fts, verdict: FamilyVerdict) -> bool:
-    """A strict family verdict must match product-by-product unfolding."""
+    """The verdict must be featured-compliant exactly when every product
+    satisfying the condition has a guarded send. Weak mode keeps each strictly
+    compliant entry's status and re-decides only the violated ones, so its
+    verdicts serve as well as strict ones.
+    """
     freq = verdict.requirement
     candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
     unfolded = all(

@@ -405,12 +405,21 @@ def product_index(product: Product) -> int:
     return sum(1 << product.space.names.index(name) for name in product.selected)
 
 
-def products_mask(products) -> int:
-    """The mask with exactly the bits of the given products set."""
-    mask = 0
-    for product in products:
-        mask |= 1 << product_index(product)
-    return mask
+def mask_union(masks) -> int:
+    """The OR of the masks; 0 for none."""
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+def products_in(mask: int, feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
+    """The valid products whose bit is set in the mask, in `valid_products` order."""
+    if not mask:
+        return ()
+    return tuple(
+        p for p in valid_products(feature_model, space) if mask >> product_index(p) & 1
+    )
 
 
 def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:

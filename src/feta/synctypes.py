@@ -19,8 +19,11 @@ from .features import (
     FeatureSpace,
     Product,
     evaluate,
+    expr_mask,
     format_expr,
-    valid_products,
+    mask_union,
+    product_index,
+    products_in,
 )
 from .values import Value, init_field
 
@@ -102,6 +105,18 @@ class SyncRule(NamedTuple):
         return f"{names}: {self.sync_type} when {format_expr(self.guard)}"
 
 
+class ActionTable(NamedTuple):
+    """One action's first match for all valid products, as `expr_mask` bits.
+
+    `rules` has a (type, matches, decides) triple per covering rule, in order:
+    the valid products satisfying its guard, and those of them that no earlier
+    covering rule matches. No covering rule matches those in `uncovered`.
+    """
+
+    rules: tuple[tuple[SyncType, int, int], ...]
+    uncovered: int
+
+
 class FeaturedSyncSpec:
     """An ordered, guarded rule list assigning types per product and action."""
 
@@ -119,11 +134,10 @@ class FeaturedSyncSpec:
             if rule.actions is not None and not rule.actions <= self.alphabet:
                 unknown = sorted(rule.actions - self.alphabet)
                 raise SpecificationError(f"sync rule names unknown actions {unknown}")
-        self._allowed: dict[tuple[str, int, int], tuple[Product, ...]] = {}
-        self._missing: tuple[tuple[Product, str], ...] | None = None
+        self._tables: dict[str, ActionTable] | None = None
 
     def lookup(self, product: Product, action: str) -> SyncType:
-        """First-match rule lookup for one product and action."""
+        """First-match rule lookup for one product and action (the per-product route)."""
         if action not in self.alphabet:
             raise SpecificationError(f"unknown action {action!r}")
         for rule in self.rules:
@@ -133,58 +147,65 @@ class FeaturedSyncSpec:
             f"no synchronisation type for product {product} and action {action!r}"
         )
 
-    def validate_total(self) -> tuple[tuple[Product, str], ...]:
-        """The (product, action) pairs left uncovered; empty when total.
-
-        Memoised on the instance, like `allowed_products`.
-        """
-        if self._missing is None:
-            missing = []
-            for product in valid_products(self.feature_model, self.space):
-                for action in sorted(self.alphabet):
-                    if not any(
-                        rule.covers(action) and evaluate(rule.guard, product)
-                        for rule in self.rules
-                    ):
-                        missing.append((product, action))
-            self._missing = tuple(missing)
-        return self._missing
-
-    def find_overlaps(self) -> tuple[tuple[Product, str, SyncType, SyncType], ...]:
-        """Pairs where a later rule would assign a different type than the match."""
-        out = []
-        for product in valid_products(self.feature_model, self.space):
-            for action in sorted(self.alphabet):
-                hits = [
-                    rule.sync_type
-                    for rule in self.rules
-                    if rule.covers(action) and evaluate(rule.guard, product)
-                ]
-                for later in hits[1:]:
-                    if later != hits[0]:
-                        out.append((product, action, hits[0], later))
-                        break
-        return tuple(out)
-
     def project(self, product: Product) -> SyncTypeSpec:
         """The per-action type map seen by one valid product."""
         if not evaluate(self.feature_model, product):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
         return SyncTypeSpec({a: self.lookup(product, a) for a in sorted(self.alphabet)})
 
-    def allowed_products(
-        self, action: str, n_senders: int, n_receivers: int
-    ) -> tuple[Product, ...]:
-        """Valid products whose type for the action admits these participant counts.
-
-        Memoised on the instance, so the memo lives exactly as long as the spec.
+    def table(self, action: str) -> ActionTable:
+        """The action's first match for all products at once (the family route),
+        built for all actions on first use and kept on the instance.
         """
-        key = (action, n_senders, n_receivers)
-        if key not in self._allowed:
-            out = []
-            for product in valid_products(self.feature_model, self.space):
-                st = self.lookup(product, action)
-                if st.senders.contains(n_senders) and st.receivers.contains(n_receivers):
-                    out.append(product)
-            self._allowed[key] = tuple(out)
-        return self._allowed[key]
+        if action not in self.alphabet:
+            raise SpecificationError(f"unknown action {action!r}")
+        if self._tables is None:
+            valid = expr_mask(self.feature_model, self.space)
+            guards = [expr_mask(rule.guard, self.space) & valid for rule in self.rules]
+            self._tables = {}
+            for name in self.alphabet:
+                rows, left = [], valid
+                for rule, guard in zip(self.rules, guards):
+                    if rule.covers(name):
+                        rows.append((rule.sync_type, guard, guard & left))
+                        left &= ~guard
+                self._tables[name] = ActionTable(tuple(rows), left)
+        return self._tables[action]
+
+    def allowed_products(self, action: str, n_senders: int, n_receivers: int) -> int:
+        """The valid products whose type for the action admits these participant counts."""
+        return mask_union(
+            decides for st, _, decides in self.table(action).rules
+            if st.senders.contains(n_senders) and st.receivers.contains(n_receivers)
+        )
+
+    def validate_total(self) -> tuple[tuple[Product, str], ...]:
+        """The (product, action) pairs that no rule covers, by product in
+        `valid_products` order, then by action; empty when the spec is total.
+        """
+        return self._by_product([(a, self.table(a).uncovered) for a in sorted(self.alphabet)])
+
+    def find_overlaps(self) -> tuple[tuple[Product, str, SyncType, SyncType], ...]:
+        """(product, action, first, later) where a later matching rule gives
+        another type than the first match; per pair the first such rule, in
+        the order of `validate_total`.
+        """
+        found = []
+        for action in sorted(self.alphabet):
+            rows = self.table(action).rules
+            for idx, (first, _, left) in enumerate(rows):
+                for later, matches, _ in rows[idx + 1:]:
+                    if later != first and left & matches:
+                        found.append((action, left & matches, first, later))
+                        left &= ~matches
+        return self._by_product(found)
+
+    def _by_product(self, found) -> tuple:
+        """`(product, action, *rest)` per `(action, mask, *rest)` and product in `mask`."""
+        union = mask_union(mask for _, mask, *_ in found)
+        return tuple(
+            (product, action, *rest)
+            for product in products_in(union, self.feature_model, self.space)
+            for action, mask, *rest in found
+            if mask >> product_index(product) & 1
+        )

@@ -19,19 +19,12 @@ full product of the local state sets and stays the reference.
 from __future__ import annotations
 
 import warnings
+from functools import cache
 from typing import NamedTuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import (
-    And,
-    FeatureExpr,
-    Product,
-    conj,
-    product_set_expr,
-    products_mask,
-    valid_products,
-)
+from .features import And, FeatureExpr, Product, conj, expr_mask, product_set_expr, products_in
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
 from .system import FeaturedSystem, System, SystemTransition
 
@@ -48,15 +41,6 @@ def participants_guard(fsys: FeaturedSystem, transition: SystemTransition) -> Fe
         fsys.components[name].guards[(src[idx], label.action, dst[idx])]
         for idx, name in enumerate(fsys.names)
         if name in involved
-    )
-
-
-def products_allowing(
-    fspec: FeaturedSyncSpec, transition: SystemTransition
-) -> tuple[Product, ...]:
-    """Valid products whose type for the transition's action admits it."""
-    return fspec.allowed_products(
-        transition.action, len(transition.senders), len(transition.receivers)
     )
 
 
@@ -89,28 +73,21 @@ class _TeamGuards:
 
     The guard is the plain two-part conjunction of the participants' local
     guards and the sync expression, without simplification; the mask is the
-    AND of the participants' local guard masks and the bits of the allowed
-    products, so no guard is compiled. All transitions with the same action
-    and participant counts share one sync expression and one sync mask.
+    AND of the participants' local guard masks and the sync mask
+    (`FeaturedSyncSpec.allowed_products`), so no guard is compiled. All
+    transitions with the same action and participant counts share one sync
+    mask, asked of the spec once per build, and one sync expression.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
         self._where = {name: (idx, fsys.components[name]) for idx, name in enumerate(fsys.names)}
-        self._sync: dict[tuple[str, int, int], tuple[tuple[Product, ...], int]] = {}
+        self._allowed = cache(fspec.allowed_products)
         self._sync_exprs: dict[tuple[str, int, int], FeatureExpr] = {}
 
-    def _allowed(self, t: SystemTransition) -> tuple:
-        """The sync key, allowed products and their mask of the transition."""
-        key = (t.action, len(t.senders), len(t.receivers))
-        if key not in self._sync:
-            allowed = products_allowing(self.fspec, t)
-            self._sync[key] = (allowed, products_mask(allowed))
-        return key, *self._sync[key]
-
     def mask(self, t: SystemTransition) -> int:
-        mask = self._allowed(t)[2]
         source, label, target = t
+        mask = self._allowed(label.action, len(label.senders), len(label.receivers))
         for names in (label.senders, label.receivers):
             for name in names:
                 idx, comp = self._where[name]
@@ -118,10 +95,11 @@ class _TeamGuards:
         return mask
 
     def guard(self, t: SystemTransition) -> FeatureExpr:
-        key, allowed, _ = self._allowed(t)
+        fsys, key = self.fsys, (t.action, len(t.senders), len(t.receivers))
         if key not in self._sync_exprs:
-            self._sync_exprs[key] = product_set_expr(allowed, self.fsys.space)
-        return And((participants_guard(self.fsys, t), self._sync_exprs[key]))
+            allowed = products_in(self._allowed(*key), fsys.feature_model, fsys.space)
+            self._sync_exprs[key] = product_set_expr(allowed, fsys.space)
+        return And((participants_guard(fsys, t), self._sync_exprs[key]))
 
 
 def build_featured_team(
@@ -179,7 +157,7 @@ def reachable_featured_team(
 
     reach = reach_masks(
         initial,
-        products_mask(valid_products(fsys.feature_model, fsys.space)),
+        expr_mask(fsys.feature_model, fsys.space),
         leaving,
         lambda count: budget.check("states", count, "states reached by the featured team"),
     )
@@ -234,7 +212,8 @@ def prune_for_display(feta: Fts) -> Fts:
     Transitions whose guard no product (valid or not) can satisfy, that is
     whose guard mask is zero, are dropped, then states that the remaining
     transitions cannot reach from the initial states. Analyses never use this
-    view; they work on the full team.
+    view; they work on the full team or on its reachable part
+    (`reachable_featured_team`).
     """
     masks = feta.guard_masks
     live = tuple(t for t in feta.transitions if masks[t])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import models
+from instancegen import instances
 from feta import (
     STAR,
     TRUE,
@@ -24,8 +25,13 @@ from feta import (
     TotalityError,
     Var,
     elaborate_text,
+    evaluate,
+    product_index,
+    products_for_group,
+    products_in,
     synctypes,
     transition_satisfies,
+    valid_products,
 )
 
 ONE = Interval(1, 1)
@@ -113,6 +119,8 @@ def test_lookup_requires_known_action_and_total_rules():
     spec = models.make_sync()
     with pytest.raises(SpecificationError):
         spec.lookup(models.LOCK, "zap")
+    with pytest.raises(SpecificationError):
+        spec.allowed_products("zap", 1, 1)
     partial = FeaturedSyncSpec(
         rules=(SyncRule(Var("lock"), None, SyncType(ONE, ONE)),),
         alphabet=frozenset({"join"}),
@@ -200,20 +208,132 @@ def test_totality_is_validated_once_per_spec(monkeypatch):
     assert evaluated == []
 
 
+def names_in(spec, mask):
+    return {str(p) for p in products_in(mask, spec.feature_model, spec.space)}
+
+
 def test_allowed_products_by_counts():
     spec = models.make_sync()
-    both = {str(p) for p in spec.allowed_products("join", 1, 1)}
-    multi = {str(p) for p in spec.allowed_products("join", 2, 1)}
+    both = names_in(spec, spec.allowed_products("join", 1, 1))
+    multi = names_in(spec, spec.allowed_products("join", 2, 1))
     none = spec.allowed_products("join", 2, 2)
     assert both == {"{lock}", "{unlock}"}
     assert multi == {"{unlock}"}
-    assert none == ()
+    assert none == 0
 
 
 def test_allowed_products_memo_does_not_keep_the_spec_alive():
     spec = models.make_sync()
-    assert spec.allowed_products("join", 1, 1) is spec.allowed_products("join", 1, 1)
+    assert spec.table("join") is spec.table("join")
     ref = weakref.ref(spec)
     del spec
     gc.collect()
     assert ref() is None
+
+
+# --- the rule tables against the per-product first match ---------------------
+
+
+def matching_types(spec, product, action):
+    """The types of the rules that match (product, action), in rule order."""
+    return [
+        rule.sync_type
+        for rule in spec.rules
+        if rule.covers(action) and evaluate(rule.guard, product)
+    ]
+
+
+def reference_missing(spec):
+    return tuple(
+        (product, action)
+        for product in valid_products(spec.feature_model, spec.space)
+        for action in sorted(spec.alphabet)
+        if not matching_types(spec, product, action)
+    )
+
+
+def reference_overlaps(spec):
+    out = []
+    for product in valid_products(spec.feature_model, spec.space):
+        for action in sorted(spec.alphabet):
+            hits = matching_types(spec, product, action)
+            for later in hits[1:]:
+                if later != hits[0]:
+                    out.append((product, action, hits[0], later))
+                    break
+    return tuple(out)
+
+
+def reference_where(spec, action, admits):
+    """The valid products whose first match for the action passes `admits`."""
+    out = []
+    for product in valid_products(spec.feature_model, spec.space):
+        try:
+            sync_type = spec.lookup(product, action)
+        except TotalityError:
+            continue
+        if admits(sync_type):
+            out.append(product)
+    return tuple(out)
+
+
+def mask_of(products):
+    return sum(1 << product_index(p) for p in products)
+
+
+def overlapping_spec():
+    return FeaturedSyncSpec(
+        rules=(
+            SyncRule(TRUE, frozenset({"join"}), SyncType(ONE, ONE)),
+            SyncRule(Var("lock"), frozenset({"join"}), SyncType(Interval(1, STAR), ONE)),
+            SyncRule(Not(Var("lock")), None, SyncType(ONE, ANY)),
+        ),
+        alphabet=frozenset({"join", "leave"}),
+        space=models.SPACE,
+        feature_model=models.MODEL,
+    )
+
+
+def non_total_spec():
+    full = models.make_sync()
+    return FeaturedSyncSpec(full.rules[:2], full.alphabet, full.space, full.feature_model)
+
+
+def reference_specs():
+    yield "overlapping", overlapping_spec()
+    yield "non-total", non_total_spec()
+    for name in ("access_management", "broadcast_logger", "dual_sign", "relay",
+                 "sensor_fusion", "turnstile"):
+        text = Path(models.example_path(name)).read_text(encoding="utf-8")
+        yield name, elaborate_text(text).sync
+    for seed, (_, fspec) in instances(200):
+        yield f"seed {seed}", fspec
+
+
+def test_rule_tables_agree_with_the_per_product_first_match():
+    missing = overlaps = 0
+    for name, spec in reference_specs():
+        assert spec.validate_total() == reference_missing(spec), name
+        assert spec.find_overlaps() == reference_overlaps(spec), name
+        missing += len(spec.validate_total())
+        overlaps += len(spec.find_overlaps())
+        for action in sorted(spec.alphabet):
+            for n_senders in range(4):
+                for n_receivers in range(4):
+                    got = spec.allowed_products(action, n_senders, n_receivers)
+                    want = reference_where(
+                        spec, action,
+                        lambda st: st.senders.contains(n_senders)
+                        and st.receivers.contains(n_receivers),
+                    )
+                    assert got == mask_of(want), name
+            for size in range(1, 4):
+                group = frozenset(f"c{i}" for i in range(size))
+                got = products_for_group(spec, group, action)
+                want = reference_where(
+                    spec, action,
+                    lambda st: st.senders.contains(size) and not st.receivers.contains(0),
+                )
+                assert got == mask_of(want), name
+    # Both lists must have had something to compare.
+    assert missing and overlaps

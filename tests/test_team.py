@@ -21,7 +21,7 @@ from feta import (
     equivalent,
     is_satisfiable,
     participants_guard,
-    products_allowing,
+    products_in,
     product_team,
     prune_for_display,
     valid_products,
@@ -41,7 +41,8 @@ def test_guards_are_stored_as_a_two_part_conjunction(access, team):
     assert isinstance(guard, And) and len(guard.operands) == 2
     local, sync = guard.operands
     assert local == participants_guard(fsys, t)
-    assert {str(p) for p in products_allowing(fspec, t)} == {"{unlock}"}
+    allowed = fspec.allowed_products(t.action, len(t.senders), len(t.receivers))
+    assert {str(p) for p in products_in(allowed, fspec.feature_model, fspec.space)} == {"{unlock}"}
 
 
 def test_joint_join_guard_is_unlock_only(team):
