@@ -3,11 +3,14 @@
 For each bundled example and each command below, `tests/golden/` holds the
 exact stdout (`<example>.<command>.out`), the stderr when there is any
 (`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
-same is kept for the family commands on two scaled inputs in `tests/inputs/`:
-`acc4`, the access example with four users (162 states, of which 48 are
-reachable), and `product_family_v08`, a six-feature family with 12 products.
-The commands run in-process from the input's directory on the bare file
-name, so no path of the checkout ends up in the outputs.
+per-product commands, which need a product of the example, and one JSON
+error envelope are kept for `access_management` only. The family commands
+are also kept on two scaled inputs in `tests/inputs/`: `acc4`, the access
+example with four users (162 states, of which 48 are reachable), and
+`product_family_v08`, a six-feature family with 12 products. The commands
+run in-process from the input's directory on the bare file name, so no path
+of the checkout ends up in the outputs. Every subcommand of the parser, in
+each of its `--format` choices, has at least one case.
 
 Re-record after an intended change of output with
 
@@ -18,6 +21,7 @@ and review the diff of `tests/golden/` before committing it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -43,23 +47,50 @@ EXAMPLES = (
 )
 COMMANDS = {
     "feta": ("feta",),
+    "feta-dot": ("feta", "--format", "dot"),
     "feta-dot-reqs": ("feta", "--format", "dot", "--reqs"),
     "feta-json": ("feta", "--format", "json"),
+    "products": ("products",),
+    "products-json": ("products", "--format", "json"),
+    "compose": ("compose",),
+    "compose-json": ("compose", "--format", "json"),
+    "compose-dot": ("compose", "--format", "dot"),
     "reqs-factors": ("reqs", "--show-factors"),
+    "reqs-json": ("reqs", "--format", "json"),
     "check-strict": ("check", "--strict"),
+    "check-strict-json": ("check", "--strict", "--format", "json"),
+    "check-weak": ("check", "--weak"),
     "check-weak-json": ("check", "--weak", "--format", "json"),
     "verify": ("verify",),
+    "verify-json": ("verify", "--format", "json"),
 }
+ACCESS_COMMANDS = {
+    "examples": ("examples",),
+    "project-lock": ("project", "-p", "lock"),
+    "project-lock-json": ("project", "-p", "lock", "--format", "json"),
+    "project-lock-dot": ("project", "-p", "lock", "--format", "dot"),
+    "reqs-lock": ("reqs", "-p", "lock"),
+    "reqs-lock-json": ("reqs", "-p", "lock", "--format", "json"),
+    "check-lock": ("check", "-p", "lock"),
+    "check-lock-json": ("check", "-p", "lock", "--format", "json"),
+    "check-lock-weak": ("check", "-p", "lock", "--weak"),
+    "check-unlock-weak": ("check", "-p", "unlock", "--weak"),
+    "check-unlock-weak-json": ("check", "-p", "unlock", "--weak", "--format", "json"),
+    "check-max-states-json": ("check", "--max-states", "3", "--format", "json"),
+}
+ARGV = {**COMMANDS, **ACCESS_COMMANDS}
 SCALED = ("acc4", "product_family_v08")
 SCALED_COMMANDS = ("reqs-factors", "check-strict", "check-weak-json", "verify")
-CASES = [(example, command) for example in EXAMPLES for command in COMMANDS] + [
-    (example, command) for example in SCALED for command in SCALED_COMMANDS
-]
+CASES = (
+    [(example, command) for example in EXAMPLES for command in COMMANDS]
+    + [("access_management", command) for command in ACCESS_COMMANDS]
+    + [(example, command) for example in SCALED for command in SCALED_COMMANDS]
+)
 
 
 def run_case(example: str, command: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one command on one input."""
-    argv = [*COMMANDS[command], f"{example}.feta"]
+    argv = [*ARGV[command], f"{example}.feta"]
     folder = INPUTS if example in SCALED else resources.files("feta") / "examples"
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
@@ -85,6 +116,31 @@ def test_output_matches_the_golden_file(example, command, exit_codes):
     err_file = GOLDEN / f"{stem}.err"
     assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
     assert code == exit_codes[stem]
+
+
+def _subcommand_formats() -> dict[str, tuple[str, ...]]:
+    """Each subcommand of the parser with its `--format` choices ("text" if none)."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    out = {}
+    for name, subparser in sub.choices.items():
+        formats = [a.choices for a in subparser._actions if a.dest == "format"]
+        out[name] = tuple(formats[0]) if formats else ("text",)
+    return out
+
+
+def _case_format(argv: tuple[str, ...]) -> tuple[str, str]:
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    return argv[0], fmt
+
+
+def test_every_subcommand_and_format_has_a_golden_case():
+    recorded = {_case_format(ARGV[command]) for _, command in CASES}
+    wanted = {
+        (name, fmt) for name, formats in _subcommand_formats().items() for fmt in formats
+    }
+    assert wanted - recorded == set()
+    assert recorded - wanted == set()
 
 
 def record() -> None:
