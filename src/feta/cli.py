@@ -4,7 +4,8 @@ Every subcommand reads one specification file, prints a report to stdout
 and signals the outcome through the exit code: 0 when the checked property
 holds (or the command only lists things), 1 when a checked property is
 violated, 2 when the input cannot be processed. Diagnostics and warnings
-go to stderr.
+go to stderr. Each report goes through `_report`, which writes the chosen
+format and maps the verdict to the exit code; failures go through `_fail`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .family import (
 from .features import Product, evaluate, format_expr, valid_products
 from .automata import Lts
 from .receptiveness import (
-    COMPLIANT,
     STRICT,
-    VIOLATED,
     WEAK,
     WEAKLY_COMPLIANT,
     check_receptiveness,
@@ -208,19 +207,38 @@ def _fail(args, message: str, details: tuple[str, ...]) -> int:
         print(f"error: {line}", file=sys.stderr)
     print(f"error: {message}", file=sys.stderr)
     if getattr(args, "format", "text") == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "input": getattr(args, "input", ""),
-            "error": {"message": message, "diagnostics": list(details)},
-        }
+        error = {"message": message, "diagnostics": list(details)}
         try:
-            _emit(args, render_json(payload))
+            _emit(args, _envelope(args, [], {"error": error}))
         except OSError as exc:
             # The report's destination itself may be what failed.
             if str(exc) != message:
                 print(f"error: {exc}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _report(args, warns: list[str], ok: bool, text, fields, dot=None) -> int:
+    """Write the chosen view of a command's result; exit 0 if `ok`, else 1.
+
+    The views are zero-argument callables, so only the chosen one is built:
+    `text` gives the report's lines, `fields` the JSON fields that follow
+    the envelope's, and `dot`, where the command offers it, the DOT text.
+    """
+    if args.format == "dot":
+        out = dot()
+    elif args.format == "json":
+        out = _envelope(args, warns, fields())
+    else:
+        out = "\n".join(text()) + "\n"
+    _emit(args, out)
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _envelope(args, warns: list[str], fields: dict) -> str:
+    head = {"schema": SCHEMA, "command": args.command, "input": getattr(args, "input", "")}
+    if warns:
+        head["warnings"] = list(warns)
+    return render_json({**head, **fields})
 
 
 def _emit(args, text: str) -> None:
@@ -294,14 +312,6 @@ def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
     return product
 
 
-def _envelope(args, warns: list[str], **payload) -> dict:
-    out = {"schema": SCHEMA, "command": args.command, "input": args.input}
-    if warns:
-        out["warnings"] = list(warns)
-    out.update(payload)
-    return out
-
-
 def _core(lts: Lts) -> Lts:
     keep = lts.reachable()
     return Lts(
@@ -318,83 +328,62 @@ def _core(lts: Lts) -> Lts:
 def cmd_products(args) -> int:
     fsys, _, _, warns = _load(args)
     products = valid_products(fsys.feature_model, fsys.space)
-    if args.format == "json":
-        payload = _envelope(
-            args,
-            warns,
-            features=list(fsys.space.sorted_names()),
-            feature_model=format_expr(fsys.feature_model),
-            products=[sorted(p.selected) for p in products],
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK
-    lines = [
-        f"features: {', '.join(fsys.space.sorted_names())}",
-        f"feature model: {format_expr(fsys.feature_model)}",
-        f"valid products ({len(products)}):",
-    ]
-    lines += [f"  {product}" for product in products]
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    names, model = fsys.space.sorted_names(), format_expr(fsys.feature_model)
+
+    def text():
+        lines = [f"features: {', '.join(names)}", f"feature model: {model}"]
+        return lines + [f"valid products ({len(products)}):"] + [f"  {p}" for p in products]
+
+    def fields():
+        selected = [sorted(p.selected) for p in products]
+        return {"features": list(names), "feature_model": model, "products": selected}
+
+    return _report(args, warns, True, text, fields)
 
 
 def cmd_compose(args) -> int:
     fsys, _, budget, warns = _load(args)
-    if args.format == "dot":
-        _emit(args, components_dot(fsys))
-        return EXIT_OK
-    states, transitions = fsys.state_space(budget)
-    closure = fsys.validate_closed()
-    stats = {
-        "states": len(states),
-        "transitions": len(transitions),
-        "features": len(fsys.space),
-        "products": len(valid_products(fsys.feature_model, fsys.space)),
-    }
-    if args.format == "json":
-        payload = _envelope(
-            args,
-            warns,
-            stats=stats,
-            closed=closure.ok,
-            closure={
-                "ok": closure.ok,
-                "missing_senders": list(closure.missing_senders),
-                "missing_receivers": list(closure.missing_receivers),
-            },
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK
-    lines = stats_text(stats)
-    if closure.ok:
-        lines.append("closed: yes")
-    else:
-        lines.append("closed: no")
+
+    def summary():
+        states, transitions = fsys.state_space(budget)
+        stats = {
+            "states": len(states),
+            "transitions": len(transitions),
+            "features": len(fsys.space),
+            "products": len(valid_products(fsys.feature_model, fsys.space)),
+        }
+        return stats, fsys.validate_closed()
+
+    def text():
+        stats, closure = summary()
+        lines = stats_text(stats) + [f"closed: {'yes' if closure.ok else 'no'}"]
         if closure.missing_senders:
             lines.append(f"  actions without a sender: {', '.join(closure.missing_senders)}")
         if closure.missing_receivers:
             lines.append(f"  actions without a receiver: {', '.join(closure.missing_receivers)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return lines
+
+    def fields():
+        stats, closure = summary()
+        closed = {"ok": closure.ok, **closure._asdict()}
+        return {"stats": stats, "closed": closure.ok, "closure": closed}
+
+    return _report(args, warns, True, text, fields, lambda: components_dot(fsys))
 
 
 def cmd_feta(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
     pruned = prune_for_display(feta)
-    if args.format == "dot":
-        notes = None
-        if args.reqs:
-            freqs = derive_family_requirements(feta, fsys, fspec, budget)
-            notes = family_notes(freqs)
-        _emit(args, to_dot(pruned, notes=notes))
-        return EXIT_OK
-    stats = team_stats(fsys, feta, pruned)
-    if args.format == "json":
-        _emit(args, render_json(_envelope(args, warns, stats=stats)))
-        return EXIT_OK
-    _emit(args, "\n".join(stats_text(stats)) + "\n")
-    return EXIT_OK
+
+    def dot():
+        freqs = derive_family_requirements(feta, fsys, fspec, budget) if args.reqs else ()
+        return to_dot(pruned, notes=family_notes(freqs))
+
+    def stats():
+        return team_stats(fsys, feta, pruned)
+
+    return _report(args, warns, True, lambda: stats_text(stats()), lambda: {"stats": stats()}, dot)
 
 
 def cmd_project(args) -> int:
@@ -404,9 +393,6 @@ def cmd_project(args) -> int:
     projection = feta.project(product)
     own = product_team(fsys, fspec, product, budget)[0]
     result = check_projection_commutes(feta, product, own)
-    if args.format == "dot":
-        _emit(args, to_dot(_core(projection)))
-        return EXIT_OK if result.ok else EXIT_VIOLATION
     core = _core(projection)
     stats = {
         "states": len(projection.states),
@@ -414,131 +400,101 @@ def cmd_project(args) -> int:
         "core_states": len(core.states),
         "core_transitions": len(core.transitions),
     }
-    if args.format == "json":
-        payload = _envelope(
-            args,
-            warns,
-            product=sorted(product.selected),
-            stats=stats,
-            projection_agrees=result.ok,
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK if result.ok else EXIT_VIOLATION
-    lines = [f"product: {product}"]
-    lines += stats_text(stats)
-    lines.append(f"projection agrees with the product's own team: {'yes' if result.ok else 'no'}")
-    for t in result.only_in_projection:
-        lines.append(f"  only in the projection: {transition_text(t)}")
-    for t in result.only_in_composition:
-        lines.append(f"  only in the product's team: {transition_text(t)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if result.ok else EXIT_VIOLATION
+
+    def text():
+        agrees = "yes" if result.ok else "no"
+        lines = [f"product: {product}", *stats_text(stats)]
+        lines.append(f"projection agrees with the product's own team: {agrees}")
+        for t in result.only_in_projection:
+            lines.append(f"  only in the projection: {transition_text(t)}")
+        for t in result.only_in_composition:
+            lines.append(f"  only in the product's team: {transition_text(t)}")
+        return lines
+
+    def fields():
+        selected = sorted(product.selected)
+        return {"product": selected, "stats": stats, "projection_agrees": result.ok}
+
+    return _report(args, warns, result.ok, text, fields, lambda: to_dot(core))
 
 
 def cmd_reqs(args) -> int:
     fsys, fspec, budget, warns = _load(args)
-    if args.product is not None:
+    if args.product is None:
+        (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+        reqs = derive_family_requirements(feta, fsys, fspec, budget)
+        title, where, as_json = "featured requirements", {}, family_requirement_json
+
+        def lines_of(freq):
+            lines = [f"  {family_requirement_text(freq)}"]
+            if args.show_factors:
+                lines.append(f"    ready: {format_expr(freq.enabling)}")
+                lines.append(f"    sync:  {format_expr(freq.sync_condition)}")
+                lines.append(f"    reach: {format_expr(freq.reach_condition)}")
+            return lines
+
+    else:
         product = _parse_product(args.product, fsys)
         reqs = derive_requirements(*product_team(fsys, fspec, product, budget), budget)
-        if args.format == "json":
-            payload = _envelope(
-                args,
-                warns,
-                product=sorted(product.selected),
-                requirements=[requirement_json(r) for r in reqs],
-            )
-            _emit(args, render_json(payload))
-            return EXIT_OK
-        lines = [f"requirements for {product} ({len(reqs)}):"]
-        lines += [f"  {req}" for req in reqs]
-        _emit(args, "\n".join(lines) + "\n")
-        return EXIT_OK
-    (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
-    freqs = derive_family_requirements(feta, fsys, fspec, budget)
-    if args.format == "json":
-        payload = _envelope(
-            args, warns, requirements=[family_requirement_json(f) for f in freqs]
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK
-    lines = [f"featured requirements ({len(freqs)}):"]
-    for freq in freqs:
-        lines.append(f"  {family_requirement_text(freq)}")
-        if args.show_factors:
-            lines.append(f"    ready: {format_expr(freq.enabling)}")
-            lines.append(f"    sync:  {format_expr(freq.sync_condition)}")
-            lines.append(f"    reach: {format_expr(freq.reach_condition)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        where = {"product": sorted(product.selected)}
+        title, as_json = f"requirements for {product}", requirement_json
 
+        def lines_of(req):
+            return [f"  {req}"]
 
-_PRODUCT_STATUS = {
-    COMPLIANT: "compliant",
-    WEAKLY_COMPLIANT: "weakly compliant",
-    VIOLATED: "violated",
-}
+    def text():
+        return [f"{title} ({len(reqs)}):"] + [line for req in reqs for line in lines_of(req)]
+
+    def fields():
+        return {**where, "requirements": [as_json(req) for req in reqs]}
+
+    return _report(args, warns, True, text, fields)
 
 
 def cmd_check(args) -> int:
     fsys, fspec, budget, warns = _load(args)
-    if args.product is not None:
-        return _check_product(args, fsys, fspec, budget, warns)
-    (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
-    report = check_family_receptiveness(feta, fsys, fspec, args.mode, budget)
-    verdict = _family_verdict(args.mode, report.holds)
-    if args.format == "json":
-        payload = _envelope(args, warns, verdict=verdict, **family_report_json(report))
-        _emit(args, render_json(payload))
-        return EXIT_OK if report.holds else EXIT_VIOLATION
-    lines = [f"mode: {args.mode}"]
-    for note in report.warnings:
-        lines.append(f"note: {note}")
-    for entry in report.entries:
-        status = entry.status.replace("_", " ")
-        line = f"  {family_requirement_text(entry.requirement)}: {status}"
-        if entry.violation_product is not None:
-            line += f" (for example under {entry.violation_product})"
-        lines.append(line)
-    lines.append(f"verdict: {verdict}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.holds else EXIT_VIOLATION
+    if args.product is None:
+        (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+        report = check_family_receptiveness(feta, fsys, fspec, args.mode, budget)
+        head, where, as_json = [], {}, family_report_json
+
+        def lines_of(entry):
+            line = f"  {family_requirement_text(entry.requirement)}: {entry.status}"
+            if entry.violation_product is not None:
+                line += f" (for example under {entry.violation_product})"
+            return [line]
+
+    else:
+        product = _parse_product(args.product, fsys)
+        team = product_team(fsys, fspec, product, budget)
+        report = check_receptiveness(*team, args.mode, budget)
+        where = {"product": sorted(product.selected)}
+        head, as_json = [f"product: {product}"], receptiveness_json
+
+        def lines_of(entry):
+            lines = [f"  {entry.requirement}: {entry.status.replace('-', ' ')}"]
+            if entry.status == WEAKLY_COMPLIANT and entry.witness and args.mode == WEAK:
+                lines += [f"    via {transition_text(t)}" for t in entry.witness]
+            return lines
+
+    verdict = _verdict(args.product is None, args.mode, report.holds)
+
+    def text():
+        lines = head + [f"mode: {args.mode}"] + [f"note: {note}" for note in report.warnings]
+        lines += [line for entry in report.entries for line in lines_of(entry)]
+        return lines + [f"verdict: {verdict}"]
+
+    def fields():
+        return {**where, "verdict": verdict, **as_json(report)}
+
+    return _report(args, warns, report.holds, text, fields)
 
 
-def _family_verdict(mode: str, holds: bool) -> str:
-    name = "featured receptive" if mode == STRICT else "featured weakly receptive"
-    return f"the family is {name}" if holds else f"the family is not {name}"
-
-
-def _product_verdict(mode: str, holds: bool) -> str:
+def _verdict(family: bool, mode: str, holds: bool) -> str:
+    """The verdict of `check`, e.g. "the family is not featured weakly receptive"."""
     name = "receptive" if mode == STRICT else "weakly receptive"
-    return f"the team is {name}" if holds else f"the team is not {name}"
-
-
-def _check_product(args, fsys, fspec, budget, warns) -> int:
-    product = _parse_product(args.product, fsys)
-    report = check_receptiveness(*product_team(fsys, fspec, product, budget), args.mode, budget)
-    verdict = _product_verdict(args.mode, report.holds)
-    if args.format == "json":
-        payload = _envelope(
-            args,
-            warns,
-            product=sorted(product.selected),
-            verdict=verdict,
-            **receptiveness_json(report),
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK if report.holds else EXIT_VIOLATION
-    lines = [f"product: {product}", f"mode: {args.mode}"]
-    for note in report.warnings:
-        lines.append(f"note: {note}")
-    for entry in report.entries:
-        lines.append(f"  {entry.requirement}: {_PRODUCT_STATUS[entry.status]}")
-        if entry.status == WEAKLY_COMPLIANT and entry.witness and args.mode == WEAK:
-            for t in entry.witness:
-                lines.append(f"    via {transition_text(t)}")
-    lines.append(f"verdict: {verdict}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.holds else EXIT_VIOLATION
+    subject, name = ("family", f"featured {name}") if family else ("team", name)
+    return f"the {subject} is {name}" if holds else f"the {subject} is not {name}"
 
 
 def cmd_verify(args) -> int:
@@ -591,30 +547,22 @@ def cmd_verify(args) -> int:
             (f"family verdict equals all product verdicts ({mode})", agreement.ok, detail)
         )
     all_ok = all(ok for _, ok, _ in checks)
-    if args.format == "json":
-        payload = _envelope(
-            args,
-            warns,
-            checks=[
-                {"name": name, "ok": ok, "details": detail} for name, ok, detail in checks
-            ],
-            ok=all_ok,
-        )
-        _emit(args, render_json(payload))
-        return EXIT_OK if all_ok else EXIT_VIOLATION
-    lines = []
-    for name, ok, detail in checks:
-        line = f"{'ok' if ok else 'FAIL'}: {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        lines.append(line)
-    lines.append(
-        f"verify: {len(checks)} checks passed"
-        if all_ok
-        else f"verify: {sum(1 for _, ok, _ in checks if not ok)} of {len(checks)} checks failed"
-    )
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+
+    def text():
+        lines = []
+        for name, ok, detail in checks:
+            line = f"{'ok' if ok else 'FAIL'}: {name}"
+            lines.append(f"{line} ({detail})" if detail and not ok else line)
+        failed = sum(1 for _, ok, _ in checks if not ok)
+        if all_ok:
+            return lines + [f"verify: {len(checks)} checks passed"]
+        return lines + [f"verify: {failed} of {len(checks)} checks failed"]
+
+    def fields():
+        named = [{"name": name, "ok": ok, "details": detail} for name, ok, detail in checks]
+        return {"checks": named, "ok": all_ok}
+
+    return _report(args, warns, all_ok, text, fields)
 
 
 def cmd_examples(args) -> int:

@@ -402,7 +402,8 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
 
 def product_index(product: Product) -> int:
     """The bit of `expr_mask` that stands for this product."""
-    return sum(1 << product.space.names.index(name) for name in product.selected)
+    selected = product.selected
+    return sum(1 << i for i, name in enumerate(product.space.names) if name in selected)
 
 
 def mask_union(masks) -> int:

@@ -41,12 +41,13 @@ def transition_json(transition):
     return out
 
 
-def family_requirement_text(freq: FamilyRequirement) -> str:
+def _scoped_rcp_text(freq: FamilyRequirement) -> str:
     group = ",".join(sorted(freq.senders))
-    return (
-        f"[{format_expr(simplified(freq.condition))}] rcp({{{group}}}, {freq.action})"
-        f" @ {state_text(freq.state)}"
-    )
+    return f"[{format_expr(simplified(freq.condition))}] rcp({{{group}}}, {freq.action})"
+
+
+def family_requirement_text(freq: FamilyRequirement) -> str:
+    return f"{_scoped_rcp_text(freq)} @ {state_text(freq.state)}"
 
 
 def requirement_json(req: Requirement):
@@ -83,10 +84,6 @@ def team_stats(fsys: FeaturedSystem, feta: Fts, pruned: Fts) -> dict:
 
 def stats_text(stats: Mapping) -> list[str]:
     labels = {
-        "states": "states",
-        "transitions": "transitions",
-        "features": "features",
-        "products": "products",
         "core_states": "reachable core states",
         "core_transitions": "reachable core transitions",
     }
@@ -220,7 +217,5 @@ def family_notes(freqs: Iterable[FamilyRequirement]) -> dict:
     """Group requirement lines by state for DOT annotation boxes."""
     notes: dict = {}
     for freq in freqs:
-        group = ",".join(sorted(freq.senders))
-        line = f"[{format_expr(simplified(freq.condition))}] rcp({{{group}}}, {freq.action})"
-        notes.setdefault(freq.state, []).append(line)
+        notes.setdefault(freq.state, []).append(_scoped_rcp_text(freq))
     return notes

@@ -33,7 +33,9 @@ from feta import (
     format_expr,
     is_satisfiable,
     product_expr,
+    product_index,
     product_set_expr,
+    products_in,
     simplified,
     valid_products,
     variables,
@@ -167,6 +169,19 @@ def test_product_expr_characterises_exactly_one_product():
         expr = product_expr(p)
         for q in all_products(ABC):
             assert evaluate(expr, q) == (p == q)
+
+
+def test_product_index_is_the_bit_of_the_products_own_mask():
+    # Declaration order differs from name order, so bit order and the
+    # lexicographic order of `valid_products` differ too.
+    space = FeatureSpace.of("f", "b", "e", "a", "d", "c")
+    model = parse_expr("(a -> b) && !(c && d)")
+    valid = valid_products(model, space)
+    assert 0 < len(valid) < 64
+    for p in all_products(space):
+        bit = 1 << product_index(p)
+        assert expr_mask(product_expr(p), space) == bit
+        assert products_in(bit, model, space) == ((p,) if p in valid else ())
 
 
 def test_product_set_expr_characterises_exactly_the_set():
