@@ -18,7 +18,9 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import InvalidProductError, SpecificationError
-from .features import FeatureExpr, FeatureSpace, Product, evaluate, expr_mask, variables
+from .features import (
+    FeatureExpr, FeatureSpace, Product, evaluate, expr_mask, holds, model_mask, variables,
+)
 
 
 def state_key(state):
@@ -142,7 +144,7 @@ class Fts(Lts):
         if missing:
             raise SpecificationError(f"{len(missing)} transitions have no guard")
         for t, g in self.guards.items():
-            unknown = variables(g) - set(self.space.names)
+            unknown = variables(g) - self.space.name_set
             if unknown:
                 raise SpecificationError(
                     f"guard of {t!r} references undeclared features {sorted(unknown)}"
@@ -166,7 +168,7 @@ class Fts(Lts):
         guards = self.guard_masks
         reach = reach_masks(
             self.initial,
-            expr_mask(self.feature_model, self.space),
+            model_mask(self.feature_model, self.space),
             lambda q: ((t, guards[t]) for t in self._adjacency[q]),
         )
         return {q: reach.get(q, 0) for q in self.states}
@@ -178,8 +180,14 @@ class Fts(Lts):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
     def _projected_parts(self, product: Product):
+        """States, initial states, actions and the transitions whose guard the
+        product satisfies. `__init__` has checked every guard's names against
+        `space`, so once the product is known to be over it the guards are
+        evaluated unchecked.
+        """
         self._check_product(product)
-        kept = tuple(t for t in self.transitions if evaluate(self.guards[t], product))
+        guards = self.guards
+        kept = tuple(t for t in self.transitions if holds(guards[t], product))
         return self.states, self.initial, self.actions, kept
 
     def project(self, product: Product) -> Lts:

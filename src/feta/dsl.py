@@ -656,7 +656,7 @@ def elaborate(document: SpecDocument) -> ElaborationResult:
     model = document.model if document.model is not None else TRUE
     if document.model is None:
         error((1, 1), "missing feature model", "missing-feature-model")
-    unknown = variables(model) - set(space.names)
+    unknown = variables(model) - space.name_set
     if unknown:
         error(
             (1, 1),
@@ -748,7 +748,7 @@ def _elaborate_component(decl, space, model, error) -> FeaturedComponent | None:
             )
             ok = False
         guard = t.guard if t.guard is not None else TRUE
-        bad = variables(guard) - set(space.names)
+        bad = variables(guard) - space.name_set
         if bad:
             error(t.loc, f"guard references undeclared features {sorted(bad)}", "unknown-feature")
             ok = False
@@ -818,7 +818,7 @@ def _elaborate_sync(rules, fsys, space, model, error) -> FeaturedSyncSpec | None
                 ok = False
                 continue
         guard = rule.guard if rule.guard is not None else TRUE
-        bad = variables(guard) - set(space.names)
+        bad = variables(guard) - space.name_set
         if bad:
             error(rule.loc, f"guard references undeclared features {sorted(bad)}", "unknown-feature")
             ok = False

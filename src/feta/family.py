@@ -30,6 +30,7 @@ from .features import (
     conj,
     disj,
     evaluate,
+    first_product_in,
     format_expr,
     mask_union,
     product_index,
@@ -232,7 +233,7 @@ def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict
     uncovered = freq.mask & ~mask_union(feta.guard_masks[t] for t in candidates)
     if not uncovered:
         return FamilyVerdict(freq, FEATURED_COMPLIANT, tuple(candidates), None)
-    culprit = next(iter(products_in(uncovered, feta.feature_model, feta.space)), None)
+    culprit = first_product_in(uncovered, feta.feature_model, feta.space)
     return FamilyVerdict(freq, VIOLATED, (), culprit)
 
 

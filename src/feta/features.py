@@ -30,6 +30,7 @@ class FeatureSpace(Value):
         if len(set(names)) != len(names):
             raise SpecificationError(f"duplicate feature names in {names}")
         init_field(self, "names", names)
+        init_field(self, "name_set", frozenset(names))
 
     def _key(self) -> tuple:
         return (self.names,)
@@ -54,7 +55,7 @@ class Product(Value):
     __match_args__ = ("selected", "space")
 
     def __init__(self, selected: frozenset[str], space: FeatureSpace) -> None:
-        extra = selected - set(space.names)
+        extra = selected - space.name_set
         if extra:
             raise SpecificationError(f"product selects unknown features {sorted(extra)}")
         init_field(self, "selected", selected)
@@ -263,28 +264,45 @@ def _union(left: frozenset[str], right: frozenset[str]) -> frozenset[str]:
 
 
 def _holds(expr: FeatureExpr, selected) -> bool:
-    match expr:
-        case Const(value):
-            return value
-        case Var(name):
-            return name in selected
-        case Not(operand):
-            return not _holds(operand, selected)
-        case And(operands):
-            return all(_holds(op, selected) for op in operands)
-        case Or(operands):
-            return any(_holds(op, selected) for op in operands)
-        case Implies(a, b):
-            return (not _holds(a, selected)) or _holds(b, selected)
-        case Iff(a, b):
-            return _holds(a, selected) == _holds(b, selected)
-        case Xor(a, b):
-            return _holds(a, selected) != _holds(b, selected)
+    """Whether the selected feature names satisfy the expression; names unchecked."""
+    return _HOLDS.get(expr.__class__, _not_an_expr)(expr, selected)
+
+
+def _not_an_expr(expr, selected) -> bool:
     raise SpecificationError(f"not a feature expression: {expr!r}")
 
 
+def _holds_and(expr: And, selected) -> bool:
+    for op in expr.operands:
+        if not _holds(op, selected):
+            return False
+    return True
+
+
+def _holds_or(expr: Or, selected) -> bool:
+    for op in expr.operands:
+        if _holds(op, selected):
+            return True
+    return False
+
+
+# `_holds` per node class, looked up by the node's exact class.
+_HOLDS = {
+    Const: lambda expr, selected: expr.value,
+    Var: lambda expr, selected: expr.name in selected,
+    Not: lambda expr, selected: not _holds(expr.operand, selected),
+    And: _holds_and,
+    Or: _holds_or,
+    Implies: lambda expr, selected: (
+        not _holds(expr.antecedent, selected) or _holds(expr.consequent, selected)
+    ),
+    Iff: lambda expr, selected: _holds(expr.left, selected) == _holds(expr.right, selected),
+    Xor: lambda expr, selected: _holds(expr.left, selected) != _holds(expr.right, selected),
+}
+
+
 def _check_vars(expr: FeatureExpr, space: FeatureSpace) -> None:
-    unknown = variables(expr) - set(space.names)
+    unknown = variables(expr) - space.name_set
     if unknown:
         raise SpecificationError(f"expression references undeclared features {sorted(unknown)}")
 
@@ -292,6 +310,13 @@ def _check_vars(expr: FeatureExpr, space: FeatureSpace) -> None:
 def evaluate(expr: FeatureExpr, product: Product) -> bool:
     """Whether the product satisfies the expression."""
     _check_vars(expr, product.space)
+    return _holds(expr, product.selected)
+
+
+def holds(expr: FeatureExpr, product: Product) -> bool:
+    """`evaluate` for an expression whose names the caller has already checked
+    against the product's space, as `Fts` does for its guards.
+    """
     return _holds(expr, product.selected)
 
 
@@ -308,20 +333,24 @@ def all_products(space: FeatureSpace, budget: Budget = Budget()) -> tuple[Produc
 
 
 def valid_products(feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
-    """The products satisfying the feature model, in lexicographic order.
+    """The products satisfying the feature model, in lexicographic order."""
+    return _valid(feature_model, space)[1]
 
-    The answer is kept on the model's node with the space it was asked for,
-    so it lives and dies with the node. One node can meet many spaces (the
-    shared `TRUE` is the model of every specification without a
+
+def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
+    """(space, valid products, their `product_index` bits), kept on the model's node.
+
+    The answer lives and dies with the node. One node can meet many spaces
+    (the shared `TRUE` is the model of every specification without a
     `feature_model` line); it keeps the last.
     """
     kept = getattr(feature_model, "_valid_products", None)
     if kept is None or kept[0] != space:
         _check_vars(feature_model, space)
         products = tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
-        kept = (space, products)
+        kept = (space, products, tuple(product_index(p) for p in products))
         object.__setattr__(feature_model, "_valid_products", kept)
-    return kept[1]
+    return kept
 
 
 def product_expr(product: Product) -> FeatureExpr:
@@ -400,6 +429,18 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
     return walk(expr)
 
 
+def model_mask(feature_model: FeatureExpr, space: FeatureSpace) -> int:
+    """The valid products as bits: `expr_mask` of the feature model.
+
+    Kept on the model's node with its space, as `valid_products` is.
+    """
+    kept = getattr(feature_model, "_model_mask", None)
+    if kept is None or kept[0] != space:
+        kept = (space, expr_mask(feature_model, space))
+        object.__setattr__(feature_model, "_model_mask", kept)
+    return kept[1]
+
+
 def product_index(product: Product) -> int:
     """The bit of `expr_mask` that stands for this product."""
     selected = product.selected
@@ -418,9 +459,18 @@ def products_in(mask: int, feature_model: FeatureExpr, space: FeatureSpace) -> t
     """The valid products whose bit is set in the mask, in `valid_products` order."""
     if not mask:
         return ()
-    return tuple(
-        p for p in valid_products(feature_model, space) if mask >> product_index(p) & 1
-    )
+    _, products, bits = _valid(feature_model, space)
+    return tuple(p for p, bit in zip(products, bits) if mask >> bit & 1)
+
+
+def first_product_in(mask: int, feature_model: FeatureExpr, space: FeatureSpace) -> Product | None:
+    """The first of `products_in`, or None when it is empty."""
+    if mask:
+        _, products, bits = _valid(feature_model, space)
+        for product, bit in zip(products, bits):
+            if mask >> bit & 1:
+                return product
+    return None
 
 
 def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:

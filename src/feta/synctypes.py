@@ -22,6 +22,7 @@ from .features import (
     expr_mask,
     format_expr,
     mask_union,
+    model_mask,
     product_index,
     products_in,
 )
@@ -160,7 +161,7 @@ class FeaturedSyncSpec:
         if action not in self.alphabet:
             raise SpecificationError(f"unknown action {action!r}")
         if self._tables is None:
-            valid = expr_mask(self.feature_model, self.space)
+            valid = model_mask(self.feature_model, self.space)
             guards = [expr_mask(rule.guard, self.space) & valid for rule in self.rules]
             self._tables = {}
             for name in self.alphabet:

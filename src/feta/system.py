@@ -18,6 +18,8 @@ team builder.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
@@ -99,6 +101,68 @@ def _subsets(items):
         yield from itertools.combinations(items, size)
 
 
+class _StepTable:
+    """What `successors` reads of a system's components, worked out once.
+
+    `steps` holds per component, in name order, its local state -> action ->
+    targets sorted by `state_key`; `plan` holds per action, in sorted order,
+    the (index, sends) pairs of the components whose alphabet has it and the
+    text of its participants check. Labels and their sort keys are shared
+    per (action, senders, receivers).
+    """
+
+    def __init__(self, names: tuple[str, ...], components) -> None:
+        self.names = names
+        self.components = components
+        self.steps = []
+        for comp in components:
+            row: dict = {q: {} for q in comp.states}
+            for src, act, dst in comp.transitions:
+                row[src].setdefault(act, []).append(dst)
+            for by_action in row.values():
+                for act, dests in by_action.items():
+                    by_action[act] = sorted(dests, key=state_key)
+            self.steps.append(row)
+        self.plan = tuple(
+            (
+                action,
+                tuple(
+                    (idx, action in comp.outputs)
+                    for idx, comp in enumerate(components)
+                    if action in comp.actions
+                ),
+                f"ready participants of {action!r}",
+            )
+            for action in sorted(frozenset().union(*(comp.actions for comp in components)))
+        )
+        self._labels: dict[tuple, tuple[SystemLabel, tuple]] = {}
+
+    def label(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
+        """The label of these participants' indices and its sort key."""
+        key = (action, senders, receivers)
+        if key not in self._labels:
+            label = SystemLabel(
+                frozenset(self.names[i] for i in senders),
+                action,
+                frozenset(self.names[i] for i in receivers),
+            )
+            self._labels[key] = (label, label.sort_key())
+        return self._labels[key]
+
+    def refuse(self, state: tuple, rows: list, budget: Budget) -> None:
+        """Raise as the first unknown local state does in a component's
+        `successors_from`, after the participants checks of the actions
+        before it: a row is None for an unknown local state.
+        """
+        for action, takers, counted in self.plan:
+            ready = 0
+            for idx, _ in takers:
+                if rows[idx] is None:
+                    self.components[idx].successors_from(state[idx])
+                ready += action in rows[idx]
+            budget.check("participants", ready, counted)
+
+
 class _ComposeMixin:
     """Shared composition machinery for plain and featured systems."""
 
@@ -136,42 +200,44 @@ class _ComposeMixin:
                 no_receiver.append(action)
         return ClosureReport(tuple(no_sender), tuple(no_receiver))
 
+    @cached_property
+    def _step_table(self) -> _StepTable:
+        return _StepTable(self.names, [self.components[n] for n in self.names])
+
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
-        """All induced transitions from the state, in deterministic order."""
+        """All induced transitions from the state, in deterministic order.
+
+        Per action in sorted order, every nonempty choice of locally ready
+        senders and receivers, each moving to one of its targets: by label
+        sort key, then by target.
+        """
         if len(state) != len(self.names):
             raise SpecificationError(f"state {state!r} has wrong arity")
-        local = dict(zip(self.names, state))
-        out: list[SystemTransition] = []
-        for action in sorted(self.actions):
-            targets: dict[str, list] = {}
+        table = self._step_table
+        rows = [steps.get(local) for steps, local in zip(table.steps, state)]
+        if None in rows:
+            table.refuse(state, rows, budget)
+        out: list[tuple[tuple, SystemTransition]] = []
+        for action, takers, counted in table.plan:
             senders, receivers = [], []
-            for name in self.names:
-                comp = self.components[name]
-                if action not in comp.actions:
-                    continue
-                dests = sorted(
-                    (dst for src, act, dst in comp.successors_from(local[name]) if act == action),
-                    key=state_key,
-                )
-                if not dests:
-                    continue
-                targets[name] = dests
-                (senders if action in comp.outputs else receivers).append(name)
-            budget.check(
-                "participants", len(senders) + len(receivers), f"ready participants of {action!r}"
-            )
+            for idx, sends in takers:
+                if action in rows[idx]:
+                    (senders if sends else receivers).append(idx)
+            budget.check("participants", len(senders) + len(receivers), counted)
             for chosen_s in _subsets(senders):
                 for chosen_r in _subsets(receivers):
                     involved = chosen_s + chosen_r
                     if not involved:
                         continue
-                    label = SystemLabel(frozenset(chosen_s), action, frozenset(chosen_r))
-                    for combo in itertools.product(*(targets[n] for n in involved)):
-                        moved = dict(zip(involved, combo))
-                        target = tuple(moved.get(n, local[n]) for n in self.names)
-                        out.append(SystemTransition(state, label, target))
-        out.sort(key=lambda t: (t.label.sort_key(), state_key(t.target)))
-        return tuple(out)
+                    label, key = table.label(action, chosen_s, chosen_r)
+                    for combo in itertools.product(*(rows[idx][action] for idx in involved)):
+                        moved = list(state)
+                        for idx, dst in zip(involved, combo):
+                            moved[idx] = dst
+                        target = tuple(moved)
+                        out.append(((key, target), SystemTransition(state, label, target)))
+        out.sort(key=itemgetter(0))
+        return tuple(t for _, t in out)
 
     def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
         """The full product state set and every induced transition.

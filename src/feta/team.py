@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import And, FeatureExpr, Product, conj, expr_mask, product_set_expr, products_in
+from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
 from .system import FeaturedSystem, System, SystemTransition
 
@@ -157,7 +157,7 @@ def reachable_featured_team(
 
     reach = reach_masks(
         initial,
-        expr_mask(fsys.feature_model, fsys.space),
+        model_mask(fsys.feature_model, fsys.space),
         leaving,
         lambda count: budget.check("states", count, "states reached by the featured team"),
     )
@@ -250,13 +250,15 @@ def check_projection_commutes(feta: Fts, product: Product, own: Lts) -> Commutat
     featured team, the right, `own`, composes the projected components under
     the projected specification (`product_team`). They must agree exactly on
     states, initial states, actions and the transition set. `feta` is the
-    full featured team (`build_featured_team`).
+    full featured team (`build_featured_team`). The projection is compared
+    as the parts `Fts.project` would build its `Lts` from: `feta`'s states
+    are already sorted and its transitions distinct.
     """
-    left = feta.project(product)
-    left_set, right_set = set(left.transitions), set(own.transitions)
-    states_agree = left.states == own.states
-    initial_agree = left.initial == own.initial
-    actions_agree = left.actions == own.actions
+    states, initial, actions, kept = feta._projected_parts(product)
+    left_set, right_set = set(kept), set(own.transitions)
+    states_agree = states == own.states
+    initial_agree = initial == own.initial
+    actions_agree = actions == own.actions
     return CommutationResult(
         product=product,
         ok=states_agree and initial_agree and actions_agree and left_set == right_set,

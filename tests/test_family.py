@@ -1,11 +1,15 @@
 """Family-level requirements, featured compliance and the cross-checks."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import models
 from feta import (
     And,
     Budget,
+    FeaturedSyncSpec,
     Fts,
     Lts,
     Not,
@@ -15,21 +19,25 @@ from feta import (
     check_family_compliance,
     check_family_receptiveness,
     check_family_weak_compliance,
+    check_projection_commutes,
     check_receptiveness,
     crosscheck_compliance_unfolding,
     crosscheck_family_vs_products,
     crosscheck_requirement_projection,
     derive_family_requirements,
     derive_requirements,
+    elaborate_text,
     equivalent,
     is_satisfiable,
     product_team,
     products_for_group,
     products_in,
+    reachable_featured_team,
     reachable_products,
     senders_guard,
     valid_products,
 )
+from feta import features
 from feta.family import FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT
 from feta.receptiveness import VIOLATED
 
@@ -195,6 +203,63 @@ def test_family_route_does_not_go_product_by_product(access, monkeypatch):
     report = check_family_receptiveness(team, fsys, fspec, "weak")
     assert report.holds
     assert FEATURED_WEAKLY_COMPLIANT in {e.status for e in report.entries}
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace `feta.features.<name>` in every `feta` module that holds it."""
+    original = getattr(features, name)
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] == "feta" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def test_per_product_route_reads_no_mask(monkeypatch):
+    """The per-product route stays an oracle independent of the family's masks.
+
+    The family side is built first; then every function and property that
+    compiles or reads a mask refuses, in every `feta` module that holds it,
+    and the per-product half of `verify` still runs and agrees.
+    """
+    text = Path(models.example_path("access_management")).read_text(encoding="utf-8")
+    result = elaborate_text(text)
+    fsys, fspec = result.system, result.sync
+    full = build_featured_team(fsys, fspec)
+    freqs = derive_family_requirements(reachable_featured_team(fsys, fspec), fsys, fspec)
+    products = valid_products(fsys.feature_model, fsys.space)
+
+    def refuse(*args):
+        raise AssertionError("the per-product route read a mask")
+
+    for name in ("expr_mask", "model_mask", "products_in", "first_product_in"):
+        patch_everywhere(monkeypatch, name, refuse)
+    monkeypatch.setattr(Fts, "guard_masks", property(refuse))
+    monkeypatch.setattr(Fts, "reachable_masks", property(refuse))
+    monkeypatch.setattr(FeaturedSyncSpec, "table", refuse)
+    with pytest.raises(AssertionError):
+        full.guard_masks
+    for product in products:
+        own, spec_p, sys_p = product_team(fsys, fspec, product)
+        assert check_projection_commutes(full, product, own).ok
+        own_reqs = [e.requirement for e in check_receptiveness(own, spec_p, sys_p).entries]
+        assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
+
+
+def test_one_check_compiles_the_feature_model_once(monkeypatch):
+    compiled = []
+    original = features.expr_mask
+
+    def counting(expr, space):
+        compiled.append(expr)
+        return original(expr, space)
+
+    patch_everywhere(monkeypatch, "expr_mask", counting)
+    text = Path(models.example_path("access_management")).read_text(encoding="utf-8")
+    result = elaborate_text(text)
+    fsys, fspec = result.system, result.sync
+    team = reachable_featured_team(fsys, fspec)
+    assert team.reachable_masks
+    check_family_receptiveness(team, fsys, fspec, "weak")
+    assert sum(expr is fsys.feature_model for expr in compiled) == 1
 
 
 def test_requirement_projection_agrees_per_product(own_teams, freqs):

@@ -40,7 +40,9 @@ from feta import (
     valid_products,
     variables,
 )
+from feta import features
 from feta.dsl import parse_expr
+from feta.features import first_product_in, holds, model_mask
 
 AB = FeatureSpace.of("a", "b")
 ABC = FeatureSpace.of("a", "b", "c")
@@ -133,6 +135,45 @@ def test_connective_truth_tables():
 def test_evaluate_rejects_unknown_variables():
     with pytest.raises(SpecificationError):
         evaluate(Var("z"), Product.of(AB, "a"))
+
+
+@pytest.mark.parametrize("expr", [And((A, "a")), Or((B, 3)), Not(3), Implies(A, None)], ids=repr)
+def test_evaluate_rejects_a_nested_non_expression(expr):
+    p = Product.of(AB, "a")
+    with pytest.raises(SpecificationError, match="not a feature expression"):
+        evaluate(expr, p)
+    with pytest.raises(SpecificationError, match="not a feature expression"):
+        holds(expr, p)
+
+
+def test_empty_connectives_evaluate_as_their_units():
+    for p in all_products(AB):
+        assert evaluate(And(()), p) is True
+        assert evaluate(Or(()), p) is False
+
+
+def test_first_product_in_follows_valid_products_order():
+    model = Or((A, B))
+    products = valid_products(model, AB)
+    for mask in range(16):
+        chosen = products_in(mask, model, AB)
+        assert first_product_in(mask, model, AB) == (chosen[0] if chosen else None)
+
+
+def test_model_mask_is_compiled_once_per_space(monkeypatch):
+    model = Or((A, B))
+    compiled = []
+
+    def counting(expr, space):
+        compiled.append(expr)
+        return expr_mask(expr, space)
+
+    monkeypatch.setattr(features, "expr_mask", counting)
+    assert model_mask(model, AB) == expr_mask(model, AB)
+    assert model_mask(model, AB) == expr_mask(model, AB)
+    assert len(compiled) == 1
+    assert model_mask(model, ABC) == expr_mask(model, ABC)
+    assert len(compiled) == 2
 
 
 def test_empty_conjunction_is_true_and_empty_disjunction_is_false():

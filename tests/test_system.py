@@ -1,5 +1,8 @@
 """System labels and multi-component composition."""
 
+import itertools
+import warnings
+
 import pytest
 
 import models
@@ -16,6 +19,8 @@ from feta import (
     Var,
     valid_products,
 )
+from feta.automata import state_key
+from instancegen import instances
 
 
 def component(inputs=(), outputs=(), transitions=(), states=("0",), init="0"):
@@ -177,3 +182,120 @@ def test_composition_transitions_are_deterministically_ordered():
     _, first = fsys.state_space()
     _, second = fsys.state_space()
     assert first == second
+
+
+# --- composition against a reference enumeration ----------------------------
+
+
+def reference_successors(sys, state, budget=Budget()):
+    """`successors` as first written: per action, the components' ready
+    targets are read off `successors_from`, every nonempty choice of ready
+    senders and receivers gets a fresh label, and the whole list is sorted
+    at the end.
+    """
+    if len(state) != len(sys.names):
+        raise SpecificationError(f"state {state!r} has wrong arity")
+    local = dict(zip(sys.names, state))
+    out = []
+    for action in sorted(sys.actions):
+        targets, senders, receivers = {}, [], []
+        for name in sys.names:
+            comp = sys.components[name]
+            if action not in comp.actions:
+                continue
+            dests = sorted(
+                (dst for src, act, dst in comp.successors_from(local[name]) if act == action),
+                key=state_key,
+            )
+            if not dests:
+                continue
+            targets[name] = dests
+            (senders if action in comp.outputs else receivers).append(name)
+        budget.check(
+            "participants", len(senders) + len(receivers), f"ready participants of {action!r}"
+        )
+        for size_s in range(len(senders) + 1):
+            for chosen_s in itertools.combinations(senders, size_s):
+                for size_r in range(len(receivers) + 1):
+                    for chosen_r in itertools.combinations(receivers, size_r):
+                        involved = chosen_s + chosen_r
+                        if not involved:
+                            continue
+                        label = SystemLabel(frozenset(chosen_s), action, frozenset(chosen_r))
+                        for combo in itertools.product(*(targets[n] for n in involved)):
+                            moved = dict(zip(involved, combo))
+                            target = tuple(moved.get(n, local[n]) for n in sys.names)
+                            out.append(SystemTransition(state, label, target))
+    out.sort(key=lambda t: (t.label.sort_key(), state_key(t.target)))
+    return tuple(out)
+
+
+def composed_systems():
+    """Every random instance's featured system and each valid product's system."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed, (fsys, _) in instances(200):
+            yield f"seed {seed}", fsys
+            for product in valid_products(fsys.feature_model, fsys.space):
+                yield f"seed {seed} {product}", fsys.project(product)
+
+
+def test_successors_equal_the_reference_enumeration_in_order():
+    compared = 0
+    for name, sys in composed_systems():
+        for state in itertools.product(*(sys.components[n].states for n in sys.names)):
+            expected = reference_successors(sys, state)
+            assert sys.successors(state) == expected, (name, state)
+            compared += len(expected)
+    assert compared > 10_000
+
+
+def two_step_system():
+    go = component(
+        states=("0", "1"), outputs=("go",), transitions=(("0", "go", "1"), ("1", "go", "0"))
+    )
+    sink = component(states=("0", "1"), inputs=("go",), transitions=(("0", "go", "0"),))
+    idle = component(states=("x",), init="x")
+    return System(("a", "b", "c"), {"a": go, "b": sink, "c": idle})
+
+
+@pytest.mark.parametrize(
+    "state",
+    [("0", "1"), ("0", "1", "x", "x"), ("9", "0", "x"), ("0", "9", "x"), ("9", "9", "x")],
+    ids=str,
+)
+def test_successors_refuse_like_the_reference(state):
+    """Wrong arity and unknown local states raise the reference's error.
+
+    A component whose alphabet is empty never looks at its local state.
+    """
+    sys = two_step_system()
+    with pytest.raises(SpecificationError) as expected:
+        reference_successors(sys, state)
+    with pytest.raises(SpecificationError) as refused:
+        sys.successors(state)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_successors_ignore_the_state_of_a_component_without_actions():
+    sys = two_step_system()
+    assert sys.successors(("0", "0", "?")) == reference_successors(sys, ("0", "0", "?"))
+    assert sys.successors(("0", "0", "?"))
+
+
+def test_participant_limit_is_checked_before_a_later_unknown_state():
+    worker = component(outputs=("a",), transitions=(("0", "a", "0"),))
+    late = component(inputs=("b",), transitions=(("0", "b", "0"),))
+    sys = System(("w1", "w2", "k"), {"w1": worker, "w2": worker, "k": late})
+    for successors in (lambda *a: reference_successors(sys, *a), sys.successors):
+        with pytest.raises(ResourceLimitError):
+            successors(("0", "0", "9"), Budget(participants=1))
+
+
+def test_unknown_states_are_reported_by_action_then_name():
+    """The first action in sorted order decides, not the first component."""
+    late = component(outputs=("zz",), transitions=(("0", "zz", "0"),))
+    early = component(inputs=("go",), transitions=(("0", "go", "0"),))
+    sys = System(("a", "b"), {"a": late, "b": early})
+    with pytest.raises(SpecificationError, match="unknown state '9'"):
+        sys.successors(("8", "9"))
