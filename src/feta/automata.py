@@ -14,8 +14,8 @@ and structured labels.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .errors import InvalidProductError, SpecificationError
 from .features import (
@@ -50,6 +50,7 @@ class Lts:
     __match_args__ = ("states", "initial", "actions", "transitions")
 
     def __init__(self, states, initial, actions, transitions) -> None:
+        """Sort, de-duplicate and check a caller's parts."""
         self.states = tuple(sorted(set(states), key=state_key))
         self.initial = frozenset(initial)
         self.actions = frozenset(actions)
@@ -62,6 +63,19 @@ class Lts:
                 raise SpecificationError(f"transition {src} -> {dst} uses undeclared states")
             if label_action(label) not in self.actions:
                 raise SpecificationError(f"transition uses undeclared action {label_action(label)!r}")
+
+    @classmethod
+    def _built(cls, states: tuple, initial, actions, transitions: tuple):
+        """An automaton from a builder's own parts, taken as they are.
+
+        The builder guarantees what `__init__` would sort and check: `states`
+        sorted by `state_key`, `transitions` strictly increasing by
+        `transition_key`, with declared endpoints and actions.
+        """
+        made = cls.__new__(cls)
+        made.states, made.transitions = states, transitions
+        made.initial, made.actions = frozenset(initial), frozenset(actions)
+        return made
 
     @cached_property
     def _adjacency(self) -> dict:
@@ -122,11 +136,41 @@ class Component(Lts):
         _split_alphabet(self, inputs, outputs)
 
 
+class _GuardsOnRead(Mapping):
+    """The guards of exactly the given transitions, in their order, each made
+    by `make(transition)` on its first read and then kept; any other key
+    raises `KeyError`.
+    """
+
+    __slots__ = ("_made", "_make")
+
+    def __init__(self, transitions: tuple, make) -> None:
+        self._made = dict.fromkeys(transitions)
+        self._make = make
+
+    def __getitem__(self, transition) -> FeatureExpr:
+        guard = self._made[transition]
+        if guard is None:
+            guard = self._made[transition] = self._make(transition)
+        return guard
+
+    def __contains__(self, transition) -> bool:
+        return transition in self._made
+
+    def __iter__(self):
+        return iter(self._made)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+
 class Fts(Lts):
     """A featured LTS: every transition carries a feature-expression guard.
 
     `masks` holds the guard masks when the builder already has them; they are
-    compiled otherwise.
+    compiled otherwise. Guards a caller passes are checked against `space`;
+    a builder's guards (`_built`) are correct by construction and are only
+    made when first read.
     """
 
     __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
@@ -139,7 +183,7 @@ class Fts(Lts):
         self.space = space
         self.feature_model = feature_model
         self.guards = dict(guards)
-        self.masks = masks
+        self.masks = None if masks is None else dict(masks)
         missing = set(self.transitions) - set(self.guards)
         if missing:
             raise SpecificationError(f"{len(missing)} transitions have no guard")
@@ -150,11 +194,27 @@ class Fts(Lts):
                     f"guard of {t!r} references undeclared features {sorted(unknown)}"
                 )
 
+    @classmethod
+    def _built(
+        cls, states: tuple, initial, actions, transitions: tuple, space: FeatureSpace,
+        feature_model: FeatureExpr, guard, masks: dict,
+    ):
+        """A featured automaton from a builder's own parts, taken as they are.
+
+        Besides `Lts._built`'s order: `guard(transition)` makes a guard from
+        parts already checked against `space`, on the guard's first read, and
+        `masks` holds every transition's guard mask and is kept uncopied.
+        """
+        made = super()._built(states, initial, actions, transitions)
+        made.space, made.feature_model, made.masks = space, feature_model, masks
+        made.guards = _GuardsOnRead(transitions, guard)
+        return made
+
     @cached_property
     def guard_masks(self) -> dict:
         """The `expr_mask` of every transition's guard: `masks` if given, else compiled."""
         if self.masks is not None:
-            return dict(self.masks)
+            return self.masks
         return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
 
     @cached_property
@@ -181,9 +241,9 @@ class Fts(Lts):
 
     def _projected_parts(self, product: Product):
         """States, initial states, actions and the transitions whose guard the
-        product satisfies. `__init__` has checked every guard's names against
-        `space`, so once the product is known to be over it the guards are
-        evaluated unchecked.
+        product satisfies. Every guard names only features of `space` (checked
+        by `__init__`, or by construction in `_built`), so once the product is
+        known to be over it the guards are evaluated unchecked.
         """
         self._check_product(product)
         guards = self.guards

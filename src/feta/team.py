@@ -10,6 +10,13 @@ system and the specification and then building the plain team; the
 commutation check below compares the two constructions transition by
 transition.
 
+Every verdict is decided on the guards' masks, which the builders work out
+from the parts' masks; a guard expression is only a view, for display and
+for the per-product check, so each is built the first time it is read.
+The builders' teams are correct by construction: their states and
+transitions come in order and their guards name only declared features, so
+unlike guards a caller passes to `Fts`, they are not checked again.
+
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
 the initial states; `build_featured_team` builds the whole team over the
@@ -19,7 +26,6 @@ full product of the local state sets and stays the reference.
 from __future__ import annotations
 
 import warnings
-from functools import cache
 from typing import NamedTuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
@@ -76,18 +82,26 @@ class _TeamGuards:
     AND of the participants' local guard masks and the sync mask
     (`FeaturedSyncSpec.allowed_products`), so no guard is compiled. All
     transitions with the same action and participant counts share one sync
-    mask, asked of the spec once per build, and one sync expression.
+    mask and one sync expression, both worked out once per build as the
+    first mask of the key is asked for; making a guard later reads no mask.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
         self._where = {name: (idx, fsys.components[name]) for idx, name in enumerate(fsys.names)}
-        self._allowed = cache(fspec.allowed_products)
-        self._sync_exprs: dict[tuple[str, int, int], FeatureExpr] = {}
+        self._sync: dict[tuple[str, int, int], tuple[int, FeatureExpr]] = {}
+
+    def _sync_parts(self, key: tuple[str, int, int]) -> tuple[int, FeatureExpr]:
+        if key not in self._sync:
+            fsys = self.fsys
+            mask = self.fspec.allowed_products(*key)
+            allowed = products_in(mask, fsys.feature_model, fsys.space)
+            self._sync[key] = (mask, product_set_expr(allowed, fsys.space))
+        return self._sync[key]
 
     def mask(self, t: SystemTransition) -> int:
         source, label, target = t
-        mask = self._allowed(label.action, len(label.senders), len(label.receivers))
+        mask = self._sync_parts((label.action, len(label.senders), len(label.receivers)))[0]
         for names in (label.senders, label.receivers):
             for name in names:
                 idx, comp = self._where[name]
@@ -95,11 +109,8 @@ class _TeamGuards:
         return mask
 
     def guard(self, t: SystemTransition) -> FeatureExpr:
-        fsys, key = self.fsys, (t.action, len(t.senders), len(t.receivers))
-        if key not in self._sync_exprs:
-            allowed = products_in(self._allowed(*key), fsys.feature_model, fsys.space)
-            self._sync_exprs[key] = product_set_expr(allowed, fsys.space)
-        return And((participants_guard(fsys, t), self._sync_exprs[key]))
+        sync = self._sync[(t.action, len(t.senders), len(t.receivers))][1]
+        return And((participants_guard(self.fsys, t), sync))
 
 
 def build_featured_team(
@@ -114,17 +125,13 @@ def build_featured_team(
     The specification must be total over the valid products.
     """
     _check_featured_inputs(fsys, fspec)
+    # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
-    return Fts(
-        states=states,
-        initial=fsys.initial_states(),
-        actions=fsys.actions,
-        transitions=transitions,
-        space=fsys.space,
-        feature_model=fsys.feature_model,
-        guards={t: parts.guard(t) for t in transitions},
-        masks={t: parts.mask(t) for t in transitions},
+    masks = {t: parts.mask(t) for t in transitions}
+    return Fts._built(
+        states, fsys.initial_states(), fsys.actions, transitions,
+        fsys.space, fsys.feature_model, parts.guard, masks,
     )
 
 
@@ -161,16 +168,13 @@ def reachable_featured_team(
         leaving,
         lambda count: budget.check("states", count, "states reached by the featured team"),
     )
-    kept = {t: mask for src, out in steps.items() for t, mask in out if mask & reach[src]}
-    return Fts(
-        states=tuple(reach),
-        initial=initial,
-        actions=fsys.actions,
-        transitions=tuple(kept),
-        space=fsys.space,
-        feature_model=fsys.feature_model,
-        guards={t: parts.guard(t) for t in kept},
-        masks=kept,
+    # Each state's successors come in `transition_key` order, so taking the
+    # states in order gives the team's transitions in order.
+    states = tuple(sorted(reach, key=state_key))
+    kept = {t: mask for src in states for t, mask in steps[src] if mask & reach[src]}
+    return Fts._built(
+        states, initial, fsys.actions, tuple(kept),
+        fsys.space, fsys.feature_model, parts.guard, kept,
     )
 
 
@@ -211,23 +215,19 @@ def prune_for_display(feta: Fts) -> Fts:
 
     Transitions whose guard no product (valid or not) can satisfy, that is
     whose guard mask is zero, are dropped, then states that the remaining
-    transitions cannot reach from the initial states. Analyses never use this
-    view; they work on the full team or on its reachable part
+    transitions cannot reach from the initial states. The kept guards are
+    read from `feta` when first read here. Analyses never use this view;
+    they work on the full team or on its reachable part
     (`reachable_featured_team`).
     """
     masks = feta.guard_masks
     live = tuple(t for t in feta.transitions if masks[t])
-    trimmed = Lts(feta.states, feta.initial, feta.actions, live)
-    keep = trimmed.reachable()
+    keep = Lts._built(feta.states, feta.initial, feta.actions, live).reachable()
     kept = tuple(t for t in live if t[0] in keep)
-    return Fts(
-        states=tuple(sorted(keep, key=state_key)),
-        initial=feta.initial,
-        actions=feta.actions,
-        transitions=kept,
-        space=feta.space,
-        feature_model=feta.feature_model,
-        guards={t: feta.guards[t] for t in kept},
+    return Fts._built(
+        tuple(q for q in feta.states if q in keep), feta.initial, feta.actions, kept,
+        feta.space, feta.feature_model, feta.guards.__getitem__,
+        {t: masks[t] for t in kept},
     )
 
 

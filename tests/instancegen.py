@@ -145,7 +145,10 @@ class BatteryResults:
     direct evaluation of the expression; `weak_checks` counts the weak
     witnesses and culprits of the family route compared with the search on a
     projection; `reachable_team_checks` counts the states, transitions and
-    verdict entries of the reachable team compared with the full team.
+    verdict entries of the reachable team compared with the full team;
+    `built_team_checks` counts the transitions of the full, reachable and
+    pruned teams whose order and guards were checked against what
+    `Fts.__init__` would have checked.
     """
 
     instances: int = 0
@@ -153,6 +156,7 @@ class BatteryResults:
     queries: int = 0
     weak_checks: int = 0
     reachable_team_checks: int = 0
+    built_team_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -164,6 +168,7 @@ class BatteryResults:
     mask_failures: list = dataclasses.field(default_factory=list)
     witness_failures: list = dataclasses.field(default_factory=list)
     reachable_team_failures: list = dataclasses.field(default_factory=list)
+    built_team_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -267,6 +272,63 @@ def reachable_team_disagreements(full, reachable, fsys, fspec) -> tuple[int, lis
     return compared, wrong
 
 
+def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
+    """Check a builder-made team for what `Fts.__init__` checks of caller input.
+
+    Its guards must equal the eager reference, the conjunction of
+    `participants_guard` and the expression of the valid products whose
+    synchronisation type admits the transition (by `lookup`, product by
+    product), keyed by exactly the team's transitions in their order, and
+    must name only features of the space; any other key raises `KeyError`.
+    Its states must be sorted by `state_key` and its transitions strictly
+    increase by `transition_key`, with declared states and actions.
+    Returns the number of transitions checked and the mismatches.
+    """
+    from feta import participants_guard, product_set_expr, variables
+    from feta.automata import label_action, state_key, transition_key
+    from feta.synctypes import transition_satisfies
+
+    products = valid_products(fsys.feature_model, fsys.space)
+    sync_exprs = {}
+
+    def sync_expr(t):
+        key = (t.action, len(t.senders), len(t.receivers))
+        if key not in sync_exprs:
+            admitted = [p for p in products if transition_satisfies(t, fspec.lookup(p, t.action))]
+            sync_exprs[key] = product_set_expr(admitted, fsys.space)
+        return sync_exprs[key]
+
+    expected = {t: And((participants_guard(fsys, t), sync_expr(t))) for t in team.transitions}
+    guards = dict(team.guards)
+    wrong = []
+    if guards != expected or list(guards) != list(expected):
+        wrong.append(("guards", guards, expected))
+    if len(team.guards) != len(team.transitions):
+        wrong.append(("guard count", len(team.guards)))
+    foreign = ("no state", "no action", "no state")
+    try:
+        team.guards[foreign]
+        wrong.append(("foreign transition read", foreign))
+    except KeyError:
+        if foreign in team.guards:
+            wrong.append(("foreign transition contained", foreign))
+    if list(team.states) != sorted(set(team.states), key=state_key):
+        wrong.append(("states", team.states))
+    keys = [transition_key(t) for t in team.transitions]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        wrong.append(("transition order", team.transitions))
+    declared = set(team.states)
+    if not team.initial <= declared:
+        wrong.append(("initial", team.initial))
+    for src, label, dst in team.transitions:
+        if src not in declared or dst not in declared or label_action(label) not in team.actions:
+            wrong.append(("undeclared", (src, label, dst)))
+    for t, guard in guards.items():
+        if not variables(guard) <= team.space.name_set:
+            wrong.append(("features", t))
+    return len(team.transitions), wrong
+
+
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     from feta import (
         OpenSystemWarning,
@@ -281,6 +343,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
         crosscheck_requirement_projection,
         entails,
         product_team,
+        prune_for_display,
         reachable_featured_team,
         reachable_products,
     )
@@ -331,12 +394,16 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.family_strict_failures.append((seed,))
             if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
                 results.family_weak_failures.append((seed,))
-            compared, wrong = reachable_team_disagreements(
-                team, reachable_featured_team(fsys, fspec), fsys, fspec
-            )
+            reachable = reachable_featured_team(fsys, fspec)
+            compared, wrong = reachable_team_disagreements(team, reachable, fsys, fspec)
             results.reachable_team_checks += compared
             if wrong:
                 results.reachable_team_failures.append((seed, wrong))
+            for built in (team, reachable, prune_for_display(team)):
+                compared, wrong = built_team_disagreements(built, fsys, fspec)
+                results.built_team_checks += compared
+                if wrong:
+                    results.built_team_failures.append((seed, wrong))
             for t in team.transitions:
                 if not entails(team.guards[t], team.feature_model, team.space):
                     results.guard_model_failures.append((seed, t))

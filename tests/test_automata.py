@@ -4,6 +4,7 @@ import pytest
 
 from feta import (
     TRUE,
+    And,
     Component,
     FeaturedComponent,
     FeatureSpace,
@@ -116,30 +117,45 @@ def test_label_action_on_plain_labels():
 # --- featured automata --------------------------------------------------------
 
 
+def one_loop(guards, masks=None):
+    return Fts(
+        states=("a",),
+        initial=frozenset({"a"}),
+        actions=frozenset({"go"}),
+        transitions=(("a", "go", "a"),),
+        space=SPACE,
+        feature_model=TRUE,
+        guards=guards,
+        masks=masks,
+    )
+
+
 def test_every_transition_needs_a_guard():
-    with pytest.raises(SpecificationError):
-        Fts(
-            states=("a",),
-            initial=frozenset({"a"}),
-            actions=frozenset({"go"}),
-            transitions=(("a", "go", "a"),),
-            space=SPACE,
-            feature_model=TRUE,
-            guards={},
-        )
+    with pytest.raises(SpecificationError, match="^1 transitions have no guard$"):
+        one_loop({})
 
 
 def test_guard_variables_must_be_declared():
-    with pytest.raises(SpecificationError):
-        Fts(
-            states=("a",),
-            initial=frozenset({"a"}),
-            actions=frozenset({"go"}),
-            transitions=(("a", "go", "a"),),
-            space=SPACE,
-            feature_model=TRUE,
-            guards={("a", "go", "a"): Var("zoo")},
-        )
+    with pytest.raises(SpecificationError, match=r"references undeclared features \['zoo'\]$"):
+        one_loop({("a", "go", "a"): And((X, Var("zoo")))})
+
+
+def test_caller_guards_are_checked_when_their_masks_are_given():
+    """Only a builder's own guards go unchecked; passing masks trusts nothing."""
+    masks = {("a", "go", "a"): 0b1111}
+    with pytest.raises(SpecificationError, match="^1 transitions have no guard$"):
+        one_loop({}, masks=masks)
+    with pytest.raises(SpecificationError, match=r"references undeclared features \['zoo'\]$"):
+        one_loop({("a", "go", "a"): Var("zoo")}, masks=masks)
+
+
+def test_caller_guards_and_masks_are_copied():
+    step = ("a", "go", "a")
+    guards, masks = {step: X}, {step: 0b1010}
+    fts = one_loop(guards, masks)
+    guards[step], masks[step] = Y, 0
+    assert type(fts.guards) is dict and fts.guards == {step: X}
+    assert fts.guard_masks == {step: 0b1010}
 
 
 def test_projection_keeps_all_states_and_filters_transitions():

@@ -26,6 +26,7 @@ from feta.automata import Lts
 ACCESS = models.example_path()
 RELAY = models.example_path("relay")
 INPUTS = Path(__file__).parent / "inputs"
+GOLDEN = Path(__file__).parent / "golden"
 ACC4 = str(INPUTS / "acc4.feta")
 PRODUCT_FAMILY = str(INPUTS / "product_family_v08.feta")
 
@@ -99,6 +100,28 @@ def test_no_team_guard_is_compiled(capsys, monkeypatch, access, argv):
     parts += [rule.guard for rule in fspec.rules] + [fsys.feature_model]
     assert all(expr in parts for expr in compiled)
     assert 0 < len(compiled) <= len(parts)
+
+
+def test_text_feta_builds_no_team_guard(capsys, monkeypatch):
+    """Text `feta` prints counts only, so no team guard expression is made."""
+
+    def refuse(*args):
+        raise AssertionError("a team guard was built")
+
+    _patch_everywhere(monkeypatch, feta.team, "participants_guard", refuse)
+    code, out, _ = run(capsys, "feta", ACCESS)
+    assert code == 0
+    assert out == (GOLDEN / "access_management.feta.out").read_text(encoding="utf-8")
+
+
+def test_dot_feta_builds_only_the_printed_team_guards(capsys, monkeypatch):
+    """At most one guard per transition of the pruned team that DOT draws."""
+    calls = []
+    _counting(monkeypatch, feta.team, "participants_guard", calls)
+    code, out, _ = run(capsys, "feta", "--format", "dot", ACCESS)
+    assert code == 0
+    assert out == (GOLDEN / "access_management.feta-dot.out").read_text(encoding="utf-8")
+    assert 0 < len(calls) <= models.CORE_TRANSITIONS
 
 
 def test_shared_condition_factors_are_simplified_once(capsys, monkeypatch):

@@ -59,6 +59,12 @@ def test_masks_agree_with_evaluation_on_every_product(battery):
     assert battery.mask_failures == []
 
 
+def test_builders_keep_what_they_skip_checking(battery):
+    """The full, reachable and pruned teams skip `Fts.__init__`'s checks."""
+    assert battery.built_team_failures == []
+    assert battery.built_team_checks > 0
+
+
 def test_reachable_team_is_the_reachable_realisable_part_of_the_full_team(battery):
     assert battery.reachable_team_failures == []
     assert battery.reachable_team_checks > 0

@@ -1,8 +1,11 @@
 """Featured team construction, guards, pruning and projection agreement."""
 
+from pathlib import Path
+
 import pytest
 
 import models
+from instancegen import built_team_disagreements
 from feta import (
     TRUE,
     And,
@@ -17,6 +20,7 @@ from feta import (
     build_featured_team,
     build_team,
     check_projection_commutes,
+    elaborate_text,
     entails,
     equivalent,
     is_satisfiable,
@@ -24,6 +28,7 @@ from feta import (
     products_in,
     product_team,
     prune_for_display,
+    reachable_featured_team,
     valid_products,
 )
 
@@ -163,3 +168,17 @@ def test_team_projection_states_cover_the_full_product(access, team):
     projected = team.project(models.UNLOCK)
     assert projected.states == team.states
     assert len(projected.states) == models.TEAM_STATES
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["access_management", "broadcast_logger", "dual_sign", "relay", "sensor_fusion", "turnstile"],
+)
+def test_builders_keep_what_they_skip_checking_on_every_example(name):
+    result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    full = build_featured_team(fsys, fspec)
+    for team in (full, reachable_featured_team(fsys, fspec), prune_for_display(full)):
+        compared, wrong = built_team_disagreements(team, fsys, fspec)
+        assert wrong == []
+        assert compared == len(team.transitions) > 0
