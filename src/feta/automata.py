@@ -243,12 +243,20 @@ class Fts(Lts):
         """States, initial states, actions and the transitions whose guard the
         product satisfies. Every guard names only features of `space` (checked
         by `__init__`, or by construction in `_built`), so once the product is
-        known to be over it the guards are evaluated unchecked.
+        known to be over it the guards are evaluated unchecked, each guard
+        object once: a builder's transitions of one label class share theirs.
         """
         self._check_product(product)
-        guards = self.guards
-        kept = tuple(t for t in self.transitions if holds(guards[t], product))
-        return self.states, self.initial, self.actions, kept
+        guards, verdicts = self.guards, {}
+        kept = []
+        for t in self.transitions:
+            guard = guards[t]
+            verdict = verdicts.get(id(guard))
+            if verdict is None:
+                verdict = verdicts[id(guard)] = holds(guard, product)
+            if verdict:
+                kept.append(t)
+        return self.states, self.initial, self.actions, tuple(kept)
 
     def project(self, product: Product) -> Lts:
         """The behaviour of one valid product: same states, guarded transitions kept."""

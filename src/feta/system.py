@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
@@ -41,15 +40,25 @@ class SystemLabel(Value):
         init_field(self, "senders", senders)
         init_field(self, "action", action)
         init_field(self, "receivers", receivers)
+        # Labels key dictionaries and sort transitions, so both are worked out once.
+        init_field(self, "_hash", hash((senders, action, receivers)))
+        init_field(self, "_sort_key", (action, tuple(sorted(senders)), tuple(sorted(receivers))))
 
     def _key(self) -> tuple:
         return (self.senders, self.action, self.receivers)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through `__init__`: a string's hash differs between processes.
+        return (SystemLabel, (self.senders, self.action, self.receivers))
 
     def participants(self) -> frozenset[str]:
         return self.senders | self.receivers
 
     def sort_key(self):
-        return (self.action, tuple(sorted(self.senders)), tuple(sorted(self.receivers)))
+        return self._sort_key
 
     def __str__(self) -> str:
         return (
@@ -102,13 +111,14 @@ def _subsets(items):
 
 
 class _StepTable:
-    """What `successors` reads of a system's components, worked out once.
+    """What composition reads of a system's components, worked out once.
 
     `steps` holds per component, in name order, its local state -> action ->
     targets sorted by `state_key`; `plan` holds per action, in sorted order,
     the (index, sends) pairs of the components whose alphabet has it and the
-    text of its participants check. Labels and their sort keys are shared
-    per (action, senders, receivers).
+    text of its participants check. Labels are shared per (action, senders,
+    receivers), and `pattern` keeps the labels of each set of ready
+    participants in sort-key order, so that composition needs no sort.
     """
 
     def __init__(self, names: tuple[str, ...], components) -> None:
@@ -135,19 +145,40 @@ class _StepTable:
             )
             for action in sorted(frozenset().union(*(comp.actions for comp in components)))
         )
-        self._labels: dict[tuple, tuple[SystemLabel, tuple]] = {}
+        self._choices: dict[tuple, tuple[SystemLabel, tuple[int, ...]]] = {}
+        self._patterns: dict[tuple, tuple] = {}
 
-    def label(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
-        """The label of these participants' indices and its sort key."""
+    def choice(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
+        """The label of these participants' indices, with the indices in
+        ascending order; one shared pair per (action, senders, receivers).
+        """
         key = (action, senders, receivers)
-        if key not in self._labels:
+        if key not in self._choices:
             label = SystemLabel(
                 frozenset(self.names[i] for i in senders),
                 action,
                 frozenset(self.names[i] for i in receivers),
             )
-            self._labels[key] = (label, label.sort_key())
-        return self._labels[key]
+            self._choices[key] = (label, tuple(sorted(senders + receivers)))
+        return self._choices[key]
+
+    def pattern(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
+        """The `choice` of every nonempty subset of these ready senders and
+        receivers, in label sort-key order.
+        """
+        key = (action, senders, receivers)
+        if key not in self._patterns:
+            chosen = sorted(
+                (
+                    self.choice(action, s, r)
+                    for s in _subsets(senders)
+                    for r in _subsets(receivers)
+                    if s or r
+                ),
+                key=lambda pair: pair[0].sort_key(),
+            )
+            self._patterns[key] = tuple(chosen)
+        return self._patterns[key]
 
     def refuse(self, state: tuple, rows: list, budget: Budget) -> None:
         """Raise as the first unknown local state does in a component's
@@ -204,12 +235,13 @@ class _ComposeMixin:
     def _step_table(self) -> _StepTable:
         return _StepTable(self.names, [self.components[n] for n in self.names])
 
-    def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
-        """All induced transitions from the state, in deterministic order.
+    def _ready_labels(self, state: tuple, budget: Budget = Budget()):
+        """Per label that the state enables, in sort-key order: the label, its
+        participants' indices in ascending order and, per participant, its
+        targets sorted by `state_key`.
 
-        Per action in sorted order, every nonempty choice of locally ready
-        senders and receivers, each moving to one of its targets: by label
-        sort key, then by target.
+        The arity, unknown-state and per-action participants checks raise as
+        the components' own `successors_from` would, in action order.
         """
         if len(state) != len(self.names):
             raise SpecificationError(f"state {state!r} has wrong arity")
@@ -217,27 +249,32 @@ class _ComposeMixin:
         rows = [steps.get(local) for steps, local in zip(table.steps, state)]
         if None in rows:
             table.refuse(state, rows, budget)
-        out: list[tuple[tuple, SystemTransition]] = []
         for action, takers, counted in table.plan:
             senders, receivers = [], []
             for idx, sends in takers:
                 if action in rows[idx]:
                     (senders if sends else receivers).append(idx)
             budget.check("participants", len(senders) + len(receivers), counted)
-            for chosen_s in _subsets(senders):
-                for chosen_r in _subsets(receivers):
-                    involved = chosen_s + chosen_r
-                    if not involved:
-                        continue
-                    label, key = table.label(action, chosen_s, chosen_r)
-                    for combo in itertools.product(*(rows[idx][action] for idx in involved)):
-                        moved = list(state)
-                        for idx, dst in zip(involved, combo):
-                            moved[idx] = dst
-                        target = tuple(moved)
-                        out.append(((key, target), SystemTransition(state, label, target)))
-        out.sort(key=itemgetter(0))
-        return tuple(t for _, t in out)
+            for label, involved in table.pattern(action, tuple(senders), tuple(receivers)):
+                yield label, involved, [rows[idx][action] for idx in involved]
+
+    def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
+        """All induced transitions from the state, in deterministic order.
+
+        Per action in sorted order, every nonempty choice of locally ready
+        senders and receivers, each moving to one of its targets: by label
+        sort key, then by target. No sort is needed: labels come in key
+        order, and a label's targets differ only at its participants, whose
+        sorted target lists taken in index order give the targets in order.
+        """
+        out: list[SystemTransition] = []
+        for label, involved, targets in self._ready_labels(state, budget):
+            for combo in itertools.product(*targets):
+                moved = list(state)
+                for idx, dst in zip(involved, combo):
+                    moved[idx] = dst
+                out.append(SystemTransition(state, label, tuple(moved)))
+        return tuple(out)
 
     def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
         """The full product state set and every induced transition.

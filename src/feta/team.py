@@ -12,15 +12,18 @@ transition.
 
 Every verdict is decided on the guards' masks, which the builders work out
 from the parts' masks; a guard expression is only a view, for display and
-for the per-product check, so each is built the first time it is read.
+for the per-product check, so each is built the first time it is read, and
+shared by all transitions of its label class: the same label with the same
+participants' local steps, whatever the idle components' states.
 The builders' teams are correct by construction: their states and
 transitions come in order and their guards name only declared features, so
 unlike guards a caller passes to `Fts`, they are not checked again.
 
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
-the initial states; `build_featured_team` builds the whole team over the
-full product of the local state sets and stays the reference.
+the initial states, and makes only the transitions whose mask is not 0;
+`build_featured_team` builds the whole team over the full product of the
+local state sets, from `System.successors`, and stays the reference.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
 from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
-from .system import FeaturedSystem, System, SystemTransition
+from .system import FeaturedSystem, System, SystemLabel, SystemTransition
 
 
 class OpenSystemWarning(UserWarning):
@@ -84,12 +87,24 @@ class _TeamGuards:
     transitions with the same action and participant counts share one sync
     mask and one sync expression, both worked out once per build as the
     first mask of the key is asked for; making a guard later reads no mask.
+    A guard depends only on its label class, the label and its
+    participants' local steps, never on the idle components' states, so the
+    transitions of one class share one guard object.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
-        self._where = {name: (idx, fsys.components[name]) for idx, name in enumerate(fsys.names)}
+        self._index = {name: idx for idx, name in enumerate(fsys.names)}
+        self._local = [fsys.components[name].guard_masks for name in fsys.names]
         self._sync: dict[tuple[str, int, int], tuple[int, FeatureExpr]] = {}
+        self._involved: dict[SystemLabel, tuple[int, ...]] = {}
+        self._guards: dict[tuple, FeatureExpr] = {}
+
+    def _indices(self, label: SystemLabel) -> tuple[int, ...]:
+        """The label's participants' indices, in ascending order."""
+        if label not in self._involved:
+            self._involved[label] = tuple(sorted(self._index[n] for n in label.participants()))
+        return self._involved[label]
 
     def _sync_parts(self, key: tuple[str, int, int]) -> tuple[int, FeatureExpr]:
         if key not in self._sync:
@@ -101,16 +116,48 @@ class _TeamGuards:
 
     def mask(self, t: SystemTransition) -> int:
         source, label, target = t
-        mask = self._sync_parts((label.action, len(label.senders), len(label.receivers)))[0]
-        for names in (label.senders, label.receivers):
-            for name in names:
-                idx, comp = self._where[name]
-                mask &= comp.guard_masks[(source[idx], label.action, target[idx])]
+        action, local = label.action, self._local
+        mask = self._sync_parts((action, len(label.senders), len(label.receivers)))[0]
+        for idx in self._indices(label):
+            mask &= local[idx][(source[idx], action, target[idx])]
         return mask
 
+    def live(self, source: tuple, budget: Budget) -> list[tuple[SystemTransition, int]]:
+        """The induced transitions from the state whose mask is not 0, with
+        their masks, in `successors` order.
+
+        A label whose sync mask is 0 is skipped; otherwise its participants
+        are added one at a time in index order, carrying the AND of their
+        local guard masks, and a branch whose mask reaches 0 is abandoned.
+        """
+        out: list[tuple[SystemTransition, int]] = []
+        for label, involved, targets in self.fsys._ready_labels(source, budget):
+            action = label.action
+            mask = self._sync_parts((action, len(label.senders), len(label.receivers)))[0]
+            if not mask:
+                continue
+            partial = [(source, mask)]
+            for idx, dests in zip(involved, targets):
+                local = self._local[idx]
+                step = [(dst, local[(source[idx], action, dst)]) for dst in dests]
+                partial = [
+                    (moved[:idx] + (dst,) + moved[idx + 1:], kept & own)
+                    for moved, kept in partial
+                    for dst, own in step
+                    if kept & own
+                ]
+            out.extend((SystemTransition(source, label, moved), kept) for moved, kept in partial)
+        return out
+
     def guard(self, t: SystemTransition) -> FeatureExpr:
-        sync = self._sync[(t.action, len(t.senders), len(t.receivers))][1]
-        return And((participants_guard(self.fsys, t), sync))
+        source, label, target = t
+        involved = self._indices(label)
+        key = (label, tuple([source[i] for i in involved]), tuple([target[i] for i in involved]))
+        guard = self._guards.get(key)
+        if guard is None:
+            sync = self._sync[(label.action, len(label.senders), len(label.receivers))][1]
+            guard = self._guards[key] = And((participants_guard(self.fsys, t), sync))
+        return guard
 
 
 def build_featured_team(
@@ -148,7 +195,9 @@ def reachable_featured_team(
     product reaches and the transitions some product reaching their source
     can take, with the full team's guards and masks. Every family
     requirement, strict verdict, culprit and weak witness path depends only
-    on this part. `budget.states` bounds the states reached.
+    on this part. `budget.states` bounds the states reached. A state's
+    transitions come from `_TeamGuards.live`, which never makes one whose
+    mask is 0.
     """
     _check_featured_inputs(fsys, fspec)
     parts = _TeamGuards(fsys, fspec)
@@ -157,9 +206,7 @@ def reachable_featured_team(
 
     def leaving(src: tuple) -> list[tuple[SystemTransition, int]]:
         if src not in steps:
-            steps[src] = [
-                (t, mask) for t in fsys.successors(src, budget) if (mask := parts.mask(t))
-            ]
+            steps[src] = parts.live(src, budget)
         return steps[src]
 
     reach = reach_masks(

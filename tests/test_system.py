@@ -1,6 +1,10 @@
 """System labels and multi-component composition."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -47,6 +51,40 @@ def test_label_roles_are_disjoint():
 def test_label_str_sorts_participants():
     label = SystemLabel(frozenset({"u2", "u1"}), "join", frozenset({"s"}))
     assert str(label) == "{u1,u2} join {s}"
+
+
+def test_label_keeps_the_hash_and_sort_key_of_its_tuples():
+    """Both are worked out once, in `__init__`, and equal the recomputed tuples."""
+    fsys, _ = models.make_all()
+    _, transitions = fsys.state_space()
+    labels = {t.label for t in transitions}
+    labels.add(SystemLabel(frozenset({"u2", "s", "u10"}), "join", frozenset({"b", "a"})))
+    for label in labels:
+        senders, action, receivers = label.senders, label.action, label.receivers
+        assert hash(label) == hash((senders, action, receivers))
+        assert label.sort_key() == (action, tuple(sorted(senders)), tuple(sorted(receivers)))
+        twin = SystemLabel(frozenset(senders), action, frozenset(receivers))
+        assert twin == label and hash(twin) == hash(label)
+        assert repr(twin) == repr(label) == (
+            f"SystemLabel(senders={senders!r}, action={action!r}, receivers={receivers!r})"
+        )
+    assert SystemLabel.__match_args__ == ("senders", "action", "receivers")
+
+
+def test_label_unpickled_in_another_process_hashes_there():
+    label = SystemLabel(frozenset({"u1"}), "join", frozenset({"s"}))
+    code = (
+        "import pickle, sys; label = pickle.load(sys.stdin.buffer);"
+        " print(label in {type(label)(label.senders, label.action, label.receivers)})"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for seed in ("2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(label), env=env,
+            capture_output=True, check=True,
+        )
+        assert out.stdout == b"True\n"
 
 
 def test_transition_str():
@@ -248,6 +286,34 @@ def test_successors_equal_the_reference_enumeration_in_order():
             assert sys.successors(state) == expected, (name, state)
             compared += len(expected)
     assert compared > 10_000
+
+
+def test_successors_come_in_the_reference_order_without_a_sort():
+    """Each case the sort-free order rests on: names out of alphabetical
+    order, a receiver bound before a sender, local states `9` and `10`
+    (whose string order is not their declaration order), steps with two or
+    more targets and two or more ready senders.
+    """
+    sender = component(
+        states=("9", "10"), init="9", outputs=("go",),
+        transitions=(("9", "go", "9"), ("9", "go", "10"), ("10", "go", "9")),
+    )
+    receiver = component(
+        states=("9", "10", "2"), init="9", inputs=("go", "ack"),
+        transitions=(("9", "go", "10"), ("9", "go", "2"), ("10", "ack", "9")),
+    )
+    acker = component(outputs=("ack",), transitions=(("0", "ack", "0"),))
+    names = ("zed", "mid", "alpha", "beta", "ack")
+    sys = System(names, {"zed": receiver, "mid": sender, "alpha": sender,
+                         "beta": receiver, "ack": acker})
+    compared = 0
+    for state in itertools.product(*(sys.components[n].states for n in names)):
+        expected = reference_successors(sys, state)
+        assert sys.successors(state) == expected, state
+        compared += len(expected)
+    many = sys.successors(("9", "9", "9", "9", "0"))
+    assert len({t.label for t in many if len(t.senders) == 2}) > 1
+    assert compared > 500
 
 
 def two_step_system():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import feta.automata
+import feta.team
 import models
 from instancegen import built_team_disagreements
 from feta import (
@@ -11,6 +13,7 @@ from feta import (
     And,
     Budget,
     FeaturedSyncSpec,
+    Fts,
     Not,
     OpenSystemWarning,
     ResourceLimitError,
@@ -23,6 +26,7 @@ from feta import (
     elaborate_text,
     entails,
     equivalent,
+    evaluate,
     is_satisfiable,
     participants_guard,
     products_in,
@@ -182,3 +186,87 @@ def test_builders_keep_what_they_skip_checking_on_every_example(name):
         compared, wrong = built_team_disagreements(team, fsys, fspec)
         assert wrong == []
         assert compared == len(team.transitions) > 0
+
+
+def acc4():
+    """The access example with four users: 162 states, 3,550 induced transitions."""
+    text = (Path(__file__).parent / "inputs" / "acc4.feta").read_text(encoding="utf-8")
+    result = elaborate_text(text)
+    return result.system, result.sync
+
+
+def test_reachable_team_makes_only_the_transitions_with_a_non_zero_mask(monkeypatch):
+    """Labels whose sync mask is 0, and branches whose local guard masks
+    AND to 0, are cut before any transition is made: 194 of the 1,294
+    induced transitions from acc4's 48 reached states.
+    """
+    fsys, fspec = acc4()
+    full = build_featured_team(fsys, fspec)
+    made = []
+    original = feta.team.SystemTransition
+
+    def counting(*parts):
+        made.append(parts)
+        return original(*parts)
+
+    monkeypatch.setattr(feta.team, "SystemTransition", counting)
+    reachable = reachable_featured_team(fsys, fspec)
+    monkeypatch.undo()
+    reached = set(reachable.states)
+    leaving = [t for t in full.transitions if t.source in reached]
+    live = [t for t in leaving if full.guard_masks[t]]
+    assert len(made) == len(live) == 194
+    assert len(leaving) == 1294
+    assert set(reachable.transitions) <= set(live)
+    assert built_team_disagreements(reachable, fsys, fspec)[1] == []
+
+
+def test_full_team_shares_one_guard_per_label_class():
+    """A guard depends on the label and its participants' local steps only."""
+    fsys, fspec = acc4()
+    full = build_featured_team(fsys, fspec)
+    classes: dict = {}
+    for t in full.transitions:
+        involved = [i for i, name in enumerate(fsys.names) if name in t.label.participants()]
+        key = (t.label, tuple((t.source[i], t.target[i]) for i in involved))
+        classes.setdefault(key, set()).add(id(full.guards[t]))
+    assert len(full.transitions) == 3550
+    assert len(classes) == 304
+    assert all(len(ids) == 1 for ids in classes.values())
+    assert len({id(full.guards[t]) for t in full.transitions}) == 304
+
+
+def test_projection_evaluates_each_guard_object_once_per_product(monkeypatch):
+    fsys, fspec = acc4()
+    full = build_featured_team(fsys, fspec)
+    distinct = len({id(guard) for guard in full.guards.values()})
+    calls = []
+    original = feta.automata.holds
+
+    def counting(guard, product):
+        calls.append(id(guard))
+        return original(guard, product)
+
+    monkeypatch.setattr(feta.automata, "holds", counting)
+    for product in valid_products(fsys.feature_model, fsys.space):
+        calls.clear()
+        projected = full.project(product)
+        assert 0 < len(calls) == len(set(calls)) <= distinct
+        expected = tuple(t for t in full.transitions if evaluate(full.guards[t], product))
+        assert projected.transitions == expected
+
+
+def test_caller_guards_that_are_equal_but_distinct_project_per_transition(access, team):
+    """Guards are told apart by identity, so equal copies are each evaluated."""
+    fsys, _ = access
+    guards = {t: And(team.guards[t].operands) for t in team.transitions}
+    assert len({id(g) for g in guards.values()}) == len(team.transitions)
+    assert len(set(guards.values())) < len(team.transitions)
+    caller = Fts(
+        team.states, team.initial, team.actions, team.transitions,
+        team.space, team.feature_model, guards,
+    )
+    for product in valid_products(fsys.feature_model, fsys.space):
+        expected = tuple(t for t in team.transitions if evaluate(guards[t], product))
+        assert caller.project(product).transitions == expected
+        assert caller.project(product).transitions == team.project(product).transitions
