@@ -167,23 +167,22 @@ class _GuardsOnRead(Mapping):
 class Fts(Lts):
     """A featured LTS: every transition carries a feature-expression guard.
 
-    `masks` holds the guard masks when the builder already has them; they are
-    compiled otherwise. Guards a caller passes are checked against `space`;
-    a builder's guards (`_built`) are correct by construction and are only
-    made when first read.
+    Guards a caller passes are checked against `space`, and their masks are
+    compiled from them when first read. A builder's guards (`_built`) are
+    correct by construction and are only made when first read; their masks
+    come with them.
     """
 
     __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
 
     def __init__(
         self, states, initial, actions, transitions, space: FeatureSpace,
-        feature_model: FeatureExpr, guards: Mapping, *, masks: Mapping | None = None,
+        feature_model: FeatureExpr, guards: Mapping,
     ) -> None:
         super().__init__(states, initial, actions, transitions)
         self.space = space
         self.feature_model = feature_model
         self.guards = dict(guards)
-        self.masks = None if masks is None else dict(masks)
         missing = set(self.transitions) - set(self.guards)
         if missing:
             raise SpecificationError(f"{len(missing)} transitions have no guard")
@@ -203,18 +202,18 @@ class Fts(Lts):
 
         Besides `Lts._built`'s order: `guard(transition)` makes a guard from
         parts already checked against `space`, on the guard's first read, and
-        `masks` holds every transition's guard mask and is kept uncopied.
+        `masks` holds every transition's guard mask; it becomes
+        `guard_masks` uncopied.
         """
         made = super()._built(states, initial, actions, transitions)
-        made.space, made.feature_model, made.masks = space, feature_model, masks
+        made.space, made.feature_model = space, feature_model
         made.guards = _GuardsOnRead(transitions, guard)
+        made.guard_masks = masks
         return made
 
     @cached_property
     def guard_masks(self) -> dict:
-        """The `expr_mask` of every transition's guard: `masks` if given, else compiled."""
-        if self.masks is not None:
-            return self.masks
+        """The `expr_mask` of every transition's guard."""
         return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
 
     @cached_property
@@ -223,7 +222,8 @@ class Fts(Lts):
 
         One forward fixpoint over all products at once (`reach_masks`): a
         transition carries the products that reach its source and satisfy
-        its guard. Unreached states read 0.
+        its guard. Unreached states read 0. `reachable_featured_team` sets
+        it to the fixpoint that built the team.
         """
         guards = self.guard_masks
         reach = reach_masks(
@@ -301,12 +301,9 @@ class FeaturedComponent(Fts):
 
     def __init__(
         self, states, initial, actions, transitions, space: FeatureSpace,
-        feature_model: FeatureExpr, guards: Mapping, inputs, outputs, *,
-        masks: Mapping | None = None,
+        feature_model: FeatureExpr, guards: Mapping, inputs, outputs,
     ) -> None:
-        super().__init__(
-            states, initial, actions, transitions, space, feature_model, guards, masks=masks
-        )
+        super().__init__(states, initial, actions, transitions, space, feature_model, guards)
         _split_alphabet(self, inputs, outputs)
 
     def project(self, product: Product) -> Component:

@@ -33,7 +33,7 @@ from .features import (
     first_product_in,
     format_expr,
     mask_union,
-    product_index,
+    product_bits,
     product_set_expr,
     products_in,
     valid_products,
@@ -247,11 +247,10 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
     req = Requirement(freq.state, freq.senders, freq.action)
     masks = feta.guard_masks
     witnesses = []
-    for product in products_in(freq.mask, feta.feature_model, feta.space):
-        bit = 1 << product_index(product)
+    for product, bit in product_bits(freq.mask, feta.feature_model, feta.space):
 
         def successors(state, bit=bit):
-            return [t for t in feta.successors_from(state) if masks[t] & bit]
+            return [t for t in feta.successors_from(state) if masks[t] >> bit & 1]
 
         verdict = search_weak_compliance(req, successors)
         if verdict.status == VIOLATED:

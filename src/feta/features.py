@@ -338,7 +338,8 @@ def valid_products(feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Pro
 
 
 def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
-    """(space, valid products, their `product_index` bits), kept on the model's node.
+    """(space, valid products, their `product_index` bits, those bits' OR),
+    kept on the model's node: the one record of which bit a product has.
 
     The answer lives and dies with the node. One node can meet many spaces
     (the shared `TRUE` is the model of every specification without a
@@ -348,7 +349,11 @@ def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
     if kept is None or kept[0] != space:
         _check_vars(feature_model, space)
         products = tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
-        kept = (space, products, tuple(product_index(p) for p in products))
+        bits = tuple(product_index(p) for p in products)
+        raw = bytearray(((1 << len(space)) + 7) // 8)
+        for bit in bits:
+            raw[bit >> 3] |= 1 << (bit & 7)
+        kept = (space, products, bits, int.from_bytes(raw, "little"))
         object.__setattr__(feature_model, "_valid_products", kept)
     return kept
 
@@ -430,15 +435,10 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
 
 
 def model_mask(feature_model: FeatureExpr, space: FeatureSpace) -> int:
-    """The valid products as bits: `expr_mask` of the feature model.
-
-    Kept on the model's node with its space, as `valid_products` is.
+    """The valid products as bits, equal to `expr_mask` of the feature model:
+    read off the record `valid_products` keeps, so nothing is compiled.
     """
-    kept = getattr(feature_model, "_model_mask", None)
-    if kept is None or kept[0] != space:
-        kept = (space, expr_mask(feature_model, space))
-        object.__setattr__(feature_model, "_model_mask", kept)
-    return kept[1]
+    return _valid(feature_model, space)[3]
 
 
 def product_index(product: Product) -> int:
@@ -455,22 +455,25 @@ def mask_union(masks) -> int:
     return out
 
 
+def product_bits(mask: int, feature_model: FeatureExpr, space: FeatureSpace):
+    """The valid products whose bit is set in the mask, each with that bit's
+    position (its `product_index`), in `valid_products` order.
+    """
+    if mask:
+        _, products, bits, _ = _valid(feature_model, space)
+        for product, bit in zip(products, bits):
+            if mask >> bit & 1:
+                yield product, bit
+
+
 def products_in(mask: int, feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
-    """The valid products whose bit is set in the mask, in `valid_products` order."""
-    if not mask:
-        return ()
-    _, products, bits = _valid(feature_model, space)
-    return tuple(p for p, bit in zip(products, bits) if mask >> bit & 1)
+    """The products of `product_bits`."""
+    return tuple(product for product, _ in product_bits(mask, feature_model, space))
 
 
 def first_product_in(mask: int, feature_model: FeatureExpr, space: FeatureSpace) -> Product | None:
     """The first of `products_in`, or None when it is empty."""
-    if mask:
-        _, products, bits = _valid(feature_model, space)
-        for product, bit in zip(products, bits):
-            if mask >> bit & 1:
-                return product
-    return None
+    return next((product for product, _ in product_bits(mask, feature_model, space)), None)
 
 
 def is_satisfiable(expr: FeatureExpr, space: FeatureSpace) -> bool:

@@ -23,8 +23,7 @@ from .features import (
     format_expr,
     mask_union,
     model_mask,
-    product_index,
-    products_in,
+    product_bits,
 )
 from .values import Value, init_field
 
@@ -206,7 +205,7 @@ class FeaturedSyncSpec:
         union = mask_union(mask for _, mask, *_ in found)
         return tuple(
             (product, action, *rest)
-            for product in products_in(union, self.feature_model, self.space)
+            for product, bit in product_bits(union, self.feature_model, self.space)
             for action, mask, *rest in found
-            if mask >> product_index(product) & 1
+            if mask >> bit & 1
         )

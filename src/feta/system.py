@@ -119,6 +119,7 @@ class _StepTable:
     text of its participants check. Labels are shared per (action, senders,
     receivers), and `pattern` keeps the labels of each set of ready
     participants in sort-key order, so that composition needs no sort.
+    `involved` maps each label made so far to its participants' indices.
     """
 
     def __init__(self, names: tuple[str, ...], components) -> None:
@@ -146,6 +147,7 @@ class _StepTable:
             for action in sorted(frozenset().union(*(comp.actions for comp in components)))
         )
         self._choices: dict[tuple, tuple[SystemLabel, tuple[int, ...]]] = {}
+        self.involved: dict[SystemLabel, tuple[int, ...]] = {}
         self._patterns: dict[tuple, tuple] = {}
 
     def choice(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
@@ -159,7 +161,8 @@ class _StepTable:
                 action,
                 frozenset(self.names[i] for i in receivers),
             )
-            self._choices[key] = (label, tuple(sorted(senders + receivers)))
+            indices = self.involved[label] = tuple(sorted(senders + receivers))
+            self._choices[key] = (label, indices)
         return self._choices[key]
 
     def pattern(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):

@@ -10,14 +10,17 @@ system and the specification and then building the plain team; the
 commutation check below compares the two constructions transition by
 transition.
 
-Every verdict is decided on the guards' masks, which the builders work out
-from the parts' masks; a guard expression is only a view, for display and
-for the per-product check, so each is built the first time it is read, and
-shared by all transitions of its label class: the same label with the same
-participants' local steps, whatever the idle components' states.
-The builders' teams are correct by construction: their states and
-transitions come in order and their guards name only declared features, so
-unlike guards a caller passes to `Fts`, they are not checked again.
+Every verdict is decided on the guards' masks, and each mask a built team
+carries has one source: both builders work the guard masks out from the
+parts' masks in one per-label walk, `_TeamGuards.live`, and the reachable
+team's reachability masks are the fixpoint that built it. A guard
+expression is only a view, for display and for the per-product check, so
+each is built the first time it is read, and shared by all transitions of
+its label class: the same label with the same participants' local steps,
+whatever the idle components' states. The builders' teams are correct by
+construction: their states and transitions come in order and their guards
+name only declared features, so unlike guards a caller passes to `Fts`,
+they are not checked again.
 
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
@@ -35,7 +38,7 @@ from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
 from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
-from .system import FeaturedSystem, System, SystemLabel, SystemTransition
+from .system import FeaturedSystem, System, SystemTransition
 
 
 class OpenSystemWarning(UserWarning):
@@ -85,26 +88,18 @@ class _TeamGuards:
     AND of the participants' local guard masks and the sync mask
     (`FeaturedSyncSpec.allowed_products`), so no guard is compiled. All
     transitions with the same action and participant counts share one sync
-    mask and one sync expression, both worked out once per build as the
-    first mask of the key is asked for; making a guard later reads no mask.
-    A guard depends only on its label class, the label and its
-    participants' local steps, never on the idle components' states, so the
-    transitions of one class share one guard object.
+    mask and one sync expression, both worked out once per build as `live`
+    first meets the key; making a guard later reads no mask. A guard
+    depends only on its label class, the label and its participants' local
+    steps, never on the idle components' states, so the transitions of one
+    class share one guard object.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
-        self._index = {name: idx for idx, name in enumerate(fsys.names)}
         self._local = [fsys.components[name].guard_masks for name in fsys.names]
         self._sync: dict[tuple[str, int, int], tuple[int, FeatureExpr]] = {}
-        self._involved: dict[SystemLabel, tuple[int, ...]] = {}
         self._guards: dict[tuple, FeatureExpr] = {}
-
-    def _indices(self, label: SystemLabel) -> tuple[int, ...]:
-        """The label's participants' indices, in ascending order."""
-        if label not in self._involved:
-            self._involved[label] = tuple(sorted(self._index[n] for n in label.participants()))
-        return self._involved[label]
 
     def _sync_parts(self, key: tuple[str, int, int]) -> tuple[int, FeatureExpr]:
         if key not in self._sync:
@@ -113,14 +108,6 @@ class _TeamGuards:
             allowed = products_in(mask, fsys.feature_model, fsys.space)
             self._sync[key] = (mask, product_set_expr(allowed, fsys.space))
         return self._sync[key]
-
-    def mask(self, t: SystemTransition) -> int:
-        source, label, target = t
-        action, local = label.action, self._local
-        mask = self._sync_parts((action, len(label.senders), len(label.receivers)))[0]
-        for idx in self._indices(label):
-            mask &= local[idx][(source[idx], action, target[idx])]
-        return mask
 
     def live(self, source: tuple, budget: Budget) -> list[tuple[SystemTransition, int]]:
         """The induced transitions from the state whose mask is not 0, with
@@ -150,8 +137,9 @@ class _TeamGuards:
         return out
 
     def guard(self, t: SystemTransition) -> FeatureExpr:
+        """The guard of a transition of a state `live` has left."""
         source, label, target = t
-        involved = self._indices(label)
+        involved = self.fsys._step_table.involved[label]
         key = (label, tuple([source[i] for i in involved]), tuple([target[i] for i in involved]))
         guard = self._guards.get(key)
         if guard is None:
@@ -167,7 +155,8 @@ def build_featured_team(
 
     Every induced transition over the full product of the local state sets
     is kept and receives the guard described above (`_TeamGuards`), so
-    `budget.states` bounds that full product. This is the reference
+    `budget.states` bounds that full product; a transition that
+    `_TeamGuards.live` does not make has mask 0. This is the reference
     construction: projections, display and the battery compare against it.
     The specification must be total over the valid products.
     """
@@ -175,7 +164,9 @@ def build_featured_team(
     # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
-    masks = {t: parts.mask(t) for t in transitions}
+    masks = dict.fromkeys(transitions, 0)
+    for q in states:
+        masks.update(parts.live(q, budget))
     return Fts._built(
         states, fsys.initial_states(), fsys.actions, transitions,
         fsys.space, fsys.feature_model, parts.guard, masks,
@@ -197,7 +188,8 @@ def reachable_featured_team(
     requirement, strict verdict, culprit and weak witness path depends only
     on this part. `budget.states` bounds the states reached. A state's
     transitions come from `_TeamGuards.live`, which never makes one whose
-    mask is 0.
+    mask is 0. The fixpoint is the team's `reachable_masks`: a dropped
+    transition passes on no product that reaches its source.
     """
     _check_featured_inputs(fsys, fspec)
     parts = _TeamGuards(fsys, fspec)
@@ -219,10 +211,12 @@ def reachable_featured_team(
     # states in order gives the team's transitions in order.
     states = tuple(sorted(reach, key=state_key))
     kept = {t: mask for src in states for t, mask in steps[src] if mask & reach[src]}
-    return Fts._built(
+    team = Fts._built(
         states, initial, fsys.actions, tuple(kept),
         fsys.space, fsys.feature_model, parts.guard, kept,
     )
+    team.reachable_masks = {q: reach[q] for q in states}
+    return team
 
 
 def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lts:

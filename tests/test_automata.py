@@ -15,6 +15,7 @@ from feta import (
     Product,
     SpecificationError,
     Var,
+    expr_mask,
 )
 from feta.automata import label_action, state_key, transition_key
 
@@ -117,7 +118,7 @@ def test_label_action_on_plain_labels():
 # --- featured automata --------------------------------------------------------
 
 
-def one_loop(guards, masks=None):
+def one_loop(guards):
     return Fts(
         states=("a",),
         initial=frozenset({"a"}),
@@ -126,7 +127,6 @@ def one_loop(guards, masks=None):
         space=SPACE,
         feature_model=TRUE,
         guards=guards,
-        masks=masks,
     )
 
 
@@ -140,22 +140,16 @@ def test_guard_variables_must_be_declared():
         one_loop({("a", "go", "a"): And((X, Var("zoo")))})
 
 
-def test_caller_guards_are_checked_when_their_masks_are_given():
-    """Only a builder's own guards go unchecked; passing masks trusts nothing."""
-    masks = {("a", "go", "a"): 0b1111}
-    with pytest.raises(SpecificationError, match="^1 transitions have no guard$"):
-        one_loop({}, masks=masks)
-    with pytest.raises(SpecificationError, match=r"references undeclared features \['zoo'\]$"):
-        one_loop({("a", "go", "a"): Var("zoo")}, masks=masks)
-
-
-def test_caller_guards_and_masks_are_copied():
+def test_caller_guards_are_copied_and_compiled_to_masks():
+    """A caller's `Fts` takes no masks: they are compiled from its own copy."""
     step = ("a", "go", "a")
-    guards, masks = {step: X}, {step: 0b1010}
-    fts = one_loop(guards, masks)
-    guards[step], masks[step] = Y, 0
+    guards = {step: X}
+    fts = one_loop(guards)
+    guards[step] = Y
     assert type(fts.guards) is dict and fts.guards == {step: X}
-    assert fts.guard_masks == {step: 0b1010}
+    assert fts.guard_masks == {step: expr_mask(X, SPACE)}
+    with pytest.raises(TypeError):
+        Fts(**{name: getattr(fts, name) for name in Fts.__match_args__}, masks={step: 0})
 
 
 def test_projection_keeps_all_states_and_filters_transitions():

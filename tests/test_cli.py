@@ -824,19 +824,25 @@ def test_every_benchmark_trace_target_exists():
     would stop `perfbench/run.py --trace 1` with a `KeyError`.
 
     The file is only parsed, so nothing under `perfbench/` is imported or written.
+    A method is looked up in its class's own `__dict__`, as the tracer does,
+    and every observer must hear a traced span.
     """
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tree = ast.parse(tracer.read_text(encoding="utf-8"))
-    (targets,) = [
-        ast.literal_eval(node.value)
+    assigned = {
+        node.targets[0].id: node.value
         for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
-    ]
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+    targets = ast.literal_eval(assigned["TARGETS"])
     assert targets
     for _, module_name, attr in targets:
         module = importlib.import_module(module_name)
         if "." in attr:
             cls_name, method = attr.split(".")
-            assert method in vars(getattr(module, cls_name)), attr
+            assert inspect.isfunction(vars(getattr(module, cls_name)).get(method)), attr
         else:
-            assert hasattr(module, attr), attr
+            assert inspect.isfunction(getattr(module, attr, None)), attr
+    observed = {ast.literal_eval(key) for key in assigned["OBSERVERS"].keys}
+    assert observed <= {name for name, _, _ in targets}

@@ -37,8 +37,11 @@ from feta import (
     senders_guard,
     valid_products,
 )
-from feta import features
+from feta import automata, features
+from feta import team as team_module
+from feta.cli import main
 from feta.family import FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT
+from feta.features import model_mask
 from feta.receptiveness import VIOLATED
 
 LOCK_ONLY = And((Var("lock"), Not(Var("unlock"))))
@@ -230,7 +233,7 @@ def test_per_product_route_reads_no_mask(monkeypatch):
     def refuse(*args):
         raise AssertionError("the per-product route read a mask")
 
-    for name in ("expr_mask", "model_mask", "products_in", "first_product_in"):
+    for name in ("expr_mask", "model_mask", "product_bits", "products_in", "first_product_in"):
         patch_everywhere(monkeypatch, name, refuse)
     monkeypatch.setattr(Fts, "guard_masks", property(refuse))
     monkeypatch.setattr(Fts, "reachable_masks", property(refuse))
@@ -244,7 +247,8 @@ def test_per_product_route_reads_no_mask(monkeypatch):
         assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
 
 
-def test_one_check_compiles_the_feature_model_once(monkeypatch):
+def test_one_check_compiles_no_feature_model(monkeypatch):
+    """The model's mask is read off its valid products, which elaboration lists."""
     compiled = []
     original = features.expr_mask
 
@@ -259,7 +263,24 @@ def test_one_check_compiles_the_feature_model_once(monkeypatch):
     team = reachable_featured_team(fsys, fspec)
     assert team.reachable_masks
     check_family_receptiveness(team, fsys, fspec, "weak")
-    assert sum(expr is fsys.feature_model for expr in compiled) == 1
+    assert not any(expr is fsys.feature_model for expr in compiled)
+    assert model_mask(fsys.feature_model, fsys.space) == original(fsys.feature_model, fsys.space)
+
+
+def test_one_weak_check_runs_one_reach_fixpoint(monkeypatch, capsys):
+    """`reachable_featured_team` hands its fixpoint to the team it builds."""
+    runs = []
+    original = automata.reach_masks
+
+    def counting(*args):
+        runs.append(args)
+        return original(*args)
+
+    for module in (automata, team_module):
+        monkeypatch.setattr(module, "reach_masks", counting)
+    assert main(["check", "--weak", models.example_path("access_management")]) == 0
+    assert "receptive" in capsys.readouterr().out
+    assert len(runs) == 1
 
 
 def test_requirement_projection_agrees_per_product(own_teams, freqs):

@@ -42,7 +42,7 @@ from feta import (
 )
 from feta import features
 from feta.dsl import parse_expr
-from feta.features import first_product_in, holds, model_mask
+from feta.features import first_product_in, holds, model_mask, product_bits
 
 AB = FeatureSpace.of("a", "b")
 ABC = FeatureSpace.of("a", "b", "c")
@@ -158,9 +158,11 @@ def test_first_product_in_follows_valid_products_order():
     for mask in range(16):
         chosen = products_in(mask, model, AB)
         assert first_product_in(mask, model, AB) == (chosen[0] if chosen else None)
+        bits = list(product_bits(mask, model, AB))
+        assert bits == [(p, product_index(p)) for p in chosen]
 
 
-def test_model_mask_is_compiled_once_per_space(monkeypatch):
+def test_model_mask_is_read_off_the_valid_products(monkeypatch):
     model = Or((A, B))
     compiled = []
 
@@ -169,11 +171,12 @@ def test_model_mask_is_compiled_once_per_space(monkeypatch):
         return expr_mask(expr, space)
 
     monkeypatch.setattr(features, "expr_mask", counting)
-    assert model_mask(model, AB) == expr_mask(model, AB)
-    assert model_mask(model, AB) == expr_mask(model, AB)
-    assert len(compiled) == 1
-    assert model_mask(model, ABC) == expr_mask(model, ABC)
-    assert len(compiled) == 2
+    for space in (AB, ABC, AB):
+        assert model_mask(model, space) == expr_mask(model, space)
+        assert model_mask(model, space) == sum(
+            1 << product_index(p) for p in valid_products(model, space)
+        )
+    assert compiled == []
 
 
 def test_empty_conjunction_is_true_and_empty_disjunction_is_false():

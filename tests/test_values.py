@@ -174,9 +174,7 @@ def test_containers_keep_their_constructors():
     """The mutable automata and systems take their fields by position or by name."""
     step = ("0", "go", "1")
     parts = (("0", "1"), {"0"}, {"go"}, (step,), SPACE, TRUE, {step: A})
-    assert Fts(*parts).masks is None
-    fts = Fts(**dict(zip(Fts.__match_args__, parts)), masks={step: 0b1010})
-    assert fts.guard_masks == {step: 0b1010}
+    assert Fts(*parts).guards == Fts(**dict(zip(Fts.__match_args__, parts))).guards == {step: A}
     assert Fts.__match_args__ == (
         "states", "initial", "actions", "transitions", "space", "feature_model", "guards",
     )
