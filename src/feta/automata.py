@@ -82,14 +82,32 @@ class Lts:
         out: dict = {q: [] for q in self.states}
         for t in self.transitions:
             out[t[0]].append(t)
-        return out
+        return {q: tuple(leaving) for q, leaving in out.items()}
 
     def successors_from(self, state) -> tuple:
         """Transitions leaving the state, in deterministic order."""
         try:
-            return tuple(self._adjacency[state])
+            return self._adjacency[state]
         except KeyError:
             raise SpecificationError(f"unknown state {state!r}") from None
+
+    @cached_property
+    def _sends(self) -> dict:
+        return {}
+
+    def _sends_from(self, state) -> dict:
+        """A team state's transitions that let a group send to at least one
+        receiver, grouped by (senders, action), each group in
+        `successors_from` order; worked out on the state's first use and kept.
+        """
+        groups = self._sends.get(state)
+        if groups is None:
+            groups = self._sends[state] = {}
+            for t in self.successors_from(state):
+                label = t[1]
+                if label.receivers:
+                    groups.setdefault((label.senders, label.action), []).append(t)
+        return groups
 
     def enabled(self, state, label) -> bool:
         """Whether some transition from the state carries the label.
@@ -239,27 +257,41 @@ class Fts(Lts):
         if not evaluate(self.feature_model, product):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
-    def _projected_parts(self, product: Product):
-        """States, initial states, actions and the transitions whose guard the
-        product satisfies. Every guard names only features of `space` (checked
-        by `__init__`, or by construction in `_built`), so once the product is
-        known to be over it the guards are evaluated unchecked, each guard
-        object once: a builder's transitions of one label class share theirs.
+    @cached_property
+    def _guard_classes(self) -> tuple:
+        """The transitions grouped by guard object, as (guard, transitions)
+        pairs in the order each guard first appears, each group in transition
+        order: a builder's transitions of one label class share their guard.
         """
-        self._check_product(product)
-        guards, verdicts = self.guards, {}
-        kept = []
+        classes: dict = {}
+        guards = self.guards
         for t in self.transitions:
             guard = guards[t]
-            verdict = verdicts.get(id(guard))
-            if verdict is None:
-                verdict = verdicts[id(guard)] = holds(guard, product)
-            if verdict:
-                kept.append(t)
-        return self.states, self.initial, self.actions, tuple(kept)
+            group = classes.get(id(guard))
+            if group is None:
+                classes[id(guard)] = (guard, [t])
+            else:
+                group[1].append(t)
+        return tuple(classes.values())
+
+    def _projected_parts(self, product: Product):
+        """States, initial states, actions and the transitions whose guard the
+        product satisfies, class by class, so not in transition order. Every
+        guard names only features of `space` (checked by `__init__`, or by
+        construction in `_built`), so once the product is known to be over it
+        the guards are evaluated unchecked, each guard object once.
+        """
+        self._check_product(product)
+        kept = []
+        for guard, transitions in self._guard_classes:
+            if holds(guard, product):
+                kept.extend(transitions)
+        return self.states, self.initial, self.actions, kept
 
     def project(self, product: Product) -> Lts:
-        """The behaviour of one valid product: same states, guarded transitions kept."""
+        """The behaviour of one valid product: same states, guarded transitions
+        kept, sorted as for any caller's parts.
+        """
         return Lts(*self._projected_parts(product))
 
 

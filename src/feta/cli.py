@@ -536,7 +536,7 @@ def cmd_verify(args) -> int:
         for mode, reports in product_reports.items():
             reports.append((product, verdicts._replace(mode=mode)))
     checks: list[tuple[str, bool, str]] = commutes + projects
-    unfolds = all(crosscheck_compliance_unfolding(feta, v) for v in family[STRICT].entries)
+    unfolds = not crosscheck_compliance_unfolding(feta, family[STRICT].entries)
     checks.append(
         (f"compliance unfolds product by product ({len(freqs)} requirements)", unfolds, "")
     )

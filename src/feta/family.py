@@ -47,7 +47,6 @@ from .receptiveness import (
     _check_mode,
     ready_senders,
     search_weak_compliance,
-    sends,
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
@@ -173,16 +172,17 @@ def derive_family_requirements(
     nothing. The condition's mask is the AND of the factors' masks: the
     members' local guard masks, the bits of the products whose type admits
     the group and the state's reachability mask. The sync factor is worked
-    out once per group size and action; the enabling and reach expressions
-    only for the groups that remain.
+    out once per group size and action and the reach factor once per
+    reachability mask, both shared by their requirements; the enabling
+    expression only for the groups that remain.
     """
     out: list[FamilyRequirement] = []
     sync: dict[tuple[int, str], tuple[FeatureExpr, int]] = {}
+    reach: dict[int, FeatureExpr] = {}
     for q in feta.states:
         reach_mask = feta.reachable_masks[q]
         if not reach_mask:
             continue
-        reach_condition = None
         for action in sorted(fsys.actions):
             ready = ready_senders(fsys, q, action, budget)
             enabling_masks = {}
@@ -206,8 +206,9 @@ def derive_family_requirements(
                     if not mask:
                         continue
                     group = frozenset(names)
+                    reach_condition = reach.get(reach_mask)
                     if reach_condition is None:
-                        reach_condition = product_set_expr(
+                        reach_condition = reach[reach_mask] = product_set_expr(
                             products_in(reach_mask, feta.feature_model, feta.space), feta.space
                         )
                     enabling = senders_guard(fsys, group, action, q)
@@ -222,6 +223,14 @@ def derive_family_requirements(
     return tuple(out)
 
 
+def _candidates(feta: Fts, freq: FamilyRequirement) -> list:
+    """The transitions from the requirement's state that let exactly its
+    group send the action to someone (`sends`), in `successors_from` order;
+    the team groups each state's sends once.
+    """
+    return feta._sends_from(freq.state).get((freq.senders, freq.action), [])
+
+
 def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:
     """Does the condition entail that some guarded send of the group fires?
 
@@ -229,7 +238,7 @@ def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict
     witnesses. On violation, the first valid product satisfying the
     condition but none of the guards is reported.
     """
-    candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
+    candidates = _candidates(feta, freq)
     uncovered = freq.mask & ~mask_union(feta.guard_masks[t] for t in candidates)
     if not uncovered:
         return FamilyVerdict(freq, FEATURED_COMPLIANT, tuple(candidates), None)
@@ -295,14 +304,39 @@ class ProjectionAgreement(NamedTuple):
         return not (self.only_in_family or self.only_in_product)
 
 
+def _holds_once(product: Product):
+    """`evaluate` on the product, once per expression object for one call:
+    family conditions share their sync and reach factors, and a team's
+    transitions of one label class share their guard. Objects are told apart
+    by identity and kept alive by the memo, so no identity is reused. A
+    conjunction is split into its operands, each looked up in turn, and all
+    of them are evaluated, so every name is still checked.
+    """
+    memo: dict[int, tuple[FeatureExpr, bool]] = {}
+
+    def verdict(expr: FeatureExpr) -> bool:
+        known = memo.get(id(expr))
+        if known is None:
+            if isinstance(expr, And):
+                value = all([verdict(op) for op in expr.operands])
+            else:
+                value = evaluate(expr, product)
+            known = memo[id(expr)] = (expr, value)
+        return known[1]
+
+    return verdict
+
+
 def crosscheck_requirement_projection(
     freqs: Iterable[FamilyRequirement], product: Product, own_reqs: Iterable[Requirement]
 ) -> ProjectionAgreement:
     """The family requirements whose condition the product satisfies must be
     exactly the product's own requirements, `own_reqs`, as `derive_requirements`
-    gives them on the product's own team.
+    gives them on the product's own team. Each distinct factor of the
+    conditions is evaluated once.
     """
-    family_side = {(f.state, f.senders, f.action) for f in freqs if evaluate(f.condition, product)}
+    satisfied = _holds_once(product)
+    family_side = {(f.state, f.senders, f.action) for f in freqs if satisfied(f.condition)}
     product_side = {(r.state, r.senders, r.action) for r in own_reqs}
     return ProjectionAgreement(
         product,
@@ -311,20 +345,35 @@ def crosscheck_requirement_projection(
     )
 
 
-def crosscheck_compliance_unfolding(feta: Fts, verdict: FamilyVerdict) -> bool:
-    """The verdict must be featured-compliant exactly when every product
-    satisfying the condition has a guarded send. Weak mode keeps each strictly
-    compliant entry's status and re-decides only the violated ones, so its
-    verdicts serve as well as strict ones.
+def crosscheck_compliance_unfolding(
+    feta: Fts, verdicts: Iterable[FamilyVerdict]
+) -> tuple[FamilyVerdict, ...]:
+    """The verdicts, in their order, that disagree with the products: each
+    must be featured-compliant exactly when every valid product satisfying
+    its condition satisfies the guard of some transition that lets the group
+    send. Weak mode keeps each strictly compliant entry's status and
+    re-decides only the violated ones, so its verdicts serve as well as
+    strict ones.
+
+    Product by product, every distinct condition factor and candidate guard
+    is evaluated once for all the verdicts.
     """
-    freq = verdict.requirement
-    candidates = [t for t in feta.successors_from(freq.state) if sends(t, freq)]
-    unfolded = all(
-        any(evaluate(feta.guards[t], p) for t in candidates)
-        for p in valid_products(feta.feature_model, feta.space)
-        if evaluate(freq.condition, p)
+    rows = [(v, [feta.guards[t] for t in _candidates(feta, v.requirement)]) for v in verdicts]
+    unfolded = [True] * len(rows)
+    for product in valid_products(feta.feature_model, feta.space):
+        satisfied = _holds_once(product)
+        for idx, (verdict, guards) in enumerate(rows):
+            if (
+                unfolded[idx]
+                and satisfied(verdict.requirement.condition)
+                and not any(satisfied(g) for g in guards)
+            ):
+                unfolded[idx] = False
+    return tuple(
+        verdict
+        for (verdict, _), unfolds in zip(rows, unfolded)
+        if (verdict.status == FEATURED_COMPLIANT) != unfolds
     )
-    return (verdict.status == FEATURED_COMPLIANT) == unfolded
 
 
 class FamilyProductsAgreement(NamedTuple):

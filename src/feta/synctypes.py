@@ -61,15 +61,18 @@ class SyncType(NamedTuple):
     senders: Interval
     receivers: Interval
 
+    def admits(self, n_senders: int, n_receivers: int) -> bool:
+        """Whether these participant counts fit the type."""
+        return self.senders.contains(n_senders) and self.receivers.contains(n_receivers)
+
     def __str__(self) -> str:
         return f"{self.senders} -> {self.receivers}"
 
 
 def transition_satisfies(transition, sync_type: SyncType) -> bool:
     """Whether the transition's participant counts fit the type."""
-    return sync_type.senders.contains(len(transition.label.senders)) and (
-        sync_type.receivers.contains(len(transition.label.receivers))
-    )
+    label = transition.label
+    return sync_type.admits(len(label.senders), len(label.receivers))
 
 
 class SyncTypeSpec:
@@ -176,7 +179,7 @@ class FeaturedSyncSpec:
         """The valid products whose type for the action admits these participant counts."""
         return mask_union(
             decides for st, _, decides in self.table(action).rules
-            if st.senders.contains(n_senders) and st.receivers.contains(n_receivers)
+            if st.admits(n_senders, n_receivers)
         )
 
     def validate_total(self) -> tuple[tuple[Product, str], ...]:

@@ -110,30 +110,34 @@ def _subsets(items):
         yield from itertools.combinations(items, size)
 
 
+def _local_steps(comp) -> dict:
+    """The component's local state -> action -> targets sorted by `state_key`."""
+    row: dict = {q: {} for q in comp.states}
+    for src, act, dst in comp.transitions:
+        row[src].setdefault(act, []).append(dst)
+    for by_action in row.values():
+        for act, dests in by_action.items():
+            by_action[act] = sorted(dests, key=state_key)
+    return row
+
+
 class _StepTable:
     """What composition reads of a system's components, worked out once.
 
-    `steps` holds per component, in name order, its local state -> action ->
-    targets sorted by `state_key`; `plan` holds per action, in sorted order,
-    the (index, sends) pairs of the components whose alphabet has it and the
-    text of its participants check. Labels are shared per (action, senders,
-    receivers), and `pattern` keeps the labels of each set of ready
-    participants in sort-key order, so that composition needs no sort.
-    `involved` maps each label made so far to its participants' indices.
+    `steps` holds per component, in name order, its `_local_steps`; `plan`
+    holds per action, in sorted order, the (index, sends) pairs of the
+    components whose alphabet has it and the text of its participants check.
+    Labels are shared per (action, senders, receivers), and `pattern` keeps
+    the labels of each set of ready participants in sort-key order, so that
+    composition needs no sort. `involved` maps each label made so far to its
+    participants' indices. Only `steps` reads the components' transitions;
+    the rest depends on the names and alphabets alone (`with_steps`).
     """
 
     def __init__(self, names: tuple[str, ...], components) -> None:
         self.names = names
         self.components = components
-        self.steps = []
-        for comp in components:
-            row: dict = {q: {} for q in comp.states}
-            for src, act, dst in comp.transitions:
-                row[src].setdefault(act, []).append(dst)
-            for by_action in row.values():
-                for act, dests in by_action.items():
-                    by_action[act] = sorted(dests, key=state_key)
-            self.steps.append(row)
+        self.steps = [_local_steps(comp) for comp in components]
         self.plan = tuple(
             (
                 action,
@@ -149,6 +153,17 @@ class _StepTable:
         self._choices: dict[tuple, tuple[SystemLabel, tuple[int, ...]]] = {}
         self.involved: dict[SystemLabel, tuple[int, ...]] = {}
         self._patterns: dict[tuple, tuple] = {}
+
+    def with_steps(self, components) -> _StepTable:
+        """The table of other components under the same names with the same
+        alphabets and input/output splits: their own `steps`, and this
+        table's `plan`, labels and patterns, shared and filled by both.
+        """
+        table = _StepTable.__new__(_StepTable)
+        table.__dict__.update(self.__dict__)
+        table.components = components
+        table.steps = [_local_steps(comp) for comp in components]
+        return table
 
     def choice(self, action: str, senders: tuple[int, ...], receivers: tuple[int, ...]):
         """The label of these participants' indices, with the indices in
@@ -261,36 +276,48 @@ class _ComposeMixin:
             for label, involved in table.pattern(action, tuple(senders), tuple(receivers)):
                 yield label, involved, [rows[idx][action] for idx in involved]
 
+    @staticmethod
+    def _induced(state: tuple, ready) -> list[SystemTransition]:
+        """The transitions from the state of the `ready` (label, involved,
+        targets) triples, as `_ready_labels` yields them: per label, one per
+        choice of its participants' targets. They come in order: the targets
+        differ only at the participants, whose sorted target lists taken in
+        index order give them in `state_key` order.
+        """
+        out: list[SystemTransition] = []
+        for label, involved, targets in ready:
+            for combo in itertools.product(*targets):
+                moved = list(state)
+                for idx, dst in zip(involved, combo):
+                    moved[idx] = dst
+                out.append(SystemTransition(state, label, tuple(moved)))
+        return out
+
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
         """All induced transitions from the state, in deterministic order.
 
         Per action in sorted order, every nonempty choice of locally ready
         senders and receivers, each moving to one of its targets: by label
         sort key, then by target. No sort is needed: labels come in key
-        order, and a label's targets differ only at its participants, whose
-        sorted target lists taken in index order give the targets in order.
+        order, and `_induced` gives each label's targets in order.
         """
-        out: list[SystemTransition] = []
-        for label, involved, targets in self._ready_labels(state, budget):
-            for combo in itertools.product(*targets):
-                moved = list(state)
-                for idx, dst in zip(involved, combo):
-                    moved[idx] = dst
-                out.append(SystemTransition(state, label, tuple(moved)))
-        return tuple(out)
+        return tuple(self._induced(state, self._ready_labels(state, budget)))
 
-    def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
-        """The full product state set and every induced transition.
+    def _full_states(self, budget: Budget = Budget()) -> tuple[tuple, ...]:
+        """The whole product of the local state sets, sorted by `state_key`.
 
-        The state set is the whole product of the local state sets, not just
-        its reachable part; projections of a featured team must agree with
-        per-product composition on the full sets, and `budget.states` bounds
-        that whole product.
+        Projections of a featured team must agree with per-product
+        composition on the full sets, and `budget.states` bounds that whole
+        product.
         """
         budget.check("states", self.state_count(), "states in the full product of local states")
-        states = tuple(
-            itertools.product(*(list(self.components[n].states) for n in self.names))
-        )
+        return tuple(itertools.product(*(list(self.components[n].states) for n in self.names)))
+
+    def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
+        """The full product state set (`_full_states`), not just its reachable
+        part, and every induced transition.
+        """
+        states = self._full_states(budget)
         transitions: list[SystemTransition] = []
         for q in states:
             transitions.extend(self.successors(q, budget))
@@ -330,10 +357,19 @@ class FeaturedSystem(_ComposeMixin):
                 )
 
     def project(self, product: Product) -> System:
-        """The plain system of one valid product."""
-        return System(
+        """The plain system of one valid product.
+
+        Projection keeps every component's alphabet and input/output split,
+        so the projected system composes with this system's labels and
+        patterns (`_StepTable.with_steps`) and only its local steps are new.
+        """
+        projected = System(
             self.names, {n: self.components[n].project(product) for n in self.names}
         )
+        projected._step_table = self._step_table.with_steps(
+            [projected.components[n] for n in self.names]
+        )
+        return projected
 
 
 def _check_bindings(names, components, kind) -> None:

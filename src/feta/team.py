@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
 from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
-from .synctypes import FeaturedSyncSpec, SyncTypeSpec, transition_satisfies
+from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemTransition
 
 
@@ -220,18 +220,33 @@ def reachable_featured_team(
 
 
 def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lts:
-    """The plain team automaton: induced transitions filtered by the types."""
+    """The plain team automaton: the induced transitions whose participant
+    counts fit their action's type, over the full product of the local state
+    sets.
+
+    It equals `sys.state_space` with its transitions filtered by
+    `transition_satisfies`, under the same budget checks, but composes only
+    what it keeps: the type check runs once per label, and a label that does
+    not fit is skipped before its targets are expanded. States and
+    transitions come in `Lts` order.
+    """
     _warn_if_open(sys)
-    states, transitions = sys.state_space(budget)
-    kept = tuple(
-        t for t in transitions if transition_satisfies(t, spec.for_action(t.action))
-    )
-    return Lts(
-        states=states,
-        initial=sys.initial_states(),
-        actions=sys.actions,
-        transitions=kept,
-    )
+    states = sys._full_states(budget)
+    fits: dict = {}
+
+    def fitting(ready):
+        for label, involved, targets in ready:
+            fit = fits.get(label)
+            if fit is None:
+                sync_type = spec.for_action(label.action)
+                fit = fits[label] = sync_type.admits(len(label.senders), len(label.receivers))
+            if fit:
+                yield label, involved, targets
+
+    kept: list[SystemTransition] = []
+    for q in states:
+        kept.extend(sys._induced(q, fitting(sys._ready_labels(q, budget))))
+    return Lts._built(states, sys.initial_states(), sys.actions, tuple(kept))
 
 
 def product_team(

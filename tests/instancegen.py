@@ -148,7 +148,9 @@ class BatteryResults:
     verdict entries of the reachable team compared with the full team;
     `built_team_checks` counts the transitions of the full, reachable and
     pruned teams whose order and guards were checked against what
-    `Fts.__init__` would have checked.
+    `Fts.__init__` would have checked; `plain_team_checks` counts the
+    transitions of the products' own teams (`build_team`) compared with the
+    filtered full composition (`reference_team`).
     """
 
     instances: int = 0
@@ -157,6 +159,7 @@ class BatteryResults:
     weak_checks: int = 0
     reachable_team_checks: int = 0
     built_team_checks: int = 0
+    plain_team_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -169,6 +172,7 @@ class BatteryResults:
     witness_failures: list = dataclasses.field(default_factory=list)
     reachable_team_failures: list = dataclasses.field(default_factory=list)
     built_team_failures: list = dataclasses.field(default_factory=list)
+    plain_team_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -329,6 +333,28 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     return len(team.transitions), wrong
 
 
+def reference_team(sys, spec):
+    """The plain team by its definition: every induced transition over the
+    full product of local states, filtered by the types of the actions.
+    """
+    from feta import Lts, transition_satisfies
+
+    states, transitions = sys.state_space()
+    kept = [t for t in transitions if transition_satisfies(t, spec.for_action(t.action))]
+    return Lts(states, sys.initial_states(), sys.actions, kept)
+
+
+def plain_team_disagreements(team, sys, spec) -> tuple[int, list]:
+    """Compare `build_team`'s team, part by part and in order, with `reference_team`."""
+    reference = reference_team(sys, spec)
+    wrong = [
+        (part, getattr(team, part))
+        for part in ("states", "initial", "actions", "transitions")
+        if getattr(team, part) != getattr(reference, part)
+    ]
+    return len(reference.transitions), wrong
+
+
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     from feta import (
         OpenSystemWarning,
@@ -366,6 +392,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             # per-product check.
             for product in products:
                 own, spec_p, sys_p = product_team(fsys, fspec, product)
+                compared, wrong = plain_team_disagreements(own, sys_p, spec_p)
+                results.plain_team_checks += compared
+                if wrong:
+                    results.plain_team_failures.append((seed, product, wrong))
                 if not check_projection_commutes(team, product, own).ok:
                     results.projection_failures.append((seed, product))
                 # The entries do not depend on the mode, only `holds` does.
@@ -382,10 +412,9 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                         results.monotonicity_failures.append((seed, req))
             results.requirements += len(freqs)
             projections = {p: team.project(p) for p in products}
-            for verdict in family["strict"].entries:
-                freq = verdict.requirement
-                if not crosscheck_compliance_unfolding(team, verdict):
-                    results.unfolding_failures.append((seed, freq))
+            for verdict in crosscheck_compliance_unfolding(team, family["strict"].entries):
+                results.unfolding_failures.append((seed, verdict.requirement))
+            for freq in freqs:
                 compared, wrong = weak_disagreements(team, freq, projections, products)
                 results.weak_checks += compared
                 if wrong:

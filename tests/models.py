@@ -106,6 +106,9 @@ def make_all() -> tuple[FeaturedSystem, FeaturedSyncSpec]:
     return make_system(), make_sync()
 
 
+EXAMPLES = ("access_management", "broadcast_logger", "dual_sign", "relay", "sensor_fusion", "turnstile")
+
+
 def example_path(name: str = "access_management") -> str:
     return str(resources.files("feta") / "examples" / f"{name}.feta")
 

@@ -9,6 +9,7 @@ import models
 from feta import (
     And,
     Budget,
+    FamilyRequirement,
     FeaturedSyncSpec,
     Fts,
     Lts,
@@ -28,6 +29,7 @@ from feta import (
     derive_requirements,
     elaborate_text,
     equivalent,
+    evaluate,
     is_satisfiable,
     product_team,
     products_for_group,
@@ -42,7 +44,7 @@ from feta import team as team_module
 from feta.cli import main
 from feta.family import FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT
 from feta.features import model_mask
-from feta.receptiveness import VIOLATED
+from feta.receptiveness import VIOLATED, sends
 
 LOCK_ONLY = And((Var("lock"), Not(Var("unlock"))))
 UNLOCK_ONLY = And((Var("unlock"), Not(Var("lock"))))
@@ -164,6 +166,25 @@ def test_strict_family_compliance_verdicts(team, freqs):
     assert served.witnesses
 
 
+def test_family_compliance_witnesses_are_the_sends_of_the_group(team, freqs):
+    """The team groups a state's sends by (senders, action) once; each
+    compliant verdict's witnesses are the scan of `sends`, in order, and so
+    are the guards that the unfolding check reads.
+    """
+    products = valid_products(team.feature_model, team.space)
+    for freq in freqs:
+        scan = tuple(t for t in team.successors_from(freq.state) if sends(t, freq))
+        verdict = check_family_compliance(team, freq)
+        assert verdict.witnesses == (scan if verdict.status == FEATURED_COMPLIANT else ())
+        unfolds = all(
+            any(evaluate(team.guards[t], p) for t in scan)
+            for p in products
+            if evaluate(freq.condition, p)
+        )
+        assert (verdict.status == FEATURED_COMPLIANT) == unfolds
+    assert any(len(check_family_compliance(team, f).witnesses) > 1 for f in freqs)
+
+
 def test_weak_family_compliance_finds_witness_paths(team, freqs):
     freq = by_identity(freqs)[(("0", "1", "1"), frozenset({"u1"}), "join")]
     verdict = check_family_weak_compliance(team, freq)
@@ -219,16 +240,19 @@ def patch_everywhere(monkeypatch, name, replacement):
 def test_per_product_route_reads_no_mask(monkeypatch):
     """The per-product route stays an oracle independent of the family's masks.
 
-    The family side is built first; then every function and property that
-    compiles or reads a mask refuses, in every `feta` module that holds it,
-    and the per-product half of `verify` still runs and agrees.
+    On every bundled example the family side is built first, which also
+    fills the featured system's label tables that the products' own systems
+    share; then every function, property and class that compiles or reads a
+    mask refuses, in every `feta` module that holds it, and the per-product
+    half of `verify` still runs and agrees.
     """
-    text = Path(models.example_path("access_management")).read_text(encoding="utf-8")
-    result = elaborate_text(text)
-    fsys, fspec = result.system, result.sync
-    full = build_featured_team(fsys, fspec)
-    freqs = derive_family_requirements(reachable_featured_team(fsys, fspec), fsys, fspec)
-    products = valid_products(fsys.feature_model, fsys.space)
+    built = []
+    for name in models.EXAMPLES:
+        result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
+        fsys, fspec = result.system, result.sync
+        full = build_featured_team(fsys, fspec)
+        freqs = derive_family_requirements(reachable_featured_team(fsys, fspec), fsys, fspec)
+        built.append((fsys, fspec, full, freqs, valid_products(fsys.feature_model, fsys.space)))
 
     def refuse(*args):
         raise AssertionError("the per-product route read a mask")
@@ -238,13 +262,20 @@ def test_per_product_route_reads_no_mask(monkeypatch):
     monkeypatch.setattr(Fts, "guard_masks", property(refuse))
     monkeypatch.setattr(Fts, "reachable_masks", property(refuse))
     monkeypatch.setattr(FeaturedSyncSpec, "table", refuse)
-    with pytest.raises(AssertionError):
-        full.guard_masks
-    for product in products:
-        own, spec_p, sys_p = product_team(fsys, fspec, product)
-        assert check_projection_commutes(full, product, own).ok
-        own_reqs = [e.requirement for e in check_receptiveness(own, spec_p, sys_p).entries]
-        assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
+    monkeypatch.setattr(FeaturedSyncSpec, "allowed_products", refuse)
+    monkeypatch.setattr(team_module, "_TeamGuards", refuse)
+    for fsys, fspec, full, freqs, products in built:
+        with pytest.raises(AssertionError):
+            full.guard_masks
+        with pytest.raises(AssertionError):
+            fsys.components[fsys.names[0]].guard_masks
+        for product in products:
+            own, spec_p, sys_p = product_team(fsys, fspec, product)
+            assert sys_p._step_table.plan is fsys._step_table.plan
+            assert check_projection_commutes(full, product, own).ok
+            verdicts = check_receptiveness(own, spec_p, sys_p, "weak")
+            own_reqs = [e.requirement for e in verdicts.entries]
+            assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
 
 
 def test_one_check_compiles_no_feature_model(monkeypatch):
@@ -290,17 +321,54 @@ def test_requirement_projection_agrees_per_product(own_teams, freqs):
             f"{product}: only in family {agreement.only_in_family},"
             f" only in product {agreement.only_in_product}"
         )
+        # Conditions made one at a time and dropped after their check do
+        # not share a memo entry through a reused identity.
+        fresh = (
+            FamilyRequirement(
+                f.state, f.senders, f.action, And(f.condition.operands), f.enabling,
+                f.sync_condition, f.reach_condition, f.mask,
+            )
+            for f in freqs
+        )
+        assert crosscheck_requirement_projection(fresh, product, derive_requirements(*own)).ok
+
+
+def test_requirement_projection_reports_a_swapped_reach_factor(freqs, own_teams):
+    """A requirement given another state's reach factor is reported, though
+    the factor object is shared with the requirements of that state.
+    """
+    products = list(own_teams)
+    planted = next(
+        (f, g.reach_condition, p)
+        for f in freqs
+        for g in freqs
+        for p in products
+        if evaluate(f.condition, p) and not evaluate(g.reach_condition, p)
+    )
+    freq, reach, product = planted
+    swapped = FamilyRequirement(
+        freq.state, freq.senders, freq.action, And((freq.enabling, freq.sync_condition, reach)),
+        freq.enabling, freq.sync_condition, reach, freq.mask,
+    )
+    planted_freqs = [swapped if f is freq else f for f in freqs]
+    agreement = crosscheck_requirement_projection(
+        planted_freqs, product, derive_requirements(*own_teams[product])
+    )
+    assert agreement.only_in_product == ((freq.state, freq.senders, freq.action),)
+    assert agreement.only_in_family == ()
 
 
 def test_compliance_unfolds_product_by_product(team, access):
     fsys, fspec = access
     strict = check_family_receptiveness(team, fsys, fspec, "strict")
-    assert all(crosscheck_compliance_unfolding(team, v) for v in strict.entries)
+    assert crosscheck_compliance_unfolding(team, strict.entries) == ()
     flipped = {FEATURED_COMPLIANT: VIOLATED, VIOLATED: FEATURED_COMPLIANT}
-    assert not any(
-        crosscheck_compliance_unfolding(team, v._replace(status=flipped[v.status]))
-        for v in strict.entries
-    )
+    wrong = tuple(v._replace(status=flipped[v.status]) for v in strict.entries)
+    assert crosscheck_compliance_unfolding(team, wrong) == wrong
+    # Flipping every third verdict is caught exactly there, in order.
+    mixed = tuple(w if i % 3 == 1 else v for i, (v, w) in enumerate(zip(strict.entries, wrong)))
+    assert crosscheck_compliance_unfolding(team, mixed) == wrong[1::3]
+    assert {v.status for v in wrong[1::3]} == {FEATURED_COMPLIANT, VIOLATED}
 
 
 @pytest.mark.parametrize("mode", ["strict", "weak"])

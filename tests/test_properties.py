@@ -65,6 +65,12 @@ def test_builders_keep_what_they_skip_checking(battery):
     assert battery.built_team_checks > 0
 
 
+def test_plain_team_is_the_composition_filtered_by_the_types(battery):
+    """Every product's own team (`build_team`) equals its definition."""
+    assert battery.plain_team_failures == []
+    assert battery.plain_team_checks > 0
+
+
 def test_reachable_team_is_the_reachable_realisable_part_of_the_full_team(battery):
     assert battery.reachable_team_failures == []
     assert battery.reachable_team_checks > 0

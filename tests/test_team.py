@@ -7,17 +7,25 @@ import pytest
 import feta.automata
 import feta.team
 import models
-from instancegen import built_team_disagreements
+from instancegen import built_team_disagreements, plain_team_disagreements
 from feta import (
+    STAR,
     TRUE,
     And,
     Budget,
+    Component,
     FeaturedSyncSpec,
+    FeatureSpace,
     Fts,
+    Interval,
+    Lts,
     Not,
     OpenSystemWarning,
     ResourceLimitError,
     SyncRule,
+    SyncType,
+    SyncTypeSpec,
+    System,
     TotalityError,
     Var,
     build_featured_team,
@@ -29,6 +37,7 @@ from feta import (
     evaluate,
     is_satisfiable,
     participants_guard,
+    Product,
     products_in,
     product_team,
     prune_for_display,
@@ -174,10 +183,7 @@ def test_team_projection_states_cover_the_full_product(access, team):
     assert len(projected.states) == models.TEAM_STATES
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["access_management", "broadcast_logger", "dual_sign", "relay", "sensor_fusion", "turnstile"],
-)
+@pytest.mark.parametrize("name", models.EXAMPLES)
 def test_builders_keep_what_they_skip_checking_on_every_example(name):
     result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
     fsys, fspec = result.system, result.sync
@@ -270,3 +276,76 @@ def test_caller_guards_that_are_equal_but_distinct_project_per_transition(access
         expected = tuple(t for t in team.transitions if evaluate(guards[t], product))
         assert caller.project(product).transitions == expected
         assert caller.project(product).transitions == team.project(product).transitions
+
+
+@pytest.mark.parametrize("name", models.EXAMPLES)
+def test_plain_team_is_the_composition_filtered_by_the_types_on_every_example(name):
+    """`build_team` composes only the labels that fit, with the featured
+    system's label tables or with its own, and gets the reference team.
+    """
+    result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    build_featured_team(fsys, fspec)
+    for product in valid_products(fsys.feature_model, fsys.space):
+        spec_p = fspec.project(product)
+        sys_p = fsys.project(product)
+        alone = System(sys_p.names, sys_p.components)
+        assert sys_p._step_table.plan is fsys._step_table.plan
+        assert sys_p._step_table.involved is fsys._step_table.involved
+        assert alone._step_table.involved is not fsys._step_table.involved
+        for sys in (sys_p, alone):
+            compared, wrong = plain_team_disagreements(build_team(sys, spec_p), sys, spec_p)
+            assert wrong == []
+            assert compared > 0
+
+
+def worker_and_sink_system():
+    worker = Component(("0",), {"0"}, {"go"}, [("0", "go", "0")], (), {"go"})
+    sink = Component(("0", "1"), {"0"}, {"go"}, [("0", "go", "1")], {"go"}, ())
+    return System(("w1", "w2", "k"), {"w1": worker, "w2": worker, "k": sink})
+
+
+def test_plain_team_refuses_the_full_product_over_the_state_bound():
+    sys = worker_and_sink_system()
+    spec = SyncTypeSpec({"go": SyncType(Interval(1, STAR), Interval(1, 1))})
+    with pytest.raises(ResourceLimitError) as refused:
+        build_team(sys, spec, Budget(states=1))
+    assert refused.value.bound == "states"
+    assert str(refused.value) == "states in the full product of local states: 2, above the bound 1"
+    assert len(build_team(sys, spec, Budget(states=2)).states) == 2
+
+
+@pytest.mark.parametrize("senders", [Interval(1, STAR), Interval(5, 5)], ids=str)
+def test_plain_team_checks_the_participants_of_labels_it_skips(senders):
+    """The participants bound holds whether or not any label fits the type."""
+    sys = worker_and_sink_system()
+    spec = SyncTypeSpec({"go": SyncType(senders, Interval(1, 1))})
+    with pytest.raises(ResourceLimitError) as refused:
+        build_team(sys, spec, Budget(participants=2))
+    assert refused.value.bound == "participants"
+    assert str(refused.value) == "ready participants of 'go': 3, above the bound 2"
+    team = build_team(sys, spec, Budget(participants=3))
+    assert len(team.transitions) == (3 if senders.lo == 1 else 0)
+
+
+def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
+    """Projection keeps or drops a guard class wholesale; the comparison
+    still names the single transition of a class that the product's team lacks.
+    """
+    space = FeatureSpace.of("x")
+    shared = Var("x")
+    kept, lost = ("0", "a", "1"), ("1", "a", "0")
+    caller = Fts(
+        ("0", "1"), {"0"}, {"a"}, [lost, kept], space, TRUE,
+        {kept: shared, lost: shared},
+    )
+    assert [transitions for _, transitions in caller._guard_classes] == [[kept, lost]]
+    product = Product.of(space, "x")
+    own = Lts(("0", "1"), {"0"}, {"a"}, [kept])
+    result = check_projection_commutes(caller, product, own)
+    assert not result.ok
+    assert result.only_in_projection == (lost,)
+    assert result.only_in_composition == ()
+    assert result.states_agree and result.initial_agree and result.actions_agree
+    assert caller.project(product).transitions == (kept, lost)
+    assert caller.project(Product.of(space)).transitions == ()
