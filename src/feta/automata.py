@@ -187,8 +187,8 @@ class Fts(Lts):
 
     Guards a caller passes are checked against `space`, and their masks are
     compiled from them when first read. A builder's guards (`_built`) are
-    correct by construction and are only made when first read; their masks
-    come with them.
+    correct by construction and are only made when first read, and so are
+    their masks.
     """
 
     __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
@@ -214,24 +214,28 @@ class Fts(Lts):
     @classmethod
     def _built(
         cls, states: tuple, initial, actions, transitions: tuple, space: FeatureSpace,
-        feature_model: FeatureExpr, guard, masks: dict,
+        feature_model: FeatureExpr, guard, masks, class_of,
     ):
         """A featured automaton from a builder's own parts, taken as they are.
 
         Besides `Lts._built`'s order: `guard(transition)` makes a guard from
-        parts already checked against `space`, on the guard's first read, and
-        `masks` holds every transition's guard mask; it becomes
-        `guard_masks` uncopied.
+        parts already checked against `space`, on the guard's first read;
+        `masks()` returns every transition's guard mask, on the first read of
+        `guard_masks`; and `class_of(transition)` keys the transitions that
+        share a guard object. The last two replace `_masks` and `_class_of`.
         """
         made = super()._built(states, initial, actions, transitions)
         made.space, made.feature_model = space, feature_model
         made.guards = _GuardsOnRead(transitions, guard)
-        made.guard_masks = masks
+        made._masks, made._class_of = masks, class_of
         return made
 
     @cached_property
     def guard_masks(self) -> dict:
-        """The `expr_mask` of every transition's guard."""
+        """The mask of every transition's guard, worked out on first read."""
+        return self._masks()
+
+    def _masks(self) -> dict:
         return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
 
     @cached_property
@@ -257,22 +261,19 @@ class Fts(Lts):
         if not evaluate(self.feature_model, product):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
+    def _class_of(self, transition) -> int:
+        return id(self.guards[transition])
+
     @cached_property
     def _guard_classes(self) -> tuple:
-        """The transitions grouped by guard object, as (guard, transitions)
-        pairs in the order each guard first appears, each group in transition
-        order: a builder's transitions of one label class share their guard.
+        """The transitions grouped by `_class_of`: by guard object, or by a
+        builder's label class. (guard, transitions) pairs in the order each
+        class first appears, each group in transition order.
         """
-        classes: dict = {}
-        guards = self.guards
+        groups: dict = {}
         for t in self.transitions:
-            guard = guards[t]
-            group = classes.get(id(guard))
-            if group is None:
-                classes[id(guard)] = (guard, [t])
-            else:
-                group[1].append(t)
-        return tuple(classes.values())
+            groups.setdefault(self._class_of(t), []).append(t)
+        return tuple((self.guards[group[0]], group) for group in groups.values())
 
     def _projected_parts(self, product: Product):
         """States, initial states, actions and the transitions whose guard the

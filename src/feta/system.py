@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
@@ -129,9 +130,10 @@ class _StepTable:
     components whose alphabet has it and the text of its participants check.
     Labels are shared per (action, senders, receivers), and `pattern` keeps
     the labels of each set of ready participants in sort-key order, so that
-    composition needs no sort. `involved` maps each label made so far to its
-    participants' indices. Only `steps` reads the components' transitions;
-    the rest depends on the names and alphabets alone (`with_steps`).
+    composition needs no sort. `involved` maps each label made so far to an
+    `itemgetter` of its participants' indices. Only `steps` reads the
+    components' transitions; the rest depends on the names and alphabets
+    alone (`with_steps`).
     """
 
     def __init__(self, names: tuple[str, ...], components) -> None:
@@ -151,7 +153,7 @@ class _StepTable:
             for action in sorted(frozenset().union(*(comp.actions for comp in components)))
         )
         self._choices: dict[tuple, tuple[SystemLabel, tuple[int, ...]]] = {}
-        self.involved: dict[SystemLabel, tuple[int, ...]] = {}
+        self.involved: dict[SystemLabel, itemgetter] = {}
         self._patterns: dict[tuple, tuple] = {}
 
     def with_steps(self, components) -> _StepTable:
@@ -176,7 +178,8 @@ class _StepTable:
                 action,
                 frozenset(self.names[i] for i in receivers),
             )
-            indices = self.involved[label] = tuple(sorted(senders + receivers))
+            indices = tuple(sorted(senders + receivers))
+            self.involved[label] = itemgetter(*indices)
             self._choices[key] = (label, indices)
         return self._choices[key]
 

@@ -11,16 +11,16 @@ commutation check below compares the two constructions transition by
 transition.
 
 Every verdict is decided on the guards' masks, and each mask a built team
-carries has one source: both builders work the guard masks out from the
-parts' masks in one per-label walk, `_TeamGuards.live`, and the reachable
-team's reachability masks are the fixpoint that built it. A guard
-expression is only a view, for display and for the per-product check, so
-each is built the first time it is read, and shared by all transitions of
-its label class: the same label with the same participants' local steps,
-whatever the idle components' states. The builders' teams are correct by
-construction: their states and transitions come in order and their guards
-name only declared features, so unlike guards a caller passes to `Fts`,
-they are not checked again.
+carries has one source, the per-label walk `_TeamGuards.live`: the full
+team runs it over all states when its masks are first read, the reachable
+team as it explores, and that team's reachability masks are the fixpoint
+that built it. A guard expression is only a view, for display and for the
+per-product check, built when first read and shared by all transitions of
+its label class: the label and its participants' local sources and
+targets, whatever the idle components' states; the builders hand that
+class to `Fts` as the key its projection groups guards by. Their teams are
+correct by construction: states and transitions come in order and guards
+name only declared features, so unlike a caller's they are not checked.
 
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
@@ -38,7 +38,7 @@ from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
 from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
-from .system import FeaturedSystem, System, SystemTransition
+from .system import FeaturedSystem, System, SystemLabel, SystemTransition
 
 
 class OpenSystemWarning(UserWarning):
@@ -88,26 +88,34 @@ class _TeamGuards:
     AND of the participants' local guard masks and the sync mask
     (`FeaturedSyncSpec.allowed_products`), so no guard is compiled. All
     transitions with the same action and participant counts share one sync
-    mask and one sync expression, both worked out once per build as `live`
-    first meets the key; making a guard later reads no mask. A guard
-    depends only on its label class, the label and its participants' local
-    steps, never on the idle components' states, so the transitions of one
-    class share one guard object.
+    mask and one sync expression, each worked out once per build when first
+    needed, in its own memo: `live` reads only masks, so a team whose guards
+    are never read builds no sync expression. A guard depends only on its
+    label class, the label and its participants' local sources and targets,
+    never on the idle components' states, so the transitions of one class
+    share one guard object.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
         self._local = [fsys.components[name].guard_masks for name in fsys.names]
-        self._sync: dict[tuple[str, int, int], tuple[int, FeatureExpr]] = {}
+        self._masks: dict[tuple[str, int, int], int] = {}
+        self._exprs: dict[tuple[str, int, int], FeatureExpr] = {}
         self._guards: dict[tuple, FeatureExpr] = {}
 
-    def _sync_parts(self, key: tuple[str, int, int]) -> tuple[int, FeatureExpr]:
-        if key not in self._sync:
+    def sync_mask(self, label: SystemLabel) -> int:
+        key = (label.action, len(label.senders), len(label.receivers))
+        if key not in self._masks:
+            self._masks[key] = self.fspec.allowed_products(*key)
+        return self._masks[key]
+
+    def sync_expr(self, label: SystemLabel) -> FeatureExpr:
+        key = (label.action, len(label.senders), len(label.receivers))
+        if key not in self._exprs:
             fsys = self.fsys
-            mask = self.fspec.allowed_products(*key)
-            allowed = products_in(mask, fsys.feature_model, fsys.space)
-            self._sync[key] = (mask, product_set_expr(allowed, fsys.space))
-        return self._sync[key]
+            allowed = products_in(self.sync_mask(label), fsys.feature_model, fsys.space)
+            self._exprs[key] = product_set_expr(allowed, fsys.space)
+        return self._exprs[key]
 
     def live(self, source: tuple, budget: Budget) -> list[tuple[SystemTransition, int]]:
         """The induced transitions from the state whose mask is not 0, with
@@ -120,7 +128,7 @@ class _TeamGuards:
         out: list[tuple[SystemTransition, int]] = []
         for label, involved, targets in self.fsys._ready_labels(source, budget):
             action = label.action
-            mask = self._sync_parts((action, len(label.senders), len(label.receivers)))[0]
+            mask = self.sync_mask(label)
             if not mask:
                 continue
             partial = [(source, mask)]
@@ -136,14 +144,18 @@ class _TeamGuards:
             out.extend((SystemTransition(source, label, moved), kept) for moved, kept in partial)
         return out
 
-    def guard(self, t: SystemTransition) -> FeatureExpr:
-        """The guard of a transition of a state `live` has left."""
+    def label_class(self, t: SystemTransition) -> tuple:
+        """The transition's label and its participants' local sources and targets."""
         source, label, target = t
-        involved = self.fsys._step_table.involved[label]
-        key = (label, tuple([source[i] for i in involved]), tuple([target[i] for i in involved]))
+        get = self.fsys._step_table.involved[label]
+        return label, get(source), get(target)
+
+    def guard(self, t: SystemTransition) -> FeatureExpr:
+        """The guard of one of the team's transitions, shared by its class."""
+        key = self.label_class(t)
         guard = self._guards.get(key)
         if guard is None:
-            sync = self._sync[(label.action, len(label.senders), len(label.receivers))][1]
+            sync = self.sync_expr(t.label)
             guard = self._guards[key] = And((participants_guard(self.fsys, t), sync))
         return guard
 
@@ -155,21 +167,30 @@ def build_featured_team(
 
     Every induced transition over the full product of the local state sets
     is kept and receives the guard described above (`_TeamGuards`), so
-    `budget.states` bounds that full product; a transition that
-    `_TeamGuards.live` does not make has mask 0. This is the reference
-    construction: projections, display and the battery compare against it.
-    The specification must be total over the valid products.
+    `budget.states` bounds that full product. The guard masks come from
+    `_TeamGuards.live` over every state when first read (a transition it
+    does not make has mask 0); the sync expressions are made at once, so
+    projecting the team reads no mask. This is the reference construction:
+    projections, display and the battery compare against it. The
+    specification must be total over the valid products.
     """
     _check_featured_inputs(fsys, fspec)
     # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
-    masks = dict.fromkeys(transitions, 0)
-    for q in states:
-        masks.update(parts.live(q, budget))
+    # The step table now holds exactly the labels of the team's transitions.
+    for label in fsys._step_table.involved:
+        parts.sync_expr(label)
+
+    def masks() -> dict:
+        made = dict.fromkeys(transitions, 0)
+        for q in states:
+            made.update(parts.live(q, budget))
+        return made
+
     return Fts._built(
-        states, fsys.initial_states(), fsys.actions, transitions,
-        fsys.space, fsys.feature_model, parts.guard, masks,
+        states, fsys.initial_states(), fsys.actions, transitions, fsys.space,
+        fsys.feature_model, parts.guard, masks, parts.label_class,
     )
 
 
@@ -213,7 +234,7 @@ def reachable_featured_team(
     kept = {t: mask for src in states for t, mask in steps[src] if mask & reach[src]}
     team = Fts._built(
         states, initial, fsys.actions, tuple(kept),
-        fsys.space, fsys.feature_model, parts.guard, kept,
+        fsys.space, fsys.feature_model, parts.guard, lambda: kept, parts.label_class,
     )
     team.reachable_masks = {q: reach[q] for q in states}
     return team
@@ -283,7 +304,7 @@ def prune_for_display(feta: Fts) -> Fts:
     return Fts._built(
         tuple(q for q in feta.states if q in keep), feta.initial, feta.actions, kept,
         feta.space, feta.feature_model, feta.guards.__getitem__,
-        {t: masks[t] for t in kept},
+        lambda: {t: masks[t] for t in kept}, feta._class_of,
     )
 
 

@@ -150,7 +150,10 @@ class BatteryResults:
     pruned teams whose order and guards were checked against what
     `Fts.__init__` would have checked; `plain_team_checks` counts the
     transitions of the products' own teams (`build_team`) compared with the
-    filtered full composition (`reference_team`).
+    filtered full composition (`reference_team`); `guard_class_checks`
+    counts the transitions of the full, reachable and pruned teams whose
+    label class, guard object and mask were checked
+    (`guard_class_disagreements`).
     """
 
     instances: int = 0
@@ -160,6 +163,7 @@ class BatteryResults:
     reachable_team_checks: int = 0
     built_team_checks: int = 0
     plain_team_checks: int = 0
+    guard_class_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -173,6 +177,7 @@ class BatteryResults:
     reachable_team_failures: list = dataclasses.field(default_factory=list)
     built_team_failures: list = dataclasses.field(default_factory=list)
     plain_team_failures: list = dataclasses.field(default_factory=list)
+    guard_class_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -333,6 +338,52 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     return len(team.transitions), wrong
 
 
+def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
+    """Check the label classes that builder-made teams read off the build.
+
+    Each of a fresh full team, a fresh reachable team and the full team's
+    pruned copy is projected onto its first valid product, which groups
+    its transitions (`Fts._guard_classes`) before any of its guards is
+    read, and before the full team's masks are. Grouping makes one guard
+    per class, not one per transition. The groups must partition the
+    transitions exactly as grouping by guard object does, in the same
+    order; every member must read its class's guard object; and the guard
+    masks, read only then, must equal `expr_mask` of each guard. Returns
+    the number of transitions checked and the mismatches.
+    """
+    from feta import build_featured_team, expr_mask, prune_for_display, reachable_featured_team
+
+    first = valid_products(fsys.feature_model, fsys.space)[:1]
+    compared, wrong = 0, []
+
+    def check(name, team):
+        nonlocal compared
+        for product in first:
+            team.project(product)
+        classes = team._guard_classes
+        made = sum(guard is not None for guard in team.guards._made.values())
+        if made != len(classes):
+            wrong.append((name, "guards made by grouping", made, len(classes)))
+        by_object: dict = {}
+        for t in team.transitions:
+            by_object.setdefault(id(team.guards[t]), []).append(t)
+        if [group for _, group in classes] != list(by_object.values()):
+            wrong.append((name, "partition", classes))
+        for guard, group in classes:
+            wrong.extend((name, "guard", t) for t in group if team.guards[t] is not guard)
+        masks = team.guard_masks
+        for t in team.transitions:
+            if masks[t] != expr_mask(team.guards[t], team.space):
+                wrong.append((name, "mask", t))
+        compared += len(team.transitions)
+
+    full = build_featured_team(fsys, fspec)
+    check("full", full)
+    check("reachable", reachable_featured_team(fsys, fspec))
+    check("pruned", prune_for_display(full))
+    return compared, wrong
+
+
 def reference_team(sys, spec):
     """The plain team by its definition: every induced transition over the
     full product of local states, filtered by the types of the actions.
@@ -433,6 +484,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.built_team_checks += compared
                 if wrong:
                     results.built_team_failures.append((seed, wrong))
+            compared, wrong = guard_class_disagreements(fsys, fspec)
+            results.guard_class_checks += compared
+            if wrong:
+                results.guard_class_failures.append((seed, wrong))
             for t in team.transitions:
                 if not entails(team.guards[t], team.feature_model, team.space):
                     results.guard_model_failures.append((seed, t))

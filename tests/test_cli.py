@@ -20,7 +20,7 @@ import feta.family
 import feta.receptiveness
 import feta.team
 import models
-from feta import Budget, cli, features
+from feta import Budget, cli, elaborate_text, features
 from feta.automata import Lts
 
 ACCESS = models.example_path()
@@ -540,6 +540,34 @@ def test_verify_builds_each_product_team_once(capsys, monkeypatch):
     assert [c["budget"] for c in calls["product_team"]] == [budget] * 2
 
 
+def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
+    """`verify` only projects the full team, so the mask walk
+    (`_TeamGuards.live`) leaves exactly the reachable team's states, each
+    once; `feta` prunes the full team by its masks and leaves every full
+    state once.
+    """
+    result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    reachable = feta.team.reachable_featured_team(fsys, fspec).states
+    full = fsys._full_states()
+    walked = []
+    original = feta.team._TeamGuards.live
+
+    def recording(self, source, budget):
+        walked.append(source)
+        return original(self, source, budget)
+
+    monkeypatch.setattr(feta.team._TeamGuards, "live", recording)
+    assert cli.main(["verify", ACC4]) == 0
+    assert sorted(walked) == sorted(reachable)
+    assert len(reachable) == 48
+    walked.clear()
+    assert cli.main(["feta", ACC4]) == 0
+    assert sorted(walked) == sorted(full)
+    assert len(full) == 162
+    capsys.readouterr()
+
+
 _DROPPED_FIRST_TRANSITION = [
     ("projection of the team commutes for {lock}", False, "1 transitions differ"),
     ("projection of the team commutes for {unlock}", False, "1 transitions differ"),
@@ -821,11 +849,16 @@ def test_start_up_imports_no_code_generation_or_resource_loading():
 
 def test_every_benchmark_trace_target_exists():
     """`perfbench/tracer.py` wraps these names in place; one that is gone
-    would stop `perfbench/run.py --trace 1` with a `KeyError`.
+    would stop every `perfbench/run.py --trace 1` child with an
+    `AttributeError` or `KeyError`, and each would count as a failed run.
+    So names that only the tracer still reads, such as `product_set_expr`,
+    `reachable_products`, `is_satisfiable`, `entails` and
+    `_ComposeMixin.state_space`, stay until the benchmark stops tracing them.
 
     The file is only parsed, so nothing under `perfbench/` is imported or written.
     A method is looked up in its class's own `__dict__`, as the tracer does,
-    and every observer must hear a traced span.
+    the module whose public functions it traces must import, and every
+    observer must hear a traced span.
     """
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tree = ast.parse(tracer.read_text(encoding="utf-8"))
@@ -844,5 +877,6 @@ def test_every_benchmark_trace_target_exists():
             assert inspect.isfunction(vars(getattr(module, cls_name)).get(method)), attr
         else:
             assert inspect.isfunction(getattr(module, attr, None)), attr
+    importlib.import_module(ast.literal_eval(assigned["REPORTING"]))
     observed = {ast.literal_eval(key) for key in assigned["OBSERVERS"].keys}
     assert observed <= {name for name, _, _ in targets}

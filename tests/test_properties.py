@@ -27,6 +27,11 @@ def test_projection_commutes_with_team_construction(battery):
     assert battery.projection_failures == []
 
 
+def test_built_team_label_classes_are_their_guard_objects(battery):
+    assert battery.guard_class_failures == []
+    assert battery.guard_class_checks > 0
+
+
 def test_requirements_project_onto_product_requirements(battery):
     assert battery.requirement_projection_failures == []
 

@@ -7,7 +7,9 @@ import pytest
 import feta.automata
 import feta.team
 import models
-from instancegen import built_team_disagreements, plain_team_disagreements
+from instancegen import (
+    built_team_disagreements, guard_class_disagreements, plain_team_disagreements,
+)
 from feta import (
     STAR,
     TRUE,
@@ -240,6 +242,21 @@ def test_full_team_shares_one_guard_per_label_class():
     assert len(classes) == 304
     assert all(len(ids) == 1 for ids in classes.values())
     assert len({id(full.guards[t]) for t in full.transitions}) == 304
+
+
+@pytest.mark.parametrize("name", [*models.EXAMPLES, "acc4"])
+def test_built_teams_read_their_label_classes_off_the_build(name):
+    """The classes a projection groups by come from the build's class key,
+    not from the guards, and agree with grouping by guard object.
+    """
+    if name == "acc4":
+        fsys, fspec = acc4()
+    else:
+        result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
+        fsys, fspec = result.system, result.sync
+    compared, wrong = guard_class_disagreements(fsys, fspec)
+    assert wrong == []
+    assert compared > len(build_featured_team(fsys, fspec).transitions)
 
 
 def test_projection_evaluates_each_guard_object_once_per_product(monkeypatch):
