@@ -303,7 +303,7 @@ def _build_teams(args, fsys, fspec, budget, warns: list[str], *builders) -> list
 
 def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
     names = [part.strip() for part in text.split(",") if part.strip()]
-    unknown = sorted(set(names) - set(fsys.space.names))
+    unknown = sorted(set(names) - fsys.space.name_set)
     if unknown:
         raise CliError(f"unknown features in product: {', '.join(unknown)}")
     product = Product.of(fsys.space, *names)

@@ -34,7 +34,6 @@ from .features import (
     format_expr,
     mask_union,
     product_bits,
-    product_set_expr,
     products_in,
     valid_products,
 )
@@ -130,23 +129,22 @@ def reachable_products(feta: Fts, state) -> tuple[Product, ...]:
     return products_in(feta.reachable_masks.get(state, 0), feta.feature_model, feta.space)
 
 
-def _local_sends(fsys: FeaturedSystem, name: str, action: str, state: tuple):
-    """The local transitions on the action from the component's part of the state."""
-    comp = fsys.components[name]
-    local = state[fsys.names.index(name)]
-    return comp, [t for t in comp.successors_from(local) if t[1] == action]
+def _enabling_part(comp, local, action: str) -> tuple[FeatureExpr, int]:
+    """The disjunction of the component's local guards on the action from
+    the local state, and the OR of their masks, from one scan of its steps."""
+    steps = [t for t in comp.successors_from(local) if t[1] == action]
+    return disj(comp.guards[t] for t in steps), mask_union(comp.guard_masks[t] for t in steps)
 
 
 def senders_guard(
     fsys: FeaturedSystem, group: frozenset[str], action: str, state: tuple
 ) -> FeatureExpr:
     """Products in which every group member can locally fire the action."""
-    parts = []
-    for name in fsys.names:
-        if name in group:
-            comp, steps = _local_sends(fsys, name, action, state)
-            parts.append(disj(comp.guards[t] for t in steps))
-    return conj(parts)
+    return conj(
+        _enabling_part(fsys.components[name], state[idx], action)[0]
+        for idx, name in enumerate(fsys.names)
+        if name in group
+    )
 
 
 def products_for_group(fspec: FeaturedSyncSpec, group: frozenset[str], action: str) -> int:
@@ -171,51 +169,48 @@ def derive_family_requirements(
     conjunct of the condition. States no valid product can reach yield
     nothing. The condition's mask is the AND of the factors' masks: the
     members' local guard masks, the bits of the products whose type admits
-    the group and the state's reachability mask. The sync factor is worked
-    out once per group size and action and the reach factor once per
-    reachability mask, both shared by their requirements; the enabling
-    expression only for the groups that remain.
+    the group and the state's reachability mask. The sync and reach factors
+    are the system's one expression per mask (`FeaturedSystem.products_expr`),
+    shared with the teams' guards. A member's enabling part, its local
+    guards' disjunction and mask, is worked out once per component, local
+    state and action, so identical instances share it.
     """
     out: list[FamilyRequirement] = []
-    sync: dict[tuple[int, str], tuple[FeatureExpr, int]] = {}
-    reach: dict[int, FeatureExpr] = {}
+    sync: dict[tuple[int, str], int] = {}
+    enabling_parts: dict[tuple, tuple[FeatureExpr, int]] = {}
     for q in feta.states:
         reach_mask = feta.reachable_masks[q]
         if not reach_mask:
             continue
         for action in sorted(fsys.actions):
             ready = ready_senders(fsys, q, action, budget)
-            enabling_masks = {}
+            parts = {}
             for name in ready:
-                comp, steps = _local_sends(fsys, name, action, q)
-                enabling_masks[name] = mask_union(comp.guard_masks[t] for t in steps)
+                key = (fsys.components[name], q[fsys.names.index(name)], action)
+                if key not in enabling_parts:
+                    enabling_parts[key] = _enabling_part(*key)
+                parts[name] = enabling_parts[key]
             for size in range(1, len(ready) + 1):
                 key = (size, action)
                 if key not in sync:
-                    allowed = products_for_group(fspec, ready[:size], action)
-                    products = products_in(allowed, feta.feature_model, feta.space)
-                    sync[key] = (product_set_expr(products, feta.space), allowed)
-                sync_condition, sync_mask = sync[key]
+                    sync[key] = products_for_group(fspec, ready[:size], action)
+                sync_mask = sync[key]
                 size_mask = sync_mask & reach_mask
                 if not size_mask:
                     continue
                 for names in itertools.combinations(ready, size):
                     mask = size_mask
                     for name in names:
-                        mask &= enabling_masks[name]
+                        mask &= parts[name][1]
                     if not mask:
                         continue
-                    group = frozenset(names)
-                    reach_condition = reach.get(reach_mask)
-                    if reach_condition is None:
-                        reach_condition = reach[reach_mask] = product_set_expr(
-                            products_in(reach_mask, feta.feature_model, feta.space), feta.space
-                        )
-                    enabling = senders_guard(fsys, group, action, q)
+                    enabling = conj(parts[name][0] for name in names)
+                    sync_condition = fsys.products_expr(sync_mask)
+                    reach_condition = fsys.products_expr(reach_mask)
                     condition = And((enabling, sync_condition, reach_condition))
                     out.append(
                         FamilyRequirement(
-                            q, group, action, condition,
+                            q, frozenset(names), action, condition,
                             enabling, sync_condition, reach_condition, mask,
                         )
                     )

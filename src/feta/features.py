@@ -361,7 +361,7 @@ def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
 def product_expr(product: Product) -> FeatureExpr:
     """The expression satisfied by exactly this product of its space."""
     pos = [Var(n) for n in sorted(product.selected)]
-    neg = [Not(Var(n)) for n in sorted(set(product.space.names) - product.selected)]
+    neg = [Not(Var(n)) for n in sorted(product.space.name_set - product.selected)]
     return conj(pos + neg)
 
 

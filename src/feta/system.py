@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
 from .errors import Budget, SpecificationError
-from .features import FeatureExpr, FeatureSpace, Product
+from .features import FeatureExpr, FeatureSpace, Product, product_set_expr, products_in
 from .values import Value, init_field
 
 
@@ -358,6 +358,15 @@ class FeaturedSystem(_ComposeMixin):
                 raise SpecificationError(
                     f"component {name!r} does not share the system's feature space and model"
                 )
+        self._exprs: dict[int, FeatureExpr] = {}
+
+    def products_expr(self, mask: int) -> FeatureExpr:
+        """The expression satisfied by exactly the valid products in the mask,
+        one object per mask: the teams' guards and family conditions share it."""
+        if mask not in self._exprs:
+            chosen = products_in(mask, self.feature_model, self.space)
+            self._exprs[mask] = product_set_expr(chosen, self.space)
+        return self._exprs[mask]
 
     def project(self, product: Product) -> System:
         """The plain system of one valid product.

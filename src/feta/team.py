@@ -18,7 +18,9 @@ that built it. A guard expression is only a view, for display and for the
 per-product check, built when first read and shared by all transitions of
 its label class: the label and its participants' local sources and
 targets, whatever the idle components' states; the builders hand that
-class to `Fts` as the key its projection groups guards by. Their teams are
+class to `Fts` as the key its projection groups guards by. Its sync part is
+the system's one expression per mask (`FeaturedSystem.products_expr`), the
+object the family conditions with that mask hold too. Their teams are
 correct by construction: states and transitions come in order and guards
 name only declared features, so unlike a caller's they are not checked.
 
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import And, FeatureExpr, Product, conj, model_mask, product_set_expr, products_in
+from .features import And, FeatureExpr, Product, conj, model_mask
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemLabel, SystemTransition
 
@@ -88,19 +90,19 @@ class _TeamGuards:
     AND of the participants' local guard masks and the sync mask
     (`FeaturedSyncSpec.allowed_products`), so no guard is compiled. All
     transitions with the same action and participant counts share one sync
-    mask and one sync expression, each worked out once per build when first
-    needed, in its own memo: `live` reads only masks, so a team whose guards
-    are never read builds no sync expression. A guard depends only on its
-    label class, the label and its participants' local sources and targets,
-    never on the idle components' states, so the transitions of one class
-    share one guard object.
+    mask, worked out once per build when first needed. The sync expression
+    is the system's one view of that mask (`FeaturedSystem.products_expr`),
+    asked for when a guard is first read: `live` reads only masks, so a
+    team whose guards are never read asks for none. A guard depends only on
+    its label class, the label and its participants' local sources and
+    targets, never on the idle components' states, so the transitions of
+    one class share one guard object.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
         self._local = [fsys.components[name].guard_masks for name in fsys.names]
         self._masks: dict[tuple[str, int, int], int] = {}
-        self._exprs: dict[tuple[str, int, int], FeatureExpr] = {}
         self._guards: dict[tuple, FeatureExpr] = {}
 
     def sync_mask(self, label: SystemLabel) -> int:
@@ -108,14 +110,6 @@ class _TeamGuards:
         if key not in self._masks:
             self._masks[key] = self.fspec.allowed_products(*key)
         return self._masks[key]
-
-    def sync_expr(self, label: SystemLabel) -> FeatureExpr:
-        key = (label.action, len(label.senders), len(label.receivers))
-        if key not in self._exprs:
-            fsys = self.fsys
-            allowed = products_in(self.sync_mask(label), fsys.feature_model, fsys.space)
-            self._exprs[key] = product_set_expr(allowed, fsys.space)
-        return self._exprs[key]
 
     def live(self, source: tuple, budget: Budget) -> list[tuple[SystemTransition, int]]:
         """The induced transitions from the state whose mask is not 0, with
@@ -155,7 +149,7 @@ class _TeamGuards:
         key = self.label_class(t)
         guard = self._guards.get(key)
         if guard is None:
-            sync = self.sync_expr(t.label)
+            sync = self.fsys.products_expr(self.sync_mask(t.label))
             guard = self._guards[key] = And((participants_guard(self.fsys, t), sync))
         return guard
 
@@ -180,7 +174,7 @@ def build_featured_team(
     parts = _TeamGuards(fsys, fspec)
     # The step table now holds exactly the labels of the team's transitions.
     for label in fsys._step_table.involved:
-        parts.sync_expr(label)
+        fsys.products_expr(parts.sync_mask(label))
 
     def masks() -> dict:
         made = dict.fromkeys(transitions, 0)

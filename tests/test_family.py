@@ -39,7 +39,7 @@ from feta import (
     senders_guard,
     valid_products,
 )
-from feta import automata, features
+from feta import automata, cli, features
 from feta import team as team_module
 from feta.cli import main
 from feta.family import FEATURED_COMPLIANT, FEATURED_WEAKLY_COMPLIANT
@@ -87,14 +87,24 @@ def test_derivation_is_deterministic(team, access):
     assert [str(f) for f in again] == [str(f) for f in derive_family_requirements(team, fsys, fspec)]
 
 
-def test_conditions_are_three_part_conjunctions(freqs):
-    for freq in freqs:
-        assert isinstance(freq.condition, And)
-        assert freq.condition.operands == (
-            freq.enabling,
-            freq.sync_condition,
-            freq.reach_condition,
-        )
+def test_conditions_are_three_part_conjunctions(access, freqs):
+    """Enabling, sync and reach, in that order, on the access fixture and on
+    every bundled example; the enabling factor is `senders_guard`'s."""
+    derived = [(access[0], freqs)]
+    for name in models.EXAMPLES:
+        result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
+        fsys, fspec = result.system, result.sync
+        team = reachable_featured_team(fsys, fspec)
+        derived.append((fsys, derive_family_requirements(team, fsys, fspec)))
+    for fsys, reqs in derived:
+        for freq in reqs:
+            assert isinstance(freq.condition, And)
+            assert freq.condition.operands == (
+                freq.enabling,
+                freq.sync_condition,
+                freq.reach_condition,
+            )
+            assert freq.enabling == senders_guard(fsys, freq.senders, freq.action, freq.state)
 
 
 def test_all_conditions_are_satisfiable(team, freqs):
@@ -235,6 +245,49 @@ def patch_everywhere(monkeypatch, name, replacement):
     for module_name, module in sorted(sys.modules.items()):
         if module_name.split(".")[0] == "feta" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.mark.parametrize("name,masks", [("acc4", 4), ("product_family_v08", 9)])
+def test_verify_builds_one_display_expression_per_mask(monkeypatch, capsys, name, masks):
+    """One `verify` asks `product_set_expr` once per distinct product mask,
+    and the teams' sync operands and the requirements' sync and reach
+    conditions hold one object per mask, shared between them."""
+    made, seen = [], {}
+    original = features.product_set_expr
+
+    def counted(products, space):
+        made.append(tuple(products))
+        return original(products, space)
+
+    def keeping(key, fn):
+        def kept(*args):
+            seen[key] = args, fn(*args)
+            return seen[key][1]
+
+        return kept
+
+    patch_everywhere(monkeypatch, "product_set_expr", counted)
+    for key in ("check_projection_commutes", "check_family_receptiveness"):
+        monkeypatch.setattr(cli, key, keeping(key, getattr(cli, key)))
+    assert main(["verify", str(Path(__file__).parent / "inputs" / f"{name}.feta")]) == 0
+    capsys.readouterr()
+    assert len(made) == len(set(made)) == masks
+
+    full = seen["check_projection_commutes"][0][0]
+    (feta, fsys, fspec, *_), report = seen["check_family_receptiveness"]
+    by_mask = {}
+
+    def one_object(mask, expr):
+        assert by_mask.setdefault(mask, expr) is expr
+
+    for team in (full, feta):
+        for t in team.transitions:
+            counts = (len(t.label.senders), len(t.label.receivers))
+            one_object(fspec.allowed_products(t.label.action, *counts), team.guards[t].operands[1])
+    for entry in report.entries:
+        freq = entry.requirement
+        one_object(products_for_group(fspec, freq.senders, freq.action), freq.sync_condition)
+        one_object(feta.reachable_masks[freq.state], freq.reach_condition)
 
 
 def test_per_product_route_reads_no_mask(monkeypatch):

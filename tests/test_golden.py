@@ -5,9 +5,11 @@ exact stdout (`<example>.<command>.out`), the stderr when there is any
 (`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
 per-product commands, which need a product of the example, and one JSON
 error envelope are kept for `access_management` only. The family commands
-are also kept on two scaled inputs in `tests/inputs/`: `acc4`, the access
-example with four users (162 states, of which 48 are reachable), and
-`product_family_v08`, a six-feature family with 12 products. The commands
+are also kept on three scaled inputs in `tests/inputs/`: `acc4`, the access
+example with four users (162 states, of which 48 are reachable);
+`product_family_v08`, a six-feature family with 12 products; and `free4`,
+the access example with four unconstrained features `x0..x3` added (32
+products, so every condition is a large product disjunction). The commands
 run in-process from the input's directory on the bare file name, so no path
 of the checkout ends up in the outputs. Every subcommand of the parser, in
 each of its `--format` choices, has at least one case.
@@ -79,7 +81,7 @@ ACCESS_COMMANDS = {
     "check-max-states-json": ("check", "--max-states", "3", "--format", "json"),
 }
 ARGV = {**COMMANDS, **ACCESS_COMMANDS}
-SCALED = ("acc4", "product_family_v08")
+SCALED = ("acc4", "product_family_v08", "free4")
 SCALED_COMMANDS = ("reqs-factors", "check-strict", "check-weak-json", "verify")
 CASES = (
     [(example, command) for example in EXAMPLES for command in COMMANDS]
