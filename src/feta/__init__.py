@@ -33,7 +33,6 @@ from .family import (
     derive_family_requirements,
     products_for_group,
     reachable_products,
-    senders_guard,
 )
 from .features import (
     FALSE,

@@ -122,15 +122,12 @@ class Lts:
     def reachable(self) -> frozenset:
         """States reachable from the initial states."""
         seen = set(self.initial)
-        frontier = sorted(self.initial, key=state_key)
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for _, _, dst in self._adjacency[q]:
-                    if dst not in seen:
-                        seen.add(dst)
-                        nxt.append(dst)
-            frontier = sorted(set(nxt), key=state_key)
+        pending = list(seen)
+        while pending:
+            for _, _, dst in self._adjacency[pending.pop()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    pending.append(dst)
         return frozenset(seen)
 
 
@@ -154,41 +151,14 @@ class Component(Lts):
         _split_alphabet(self, inputs, outputs)
 
 
-class _GuardsOnRead(Mapping):
-    """The guards of exactly the given transitions, in their order, each made
-    by `make(transition)` on its first read and then kept; any other key
-    raises `KeyError`.
-    """
-
-    __slots__ = ("_made", "_make")
-
-    def __init__(self, transitions: tuple, make) -> None:
-        self._made = dict.fromkeys(transitions)
-        self._make = make
-
-    def __getitem__(self, transition) -> FeatureExpr:
-        guard = self._made[transition]
-        if guard is None:
-            guard = self._made[transition] = self._make(transition)
-        return guard
-
-    def __contains__(self, transition) -> bool:
-        return transition in self._made
-
-    def __iter__(self):
-        return iter(self._made)
-
-    def __len__(self) -> int:
-        return len(self._made)
-
-
 class Fts(Lts):
     """A featured LTS: every transition carries a feature-expression guard.
 
     Guards a caller passes are checked against `space`, and their masks are
-    compiled from them when first read. A builder's guards (`_built`) are
-    correct by construction and are only made when first read, and so are
-    their masks.
+    compiled from them when first read. A builder's team (`_built`) keeps
+    the builder's guard function instead: its guards are correct by
+    construction, each made when first asked for (`_guard`), and `guards`
+    and the masks are only made when first read in full.
     """
 
     __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
@@ -214,21 +184,29 @@ class Fts(Lts):
     @classmethod
     def _built(
         cls, states: tuple, initial, actions, transitions: tuple, space: FeatureSpace,
-        feature_model: FeatureExpr, guard, masks, class_of,
+        feature_model: FeatureExpr, guard, masks,
     ):
         """A featured automaton from a builder's own parts, taken as they are.
 
-        Besides `Lts._built`'s order: `guard(transition)` makes a guard from
-        parts already checked against `space`, on the guard's first read;
-        `masks()` returns every transition's guard mask, on the first read of
-        `guard_masks`; and `class_of(transition)` keys the transitions that
-        share a guard object. The last two replace `_masks` and `_class_of`.
+        Besides `Lts._built`'s order: `guard(transition)` returns a guard made
+        from parts already checked against `space`, one object for all the
+        transitions that share it, and `masks()` returns every transition's
+        guard mask, on the first read of `guard_masks`. They replace `_guard`
+        and `_masks`.
         """
         made = super()._built(states, initial, actions, transitions)
         made.space, made.feature_model = space, feature_model
-        made.guards = _GuardsOnRead(transitions, guard)
-        made._masks, made._class_of = masks, class_of
+        made._guard, made._masks = guard, masks
         return made
+
+    @cached_property
+    def guards(self) -> dict:
+        """Every transition's guard. A caller's `__init__` sets its own; a
+        builder's team makes it, in transition order, on first read."""
+        return {t: self._guard(t) for t in self.transitions}
+
+    def _guard(self, transition) -> FeatureExpr:
+        return self.guards[transition]
 
     @cached_property
     def guard_masks(self) -> dict:
@@ -261,19 +239,21 @@ class Fts(Lts):
         if not evaluate(self.feature_model, product):
             raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
-    def _class_of(self, transition) -> int:
-        return id(self.guards[transition])
-
     @cached_property
     def _guard_classes(self) -> tuple:
-        """The transitions grouped by `_class_of`: by guard object, or by a
-        builder's label class. (guard, transitions) pairs in the order each
-        class first appears, each group in transition order.
+        """The transitions grouped by guard object: (guard, transitions)
+        pairs in the order each guard first appears, each group in
+        transition order. Each group holds its guard, so no `id` is reused.
         """
         groups: dict = {}
         for t in self.transitions:
-            groups.setdefault(self._class_of(t), []).append(t)
-        return tuple((self.guards[group[0]], group) for group in groups.values())
+            guard = self._guard(t)
+            group = groups.get(id(guard))
+            if group is None:
+                groups[id(guard)] = (guard, [t])
+            else:
+                group[1].append(t)
+        return tuple(groups.values())
 
     def _projected_parts(self, product: Product):
         """States, initial states, actions and the transitions whose guard the

@@ -136,17 +136,6 @@ def _enabling_part(comp, local, action: str) -> tuple[FeatureExpr, int]:
     return disj(comp.guards[t] for t in steps), mask_union(comp.guard_masks[t] for t in steps)
 
 
-def senders_guard(
-    fsys: FeaturedSystem, group: frozenset[str], action: str, state: tuple
-) -> FeatureExpr:
-    """Products in which every group member can locally fire the action."""
-    return conj(
-        _enabling_part(fsys.components[name], state[idx], action)[0]
-        for idx, name in enumerate(fsys.names)
-        if name in group
-    )
-
-
 def products_for_group(fspec: FeaturedSyncSpec, group: frozenset[str], action: str) -> int:
     """The valid products whose type lets this group send and forbids zero receivers."""
     return mask_union(

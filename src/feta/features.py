@@ -22,7 +22,11 @@ from .values import Value, init_field
 
 
 class FeatureSpace(Value):
-    """The finite universe of feature names, in declaration order."""
+    """The finite universe of feature names, in declaration order.
+
+    It keeps one positive and one negative literal per name (`_literals`),
+    which every `product_expr` over the space shares.
+    """
 
     __match_args__ = ("names",)
 
@@ -31,6 +35,7 @@ class FeatureSpace(Value):
             raise SpecificationError(f"duplicate feature names in {names}")
         init_field(self, "names", names)
         init_field(self, "name_set", frozenset(names))
+        init_field(self, "_literals", {n: (Var(n), Not(Var(n))) for n in names})
 
     def _key(self) -> tuple:
         return (self.names,)
@@ -359,9 +364,11 @@ def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
 
 
 def product_expr(product: Product) -> FeatureExpr:
-    """The expression satisfied by exactly this product of its space."""
-    pos = [Var(n) for n in sorted(product.selected)]
-    neg = [Not(Var(n)) for n in sorted(product.space.name_set - product.selected)]
+    """The expression satisfied by exactly this product of its space, from
+    the space's own literals."""
+    literals = product.space._literals
+    pos = [literals[n][0] for n in sorted(product.selected)]
+    neg = [literals[n][1] for n in sorted(product.space.name_set - product.selected)]
     return conj(pos + neg)
 
 

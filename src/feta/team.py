@@ -17,12 +17,14 @@ team as it explores, and that team's reachability masks are the fixpoint
 that built it. A guard expression is only a view, for display and for the
 per-product check, built when first read and shared by all transitions of
 its label class: the label and its participants' local sources and
-targets, whatever the idle components' states; the builders hand that
-class to `Fts` as the key its projection groups guards by. Its sync part is
-the system's one expression per mask (`FeaturedSystem.products_expr`), the
-object the family conditions with that mask hold too. Their teams are
-correct by construction: states and transitions come in order and guards
-name only declared features, so unlike a caller's they are not checked.
+targets, whatever the idle components' states. The builders hand `Fts`
+their guard function, so a projection groups the transitions by guard
+object, one per label class, and no guard is made twice. A guard's sync
+part is the system's one expression per mask (`FeaturedSystem.products_expr`),
+the object the family conditions with that mask hold too. The builders'
+teams are correct by construction: states and transitions come in order
+and guards name only declared features, so unlike a caller's they are not
+checked.
 
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
@@ -138,15 +140,12 @@ class _TeamGuards:
             out.extend((SystemTransition(source, label, moved), kept) for moved, kept in partial)
         return out
 
-    def label_class(self, t: SystemTransition) -> tuple:
-        """The transition's label and its participants' local sources and targets."""
+    def guard(self, t: SystemTransition) -> FeatureExpr:
+        """The guard of one of the team's transitions, one object for its
+        label class: the label and its participants' local sources and targets."""
         source, label, target = t
         get = self.fsys._step_table.involved[label]
-        return label, get(source), get(target)
-
-    def guard(self, t: SystemTransition) -> FeatureExpr:
-        """The guard of one of the team's transitions, shared by its class."""
-        key = self.label_class(t)
+        key = label, get(source), get(target)
         guard = self._guards.get(key)
         if guard is None:
             sync = self.fsys.products_expr(self.sync_mask(t.label))
@@ -184,7 +183,7 @@ def build_featured_team(
 
     return Fts._built(
         states, fsys.initial_states(), fsys.actions, transitions, fsys.space,
-        fsys.feature_model, parts.guard, masks, parts.label_class,
+        fsys.feature_model, parts.guard, masks,
     )
 
 
@@ -228,7 +227,7 @@ def reachable_featured_team(
     kept = {t: mask for src in states for t, mask in steps[src] if mask & reach[src]}
     team = Fts._built(
         states, initial, fsys.actions, tuple(kept),
-        fsys.space, fsys.feature_model, parts.guard, lambda: kept, parts.label_class,
+        fsys.space, fsys.feature_model, parts.guard, lambda: kept,
     )
     team.reachable_masks = {q: reach[q] for q in states}
     return team
@@ -286,9 +285,9 @@ def prune_for_display(feta: Fts) -> Fts:
 
     Transitions whose guard no product (valid or not) can satisfy, that is
     whose guard mask is zero, are dropped, then states that the remaining
-    transitions cannot reach from the initial states. The kept guards are
-    read from `feta` when first read here. Analyses never use this view;
-    they work on the full team or on its reachable part
+    transitions cannot reach from the initial states. The kept guards come
+    from `feta`'s guard function, each when first read here. Analyses never
+    use this view; they work on the full team or on its reachable part
     (`reachable_featured_team`).
     """
     masks = feta.guard_masks
@@ -297,8 +296,7 @@ def prune_for_display(feta: Fts) -> Fts:
     kept = tuple(t for t in live if t[0] in keep)
     return Fts._built(
         tuple(q for q in feta.states if q in keep), feta.initial, feta.actions, kept,
-        feta.space, feta.feature_model, feta.guards.__getitem__,
-        lambda: {t: masks[t] for t in kept}, feta._class_of,
+        feta.space, feta.feature_model, feta._guard, lambda: {t: masks[t] for t in kept},
     )
 
 

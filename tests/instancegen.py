@@ -152,7 +152,7 @@ class BatteryResults:
     transitions of the products' own teams (`build_team`) compared with the
     filtered full composition (`reference_team`); `guard_class_checks`
     counts the transitions of the full, reachable and pruned teams whose
-    label class, guard object and mask were checked
+    guard class, guard object and mask were checked
     (`guard_class_disagreements`).
     """
 
@@ -339,17 +339,18 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
 
 
 def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
-    """Check the label classes that builder-made teams read off the build.
+    """Check the guard classes of builder-made teams, grouped through the
+    builder's guard function.
 
     Each of a fresh full team, a fresh reachable team and the full team's
     pruned copy is projected onto its first valid product, which groups
-    its transitions (`Fts._guard_classes`) before any of its guards is
-    read, and before the full team's masks are. Grouping makes one guard
-    per class, not one per transition. The groups must partition the
-    transitions exactly as grouping by guard object does, in the same
-    order; every member must read its class's guard object; and the guard
-    masks, read only then, must equal `expr_mask` of each guard. Returns
-    the number of transitions checked and the mismatches.
+    its transitions (`Fts._guard_classes`) before its `guards` dict or the
+    full team's masks are read. Grouping must leave that dict unbuilt and
+    give each class its own guard object. The groups must partition the
+    transitions exactly as grouping the guards dict by object does, in the
+    same order; every member must read its class's guard object; and the
+    guard masks, read only then, must equal `expr_mask` of each guard.
+    Returns the number of transitions checked and the mismatches.
     """
     from feta import build_featured_team, expr_mask, prune_for_display, reachable_featured_team
 
@@ -361,9 +362,10 @@ def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
         for product in first:
             team.project(product)
         classes = team._guard_classes
-        made = sum(guard is not None for guard in team.guards._made.values())
-        if made != len(classes):
-            wrong.append((name, "guards made by grouping", made, len(classes)))
+        if "guards" in vars(team):
+            wrong.append((name, "guards dict made by grouping"))
+        if len({id(guard) for guard, _ in classes}) != len(classes):
+            wrong.append((name, "guard object shared by classes", classes))
         by_object: dict = {}
         for t in team.transitions:
             by_object.setdefault(id(team.guards[t]), []).append(t)

@@ -22,11 +22,13 @@ from feta import (
     check_family_weak_compliance,
     check_projection_commutes,
     check_receptiveness,
+    conj,
     crosscheck_compliance_unfolding,
     crosscheck_family_vs_products,
     crosscheck_requirement_projection,
     derive_family_requirements,
     derive_requirements,
+    disj,
     elaborate_text,
     equivalent,
     evaluate,
@@ -36,7 +38,6 @@ from feta import (
     products_in,
     reachable_featured_team,
     reachable_products,
-    senders_guard,
     valid_products,
 )
 from feta import automata, cli, features
@@ -70,6 +71,19 @@ def by_identity(freqs):
     return {(f.state, f.senders, f.action): f for f in freqs}
 
 
+def senders_guard(fsys, group, action, state):
+    """The enabling factor, built apart from the derivation: the conjunction,
+    in system order, of each member's disjunction of its local guards on
+    the action from its local state, in transition order."""
+    members = [
+        (fsys.components[name], state[idx]) for idx, name in enumerate(fsys.names) if name in group
+    ]
+    return conj(
+        disj(comp.guards[t] for t in comp.transitions if t[:2] == (local, action))
+        for comp, local in members
+    )
+
+
 def test_family_requirement_count(freqs):
     assert len(freqs) == models.FAMILY_REQUIREMENTS
 
@@ -89,7 +103,7 @@ def test_derivation_is_deterministic(team, access):
 
 def test_conditions_are_three_part_conjunctions(access, freqs):
     """Enabling, sync and reach, in that order, on the access fixture and on
-    every bundled example; the enabling factor is `senders_guard`'s."""
+    every bundled example; the enabling factor is the senders' guard."""
     derived = [(access[0], freqs)]
     for name in models.EXAMPLES:
         result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
@@ -146,13 +160,13 @@ def test_reachable_products(team):
     assert reachable_products(team, ("1", "1", "1")) == ()
 
 
-def test_senders_guard_conjoins_local_alternatives(access):
+def test_senders_guard_conjoins_local_alternatives(access, freqs):
+    """The joint join's enabling factor conjoins each user's two guarded joins."""
     fsys, _ = access
-    guard = senders_guard(
-        fsys, frozenset({"u1", "u2"}), "join", ("0", "0", "0")
-    )
+    joint = by_identity(freqs)[(("0", "0", "0"), frozenset({"u1", "u2"}), "join")]
     per_user = Var("lock") | Var("unlock")
-    assert equivalent(guard, And((per_user, per_user)), fsys.space)
+    assert equivalent(joint.enabling, And((per_user, per_user)), fsys.space)
+    assert joint.enabling == senders_guard(fsys, joint.senders, "join", joint.state)
 
 
 def test_products_for_group_respects_sender_and_receiver_intervals(access):
@@ -237,6 +251,22 @@ def test_family_route_does_not_go_product_by_product(access, monkeypatch):
     report = check_family_receptiveness(team, fsys, fspec, "weak")
     assert report.holds
     assert FEATURED_WEAKLY_COMPLIANT in {e.status for e in report.entries}
+
+
+def test_family_check_and_projection_leave_the_guards_dict_unbuilt(access):
+    """A built team makes its `guards` dict only when it is read in full:
+    deciding the family on the reachable team and projecting the full team
+    take their guards from the builder's guard function."""
+    fsys, fspec = access
+    reachable = reachable_featured_team(fsys, fspec)
+    for mode in ("strict", "weak"):
+        check_family_receptiveness(reachable, fsys, fspec, mode)
+    full = build_featured_team(fsys, fspec)
+    for product in valid_products(fsys.feature_model, fsys.space):
+        full.project(product)
+    assert "guards" not in vars(reachable)
+    assert "guards" not in vars(full)
+    assert list(full.guards) == list(full.transitions)
 
 
 def patch_everywhere(monkeypatch, name, replacement):

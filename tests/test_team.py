@@ -246,8 +246,9 @@ def test_full_team_shares_one_guard_per_label_class():
 
 @pytest.mark.parametrize("name", [*models.EXAMPLES, "acc4"])
 def test_built_teams_read_their_label_classes_off_the_build(name):
-    """The classes a projection groups by come from the build's class key,
-    not from the guards, and agree with grouping by guard object.
+    """The classes a projection groups by are the guard objects the build's
+    guard function hands out, one per class, read without building the
+    team's `guards` dict; they agree with grouping that dict by object.
     """
     if name == "acc4":
         fsys, fspec = acc4()
