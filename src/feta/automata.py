@@ -93,20 +93,14 @@ class Lts:
 
     @cached_property
     def _sends(self) -> dict:
-        return {}
-
-    def _sends_from(self, state) -> dict:
-        """A team state's transitions that let a group send to at least one
-        receiver, grouped by (senders, action), each group in
-        `successors_from` order; worked out on the state's first use and kept.
-        """
-        groups = self._sends.get(state)
-        if groups is None:
-            groups = self._sends[state] = {}
-            for t in self.successors_from(state):
-                label = t[1]
-                if label.receivers:
-                    groups.setdefault((label.senders, label.action), []).append(t)
+        """A team's transitions that let a group send to at least one
+        receiver, grouped by (source, senders, action), each group in
+        transition order."""
+        groups: dict = {}
+        for t in self.transitions:
+            label = t[1]
+            if label.receivers:
+                groups.setdefault((t[0], label.senders, label.action), []).append(t)
         return groups
 
     def enabled(self, state, label) -> bool:

@@ -210,9 +210,9 @@ def derive_family_requirements(
 def _candidates(feta: Fts, freq: FamilyRequirement) -> list:
     """The transitions from the requirement's state that let exactly its
     group send the action to someone (`sends`), in `successors_from` order;
-    the team groups each state's sends once.
+    the team groups its sends once.
     """
-    return feta._sends_from(freq.state).get((freq.senders, freq.action), [])
+    return feta._sends.get((freq.state, freq.senders, freq.action), [])
 
 
 def check_family_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVerdict:

@@ -256,13 +256,15 @@ class _ComposeMixin:
     def _step_table(self) -> _StepTable:
         return _StepTable(self.names, [self.components[n] for n in self.names])
 
-    def _ready_labels(self, state: tuple, budget: Budget = Budget()):
-        """Per label that the state enables, in sort-key order: the label, its
-        participants' indices in ascending order and, per participant, its
-        targets sorted by `state_key`.
+    def _ready_labels(self, state: tuple, budget: Budget = Budget(), keep=None):
+        """Per label that the state enables and `keep` (if given) accepts, in
+        sort-key order: the label, its participants' indices in ascending
+        order and, per participant, its targets sorted by `state_key`; the
+        one per-state label walk of every builder.
 
         The arity, unknown-state and per-action participants checks raise as
-        the components' own `successors_from` would, in action order.
+        the components' own `successors_from` would, in action order,
+        whatever `keep` says.
         """
         if len(state) != len(self.names):
             raise SpecificationError(f"state {state!r} has wrong arity")
@@ -277,34 +279,31 @@ class _ComposeMixin:
                     (senders if sends else receivers).append(idx)
             budget.check("participants", len(senders) + len(receivers), counted)
             for label, involved in table.pattern(action, tuple(senders), tuple(receivers)):
-                yield label, involved, [rows[idx][action] for idx in involved]
+                if keep is None or keep(label):
+                    yield label, involved, [rows[idx][action] for idx in involved]
 
-    @staticmethod
-    def _induced(state: tuple, ready) -> list[SystemTransition]:
-        """The transitions from the state of the `ready` (label, involved,
-        targets) triples, as `_ready_labels` yields them: per label, one per
-        choice of its participants' targets. They come in order: the targets
-        differ only at the participants, whose sorted target lists taken in
-        index order give them in `state_key` order.
+    def _compose(self, states, budget: Budget = Budget(), keep=None):
+        """The induced transitions from the states, in order: per label of
+        `_ready_labels`, one per choice of its participants' targets. No sort
+        is needed: labels come in key order, and the targets differ only at
+        the participants, whose sorted targets taken in index order give them
+        in `state_key` order.
         """
-        out: list[SystemTransition] = []
-        for label, involved, targets in ready:
-            for combo in itertools.product(*targets):
-                moved = list(state)
-                for idx, dst in zip(involved, combo):
-                    moved[idx] = dst
-                out.append(SystemTransition(state, label, tuple(moved)))
-        return out
+        for state in states:
+            for label, involved, targets in self._ready_labels(state, budget, keep):
+                for combo in itertools.product(*targets):
+                    moved = list(state)
+                    for idx, dst in zip(involved, combo):
+                        moved[idx] = dst
+                    yield SystemTransition(state, label, tuple(moved))
 
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
-        """All induced transitions from the state, in deterministic order.
-
-        Per action in sorted order, every nonempty choice of locally ready
-        senders and receivers, each moving to one of its targets: by label
-        sort key, then by target. No sort is needed: labels come in key
-        order, and `_induced` gives each label's targets in order.
+        """All induced transitions from the state, in deterministic order
+        (`_compose`): per action in sorted order, every nonempty choice of
+        locally ready senders and receivers, each moving to one of its
+        targets, by label sort key, then by target.
         """
-        return tuple(self._induced(state, self._ready_labels(state, budget)))
+        return tuple(self._compose((state,), budget))
 
     def _full_states(self, budget: Budget = Budget()) -> tuple[tuple, ...]:
         """The whole product of the local state sets, sorted by `state_key`.
@@ -321,10 +320,7 @@ class _ComposeMixin:
         part, and every induced transition.
         """
         states = self._full_states(budget)
-        transitions: list[SystemTransition] = []
-        for q in states:
-            transitions.extend(self.successors(q, budget))
-        return states, tuple(transitions)
+        return states, tuple(self._compose(states, budget))
 
 
 class System(_ComposeMixin):

@@ -30,11 +30,15 @@ The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
 the initial states, and makes only the transitions whose mask is not 0;
 `build_featured_team` builds the whole team over the full product of the
-local state sets, from `System.successors`, and stays the reference.
+local state sets (`System.state_space`) and stays the reference. Every
+builder reads the system's one label walk (`_ready_labels`) with one label
+filter: expanded unpruned (`_compose`) for the full and the plain team,
+pruned by mask, participant by participant, in `_TeamGuards.live`.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import NamedTuple
 
@@ -115,19 +119,17 @@ class _TeamGuards:
 
     def live(self, source: tuple, budget: Budget) -> list[tuple[SystemTransition, int]]:
         """The induced transitions from the state whose mask is not 0, with
-        their masks, in `successors` order.
+        their masks, in `successors` order: the mask-pruned expansion.
 
-        A label whose sync mask is 0 is skipped; otherwise its participants
-        are added one at a time in index order, carrying the AND of their
-        local guard masks, and a branch whose mask reaches 0 is abandoned.
+        The label walk (`_ready_labels`) yields only the labels whose sync
+        mask is not 0; their participants are added one at a time in index
+        order, carrying the AND of their local guard masks, and a branch
+        whose mask reaches 0 is abandoned, never expanded and then filtered.
         """
         out: list[tuple[SystemTransition, int]] = []
-        for label, involved, targets in self.fsys._ready_labels(source, budget):
+        for label, involved, targets in self.fsys._ready_labels(source, budget, self.sync_mask):
             action = label.action
-            mask = self.sync_mask(label)
-            if not mask:
-                continue
-            partial = [(source, mask)]
+            partial = [(source, self.sync_mask(label))]
             for idx, dests in zip(involved, targets):
                 local = self._local[idx]
                 step = [(dst, local[(source[idx], action, dst)]) for dst in dests]
@@ -208,13 +210,7 @@ def reachable_featured_team(
     _check_featured_inputs(fsys, fspec)
     parts = _TeamGuards(fsys, fspec)
     initial = fsys.initial_states()
-    steps: dict[tuple, list[tuple[SystemTransition, int]]] = {}
-
-    def leaving(src: tuple) -> list[tuple[SystemTransition, int]]:
-        if src not in steps:
-            steps[src] = parts.live(src, budget)
-        return steps[src]
-
+    leaving = functools.cache(lambda src: parts.live(src, budget))
     reach = reach_masks(
         initial,
         model_mask(fsys.feature_model, fsys.space),
@@ -224,7 +220,7 @@ def reachable_featured_team(
     # Each state's successors come in `transition_key` order, so taking the
     # states in order gives the team's transitions in order.
     states = tuple(sorted(reach, key=state_key))
-    kept = {t: mask for src in states for t, mask in steps[src] if mask & reach[src]}
+    kept = {t: mask for src in states for t, mask in leaving(src) if mask & reach[src]}
     team = Fts._built(
         states, initial, fsys.actions, tuple(kept),
         fsys.space, fsys.feature_model, parts.guard, lambda: kept,
@@ -240,27 +236,18 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
 
     It equals `sys.state_space` with its transitions filtered by
     `transition_satisfies`, under the same budget checks, but composes only
-    what it keeps: the type check runs once per label, and a label that does
-    not fit is skipped before its targets are expanded. States and
-    transitions come in `Lts` order.
+    what it keeps: `_compose` filters by the type check, once per label,
+    before a label's targets are expanded. States and transitions come in
+    `Lts` order.
     """
     _warn_if_open(sys)
     states = sys._full_states(budget)
-    fits: dict = {}
-
-    def fitting(ready):
-        for label, involved, targets in ready:
-            fit = fits.get(label)
-            if fit is None:
-                sync_type = spec.for_action(label.action)
-                fit = fits[label] = sync_type.admits(len(label.senders), len(label.receivers))
-            if fit:
-                yield label, involved, targets
-
-    kept: list[SystemTransition] = []
-    for q in states:
-        kept.extend(sys._induced(q, fitting(sys._ready_labels(q, budget))))
-    return Lts._built(states, sys.initial_states(), sys.actions, tuple(kept))
+    fits = functools.cache(
+        lambda label: spec.for_action(label.action).admits(len(label.senders), len(label.receivers))
+    )
+    return Lts._built(
+        states, sys.initial_states(), sys.actions, tuple(sys._compose(states, budget, fits))
+    )
 
 
 def product_team(

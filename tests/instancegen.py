@@ -11,12 +11,14 @@ evaluation covers each of them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import warnings
 
 from feta import (
     TRUE,
     And,
+    Budget,
     FeaturedComponent,
     FeaturedSyncSpec,
     FeaturedSystem,
@@ -27,14 +29,18 @@ from feta import (
     Interval,
     Not,
     Or,
+    SpecificationError,
     SyncRule,
     SyncType,
+    SystemLabel,
+    SystemTransition,
     Var,
     Xor,
     all_products,
     evaluate,
     valid_products,
 )
+from feta.automata import state_key
 
 
 _SHAPES = (lambda a, b: And((a, b)), lambda a, b: Or((a, b)), Xor, Iff, Implies)
@@ -153,7 +159,9 @@ class BatteryResults:
     filtered full composition (`reference_team`); `guard_class_checks`
     counts the transitions of the full, reachable and pruned teams whose
     guard class, guard object and mask were checked
-    (`guard_class_disagreements`).
+    (`guard_class_disagreements`); `successor_checks` counts the induced
+    transitions of every full state of the featured and the products'
+    systems compared with `reference_successors`.
     """
 
     instances: int = 0
@@ -164,6 +172,7 @@ class BatteryResults:
     built_team_checks: int = 0
     plain_team_checks: int = 0
     guard_class_checks: int = 0
+    successor_checks: int = 0
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -178,6 +187,7 @@ class BatteryResults:
     built_team_failures: list = dataclasses.field(default_factory=list)
     plain_team_failures: list = dataclasses.field(default_factory=list)
     guard_class_failures: list = dataclasses.field(default_factory=list)
+    successor_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -386,6 +396,62 @@ def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
     return compared, wrong
 
 
+def reference_successors(sys, state, budget=Budget()):
+    """`successors` as first written: per action, the components' ready
+    targets are read off `successors_from`, every nonempty choice of ready
+    senders and receivers gets a fresh label, and the whole list is sorted
+    at the end.
+    """
+    if len(state) != len(sys.names):
+        raise SpecificationError(f"state {state!r} has wrong arity")
+    local = dict(zip(sys.names, state))
+    out = []
+    for action in sorted(sys.actions):
+        targets, senders, receivers = {}, [], []
+        for name in sys.names:
+            comp = sys.components[name]
+            if action not in comp.actions:
+                continue
+            dests = sorted(
+                (dst for src, act, dst in comp.successors_from(local[name]) if act == action),
+                key=state_key,
+            )
+            if not dests:
+                continue
+            targets[name] = dests
+            (senders if action in comp.outputs else receivers).append(name)
+        budget.check(
+            "participants", len(senders) + len(receivers), f"ready participants of {action!r}"
+        )
+        for size_s in range(len(senders) + 1):
+            for chosen_s in itertools.combinations(senders, size_s):
+                for size_r in range(len(receivers) + 1):
+                    for chosen_r in itertools.combinations(receivers, size_r):
+                        involved = chosen_s + chosen_r
+                        if not involved:
+                            continue
+                        label = SystemLabel(frozenset(chosen_s), action, frozenset(chosen_r))
+                        for combo in itertools.product(*(targets[n] for n in involved)):
+                            moved = dict(zip(involved, combo))
+                            target = tuple(moved.get(n, local[n]) for n in sys.names)
+                            out.append(SystemTransition(state, label, target))
+    out.sort(key=lambda t: (t.label.sort_key(), state_key(t.target)))
+    return tuple(out)
+
+
+def successor_disagreements(sys) -> tuple[int, list]:
+    """Compare `successors` with `reference_successors` on every state of
+    the full product of the local state sets, in order.
+    """
+    compared, wrong = 0, []
+    for state in itertools.product(*(sys.components[n].states for n in sys.names)):
+        expected = reference_successors(sys, state)
+        if sys.successors(state) != expected:
+            wrong.append(state)
+        compared += len(expected)
+    return compared, wrong
+
+
 def reference_team(sys, spec):
     """The plain team by its definition: every induced transition over the
     full product of local states, filtered by the types of the actions.
@@ -433,6 +499,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
         warnings.simplefilter("ignore", OpenSystemWarning)
         for seed, (fsys, fspec) in instances(count, first_seed):
             results.instances += 1
+            compared, wrong = successor_disagreements(fsys)
+            results.successor_checks += compared
+            if wrong:
+                results.successor_failures.append((seed, wrong))
             team = build_featured_team(fsys, fspec)
             products = valid_products(fsys.feature_model, fsys.space)
             family = {
@@ -445,6 +515,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             # per-product check.
             for product in products:
                 own, spec_p, sys_p = product_team(fsys, fspec, product)
+                compared, wrong = successor_disagreements(sys_p)
+                results.successor_checks += compared
+                if wrong:
+                    results.successor_failures.append((seed, product, wrong))
                 compared, wrong = plain_team_disagreements(own, sys_p, spec_p)
                 results.plain_team_checks += compared
                 if wrong:

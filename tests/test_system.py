@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -23,8 +22,7 @@ from feta import (
     Var,
     valid_products,
 )
-from feta.automata import state_key
-from instancegen import instances
+from instancegen import reference_successors
 
 
 def component(inputs=(), outputs=(), transitions=(), states=("0",), init="0"):
@@ -225,67 +223,11 @@ def test_composition_transitions_are_deterministically_ordered():
 # --- composition against a reference enumeration ----------------------------
 
 
-def reference_successors(sys, state, budget=Budget()):
-    """`successors` as first written: per action, the components' ready
-    targets are read off `successors_from`, every nonempty choice of ready
-    senders and receivers gets a fresh label, and the whole list is sorted
-    at the end.
-    """
-    if len(state) != len(sys.names):
-        raise SpecificationError(f"state {state!r} has wrong arity")
-    local = dict(zip(sys.names, state))
-    out = []
-    for action in sorted(sys.actions):
-        targets, senders, receivers = {}, [], []
-        for name in sys.names:
-            comp = sys.components[name]
-            if action not in comp.actions:
-                continue
-            dests = sorted(
-                (dst for src, act, dst in comp.successors_from(local[name]) if act == action),
-                key=state_key,
-            )
-            if not dests:
-                continue
-            targets[name] = dests
-            (senders if action in comp.outputs else receivers).append(name)
-        budget.check(
-            "participants", len(senders) + len(receivers), f"ready participants of {action!r}"
-        )
-        for size_s in range(len(senders) + 1):
-            for chosen_s in itertools.combinations(senders, size_s):
-                for size_r in range(len(receivers) + 1):
-                    for chosen_r in itertools.combinations(receivers, size_r):
-                        involved = chosen_s + chosen_r
-                        if not involved:
-                            continue
-                        label = SystemLabel(frozenset(chosen_s), action, frozenset(chosen_r))
-                        for combo in itertools.product(*(targets[n] for n in involved)):
-                            moved = dict(zip(involved, combo))
-                            target = tuple(moved.get(n, local[n]) for n in sys.names)
-                            out.append(SystemTransition(state, label, target))
-    out.sort(key=lambda t: (t.label.sort_key(), state_key(t.target)))
-    return tuple(out)
-
-
-def composed_systems():
-    """Every random instance's featured system and each valid product's system."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for seed, (fsys, _) in instances(200):
-            yield f"seed {seed}", fsys
-            for product in valid_products(fsys.feature_model, fsys.space):
-                yield f"seed {seed} {product}", fsys.project(product)
-
-
-def test_successors_equal_the_reference_enumeration_in_order():
-    compared = 0
-    for name, sys in composed_systems():
-        for state in itertools.product(*(sys.components[n].states for n in sys.names)):
-            expected = reference_successors(sys, state)
-            assert sys.successors(state) == expected, (name, state)
-            compared += len(expected)
-    assert compared > 10_000
+def test_successors_equal_the_reference_enumeration_in_order(battery):
+    """On every full state of each random instance's featured system and of
+    each product's projected system (`instancegen.run_battery`)."""
+    assert battery.successor_failures == []
+    assert battery.successor_checks > 10_000
 
 
 def test_successors_come_in_the_reference_order_without_a_sort():

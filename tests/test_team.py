@@ -16,7 +16,9 @@ from feta import (
     And,
     Budget,
     Component,
+    FeaturedComponent,
     FeaturedSyncSpec,
+    FeaturedSystem,
     FeatureSpace,
     Fts,
     Interval,
@@ -344,6 +346,33 @@ def test_plain_team_checks_the_participants_of_labels_it_skips(senders):
     assert str(refused.value) == "ready participants of 'go': 3, above the bound 2"
     team = build_team(sys, spec, Budget(participants=3))
     assert len(team.transitions) == (3 if senders.lo == 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "build", [build_featured_team, reachable_featured_team], ids=lambda build: build.__name__
+)
+def test_featured_teams_check_the_participants_of_labels_they_skip(build):
+    """The participants bound holds although the label walk turns down every
+    label: no ready count fits the type, so every sync mask is 0.
+    """
+    plain = worker_and_sink_system()
+    space = FeatureSpace.of("x")
+    fsys = FeaturedSystem(plain.names, {
+        name: FeaturedComponent(
+            comp.states, comp.initial, comp.actions, comp.transitions, space, TRUE,
+            dict.fromkeys(comp.transitions, TRUE), comp.inputs, comp.outputs,
+        )
+        for name, comp in plain.components.items()
+    }, space, TRUE)
+    never = SyncType(Interval(5, 5), Interval(1, 1))
+    fspec = FeaturedSyncSpec((SyncRule(TRUE, None, never),), frozenset({"go"}), space, TRUE)
+    with pytest.raises(ResourceLimitError) as refused:
+        build(fsys, fspec, Budget(participants=2))
+    assert refused.value.bound == "participants"
+    assert str(refused.value) == "ready participants of 'go': 3, above the bound 2"
+    team = build(fsys, fspec, Budget(participants=3))
+    assert not any(team.guard_masks.values())
+    assert len(team.transitions) == (10 if build is build_featured_team else 0)
 
 
 def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
