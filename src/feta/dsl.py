@@ -33,8 +33,9 @@ covers every action.
 
 Feature expressions use `true false ! && xor || -> <->` with precedence
 `!` over `&&` over `xor` over `||` over `->` over `<->`, and `->`
-associating to the right. An expression may nest at most `MAX_EXPR_DEPTH`
-levels, counting operators and parentheses.
+associating to the right, as the table `features.CONNECTIVES` gives them
+to the parser and to `format_expr` alike. An expression may nest at most
+`MAX_EXPR_DEPTH` levels, counting operators and parentheses.
 """
 
 from __future__ import annotations
@@ -44,17 +45,13 @@ from typing import NamedTuple
 from .automata import FeaturedComponent
 from .errors import FetaError, ResourceLimitError, SpecificationError
 from .features import (
+    CONNECTIVES,
+    FALSE,
     TRUE,
-    And,
-    Const,
     FeatureExpr,
     FeatureSpace,
-    Iff,
-    Implies,
     Not,
-    Or,
     Var,
-    Xor,
     format_expr,
     valid_products,
     variables,
@@ -263,6 +260,11 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
+def _expected(what: str, tok: Token) -> _SyntaxError:
+    found = "end of input" if tok.kind == "eof" else repr(tok.text)
+    return _SyntaxError(f"expected {what}, found {found}", tok.line, tok.col)
+
+
 class _TokenStream:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
@@ -289,22 +291,17 @@ class _TokenStream:
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text or tok.kind == "eof":
-            found = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise _SyntaxError(f"expected {text!r}, found {found}", tok.line, tok.col)
+            raise _expected(repr(text), tok)
         return self.advance()
 
     def expect_kind(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            found = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise _SyntaxError(f"expected {what}, found {found}", tok.line, tok.col)
+            raise _expected(what, tok)
         return self.advance()
 
 
 # --- parser -----------------------------------------------------------------
-
-_EXPR_LEVELS = {"<->": 1, "->": 2, "||": 3, "xor": 4, "&&": 5}
-
 
 def _check_depth(depth: int, tok: Token) -> None:
     if depth > MAX_EXPR_DEPTH:
@@ -332,7 +329,7 @@ class _Parser:
     def parse_expr(self) -> FeatureExpr:
         return self._expr(0, 0)[0]
 
-    def _expr(self, min_level: int, nesting: int) -> tuple[FeatureExpr, int]:
+    def _expr(self, min_strength: int, nesting: int) -> tuple[FeatureExpr, int]:
         """An expression and the depth of its tree.
 
         `nesting` counts the operators and parentheses enclosing it; it bounds
@@ -342,24 +339,19 @@ class _Parser:
         left, depth = self._unary(nesting)
         while True:
             tok = self.stream.peek()
-            level = _EXPR_LEVELS.get(tok.text) if tok.kind in ("sym", "ident") else None
-            if level is None or level < min_level:
+            connective = CONNECTIVES.get(tok.text)
+            if connective is None or connective.strength < min_strength:
                 return left, depth
             self.stream.advance()
-            right_level = level if tok.text == "->" else level + 1
-            right, right_depth = self._expr(right_level, nesting + 1)
-            if tok.text == "->":
-                left = Implies(left, right)
-            elif tok.text == "<->":
-                left = Iff(left, right)
-            elif tok.text == "xor":
-                left = Xor(left, right)
-            else:
-                kind = Or if tok.text == "||" else And
+            _, kind, strength, assoc = connective
+            right, right_depth = self._expr(strength + (assoc != "right"), nesting + 1)
+            if assoc == "flat":
                 # Flattening lifts the operands of a same-kind side one level.
                 depth -= isinstance(left, kind)
                 right_depth -= isinstance(right, kind)
                 left = _flatten(kind, left, right)
+            else:
+                left = kind(left, right)
             depth = max(depth, right_depth) + 1
             _check_depth(depth, tok)
 
@@ -381,12 +373,11 @@ class _Parser:
             return TRUE, 1
         if tok.text == "false":
             self.stream.advance()
-            return Const(False), 1
+            return FALSE, 1
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             self.stream.advance()
             return Var(tok.text), 1
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise _SyntaxError(f"expected a feature expression, found {found}", tok.line, tok.col)
+        raise _expected("a feature expression", tok)
 
     # helpers
 
@@ -406,8 +397,7 @@ class _Parser:
             return self.stream.advance()
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             return self.stream.advance()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise _SyntaxError(f"expected a state name, found {found}", tok.line, tok.col)
+        raise _expected("a state name", tok)
 
     def _state_list(self) -> list[str]:
         names = [self._state_name().text]
@@ -483,8 +473,7 @@ class _Parser:
                 else:
                     sync = rules
             else:
-                found = repr(tok.text)
-                raise _SyntaxError(f"expected a declaration, found {found}", tok.line, tok.col)
+                raise _expected("a declaration", tok)
 
         if model is None:
             self.error((1, 1), "missing feature model", "missing-feature-model")

@@ -21,7 +21,7 @@ import itertools
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .automata import Fts, state_key
+from .automata import Fts
 from .errors import Budget
 from .features import (
     And,
@@ -88,13 +88,10 @@ class FamilyRequirement(Value):
             self.sync_condition, self.reach_condition,
         )
 
-    def sort_key(self):
-        return (state_key(self.state), self.action, tuple(sorted(self.senders)))
+    sort_key = Requirement.sort_key
 
     def __str__(self) -> str:
-        group = ",".join(sorted(self.senders))
-        st = "(" + ",".join(self.state) + ")"
-        return f"[{format_expr(self.condition)}] rcp({{{group}}}, {self.action}) @ {st}"
+        return f"[{format_expr(self.condition)}] {Requirement.__str__(self)}"
 
 
 class FamilyVerdict(NamedTuple):
@@ -113,9 +110,7 @@ class FamilyReport(NamedTuple):
 
     @property
     def holds(self) -> bool:
-        if self.mode == STRICT:
-            return all(e.status == FEATURED_COMPLIANT for e in self.entries)
-        return all(e.status != VIOLATED for e in self.entries)
+        return not self.violations
 
     @property
     def violations(self) -> tuple[FamilyVerdict, ...]:
@@ -167,11 +162,12 @@ def derive_family_requirements(
     out: list[FamilyRequirement] = []
     sync: dict[tuple[int, str], int] = {}
     enabling_parts: dict[tuple, tuple[FeatureExpr, int]] = {}
+    actions = sorted(fsys.actions)
     for q in feta.states:
         reach_mask = feta.reachable_masks[q]
         if not reach_mask:
             continue
-        for action in sorted(fsys.actions):
+        for action in actions:
             ready = ready_senders(fsys, q, action, budget)
             parts = {}
             for name in ready:
@@ -237,7 +233,6 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
     whose guard mask holds the product's bit. The verdict carries one witness
     path per product and, on failure, the first product with no witness.
     """
-    req = Requirement(freq.state, freq.senders, freq.action)
     masks = feta.guard_masks
     witnesses = []
     for product, bit in product_bits(freq.mask, feta.feature_model, feta.space):
@@ -245,7 +240,7 @@ def check_family_weak_compliance(feta: Fts, freq: FamilyRequirement) -> FamilyVe
         def successors(state, bit=bit):
             return [t for t in feta.successors_from(state) if masks[t] >> bit & 1]
 
-        verdict = search_weak_compliance(req, successors)
+        verdict = search_weak_compliance(freq, successors)
         if verdict.status == VIOLATED:
             return FamilyVerdict(freq, VIOLATED, tuple(witnesses), product)
         witnesses.append((product, verdict.witness))

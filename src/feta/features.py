@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .errors import Budget, SpecificationError
 from .values import Value, init_field
@@ -501,27 +502,36 @@ def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
 # --- rendering -------------------------------------------------------------
 
 
-# Binding strength of each connective, loosest first.
-_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_XOR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = range(7)
+class Connective(NamedTuple):
+    symbol: str
+    kind: type
+    strength: int  # binding strength, higher binds tighter
+    assoc: str  # "left", "right", or "flat" for an n-ary node (`And`, `Or`)
 
 
-def _level(expr: FeatureExpr) -> int:
-    match expr:
-        case Const() | Var():
-            return _LEVEL_ATOM
-        case Not():
-            return _LEVEL_NOT
-        case And():
-            return _LEVEL_AND
-        case Xor():
-            return _LEVEL_XOR
-        case Or():
-            return _LEVEL_OR
-        case Implies():
-            return _LEVEL_IMPLIES
-        case Iff():
-            return _LEVEL_IFF
-    raise SpecificationError(f"not a feature expression: {expr!r}")
+# The binary connectives by surface symbol, loosest first; the parser and
+# `format_expr` both read their grammar here. A "left" chain groups as
+# `(a xor b) xor c`, a "right" one as `a -> (b -> c)`.
+CONNECTIVES = {
+    c.symbol: c
+    for c in (
+        Connective("<->", Iff, 1, "left"),
+        Connective("->", Implies, 2, "right"),
+        Connective("||", Or, 3, "flat"),
+        Connective("xor", Xor, 4, "left"),
+        Connective("&&", And, 5, "flat"),
+    )
+}
+_CONNECTIVE_OF = {c.kind: c for c in CONNECTIVES.values()}
+# `!` binds tighter than every binary connective, and an atom tighter still.
+_NOT_STRENGTH, _ATOM_STRENGTH = 6, 7
+
+
+def _strength(expr: FeatureExpr) -> int:
+    connective = _CONNECTIVE_OF.get(expr.__class__)
+    if connective is not None:
+        return connective.strength
+    return _NOT_STRENGTH if isinstance(expr, Not) else _ATOM_STRENGTH
 
 
 @_kept_on_node
@@ -530,27 +540,24 @@ def format_expr(expr: FeatureExpr) -> str:
 
     def wrap(child: FeatureExpr, minimum: int) -> str:
         text = format_expr(child)
-        return f"({text})" if _level(child) < minimum else text
+        return f"({text})" if _strength(child) < minimum else text
 
+    connective = _CONNECTIVE_OF.get(expr.__class__)
+    if connective is not None:
+        symbol, _, strength, assoc = connective
+        if assoc == "flat":
+            parts = [wrap(op, strength) for op in expr.operands]
+        else:
+            left, right = expr._key()  # the two operands
+            parts = [wrap(left, strength + (assoc == "right")), wrap(right, strength + (assoc == "left"))]
+        return f" {symbol} ".join(parts)
     match expr:
         case Const(value):
             return "true" if value else "false"
         case Var(name):
             return name
         case Not(operand):
-            return "!" + wrap(operand, _LEVEL_NOT)
-        case And(operands):
-            return " && ".join(wrap(op, _LEVEL_AND) for op in operands)
-        case Or(operands):
-            return " || ".join(wrap(op, _LEVEL_OR) for op in operands)
-        case Xor(left, right):
-            # xor chains associate to the left
-            return f"{wrap(left, _LEVEL_XOR)} xor {wrap(right, _LEVEL_XOR + 1)}"
-        case Implies(ant, con):
-            # implication associates to the right
-            return f"{wrap(ant, _LEVEL_IMPLIES + 1)} -> {wrap(con, _LEVEL_IMPLIES)}"
-        case Iff(left, right):
-            return f"{wrap(left, _LEVEL_IFF)} <-> {wrap(right, _LEVEL_IFF + 1)}"
+            return "!" + wrap(operand, _NOT_STRENGTH)
     raise SpecificationError(f"not a feature expression: {expr!r}")
 
 

@@ -59,9 +59,7 @@ class ReceptivenessReport(NamedTuple):
 
     @property
     def holds(self) -> bool:
-        if self.mode == STRICT:
-            return all(e.status == COMPLIANT for e in self.entries)
-        return all(e.status != VIOLATED for e in self.entries)
+        return not self.violations
 
     @property
     def violations(self) -> tuple[ComplianceVerdict, ...]:
@@ -101,8 +99,9 @@ def derive_requirements(
     the group a reception).
     """
     out: list[Requirement] = []
+    actions = sorted(sys.actions)
     for q in sorted(team.reachable(), key=state_key):
-        for action in sorted(sys.actions):
+        for action in actions:
             st = spec.for_action(action)
             if st.receivers.contains(0):
                 continue
@@ -134,8 +133,9 @@ def search_weak_compliance(req: Requirement, successors) -> ComplianceVerdict:
     """Breadth-first search for a group-free warm-up after which the send works.
 
     `successors(state)` gives the transitions leaving a state, in order.
-    Returns the shortest witness path; a requirement met immediately counts
-    as compliant with an empty warm-up.
+    Only the requirement's state, senders and action are read, so a family
+    requirement serves as well. Returns the shortest witness path; a
+    requirement met immediately counts as compliant with an empty warm-up.
     """
     parents: dict = {req.state: None}
     queue = deque((req.state,))
@@ -179,10 +179,8 @@ def check_receptiveness(
     warnings_: list[str] = []
     if not team.initial:
         warnings_.append("team has no initial states; receptiveness holds vacuously")
-    entries = []
-    for req in derive_requirements(team, spec, sys, budget):
-        verdict = check_compliance(team, req)
-        if verdict.status == VIOLATED:
-            verdict = check_weak_compliance(team, req)
-        entries.append(verdict)
-    return ReceptivenessReport(mode, tuple(entries), tuple(warnings_))
+    # One search per requirement in either mode: its first step is the strict
+    # check, and a strict report reads a weakly compliant entry as violated.
+    requirements = derive_requirements(team, spec, sys, budget)
+    entries = tuple(check_weak_compliance(team, req) for req in requirements)
+    return ReceptivenessReport(mode, entries, tuple(warnings_))

@@ -7,10 +7,15 @@ from feta import (
     TRUE,
     And,
     FetaError,
+    Iff,
+    Implies,
+    Not,
+    Or,
     Var,
     Xor,
     elaborate_text,
     format_document,
+    format_expr,
     parse,
     parse_expr,
 )
@@ -115,6 +120,31 @@ def test_expression_precedence_and_associativity():
     assert parse_expr("!a && b") == And((~Var("a"), Var("b")))
     assert parse_expr("a -> b -> c") == parse_expr("a -> (b -> c)")
     assert parse_expr("a xor b && c") == Xor(Var("a"), Var("b") & Var("c"))
+    a, b, c = Var("a"), Var("b"), Var("c")
+    cases = [
+        # each connective's associativity, and the other grouping
+        ("a <-> b <-> c", Iff(Iff(a, b), c)),
+        ("a <-> (b <-> c)", Iff(a, Iff(b, c))),
+        ("a xor b xor c", Xor(Xor(a, b), c)),
+        ("a xor (b xor c)", Xor(a, Xor(b, c))),
+        ("a -> b -> c", Implies(a, Implies(b, c))),
+        ("(a -> b) -> c", Implies(Implies(a, b), c)),
+        # each adjacent pair of binding strengths, the tighter on either side
+        ("a <-> b -> c", Iff(a, Implies(b, c))),
+        ("a -> b <-> c", Iff(Implies(a, b), c)),
+        ("a -> b || c", Implies(a, Or((b, c)))),
+        ("a || b -> c", Implies(Or((a, b)), c)),
+        ("a || b xor c", Or((a, Xor(b, c)))),
+        ("a xor b || c", Or((Xor(a, b), c))),
+        ("a xor b && c", Xor(a, And((b, c)))),
+        ("a && b xor c", Xor(And((a, b)), c)),
+        ("a && !b", And((a, Not(b)))),
+        ("!a && b", And((Not(a), b))),
+        ("!(a && b)", Not(And((a, b)))),
+    ]
+    for text, tree in cases:
+        assert parse_expr(text) == tree, text
+        assert format_expr(tree) == text, text
 
 
 def test_syntax_error_reports_position():

@@ -29,3 +29,13 @@ def test_every_budgeted_callable_takes_the_budget_last():
             target = getattr(target, part)
         last = list(inspect.signature(target).parameters.values())[-1]
         assert (last.name, last.default) == ("budget", Budget()), name
+
+
+def test_every_building_block_resolves_from_the_package_root():
+    """Each name the exports paragraph lists is an attribute of `feta`;
+    `verify`, a CLI command named there, is not an export."""
+    paragraph = readme_paragraph("The building blocks are exported from the package root")
+    named = set(re.findall(r"`(\w+)`", paragraph)) - {"verify"}
+    assert len(named) == 38
+    missing = sorted(name for name in named if not hasattr(feta, name))
+    assert not missing
