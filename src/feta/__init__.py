@@ -85,7 +85,10 @@ from .synctypes import (
 from .system import ClosureReport, FeaturedSystem, System, SystemLabel, SystemTransition
 from .team import (
     CommutationResult,
+    FeaturedClasses,
+    LabelClass,
     OpenSystemWarning,
+    build_featured_classes,
     build_featured_team,
     build_team,
     check_projection_commutes,

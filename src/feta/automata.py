@@ -227,12 +227,6 @@ class Fts(Lts):
         )
         return {q: reach.get(q, 0) for q in self.states}
 
-    def _check_product(self, product: Product) -> None:
-        if product.space != self.space:
-            raise InvalidProductError(f"product {product} is over a different feature space")
-        if not evaluate(self.feature_model, product):
-            raise InvalidProductError(f"product {product} does not satisfy the feature model")
-
     @cached_property
     def _guard_classes(self) -> tuple:
         """The transitions grouped by guard object: (guard, transitions)
@@ -256,7 +250,7 @@ class Fts(Lts):
         construction in `_built`), so once the product is known to be over it
         the guards are evaluated unchecked, each guard object once.
         """
-        self._check_product(product)
+        check_product(product, self.space, self.feature_model)
         kept = []
         for guard, transitions in self._guard_classes:
             if holds(guard, product):
@@ -268,6 +262,14 @@ class Fts(Lts):
         kept, sorted as for any caller's parts.
         """
         return Lts(*self._projected_parts(product))
+
+
+def check_product(product: Product, space: FeatureSpace, feature_model: FeatureExpr) -> None:
+    """Refuse a product over another space or outside the feature model."""
+    if product.space != space:
+        raise InvalidProductError(f"product {product} is over a different feature space")
+    if not evaluate(feature_model, product):
+        raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
 
 def reach_masks(initial, seed: int, steps, reached=lambda count: None) -> dict:

@@ -52,6 +52,7 @@ from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
 from .team import (
     OpenSystemWarning,
+    build_featured_classes,
     build_featured_team,
     check_projection_commutes,
     product_team,
@@ -389,10 +390,12 @@ def cmd_feta(args) -> int:
 def cmd_project(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
-    (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
+    feta, classes = _build_teams(
+        args, fsys, fspec, budget, warns, build_featured_team, build_featured_classes
+    )
     projection = feta.project(product)
     own = product_team(fsys, fspec, product, budget)[0]
-    result = check_projection_commutes(feta, product, own)
+    result = check_projection_commutes(classes, product, own)
     core = _core(projection)
     stats = {
         "states": len(projection.states),
@@ -499,12 +502,12 @@ def _verdict(family: bool, mode: str, holds: bool) -> str:
 
 def cmd_verify(args) -> int:
     fsys, fspec, budget, warns = _load(args)
-    # Projections commute on the full team; the family is decided, as by
-    # `check` and `reqs`, on its reachable part. Each valid product's own
-    # team is built once, under the same budget, and feeds every
-    # per-product half; only the outcomes outlive the loop.
+    # Projections commute on the full team, compared class by class; the
+    # family is decided, as by `check` and `reqs`, on its reachable part.
+    # Each valid product's own team is built once, under the same budget,
+    # and feeds every per-product half; only the outcomes outlive the loop.
     full, feta = _build_teams(
-        args, fsys, fspec, budget, warns, build_featured_team, reachable_featured_team
+        args, fsys, fspec, budget, warns, build_featured_classes, reachable_featured_team
     )
     # Weak mode keeps every strictly compliant entry and re-decides only the
     # violated ones, so read in strict mode the same entries give its verdict.

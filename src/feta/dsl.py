@@ -40,7 +40,7 @@ to the parser and to `format_expr` alike. An expression may nest at most
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .automata import FeaturedComponent
 from .errors import FetaError, ResourceLimitError, SpecificationError
@@ -77,12 +77,11 @@ _SINGLE_SYMBOLS = set("{}()[],;:=*!?")
 MAX_EXPR_DEPTH = 100
 
 
-class Diagnostic(NamedTuple):
-    severity: str
-    line: int
-    col: int
-    message: str
-    code: str
+class Diagnostic(namedtuple("Diagnostic", "severity line col message code")):
+    """One finding at a 1-based line and column: its severity ("error" or
+    "warning"), message and stable code."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.severity}: {self.message} [{self.code}]"
@@ -170,23 +169,18 @@ class SyncRuleDecl(Value):
         return (self.actions, self.send_lo, self.send_hi, self.recv_lo, self.recv_hi, self.guard)
 
 
-class SpecDocument(NamedTuple):
-    features: tuple[str, ...]
-    model: FeatureExpr | None
-    components: tuple[ComponentDecl, ...]
-    system: SystemDecl | None
-    sync: tuple[SyncRuleDecl, ...] | None
+# The declared feature names, the model (or None), the component
+# declarations, the system declaration (or None) and the sync rules (or None).
+SpecDocument = namedtuple("SpecDocument", "features model components system sync")
+# The document (None if parsing failed) and every diagnostic of the parse.
+ParseResult = namedtuple("ParseResult", "document diagnostics")
 
 
-class ParseResult(NamedTuple):
-    document: SpecDocument | None
-    diagnostics: tuple[Diagnostic, ...]
+class ElaborationResult(namedtuple("ElaborationResult", "system sync diagnostics")):
+    """The featured system and specification, each None if elaboration failed,
+    and every diagnostic."""
 
-
-class ElaborationResult(NamedTuple):
-    system: FeaturedSystem | None
-    sync: FeaturedSyncSpec | None
-    diagnostics: tuple[Diagnostic, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -196,11 +190,8 @@ class ElaborationResult(NamedTuple):
 # --- lexer ------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # ident | number | sym | eof
-    text: str
-    line: int
-    col: int
+# `kind` is ident, number, sym or eof.
+Token = namedtuple("Token", "kind text line col")
 
 
 class _SyntaxError(SpecificationError):

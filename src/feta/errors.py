@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class FetaError(Exception):
@@ -29,7 +29,9 @@ class ResourceLimitError(FetaError):
         self.bound = bound
 
 
-class Budget(NamedTuple):
+class Budget(
+    namedtuple("Budget", "states participants products", defaults=(10**6, 20, 1 << 16))
+):
     """The resource bounds of an analysis, one field per `--max-*` flag.
 
     `states` bounds the team states a builder materialises, `participants`
@@ -38,9 +40,7 @@ class Budget(NamedTuple):
     is also the ceiling of the bit-mask encoding.
     """
 
-    states: int = 10**6
-    participants: int = 20
-    products: int = 1 << 16
+    __slots__ = ()
 
     def check(self, bound: str, count: int, counted: str) -> None:
         """Refuse `count` items against the named bound; `counted` says what they are."""

@@ -18,8 +18,8 @@ on the two routes, and only they evaluate products one by one.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from .automata import Fts
 from .errors import Budget
@@ -94,19 +94,18 @@ class FamilyRequirement(Value):
         return f"[{format_expr(self.condition)}] {Requirement.__str__(self)}"
 
 
-class FamilyVerdict(NamedTuple):
+class FamilyVerdict(
+    namedtuple("FamilyVerdict", "requirement status witnesses violation_product")
+):
     """How one family requirement fared across the whole family."""
 
-    requirement: FamilyRequirement
-    status: str
-    witnesses: tuple
-    violation_product: Product | None
+    __slots__ = ()
 
 
-class FamilyReport(NamedTuple):
-    mode: str
-    entries: tuple[FamilyVerdict, ...]
-    warnings: tuple[str, ...]
+class FamilyReport(namedtuple("FamilyReport", "mode entries warnings")):
+    """The verdict of every family requirement in one mode, and the notes."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -271,12 +270,12 @@ def check_family_receptiveness(
 # --- cross-checks between the family route and the per-product route -------
 
 
-class ProjectionAgreement(NamedTuple):
+class ProjectionAgreement(
+    namedtuple("ProjectionAgreement", "product only_in_family only_in_product")
+):
     """Per product: requirements read off the family versus derived directly."""
 
-    product: Product
-    only_in_family: tuple
-    only_in_product: tuple
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -355,12 +354,12 @@ def crosscheck_compliance_unfolding(
     )
 
 
-class FamilyProductsAgreement(NamedTuple):
+class FamilyProductsAgreement(
+    namedtuple("FamilyProductsAgreement", "mode family_holds product_verdicts")
+):
     """Family verdict versus the conjunction of per-product verdicts."""
 
-    mode: str
-    family_holds: bool
-    product_verdicts: tuple[tuple[Product, bool], ...]
+    __slots__ = ()
 
     @property
     def products_hold(self) -> bool:

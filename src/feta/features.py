@@ -15,8 +15,8 @@ equivalent for display only.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache, wraps
-from typing import NamedTuple
 
 from .errors import Budget, SpecificationError
 from .values import Value, init_field
@@ -502,11 +502,10 @@ def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
 # --- rendering -------------------------------------------------------------
 
 
-class Connective(NamedTuple):
-    symbol: str
-    kind: type
-    strength: int  # binding strength, higher binds tighter
-    assoc: str  # "left", "right", or "flat" for an n-ary node (`And`, `Or`)
+# A connective's surface symbol, node class, binding strength (higher binds
+# tighter) and associativity: "left", "right", or "flat" for an n-ary node
+# (`And`, `Or`).
+Connective = namedtuple("Connective", "symbol kind strength assoc")
 
 
 # The binary connectives by surface symbol, loosest first; the parser and

@@ -12,13 +12,12 @@ receptive when every requirement is met, in the strict or the weak sense.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .automata import Lts, state_key
 from .errors import Budget, SpecificationError
 from .synctypes import SyncTypeSpec
-from .system import System, SystemTransition
+from .system import System
 
 STRICT = "strict"
 WEAK = "weak"
@@ -28,12 +27,10 @@ WEAKLY_COMPLIANT = "weakly-compliant"
 VIOLATED = "violated"
 
 
-class Requirement(NamedTuple):
+class Requirement(namedtuple("Requirement", "state senders action")):
     """A group of ready senders and the action they want received, at a state."""
 
-    state: tuple
-    senders: frozenset[str]
-    action: str
+    __slots__ = ()
 
     def sort_key(self):
         return (state_key(self.state), self.action, tuple(sorted(self.senders)))
@@ -44,18 +41,16 @@ class Requirement(NamedTuple):
         return f"rcp({{{group}}}, {self.action}) @ {st}"
 
 
-class ComplianceVerdict(NamedTuple):
+class ComplianceVerdict(namedtuple("ComplianceVerdict", "requirement status witness")):
     """How one requirement fared; the witness is a path ending in the send."""
 
-    requirement: Requirement
-    status: str
-    witness: tuple[SystemTransition, ...] | None
+    __slots__ = ()
 
 
-class ReceptivenessReport(NamedTuple):
-    mode: str
-    entries: tuple[ComplianceVerdict, ...]
-    warnings: tuple[str, ...]
+class ReceptivenessReport(namedtuple("ReceptivenessReport", "mode entries warnings")):
+    """The verdict of every requirement of one team in one mode, and the notes."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

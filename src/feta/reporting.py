@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .automata import Fts, Lts
 from .family import FamilyReport, FamilyRequirement

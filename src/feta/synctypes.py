@@ -11,7 +11,8 @@ total: every valid product and every action must hit some rule.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import InvalidProductError, SpecificationError, TotalityError
 from .features import (
@@ -55,11 +56,10 @@ class Interval(Value):
         return f"[{self.lo},{hi}]"
 
 
-class SyncType(NamedTuple):
+class SyncType(namedtuple("SyncType", "senders receivers")):
     """How many senders and receivers a transition of one action may have."""
 
-    senders: Interval
-    receivers: Interval
+    __slots__ = ()
 
     def admits(self, n_senders: int, n_receivers: int) -> bool:
         """Whether these participant counts fit the type."""
@@ -93,12 +93,10 @@ class SyncTypeSpec:
         return frozenset(self.types)
 
 
-class SyncRule(NamedTuple):
+class SyncRule(namedtuple("SyncRule", "guard actions sync_type")):
     """One guarded rule; actions is None for a rule covering every action."""
 
-    guard: FeatureExpr
-    actions: frozenset[str] | None
-    sync_type: SyncType
+    __slots__ = ()
 
     def covers(self, action: str) -> bool:
         return self.actions is None or action in self.actions
@@ -108,7 +106,7 @@ class SyncRule(NamedTuple):
         return f"{names}: {self.sync_type} when {format_expr(self.guard)}"
 
 
-class ActionTable(NamedTuple):
+class ActionTable(namedtuple("ActionTable", "rules uncovered")):
     """One action's first match for all valid products, as `expr_mask` bits.
 
     `rules` has a (type, matches, decides) triple per covering rule, in order:
@@ -116,8 +114,7 @@ class ActionTable(NamedTuple):
     covering rule matches. No covering rule matches those in `uncovered`.
     """
 
-    rules: tuple[tuple[SyncType, int, int], ...]
-    uncovered: int
+    __slots__ = ()
 
 
 class FeaturedSyncSpec:

@@ -18,9 +18,10 @@ team builder.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, NamedTuple
 
 from .automata import Component, FeaturedComponent, state_key
 from .errors import Budget, SpecificationError
@@ -69,12 +70,10 @@ class SystemLabel(Value):
         )
 
 
-class SystemTransition(NamedTuple):
+class SystemTransition(namedtuple("SystemTransition", "source label target")):
     """One induced system step; compares and hashes like its plain triple."""
 
-    source: tuple
-    label: SystemLabel
-    target: tuple
+    __slots__ = ()
 
     @property
     def action(self) -> str:
@@ -94,11 +93,10 @@ class SystemTransition(NamedTuple):
         return f"{src} --{self.label}--> {dst}"
 
 
-class ClosureReport(NamedTuple):
+class ClosureReport(namedtuple("ClosureReport", "missing_senders missing_receivers")):
     """Which actions lack a potential sender or receiver somewhere in the system."""
 
-    missing_senders: tuple[str, ...]
-    missing_receivers: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -202,9 +200,10 @@ class _StepTable:
         return self._patterns[key]
 
     def refuse(self, state: tuple, rows: list, budget: Budget) -> None:
-        """Raise as the first unknown local state does in a component's
-        `successors_from`, after the participants checks of the actions
-        before it: a row is None for an unknown local state.
+        """Make `_ready_labels`'s checks of the state without walking its
+        labels: per action in order, the participants check, raising first
+        as the first unknown local state does in a component's
+        `successors_from` (a row is None for an unknown local state).
         """
         for action, takers, counted in self.plan:
             ready = 0
@@ -296,6 +295,45 @@ class _ComposeMixin:
                     for idx, dst in zip(involved, combo):
                         moved[idx] = dst
                     yield SystemTransition(state, label, tuple(moved))
+
+    def _label_classes(self, states: tuple, budget: Budget = Budget()):
+        """Every label class of `_compose(states)` over the full product
+        `states` (`_full_states`), without walking a state: per action in
+        sorted order, per label of the takers ready at some local state (in
+        sort-key order), per choice of the participants' local steps, the
+        label, its participants' indices and their local sources and targets.
+
+        A transition's class is its label and its participants' local steps.
+        Over the full product the idle components take every combination of
+        their states, so each class holds exactly those transitions and every
+        label of the ready takers occurs. `budget.participants` is refused as
+        `_compose(states)` refuses it, at the first (state, action) in order;
+        the states are scanned for it (`_StepTable.refuse`) only when some
+        action's takers ready somewhere exceed the bound.
+        """
+        table = self._step_table
+        if not states:
+            return
+        somewhere = [
+            (action, [
+                (idx, sends) for idx, sends in takers
+                if any(action in row for row in table.steps[idx].values())
+            ])
+            for action, takers, _ in table.plan
+        ]
+        if any(len(ready) > budget.participants for _, ready in somewhere):
+            for state in states:
+                table.refuse(state, [table.steps[i][q] for i, q in enumerate(state)], budget)
+        for action, ready in somewhere:
+            senders = tuple(idx for idx, sends in ready if sends)
+            receivers = tuple(idx for idx, sends in ready if not sends)
+            for label, involved in table.pattern(action, senders, receivers):
+                steps = [
+                    [(src, dst) for src, row in table.steps[idx].items() for dst in row.get(action, ())]
+                    for idx in involved
+                ]
+                for combo in itertools.product(*steps):
+                    yield label, involved, tuple(s for s, _ in combo), tuple(d for _, d in combo)
 
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
         """All induced transitions from the state, in deterministic order

@@ -8,7 +8,7 @@ products whose synchronisation type admits the transition. Projecting the
 featured team onto a valid product must coincide with first projecting the
 system and the specification and then building the plain team; the
 commutation check below compares the two constructions transition by
-transition.
+transition, the featured side label class by label class.
 
 Every verdict is decided on the guards' masks, and each mask a built team
 carries has one source, the per-label walk `_TeamGuards.live`: the full
@@ -33,18 +33,24 @@ the initial states, and makes only the transitions whose mask is not 0;
 local state sets (`System.state_space`) and stays the reference. Every
 builder reads the system's one label walk (`_ready_labels`) with one label
 filter: expanded unpruned (`_compose`) for the full and the plain team,
-pruned by mask, participant by participant, in `_TeamGuards.live`.
+pruned by mask, participant by participant, in `_TeamGuards.live`. The
+commutation check needs the full team only class by class, and
+`build_featured_classes` reads its classes off the local steps
+(`_ComposeMixin._label_classes`), walking no state.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import warnings
-from typing import NamedTuple
+from collections import namedtuple
+from operator import itemgetter
 
-from .automata import Fts, Lts, reach_masks, state_key, transition_key
+from .automata import Fts, Lts, check_product, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import And, FeatureExpr, Product, conj, model_mask
+from .features import And, FeatureExpr, Product, conj, holds, model_mask
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemLabel, SystemTransition
 
@@ -164,8 +170,7 @@ def build_featured_team(
     is kept and receives the guard described above (`_TeamGuards`), so
     `budget.states` bounds that full product. The guard masks come from
     `_TeamGuards.live` over every state when first read (a transition it
-    does not make has mask 0); the sync expressions are made at once, so
-    projecting the team reads no mask. This is the reference construction:
+    does not make has mask 0). This is the reference construction:
     projections, display and the battery compare against it. The
     specification must be total over the valid products.
     """
@@ -173,9 +178,6 @@ def build_featured_team(
     # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
-    # The step table now holds exactly the labels of the team's transitions.
-    for label in fsys._step_table.involved:
-        fsys.products_expr(parts.sync_mask(label))
 
     def masks() -> dict:
         made = dict.fromkeys(transitions, 0)
@@ -287,39 +289,163 @@ def prune_for_display(feta: Fts) -> Fts:
     )
 
 
-class CommutationResult(NamedTuple):
+class LabelClass(namedtuple("LabelClass", "label participants sources targets guard size")):
+    """One label class of the full featured team: the label, its
+    participants' indices in ascending order, their local sources and
+    targets, the guard object that all the class's transitions share, and
+    how many transitions it has, one per combination of the states of the
+    components that do not take part.
+    """
+
+    __slots__ = ()
+
+
+class FeaturedClasses(
+    namedtuple(
+        "FeaturedClasses", "states initial actions space feature_model local_states classes"
+    )
+):
+    """The full featured team (`build_featured_team`) class by class, never
+    expanded: its states, initial states, actions, feature space and model,
+    each component's local states, and its label classes (`LabelClass`) in
+    composition order. A class stands for all its transitions at once, so
+    this costs the classes, not the transitions: the full team of the access
+    example with seven users has 397,682 transitions in 7,070 classes.
+    """
+
+    __slots__ = ()
+
+    def members(self, cls: LabelClass):
+        """The class's transitions, in transition order."""
+        choices = list(self.local_states)
+        for idx, src in zip(cls.participants, cls.sources):
+            choices[idx] = (src,)
+        for source in itertools.product(*choices):
+            target = list(source)
+            for idx, dst in zip(cls.participants, cls.targets):
+                target[idx] = dst
+            yield SystemTransition(source, cls.label, tuple(target))
+
+
+def build_featured_classes(
+    fsys: FeaturedSystem, fspec: FeaturedSyncSpec, budget: Budget = Budget()
+) -> FeaturedClasses:
+    """The full featured team's label classes, read off the components'
+    local steps (`_ComposeMixin._label_classes`) without walking a state.
+
+    Inputs and bounds are checked as `build_featured_team` checks them, with
+    the same errors in the same order: the specification's totality,
+    `budget.states` against the full product, then `budget.participants`.
+    Each class's guard is `_TeamGuards.guard` of one of its members, the
+    object the full team's transitions of the class read, and every guard
+    is made here, so comparing projections reads no mask.
+    """
+    _check_featured_inputs(fsys, fspec)
+    states = fsys._full_states(budget)
+    parts = _TeamGuards(fsys, fspec)
+    local_states = tuple(fsys.components[name].states for name in fsys.names)
+    classes = []
+    for label, participants, sources, targets in fsys._label_classes(states, budget):
+        source, target = list(states[0]), list(states[0])
+        for idx, src, dst in zip(participants, sources, targets):
+            source[idx], target[idx] = src, dst
+        guard = parts.guard(SystemTransition(tuple(source), label, tuple(target)))
+        size = len(states) // math.prod(len(local_states[idx]) for idx in participants)
+        classes.append(LabelClass(label, participants, sources, targets, guard, size))
+    return FeaturedClasses(
+        states, fsys.initial_states(), fsys.actions, fsys.space, fsys.feature_model,
+        local_states, tuple(classes),
+    )
+
+
+class CommutationResult(
+    namedtuple(
+        "CommutationResult",
+        "product ok only_in_projection only_in_composition"
+        " states_agree initial_agree actions_agree",
+    )
+):
     """Outcome of comparing team projection against per-product composition."""
 
-    product: Product
-    ok: bool
-    only_in_projection: tuple
-    only_in_composition: tuple
-    states_agree: bool
-    initial_agree: bool
-    actions_agree: bool
+    __slots__ = ()
 
 
-def check_projection_commutes(feta: Fts, product: Product, own: Lts) -> CommutationResult:
+def _picker(indices):
+    """The function taking a tuple to its items at the indices, as a tuple."""
+    if len(indices) == 1:
+        (idx,) = indices
+        return lambda state: (state[idx],)
+    return itemgetter(*indices) if indices else lambda state: ()
+
+
+def check_projection_commutes(
+    featured: FeaturedClasses, product: Product, own: Lts
+) -> CommutationResult:
     """Compare the featured team's projection with the product's own team.
 
     The two sides are built along independent paths: the left projects the
-    featured team, the right, `own`, composes the projected components under
-    the projected specification (`product_team`). They must agree exactly on
-    states, initial states, actions and the transition set. `feta` is the
-    full featured team (`build_featured_team`). The projection is compared
-    as the parts `Fts.project` would build its `Lts` from: `feta`'s states
-    are already sorted and its transitions distinct.
+    full featured team, the right, `own`, composes the projected components
+    under the projected specification (`product_team`). They must agree
+    exactly on states, initial states, actions and the transition set.
+
+    The full team comes class by class (`build_featured_classes`) and is
+    never expanded whole. The projection keeps a class whole if the product
+    satisfies its guard (`holds`, on the expression), else drops it. Each of
+    `own`'s transitions is a member of a kept class or only in `own`; a
+    kept class with as many members in `own` as its size is all there, as
+    an `Lts`'s transitions are distinct. Only a class with fewer is
+    expanded, to name the members `own` lacks.
     """
-    states, initial, actions, kept = feta._projected_parts(product)
-    left_set, right_set = set(kept), set(own.transitions)
-    states_agree = states == own.states
-    initial_agree = initial == own.initial
-    actions_agree = actions == own.actions
+    check_product(product, featured.space, featured.feature_model)
+    states_agree = featured.states == own.states
+    # `own`'s transitions join its states, so over the full team's states
+    # any one can be a member; over others, only one between those states.
+    declared = None if states_agree else frozenset(featured.states)
+    # A transition belongs to the class of its label and its participants'
+    # local sources and targets if the other components stay put.
+    kept, pick = {}, {}
+    for cls in featured.classes:
+        if cls.label not in pick:
+            idle = [i for i in range(len(featured.local_states)) if i not in cls.participants]
+            pick[cls.label] = _picker(cls.participants), _picker(idle)
+        if holds(cls.guard, product):
+            kept[cls.label, cls.sources, cls.targets] = cls
+
+    def key(t):
+        source, label, target = t
+        if label not in pick or not (
+            declared is None or source in declared and target in declared
+        ):
+            return None
+        participants, idle = pick[label]
+        if idle(source) != idle(target):
+            return None
+        return label, participants(source), participants(target)
+
+    counts = dict.fromkeys(kept, 0)
+    only_in_composition = []
+    for t in own.transitions:
+        found = key(t)
+        if found in counts:
+            counts[found] += 1
+        else:
+            only_in_composition.append(t)
+    short = {found for found, count in counts.items() if count != kept[found].size}
+    only_in_projection = []
+    if short:
+        present = {t for t in own.transitions if key(t) in short}
+        for found in short:
+            only_in_projection.extend(
+                t for t in featured.members(kept[found]) if t not in present
+            )
+    initial_agree = featured.initial == own.initial
+    actions_agree = featured.actions == own.actions
     return CommutationResult(
         product=product,
-        ok=states_agree and initial_agree and actions_agree and left_set == right_set,
-        only_in_projection=tuple(sorted(left_set - right_set, key=transition_key)),
-        only_in_composition=tuple(sorted(right_set - left_set, key=transition_key)),
+        ok=states_agree and initial_agree and actions_agree
+        and not (only_in_projection or only_in_composition),
+        only_in_projection=tuple(sorted(only_in_projection, key=transition_key)),
+        only_in_composition=tuple(sorted(only_in_composition, key=transition_key)),
         states_agree=states_agree,
         initial_agree=initial_agree,
         actions_agree=actions_agree,

@@ -161,7 +161,11 @@ class BatteryResults:
     guard class, guard object and mask were checked
     (`guard_class_disagreements`); `successor_checks` counts the induced
     transitions of every full state of the featured and the products'
-    systems compared with `reference_successors`.
+    systems compared with `reference_successors`; `label_class_checks`
+    counts the transitions of the full team rebuilt from its label classes
+    and the class-level commutation results compared with a plain set
+    comparison (`label_class_disagreements`), and `planted_faults` how many
+    faults of each kind were planted there and caught.
     """
 
     instances: int = 0
@@ -173,6 +177,8 @@ class BatteryResults:
     plain_team_checks: int = 0
     guard_class_checks: int = 0
     successor_checks: int = 0
+    label_class_checks: int = 0
+    planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
@@ -188,6 +194,7 @@ class BatteryResults:
     plain_team_failures: list = dataclasses.field(default_factory=list)
     guard_class_failures: list = dataclasses.field(default_factory=list)
     successor_failures: list = dataclasses.field(default_factory=list)
+    label_class_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -396,6 +403,118 @@ def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
     return compared, wrong
 
 
+def reference_commutation(projection, product, own):
+    """`check_projection_commutes` as first written: the featured team's
+    projection (an `Lts`) and the product's own team compared as plain
+    sets of transitions."""
+    from feta import CommutationResult
+    from feta.automata import transition_key
+
+    left, right = set(projection.transitions), set(own.transitions)
+    agree = [getattr(projection, part) == getattr(own, part) for part in ("states", "initial", "actions")]
+    return CommutationResult(
+        product, all(agree) and left == right,
+        tuple(sorted(left - right, key=transition_key)),
+        tuple(sorted(right - left, key=transition_key)),
+        *agree,
+    )
+
+
+def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, dict]:
+    """Check the full team's label classes (`build_featured_classes`)
+    against the full team `team`, and the class-level commutation check
+    against the plain one (`reference_commutation`).
+
+    Expanding every class over the idle components' states must give
+    exactly the team's transitions, in order once sorted, each class as
+    many as its size, and each member's guard must equal its class's guard.
+    Per valid product and its own team in `own_teams`, the class-level
+    result must equal the plain comparison of the team's projection. So
+    must it under four planted faults, each of which must also make it
+    fail: the own team loses one transition; one of its transitions moves
+    a component that takes no part; it gains a transition between two
+    states outside the full product that differ from a member's ends only
+    in a component taking no part (or in all); the featured side loses one
+    class that the product keeps. Returns the number of items compared, the
+    mismatches and the number of faults planted per kind.
+    """
+    from feta import Lts, build_featured_classes, check_projection_commutes
+    from feta.automata import transition_key
+
+    featured = build_featured_classes(fsys, fspec)
+    wrong, planted = [], {}
+    members = [(cls, list(featured.members(cls))) for cls in featured.classes]
+    expanded = sorted((t for _, group in members for t in group), key=transition_key)
+    if expanded != list(team.transitions):
+        wrong.append(("expansion", len(expanded), len(team.transitions)))
+    for cls, group in members:
+        if len(group) != cls.size:
+            wrong.append(("size", cls, len(group)))
+        wrong.extend(("guard", t) for t in group if team.guards[t] != cls.guard)
+    compared = len(expanded)
+
+    def compare(kind, classes, projection, product, own):
+        nonlocal compared
+        got = check_projection_commutes(classes, product, own)
+        expected = reference_commutation(projection, product, own)
+        compared += 1
+        if got != expected:
+            wrong.append((kind, product, got, expected))
+        if kind != "plain":
+            planted[kind] = planted.get(kind, 0) + 1
+            if got.ok:
+                wrong.append((kind, product, "fault not caught"))
+
+    def rebuilt(own, transitions):
+        return Lts(own.states, own.initial, own.actions, transitions)
+
+    for product, own in own_teams.items():
+        projection = team.project(product)
+        compare("plain", featured, projection, product, own)
+        if own.transitions:
+            dropped = own.transitions[len(own.transitions) // 2]
+            lacking = rebuilt(own, [t for t in own.transitions if t != dropped])
+            compare("dropped transition", featured, projection, product, lacking)
+            src, label, dst = dropped
+            idle = [i for i, name in enumerate(fsys.names) if name not in label.participants()]
+            astray = idle[:1] or range(len(fsys.names))
+
+            def stray(state):
+                return tuple("stray" if i in astray else q for i, q in enumerate(state))
+
+            strayed = (stray(src), label, stray(dst))
+            larger = Lts(
+                own.states + (strayed[0], strayed[2]), own.initial, own.actions,
+                own.transitions + (strayed,),
+            )
+            compare("stray state", featured, projection, product, larger)
+        for t in own.transitions:
+            src, label, dst = t
+            idle = [
+                i for i, name in enumerate(fsys.names)
+                if name not in label.participants() and len(fsys.components[name].states) > 1
+            ]
+            if idle:
+                local = fsys.components[fsys.names[idle[0]]].states
+                moved = list(dst)
+                moved[idle[0]] = local[(local.index(dst[idle[0]]) + 1) % len(local)]
+                shifted = (src, label, tuple(moved))
+                kept = [u for u in own.transitions if u != t] + [shifted]
+                compare("moved idle component", featured, projection, product, rebuilt(own, kept))
+                break
+        lost = next((cls for cls in featured.classes if evaluate(cls.guard, product)), None)
+        if lost is not None:
+            others = tuple(cls for cls in featured.classes if cls is not lost)
+            fewer = featured._replace(classes=others)
+            gone = set(featured.members(lost))
+            left = Lts(
+                projection.states, projection.initial, projection.actions,
+                [t for t in projection.transitions if t not in gone],
+            )
+            compare("lost class", fewer, left, product, own)
+    return compared, wrong, planted
+
+
 def reference_successors(sys, state, budget=Budget()):
     """`successors` as first written: per action, the components' ready
     targets are read off `successors_from`, every nonempty choice of ready
@@ -477,6 +596,7 @@ def plain_team_disagreements(team, sys, spec) -> tuple[int, list]:
 def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     from feta import (
         OpenSystemWarning,
+        build_featured_classes,
         build_featured_team,
         check_compliance,
         check_family_receptiveness,
@@ -504,6 +624,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             if wrong:
                 results.successor_failures.append((seed, wrong))
             team = build_featured_team(fsys, fspec)
+            featured = build_featured_classes(fsys, fspec)
             products = valid_products(fsys.feature_model, fsys.space)
             family = {
                 mode: check_family_receptiveness(team, fsys, fspec, mode)
@@ -513,8 +634,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             product_reports = {mode: [] for mode in family}
             # Each product's own team is built once and feeds every
             # per-product check.
+            own_teams = {}
             for product in products:
                 own, spec_p, sys_p = product_team(fsys, fspec, product)
+                own_teams[product] = own
                 compared, wrong = successor_disagreements(sys_p)
                 results.successor_checks += compared
                 if wrong:
@@ -523,7 +646,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.plain_team_checks += compared
                 if wrong:
                     results.plain_team_failures.append((seed, product, wrong))
-                if not check_projection_commutes(team, product, own).ok:
+                if not check_projection_commutes(featured, product, own).ok:
                     results.projection_failures.append((seed, product))
                 # The entries do not depend on the mode, only `holds` does.
                 verdicts = check_receptiveness(own, spec_p, sys_p)
@@ -538,6 +661,12 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     if strict == COMPLIANT and weak == VIOLATED:
                         results.monotonicity_failures.append((seed, req))
             results.requirements += len(freqs)
+            compared, wrong, planted = label_class_disagreements(fsys, fspec, team, own_teams)
+            results.label_class_checks += compared
+            for kind, count in planted.items():
+                results.planted_faults[kind] = results.planted_faults.get(kind, 0) + count
+            if wrong:
+                results.label_class_failures.append((seed, wrong))
             projections = {p: team.project(p) for p in products}
             for verdict in crosscheck_compliance_unfolding(team, family["strict"].entries):
                 results.unfolding_failures.append((seed, verdict.requirement))

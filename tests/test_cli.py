@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import feta.family
 import feta.receptiveness
+import feta.system
 import feta.team
 import models
 from feta import Budget, cli, elaborate_text, features
@@ -201,6 +202,58 @@ def test_every_resource_error_names_its_flag_and_what_it_counted(capsys, argv, b
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# Four components over {0,1}: each `w` receives `b` at 0 and sends `a` at 1,
+# the hub receives `a` at 0 and sends `b` at 1. Every action has 4 takers
+# ready somewhere, but at the first state (0,0,0,0) only 1 and 3 are ready.
+_CROWD = """features f;
+feature_model true;
+component W { output a; input b; init 0; 0 -> 1 by b?; 1 -> 0 by a!; }
+component Hub { input a; output b; init 0; 0 -> 1 by a?; 1 -> 0 by b!; }
+system S = { w1: W, w2: W, w3: W, hub: Hub };
+sync { default [1,1] -> [1,3]; }
+"""
+_FULL_100 = "states in the full product of local states: 162, above the bound 100 (--max-states)"
+
+
+@pytest.mark.parametrize(
+    "flags, spec, message",
+    [
+        pytest.param(("--max-states", "100"), ACC4, _FULL_100, id="acc4 states 100"),
+        pytest.param(
+            ("--max-states", "100", "--max-participants", "4"), ACC4, _FULL_100,
+            id="acc4 states 100 participants 4",
+        ),
+        pytest.param(("--max-participants", "4"), ACC4, _PARTICIPANTS, id="acc4 participants 4"),
+        pytest.param(
+            ("--max-participants", "1"), ACC4, _PARTICIPANTS.replace("bound 4", "bound 1"),
+            id="acc4 participants 1",
+        ),
+        pytest.param(
+            ("--max-participants", "2"), None,
+            "ready participants of 'b': 3, above the bound 2 (--max-participants)",
+            id="crowd participants 2",
+        ),
+        pytest.param(
+            ("--max-participants", "3"), None,
+            "ready participants of 'b': 4, above the bound 3 (--max-participants)",
+            id="crowd participants 3",
+        ),
+    ],
+)
+def test_verify_budget_errors_name_the_first_offending_state(capsys, tmp_path, flags, spec, message):
+    """`verify`'s resource errors, byte for byte as composing the full team
+    gave them: the states bound before the participants bound, and the
+    participants of the first (state, action) in state order that has too
+    many, which in `_CROWD` under 3 is `b` at (0,0,0,1), not `a`, although
+    `a` comes first in action order and has as many takers ready somewhere.
+    """
+    if spec is None:
+        spec = tmp_path / "crowd.feta"
+        spec.write_text(_CROWD, encoding="utf-8")
+    code, out, err = run(capsys, "verify", *flags, str(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_json_resource_errors_name_the_flag(capsys):
@@ -568,6 +621,39 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
+    """`verify` compares the full team class by class, so it never composes
+    it: no `state_space`, and `_compose` yields no more transitions than the
+    two products' own teams hold. `feta` still composes it once."""
+    result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    own = sum(
+        len(feta.team.product_team(fsys, fspec, product)[0].transitions)
+        for product in features.valid_products(fsys.feature_model, fsys.space)
+    )
+    spaces, composed = [], []
+    mixin = feta.system._ComposeMixin
+    state_space, compose = mixin.state_space, mixin._compose
+
+    def counted_state_space(self, *args):
+        spaces.append(self)
+        return state_space(self, *args)
+
+    def counted_compose(self, *args):
+        for t in compose(self, *args):
+            composed.append(t)
+            yield t
+
+    monkeypatch.setattr(mixin, "state_space", counted_state_space)
+    monkeypatch.setattr(mixin, "_compose", counted_compose)
+    assert cli.main(["verify", ACC4]) == 0
+    assert spaces == []
+    assert 0 < len(composed) <= own
+    assert cli.main(["feta", ACC4]) == 0
+    assert len(spaces) == 1
+    capsys.readouterr()
+
+
 _DROPPED_FIRST_TRANSITION = [
     ("projection of the team commutes for {lock}", False, "1 transitions differ"),
     ("projection of the team commutes for {unlock}", False, "1 transitions differ"),
@@ -829,14 +915,15 @@ def test_no_command_prints_help_and_fails(capsys):
 
 def test_start_up_imports_no_code_generation_or_resource_loading():
     """`import feta.cli` stays off `dataclasses` (and the `inspect` it loads),
-    off `importlib.resources`, which only `feta examples` needs, and off
-    `pathlib`, for which plain `open` does.
+    off `importlib.resources`, which only `feta examples` needs, off
+    `pathlib`, for which plain `open` does, and off `typing`, for which
+    `collections.namedtuple` and `collections.abc` do.
 
     The child runs isolated and without `site`, so no `.pth` file of the
     installation loads any of them first.
     """
     package_root = str(Path(cli.__file__).resolve().parents[1])
-    unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib")
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib", "typing")
     code = (
         f"import sys; sys.path.insert(0, {package_root!r}); import feta.cli; "
         f"print([name for name in {unwanted!r} if name in sys.modules])"

@@ -16,6 +16,7 @@ from feta import (
     Not,
     ResourceLimitError,
     Var,
+    build_featured_classes,
     build_featured_team,
     check_family_compliance,
     check_family_receptiveness,
@@ -310,10 +311,12 @@ def test_verify_builds_one_display_expression_per_mask(monkeypatch, capsys, name
     def one_object(mask, expr):
         assert by_mask.setdefault(mask, expr) is expr
 
-    for team in (full, feta):
-        for t in team.transitions:
-            counts = (len(t.label.senders), len(t.label.receivers))
-            one_object(fspec.allowed_products(t.label.action, *counts), team.guards[t].operands[1])
+    for cls in full.classes:
+        counts = (len(cls.label.senders), len(cls.label.receivers))
+        one_object(fspec.allowed_products(cls.label.action, *counts), cls.guard.operands[1])
+    for t in feta.transitions:
+        counts = (len(t.label.senders), len(t.label.receivers))
+        one_object(fspec.allowed_products(t.label.action, *counts), feta.guards[t].operands[1])
     for entry in report.entries:
         freq = entry.requirement
         one_object(products_for_group(fspec, freq.senders, freq.action), freq.sync_condition)
@@ -334,8 +337,10 @@ def test_per_product_route_reads_no_mask(monkeypatch):
         result = elaborate_text(Path(models.example_path(name)).read_text(encoding="utf-8"))
         fsys, fspec = result.system, result.sync
         full = build_featured_team(fsys, fspec)
+        featured = build_featured_classes(fsys, fspec)
         freqs = derive_family_requirements(reachable_featured_team(fsys, fspec), fsys, fspec)
-        built.append((fsys, fspec, full, freqs, valid_products(fsys.feature_model, fsys.space)))
+        products = valid_products(fsys.feature_model, fsys.space)
+        built.append((fsys, fspec, full, featured, freqs, products))
 
     def refuse(*args):
         raise AssertionError("the per-product route read a mask")
@@ -347,7 +352,7 @@ def test_per_product_route_reads_no_mask(monkeypatch):
     monkeypatch.setattr(FeaturedSyncSpec, "table", refuse)
     monkeypatch.setattr(FeaturedSyncSpec, "allowed_products", refuse)
     monkeypatch.setattr(team_module, "_TeamGuards", refuse)
-    for fsys, fspec, full, freqs, products in built:
+    for fsys, fspec, full, featured, freqs, products in built:
         with pytest.raises(AssertionError):
             full.guard_masks
         with pytest.raises(AssertionError):
@@ -355,7 +360,7 @@ def test_per_product_route_reads_no_mask(monkeypatch):
         for product in products:
             own, spec_p, sys_p = product_team(fsys, fspec, product)
             assert sys_p._step_table.plan is fsys._step_table.plan
-            assert check_projection_commutes(full, product, own).ok
+            assert check_projection_commutes(featured, product, own).ok
             verdicts = check_receptiveness(own, spec_p, sys_p, "weak")
             own_reqs = [e.requirement for e in verdicts.entries]
             assert crosscheck_requirement_projection(freqs, product, own_reqs).ok

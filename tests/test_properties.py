@@ -27,6 +27,18 @@ def test_projection_commutes_with_team_construction(battery):
     assert battery.projection_failures == []
 
 
+def test_label_classes_rebuild_the_full_team_and_compare_as_sets_do(battery):
+    """The class-level featured side expands to the full team, and its
+    commutation check gives the plain set comparison's result, also on
+    four planted faults, each of which it catches."""
+    assert battery.label_class_failures == []
+    assert battery.label_class_checks > 0
+    assert sorted(battery.planted_faults) == [
+        "dropped transition", "lost class", "moved idle component", "stray state",
+    ]
+    assert min(battery.planted_faults.values()) > 0
+
+
 def test_built_team_label_classes_are_their_guard_objects(battery):
     assert battery.guard_class_failures == []
     assert battery.guard_class_checks > 0

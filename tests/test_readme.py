@@ -22,7 +22,7 @@ def test_every_budgeted_callable_takes_the_budget_last():
     last parameter is `budget: Budget = Budget()`."""
     paragraph = readme_paragraph("Every function that builds or explores under a bound")
     named = re.findall(r"`([\w.]+)\(", paragraph)
-    assert len(named) == 11
+    assert len(named) == 12
     for name in named:
         target = feta
         for part in name.split("."):
@@ -36,6 +36,6 @@ def test_every_building_block_resolves_from_the_package_root():
     `verify`, a CLI command named there, is not an export."""
     paragraph = readme_paragraph("The building blocks are exported from the package root")
     named = set(re.findall(r"`(\w+)`", paragraph)) - {"verify"}
-    assert len(named) == 38
+    assert len(named) == 41
     missing = sorted(name for name in named if not hasattr(feta, name))
     assert not missing

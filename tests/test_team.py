@@ -32,6 +32,7 @@ from feta import (
     System,
     TotalityError,
     Var,
+    build_featured_classes,
     build_featured_team,
     build_team,
     check_projection_commutes,
@@ -128,17 +129,19 @@ def test_pruned_view_keeps_only_satisfiable_guards(team, pruned):
     assert models.JOINT_JOIN_BROKERED not in set(pruned.transitions)
 
 
-def test_projection_commutes_for_both_products(access, team):
+def test_projection_commutes_for_both_products(access):
     fsys, fspec = access
+    featured = build_featured_classes(fsys, fspec)
     for product in valid_products(fsys.feature_model, fsys.space):
-        result = check_projection_commutes(team, product, product_team(fsys, fspec, product)[0])
+        own = product_team(fsys, fspec, product)[0]
+        result = check_projection_commutes(featured, product, own)
         assert result.ok, (
             f"{product}: only in projection {result.only_in_projection},"
             f" only in composition {result.only_in_composition}"
         )
 
 
-def test_commutation_result_reports_differences(access, team):
+def test_commutation_result_reports_differences(access):
     fsys, fspec = access
     # A deliberately different specification for the right-hand side makes
     # the comparison fail and the report carry the differing transitions.
@@ -149,7 +152,7 @@ def test_commutation_result_reports_differences(access, team):
         feature_model=fspec.feature_model,
     )
     own = product_team(fsys, loose, models.UNLOCK)[0]
-    result = check_projection_commutes(team, models.UNLOCK, own)
+    result = check_projection_commutes(build_featured_classes(fsys, fspec), models.UNLOCK, own)
     assert not result.ok
     assert result.only_in_projection
     assert result.states_agree
@@ -348,13 +351,9 @@ def test_plain_team_checks_the_participants_of_labels_it_skips(senders):
     assert len(team.transitions) == (3 if senders.lo == 1 else 0)
 
 
-@pytest.mark.parametrize(
-    "build", [build_featured_team, reachable_featured_team], ids=lambda build: build.__name__
-)
-def test_featured_teams_check_the_participants_of_labels_they_skip(build):
-    """The participants bound holds although the label walk turns down every
-    label: no ready count fits the type, so every sync mask is 0.
-    """
+def featured_worker_and_sink(sync_type):
+    """`worker_and_sink_system` with every guard true, over one feature
+    `x`, under one rule giving `go` the type."""
     plain = worker_and_sink_system()
     space = FeatureSpace.of("x")
     fsys = FeaturedSystem(plain.names, {
@@ -364,8 +363,17 @@ def test_featured_teams_check_the_participants_of_labels_they_skip(build):
         )
         for name, comp in plain.components.items()
     }, space, TRUE)
-    never = SyncType(Interval(5, 5), Interval(1, 1))
-    fspec = FeaturedSyncSpec((SyncRule(TRUE, None, never),), frozenset({"go"}), space, TRUE)
+    return fsys, FeaturedSyncSpec((SyncRule(TRUE, None, sync_type),), frozenset({"go"}), space, TRUE)
+
+
+@pytest.mark.parametrize(
+    "build", [build_featured_team, reachable_featured_team], ids=lambda build: build.__name__
+)
+def test_featured_teams_check_the_participants_of_labels_they_skip(build):
+    """The participants bound holds although the label walk turns down every
+    label: no ready count fits the type, so every sync mask is 0.
+    """
+    fsys, fspec = featured_worker_and_sink(SyncType(Interval(5, 5), Interval(1, 1)))
     with pytest.raises(ResourceLimitError) as refused:
         build(fsys, fspec, Budget(participants=2))
     assert refused.value.bound == "participants"
@@ -388,11 +396,62 @@ def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
     )
     assert [transitions for _, transitions in caller._guard_classes] == [[kept, lost]]
     product = Product.of(space, "x")
-    own = Lts(("0", "1"), {"0"}, {"a"}, [kept])
-    result = check_projection_commutes(caller, product, own)
-    assert not result.ok
-    assert result.only_in_projection == (lost,)
-    assert result.only_in_composition == ()
-    assert result.states_agree and result.initial_agree and result.actions_agree
     assert caller.project(product).transitions == (kept, lost)
     assert caller.project(Product.of(space)).transitions == ()
+    # A sender-only `go` of `w1` leaves the sink `k` idle in either state:
+    # one label class of two transitions, of which the product's team lacks one.
+    fsys, fspec = featured_worker_and_sink(SyncType(Interval(1, STAR), Interval(0, 1)))
+    featured = build_featured_classes(fsys, fspec)
+    own = product_team(fsys, fspec, product)[0]
+    assert check_projection_commutes(featured, product, own).ok
+    solo = models.label({"w1"}, "go", ())
+    (shared_class,) = [cls for cls in featured.classes if cls.label == solo]
+    assert shared_class.size == 2
+    stays, missing = featured.members(shared_class)
+    assert missing == (("0", "0", "1"), solo, ("0", "0", "1"))
+    lacking = Lts(own.states, own.initial, own.actions, [t for t in own.transitions if t != missing])
+    result = check_projection_commutes(featured, product, lacking)
+    assert not result.ok
+    assert result.only_in_projection == (missing,)
+    assert result.only_in_composition == ()
+    assert result.states_agree and result.initial_agree and result.actions_agree
+
+
+def test_label_classes_are_the_full_team_class_by_class(access, team):
+    """Every class expands, over the idle components' states, to its share
+    of the full team's transitions, each of which reads a guard equal to
+    the class's, with the same sync object."""
+    fsys, fspec = access
+    featured = build_featured_classes(fsys, fspec)
+    assert (featured.states, featured.initial, featured.actions) == (
+        team.states, team.initial, team.actions,
+    )
+    expanded = []
+    for cls in featured.classes:
+        members = list(featured.members(cls))
+        assert len(members) == cls.size
+        for t in members:
+            assert team.guards[t] == cls.guard
+            assert team.guards[t].operands[1] is cls.guard.operands[1]
+        expanded.extend(members)
+    assert sorted(expanded, key=feta.automata.transition_key) == list(team.transitions)
+    assert len(featured.classes) == len(team._guard_classes)
+
+
+def test_label_classes_check_the_budget_as_the_full_team_does():
+    """The states bound first, then the participants of the first state and
+    action in order; with no label fitting the type, every class is there,
+    each with a guard no product satisfies."""
+    fsys, fspec = featured_worker_and_sink(SyncType(Interval(5, 5), Interval(1, 1)))
+    for budget, bound, message in (
+        (Budget(states=1, participants=2), "states",
+         "states in the full product of local states: 2, above the bound 1"),
+        (Budget(participants=2), "participants", "ready participants of 'go': 3, above the bound 2"),
+    ):
+        with pytest.raises(ResourceLimitError) as refused:
+            build_featured_classes(fsys, fspec, budget)
+        assert (refused.value.bound, str(refused.value)) == (bound, message)
+    featured = build_featured_classes(fsys, fspec, Budget(participants=3))
+    assert sum(cls.size for cls in featured.classes) == 10
+    for product in valid_products(fsys.feature_model, fsys.space):
+        assert not any(evaluate(cls.guard, product) for cls in featured.classes)
