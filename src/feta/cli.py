@@ -390,10 +390,8 @@ def cmd_feta(args) -> int:
 def cmd_project(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
-    feta, classes = _build_teams(
-        args, fsys, fspec, budget, warns, build_featured_team, build_featured_classes
-    )
-    projection = feta.project(product)
+    (classes,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_classes)
+    projection = classes.project(product)
     own = product_team(fsys, fspec, product, budget)[0]
     result = check_projection_commutes(classes, product, own)
     core = _core(projection)

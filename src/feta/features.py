@@ -587,13 +587,13 @@ def simplified(expr: FeatureExpr) -> FeatureExpr:
                     flat.extend(s.operands)
                 else:
                     flat.append(s)
-            kept: list[FeatureExpr] = []
+            # Ordered, first of equal operands kept, duplicates found by hash.
+            kept: dict[FeatureExpr, None] = {}
             for s in flat:
                 if s == absorbing:
                     return absorbing
-                if s == neutral or s in kept:
-                    continue
-                kept.append(s)
+                if s != neutral:
+                    kept.setdefault(s)
             return conj(kept) if is_and else disj(kept)
         case Implies(ant, con):
             a, b = simplified(ant), simplified(con)

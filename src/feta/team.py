@@ -33,10 +33,10 @@ the initial states, and makes only the transitions whose mask is not 0;
 local state sets (`System.state_space`) and stays the reference. Every
 builder reads the system's one label walk (`_ready_labels`) with one label
 filter: expanded unpruned (`_compose`) for the full and the plain team,
-pruned by mask, participant by participant, in `_TeamGuards.live`. The
-commutation check needs the full team only class by class, and
-`build_featured_classes` reads its classes off the local steps
-(`_ComposeMixin._label_classes`), walking no state.
+pruned by mask, participant by participant, in `_TeamGuards.live`. A
+product's projection and its commutation check need the full team only
+class by class, and `build_featured_classes` reads its classes off the
+local steps (`_ComposeMixin._label_classes`), walking no state.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def build_featured_team(
     is kept and receives the guard described above (`_TeamGuards`), so
     `budget.states` bounds that full product. The guard masks come from
     `_TeamGuards.live` over every state when first read (a transition it
-    does not make has mask 0). This is the reference construction:
-    projections, display and the battery compare against it. The
+    does not make has mask 0). This is the reference construction: `feta`
+    displays it, and the battery checks the label classes against it. The
     specification must be total over the valid products.
     """
     _check_featured_inputs(fsys, fspec)
@@ -326,6 +326,17 @@ class FeaturedClasses(
                 target[idx] = dst
             yield SystemTransition(source, cls.label, tuple(target))
 
+    def kept(self, product: Product) -> list[LabelClass]:
+        """The classes whose guard a valid product satisfies (`holds`), in order."""
+        check_product(product, self.space, self.feature_model)
+        return [cls for cls in self.classes if holds(cls.guard, product)]
+
+    def project(self, product: Product) -> Lts:
+        """The full team's projection (`Fts.project`): the full states and
+        only the kept classes' members, sorted as for any caller's parts."""
+        kept = (t for cls in self.kept(product) for t in self.members(cls))
+        return Lts(self.states, self.initial, self.actions, kept)
+
 
 def build_featured_classes(
     fsys: FeaturedSystem, fspec: FeaturedSyncSpec, budget: Budget = Budget()
@@ -390,13 +401,12 @@ def check_projection_commutes(
 
     The full team comes class by class (`build_featured_classes`) and is
     never expanded whole. The projection keeps a class whole if the product
-    satisfies its guard (`holds`, on the expression), else drops it. Each of
+    satisfies its guard (`FeaturedClasses.kept`), else drops it. Each of
     `own`'s transitions is a member of a kept class or only in `own`; a
     kept class with as many members in `own` as its size is all there, as
     an `Lts`'s transitions are distinct. Only a class with fewer is
     expanded, to name the members `own` lacks.
     """
-    check_product(product, featured.space, featured.feature_model)
     states_agree = featured.states == own.states
     # `own`'s transitions join its states, so over the full team's states
     # any one can be a member; over others, only one between those states.
@@ -404,12 +414,11 @@ def check_projection_commutes(
     # A transition belongs to the class of its label and its participants'
     # local sources and targets if the other components stay put.
     kept, pick = {}, {}
-    for cls in featured.classes:
+    for cls in featured.kept(product):
         if cls.label not in pick:
             idle = [i for i in range(len(featured.local_states)) if i not in cls.participants]
             pick[cls.label] = _picker(cls.participants), _picker(idle)
-        if holds(cls.guard, product):
-            kept[cls.label, cls.sources, cls.targets] = cls
+        kept[cls.label, cls.sources, cls.targets] = cls
 
     def key(t):
         source, label, target = t

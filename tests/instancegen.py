@@ -164,8 +164,11 @@ class BatteryResults:
     systems compared with `reference_successors`; `label_class_checks`
     counts the transitions of the full team rebuilt from its label classes
     and the class-level commutation results compared with a plain set
-    comparison (`label_class_disagreements`), and `planted_faults` how many
-    faults of each kind were planted there and caught.
+    comparison (`label_class_disagreements`); `class_projection_checks`
+    counts the parts of the products' projections read off the label
+    classes compared with the full team's (`class_projection_disagreements`);
+    and `planted_faults` how many faults of each kind were planted in those
+    two checks and caught.
     """
 
     instances: int = 0
@@ -178,6 +181,7 @@ class BatteryResults:
     guard_class_checks: int = 0
     successor_checks: int = 0
     label_class_checks: int = 0
+    class_projection_checks: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
@@ -195,6 +199,7 @@ class BatteryResults:
     guard_class_failures: list = dataclasses.field(default_factory=list)
     successor_failures: list = dataclasses.field(default_factory=list)
     label_class_failures: list = dataclasses.field(default_factory=list)
+    class_projection_failures: list = dataclasses.field(default_factory=list)
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -515,6 +520,37 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
     return compared, wrong, planted
 
 
+def class_projection_disagreements(featured, projections) -> tuple[int, list, int]:
+    """Compare each valid product's projection read off the label classes
+    (`FeaturedClasses.project`) with the full team's in `projections`
+    (`Fts.project`), part by part. A planted fault, `kept` dropping its last class, must make
+    every product that keeps a class differ. Returns the number of parts
+    compared, the mismatches and the number of faults planted.
+    """
+    from feta import FeaturedClasses
+
+    class DropsLastKept(FeaturedClasses):
+        __slots__ = ()
+
+        def kept(self, product):
+            return super().kept(product)[:-1]
+
+    faulty = DropsLastKept(*featured)
+    parts = ("states", "initial", "actions", "transitions")
+    compared, wrong, planted = 0, [], 0
+    for product, expected in projections.items():
+        got = featured.project(product)
+        differ = [part for part in parts if getattr(got, part) != getattr(expected, part)]
+        compared += len(parts)
+        if differ:
+            wrong.append((product, differ))
+        if featured.kept(product):
+            planted += 1
+            if faulty.project(product).transitions == expected.transitions:
+                wrong.append((product, "fault not caught"))
+    return compared, wrong, planted
+
+
 def reference_successors(sys, state, budget=Budget()):
     """`successors` as first written: per action, the components' ready
     targets are read off `successors_from`, every nonempty choice of ready
@@ -668,6 +704,12 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             if wrong:
                 results.label_class_failures.append((seed, wrong))
             projections = {p: team.project(p) for p in products}
+            compared, wrong, planted = class_projection_disagreements(featured, projections)
+            results.class_projection_checks += compared
+            faults = results.planted_faults
+            faults["kept drops last class"] = faults.get("kept drops last class", 0) + planted
+            if wrong:
+                results.class_projection_failures.append((seed, wrong))
             for verdict in crosscheck_compliance_unfolding(team, family["strict"].entries):
                 results.unfolding_failures.append((seed, verdict.requirement))
             for freq in freqs:

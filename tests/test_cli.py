@@ -217,31 +217,32 @@ sync { default [1,1] -> [1,3]; }
 _FULL_100 = "states in the full product of local states: 162, above the bound 100 (--max-states)"
 
 
-@pytest.mark.parametrize(
-    "flags, spec, message",
-    [
-        pytest.param(("--max-states", "100"), ACC4, _FULL_100, id="acc4 states 100"),
-        pytest.param(
-            ("--max-states", "100", "--max-participants", "4"), ACC4, _FULL_100,
-            id="acc4 states 100 participants 4",
-        ),
-        pytest.param(("--max-participants", "4"), ACC4, _PARTICIPANTS, id="acc4 participants 4"),
-        pytest.param(
-            ("--max-participants", "1"), ACC4, _PARTICIPANTS.replace("bound 4", "bound 1"),
-            id="acc4 participants 1",
-        ),
-        pytest.param(
-            ("--max-participants", "2"), None,
-            "ready participants of 'b': 3, above the bound 2 (--max-participants)",
-            id="crowd participants 2",
-        ),
-        pytest.param(
-            ("--max-participants", "3"), None,
-            "ready participants of 'b': 4, above the bound 3 (--max-participants)",
-            id="crowd participants 3",
-        ),
-    ],
-)
+# `--max-*` flags, the spec (None for `_CROWD`) and the error they give.
+_FIRST_OFFENDING = [
+    pytest.param(("--max-states", "100"), ACC4, _FULL_100, id="acc4 states 100"),
+    pytest.param(
+        ("--max-states", "100", "--max-participants", "4"), ACC4, _FULL_100,
+        id="acc4 states 100 participants 4",
+    ),
+    pytest.param(("--max-participants", "4"), ACC4, _PARTICIPANTS, id="acc4 participants 4"),
+    pytest.param(
+        ("--max-participants", "1"), ACC4, _PARTICIPANTS.replace("bound 4", "bound 1"),
+        id="acc4 participants 1",
+    ),
+    pytest.param(
+        ("--max-participants", "2"), None,
+        "ready participants of 'b': 3, above the bound 2 (--max-participants)",
+        id="crowd participants 2",
+    ),
+    pytest.param(
+        ("--max-participants", "3"), None,
+        "ready participants of 'b': 4, above the bound 3 (--max-participants)",
+        id="crowd participants 3",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, spec, message", _FIRST_OFFENDING)
 def test_verify_budget_errors_name_the_first_offending_state(capsys, tmp_path, flags, spec, message):
     """`verify`'s resource errors, byte for byte as composing the full team
     gave them: the states bound before the participants bound, and the
@@ -254,6 +255,20 @@ def test_verify_budget_errors_name_the_first_offending_state(capsys, tmp_path, f
         spec.write_text(_CROWD, encoding="utf-8")
     code, out, err = run(capsys, "verify", *flags, str(spec))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, spec, message", _FIRST_OFFENDING)
+def test_project_budget_errors_name_the_first_offending_state(capsys, tmp_path, flags, spec, message):
+    """`project` reads the full team off its label classes as `verify` does,
+    so its bounds are refused with the same errors, in text and in JSON."""
+    product = "lock"
+    if spec is None:
+        spec, product = tmp_path / "crowd.feta", "f"
+        spec.write_text(_CROWD, encoding="utf-8")
+    code, out, err = run(capsys, "project", "-p", product, *flags, str(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "project", "-p", product, "--format", "json", *flags, str(spec))
+    assert (code, json.loads(out)["error"]["message"]) == (2, message)
 
 
 def test_json_resource_errors_name_the_flag(capsys):
@@ -621,16 +636,9 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
-    """`verify` compares the full team class by class, so it never composes
-    it: no `state_space`, and `_compose` yields no more transitions than the
-    two products' own teams hold. `feta` still composes it once."""
-    result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
-    fsys, fspec = result.system, result.sync
-    own = sum(
-        len(feta.team.product_team(fsys, fspec, product)[0].transitions)
-        for product in features.valid_products(fsys.feature_model, fsys.space)
-    )
+def _count_composition(monkeypatch) -> tuple[list, list]:
+    """The systems `state_space` is called on and the transitions `_compose`
+    yields, both recorded from now on."""
     spaces, composed = [], []
     mixin = feta.system._ComposeMixin
     state_space, compose = mixin.state_space, mixin._compose
@@ -646,11 +654,44 @@ def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
 
     monkeypatch.setattr(mixin, "state_space", counted_state_space)
     monkeypatch.setattr(mixin, "_compose", counted_compose)
+    return spaces, composed
+
+
+def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
+    """`verify` compares the full team class by class, so it never composes
+    it: no `state_space`, and `_compose` yields no more transitions than the
+    two products' own teams hold. `feta` still composes it once."""
+    result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    own = sum(
+        len(feta.team.product_team(fsys, fspec, product)[0].transitions)
+        for product in features.valid_products(fsys.feature_model, fsys.space)
+    )
+    spaces, composed = _count_composition(monkeypatch)
     assert cli.main(["verify", ACC4]) == 0
     assert spaces == []
     assert 0 < len(composed) <= own
     assert cli.main(["feta", ACC4]) == 0
     assert len(spaces) == 1
+    capsys.readouterr()
+
+
+def test_project_composes_no_full_team(capsys, monkeypatch):
+    """`project` expands only the classes the product keeps: no
+    `state_space`, no `build_featured_team`, and `_compose` yields no more
+    transitions than the product's own team holds."""
+    result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
+    lock = features.Product.of(result.system.space, "lock")
+    own = feta.team.product_team(result.system, result.sync, lock)[0]
+
+    def no_full_team(*args):
+        raise AssertionError("project built the full featured team")
+
+    spaces, composed = _count_composition(monkeypatch)
+    monkeypatch.setattr(cli, "build_featured_team", no_full_team)
+    assert cli.main(["project", "-p", "lock", ACC4]) == 0
+    assert spaces == []
+    assert 0 < len(composed) <= len(own.transitions)
     capsys.readouterr()
 
 

@@ -349,3 +349,29 @@ def test_simplified_preserves_meaning(expr):
     simple = simplified(expr)
     for p in all_products(SPACE4):
         assert evaluate(simple, p) == evaluate(expr, p)
+
+
+def test_simplified_dedups_in_linear_time(monkeypatch):
+    """Removing duplicate operands hashes them instead of scanning the kept
+    ones, so the equality tests grow linearly with a disjunction's products."""
+    from feta.values import Value
+
+    calls = []
+    compare = Value.__eq__
+
+    def counting(self, other):
+        calls.append(None)
+        return compare(self, other)
+
+    monkeypatch.setattr(Value, "__eq__", counting)
+    per_product = {}
+    for k in (6, 9):
+        space = FeatureSpace.of(*(f"f{i}" for i in range(k)))
+        expr = Or(tuple(product_expr(p) for p in all_products(space)))
+        calls.clear()
+        simple = simplified(expr)
+        per_product[k] = len(calls) / 2**k
+        assert simple == expr
+    # A scan of the kept operands would cost each product 8 times as much
+    # at k = 9 as at k = 6; hashing leaves that cost near flat.
+    assert per_product[9] < 2 * per_product[6]

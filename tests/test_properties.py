@@ -30,13 +30,23 @@ def test_projection_commutes_with_team_construction(battery):
 def test_label_classes_rebuild_the_full_team_and_compare_as_sets_do(battery):
     """The class-level featured side expands to the full team, and its
     commutation check gives the plain set comparison's result, also on
-    four planted faults, each of which it catches."""
+    four planted faults, each of which it catches; the fifth kind is
+    planted in its projection (below)."""
     assert battery.label_class_failures == []
     assert battery.label_class_checks > 0
     assert sorted(battery.planted_faults) == [
-        "dropped transition", "lost class", "moved idle component", "stray state",
+        "dropped transition", "kept drops last class", "lost class", "moved idle component",
+        "stray state",
     ]
     assert min(battery.planted_faults.values()) > 0
+
+
+def test_label_classes_project_as_the_full_team_does(battery):
+    """Each valid product's projection read off the label classes equals
+    the full team's, and a `kept` that drops its last class is caught."""
+    assert battery.class_projection_failures == []
+    assert battery.class_projection_checks > 0
+    assert battery.planted_faults["kept drops last class"] > 0
 
 
 def test_built_team_label_classes_are_their_guard_objects(battery):
