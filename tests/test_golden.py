@@ -5,8 +5,8 @@ exact stdout (`<example>.<command>.out`), the stderr when there is any
 (`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
 per-product commands, which need a product of the example, and one JSON
 error envelope are kept for `access_management` only. The family commands,
-and `project` onto `{lock}` in every format, are also kept on three scaled
-inputs in `tests/inputs/`: `acc4`, the access
+and `compose` and `project` onto `{lock}` in every format, are also kept on
+three scaled inputs in `tests/inputs/`: `acc4`, the access
 example with four users (162 states, of which 48 are reachable);
 `product_family_v08`, a six-feature family with 12 products; and `free4`,
 the access example with four unconstrained features `x0..x3` added (32
@@ -84,6 +84,7 @@ ACCESS_COMMANDS = {
 ARGV = {**COMMANDS, **ACCESS_COMMANDS}
 SCALED = ("acc4", "product_family_v08", "free4")
 SCALED_COMMANDS = (
+    "compose", "compose-json", "compose-dot",
     "reqs-factors", "check-strict", "check-weak-json", "verify",
     "project-lock", "project-lock-json", "project-lock-dot",
 )
