@@ -346,10 +346,11 @@ def cmd_compose(args) -> int:
     fsys, _, budget, warns = _load(args)
 
     def summary():
-        states, transitions = fsys.state_space(budget)
+        # The full product's transitions, counted class by class, none built.
+        states = fsys._full_states(budget)
         stats = {
             "states": len(states),
-            "transitions": len(transitions),
+            "transitions": sum(size for *_, size in fsys._label_classes(states, budget)),
             "features": len(fsys.space),
             "products": len(valid_products(fsys.feature_model, fsys.space)),
         }

@@ -283,24 +283,23 @@ class ProjectionAgreement(
 
 
 def _holds_once(product: Product):
-    """`evaluate` on the product, once per expression object for one call:
-    family conditions share their sync and reach factors, and a team's
-    transitions of one label class share their guard. Objects are told apart
-    by identity and kept alive by the memo, so no identity is reused. A
-    conjunction is split into its operands, each looked up in turn, and all
-    of them are evaluated, so every name is still checked.
+    """`evaluate` on the product, once per expression for one call: family
+    conditions share their sync and reach factors, and a team's transitions
+    of one label class share their guard. A conjunction is split into its
+    operands, each looked up in turn, and all of them are evaluated, so
+    every name is still checked.
     """
-    memo: dict[int, tuple[FeatureExpr, bool]] = {}
+    memo: dict[FeatureExpr, bool] = {}
 
     def verdict(expr: FeatureExpr) -> bool:
-        known = memo.get(id(expr))
+        known = memo.get(expr)
         if known is None:
             if isinstance(expr, And):
-                value = all([verdict(op) for op in expr.operands])
+                known = all([verdict(op) for op in expr.operands])
             else:
-                value = evaluate(expr, product)
-            known = memo[id(expr)] = (expr, value)
-        return known[1]
+                known = evaluate(expr, product)
+            memo[expr] = known
+        return known
 
     return verdict
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .errors import Budget, SpecificationError
-from .values import Value, init_field
+from .values import Value, init_field, kept
 
 
 class FeatureSpace(Value):
@@ -218,28 +218,7 @@ def disj(operands) -> FeatureExpr:
     return Or(ops)
 
 
-def _kept_on_node(fn):
-    """Keep `fn(expr)` on the node itself, so a shared subexpression is done once.
-
-    Family conditions share their sync and reach factors, which are large
-    disjunctions of products; the result, never None, lives and dies with
-    the node. It is an attribute because reading `__dict__` would give the
-    node a dictionary of its own (66 bytes per node on CPython 3.11).
-    """
-    key = f"_{fn.__name__}"
-
-    @wraps(fn)
-    def kept(expr):
-        value = getattr(expr, key, None)
-        if value is None:
-            value = fn(expr)
-            object.__setattr__(expr, key, value)
-        return value
-
-    return kept
-
-
-@_kept_on_node
+@kept
 def variables(expr: FeatureExpr) -> frozenset[str]:
     """The feature names occurring in the expression.
 
@@ -351,17 +330,17 @@ def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
     (the shared `TRUE` is the model of every specification without a
     `feature_model` line); it keeps the last.
     """
-    kept = getattr(feature_model, "_valid_products", None)
-    if kept is None or kept[0] != space:
+    known = getattr(feature_model, "_valid_products", None)
+    if known is None or known[0] != space:
         _check_vars(feature_model, space)
         products = tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
         bits = tuple(product_index(p) for p in products)
         raw = bytearray(((1 << len(space)) + 7) // 8)
         for bit in bits:
             raw[bit >> 3] |= 1 << (bit & 7)
-        kept = (space, products, bits, int.from_bytes(raw, "little"))
-        object.__setattr__(feature_model, "_valid_products", kept)
-    return kept
+        known = (space, products, bits, int.from_bytes(raw, "little"))
+        object.__setattr__(feature_model, "_valid_products", known)
+    return known
 
 
 def product_expr(product: Product) -> FeatureExpr:
@@ -533,7 +512,7 @@ def _strength(expr: FeatureExpr) -> int:
     return _NOT_STRENGTH if isinstance(expr, Not) else _ATOM_STRENGTH
 
 
-@_kept_on_node
+@kept
 def format_expr(expr: FeatureExpr) -> str:
     """Surface syntax of an expression with minimal parentheses."""
 
@@ -560,7 +539,7 @@ def format_expr(expr: FeatureExpr) -> str:
     raise SpecificationError(f"not a feature expression: {expr!r}")
 
 
-@_kept_on_node
+@kept
 def simplified(expr: FeatureExpr) -> FeatureExpr:
     """A lighter equivalent for display: folds constants, flattens, dedups.
 
@@ -588,13 +567,13 @@ def simplified(expr: FeatureExpr) -> FeatureExpr:
                 else:
                     flat.append(s)
             # Ordered, first of equal operands kept, duplicates found by hash.
-            kept: dict[FeatureExpr, None] = {}
+            unique: dict[FeatureExpr, None] = {}
             for s in flat:
                 if s == absorbing:
                     return absorbing
                 if s != neutral:
-                    kept.setdefault(s)
-            return conj(kept) if is_and else disj(kept)
+                    unique.setdefault(s)
+            return conj(unique) if is_and else disj(unique)
         case Implies(ant, con):
             a, b = simplified(ant), simplified(con)
             if a == FALSE or b == TRUE:

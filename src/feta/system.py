@@ -18,6 +18,7 @@ team builder.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
@@ -42,19 +43,11 @@ class SystemLabel(Value):
         init_field(self, "senders", senders)
         init_field(self, "action", action)
         init_field(self, "receivers", receivers)
-        # Labels key dictionaries and sort transitions, so both are worked out once.
-        init_field(self, "_hash", hash((senders, action, receivers)))
+        # Labels sort transitions, so the sort key is worked out once.
         init_field(self, "_sort_key", (action, tuple(sorted(senders)), tuple(sorted(receivers))))
 
     def _key(self) -> tuple:
         return (self.senders, self.action, self.receivers)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt through `__init__`: a string's hash differs between processes.
-        return (SystemLabel, (self.senders, self.action, self.receivers))
 
     def participants(self) -> frozenset[str]:
         return self.senders | self.receivers
@@ -301,12 +294,14 @@ class _ComposeMixin:
         `states` (`_full_states`), without walking a state: per action in
         sorted order, per label of the takers ready at some local state (in
         sort-key order), per choice of the participants' local steps, the
-        label, its participants' indices and their local sources and targets.
+        label, its participants' indices, their local sources and targets,
+        and the class's size.
 
         A transition's class is its label and its participants' local steps.
         Over the full product the idle components take every combination of
-        their states, so each class holds exactly those transitions and every
-        label of the ready takers occurs. `budget.participants` is refused as
+        their states, so each class holds exactly those transitions, as many
+        as the product of the idle components' state counts, and every label
+        of the ready takers occurs. `budget.participants` is refused as
         `_compose(states)` refuses it, at the first (state, action) in order;
         the states are scanned for it (`_StepTable.refuse`) only when some
         action's takers ready somewhere exceed the bound.
@@ -324,6 +319,7 @@ class _ComposeMixin:
         if any(len(ready) > budget.participants for _, ready in somewhere):
             for state in states:
                 table.refuse(state, [table.steps[i][q] for i, q in enumerate(state)], budget)
+        counts = [len(self.components[name].states) for name in self.names]
         for action, ready in somewhere:
             senders = tuple(idx for idx, sends in ready if sends)
             receivers = tuple(idx for idx, sends in ready if not sends)
@@ -332,8 +328,10 @@ class _ComposeMixin:
                     [(src, dst) for src, row in table.steps[idx].items() for dst in row.get(action, ())]
                     for idx in involved
                 ]
+                size = len(states) // math.prod(counts[idx] for idx in involved)
                 for combo in itertools.product(*steps):
-                    yield label, involved, tuple(s for s, _ in combo), tuple(d for _, d in combo)
+                    sources, targets = tuple(s for s, _ in combo), tuple(d for _, d in combo)
+                    yield label, involved, sources, targets, size
 
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
         """All induced transitions from the state, in deterministic order

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import warnings
 from collections import namedtuple
 from operator import itemgetter
@@ -356,12 +355,11 @@ def build_featured_classes(
     parts = _TeamGuards(fsys, fspec)
     local_states = tuple(fsys.components[name].states for name in fsys.names)
     classes = []
-    for label, participants, sources, targets in fsys._label_classes(states, budget):
+    for label, participants, sources, targets, size in fsys._label_classes(states, budget):
         source, target = list(states[0]), list(states[0])
         for idx, src, dst in zip(participants, sources, targets):
             source[idx], target[idx] = src, dst
         guard = parts.guard(SystemTransition(tuple(source), label, tuple(target)))
-        size = len(states) // math.prod(len(local_states[idx]) for idx in participants)
         classes.append(LabelClass(label, participants, sources, targets, guard, size))
     return FeaturedClasses(
         states, fsys.initial_states(), fsys.actions, fsys.space, fsys.feature_model,

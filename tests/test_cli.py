@@ -271,6 +271,19 @@ def test_project_budget_errors_name_the_first_offending_state(capsys, tmp_path, 
     assert (code, json.loads(out)["error"]["message"]) == (2, message)
 
 
+@pytest.mark.parametrize("flags, spec, message", _FIRST_OFFENDING)
+def test_compose_budget_errors_name_the_first_offending_state(capsys, tmp_path, flags, spec, message):
+    """`compose` counts the full product's transitions off its label classes,
+    so its bounds are refused as composing them did, in text and in JSON."""
+    if spec is None:
+        spec = tmp_path / "crowd.feta"
+        spec.write_text(_CROWD, encoding="utf-8")
+    code, out, err = run(capsys, "compose", *flags, str(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "compose", "--format", "json", *flags, str(spec))
+    assert (code, json.loads(out)["error"]["message"]) == (2, message)
+
+
 def test_json_resource_errors_name_the_flag(capsys):
     code, out, _ = run(capsys, "check", "--format", "json", "--max-states", "47", ACC4)
     assert code == 2
@@ -693,6 +706,18 @@ def test_project_composes_no_full_team(capsys, monkeypatch):
     assert spaces == []
     assert 0 < len(composed) <= len(own.transitions)
     capsys.readouterr()
+
+
+def test_compose_composes_no_full_team(capsys, monkeypatch):
+    """`compose` sums the sizes of the full product's label classes: no
+    `state_space`, nothing from `_compose`, and the count it composed to."""
+    fsys = elaborate_text(Path(ACC4).read_text(encoding="utf-8")).system
+    states, transitions = fsys.state_space()
+    spaces, composed = _count_composition(monkeypatch)
+    assert cli.main(["compose", "--format", "json", ACC4]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["states"], stats["transitions"]) == (len(states), len(transitions))
+    assert spaces == [] and composed == []
 
 
 _DROPPED_FIRST_TRANSITION = [

@@ -375,3 +375,28 @@ def test_simplified_dedups_in_linear_time(monkeypatch):
     # A scan of the kept operands would cost each product 8 times as much
     # at k = 9 as at k = 6; hashing leaves that cost near flat.
     assert per_product[9] < 2 * per_product[6]
+
+
+def test_each_node_hashes_its_tree_once(monkeypatch):
+    """A node keeps its hash, so 2^k conjunctions sharing one disjunction
+    of 2^k products hash it once: the `_key` calls grow linearly in 2^k."""
+    calls = []
+    for cls in (Var, Not, And, Or):
+
+        def counting(self, key=cls._key):
+            calls.append(None)
+            return key(self)
+
+        monkeypatch.setattr(cls, "_key", counting)
+    per_node = {}
+    for k in (6, 9):
+        space = FeatureSpace.of(*(f"f{i}" for i in range(k)))
+        shared = Or(tuple(product_expr(p) for p in all_products(space)))
+        nodes = [And((Var(f"x{i}"), shared)) for i in range(2**k)]
+        calls.clear()
+        for node in nodes:
+            hash(node)
+        per_node[k] = len(calls) / 2**k
+    # Rehashing the shared disjunction would cost each node 8 times as much
+    # at k = 9 as at k = 6.
+    assert per_node[9] < 2 * per_node[6]

@@ -1,5 +1,10 @@
 """Value semantics of the immutable classes: equality, hashing, repr, patterns."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from feta import (
@@ -28,6 +33,7 @@ from feta import (
 )
 from feta.dsl import ComponentDecl, SyncRuleDecl, SystemDecl, Token, TransitionDecl
 from feta.features import Const
+from feta.values import Value
 
 A, B = Var("a"), Var("b")
 SPACE = FeatureSpace(("a", "b"))
@@ -168,6 +174,32 @@ def test_values_compare_hash_and_show_their_fields(cls, fields, changes, default
 
     parts = _node_parts(value)
     assert parts is None or parts == tuple(fields.values())
+
+
+def test_values_unpickled_in_another_process_hash_there():
+    """A value pickles through its constructor and keeps no hash across: in
+    a process with another string hash seed, each value, hashed before
+    pickling, is found in a set holding a fresh equal value."""
+    values = [cls(**fields) for cls, fields, _, _ in CASES if issubclass(cls, Value)]
+    assert len(values) == 17
+    for value in values:
+        hash(value)
+    code = (
+        "import pickle, sys\n"
+        "from feta.values import Value\n"
+        "from test_values import CASES\n"
+        "fresh = [cls(**fields) for cls, fields, _, _ in CASES if issubclass(cls, Value)]\n"
+        "values = pickle.load(sys.stdin.buffer)\n"
+        "print(all(value in {twin} for value, twin in zip(values, fresh, strict=True)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for seed in ("2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(values), env=env,
+            capture_output=True, check=True,
+        )
+        assert out.stdout == b"True\n"
 
 
 def test_containers_keep_their_constructors():
