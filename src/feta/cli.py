@@ -392,9 +392,10 @@ def cmd_project(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
     (classes,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_classes)
-    projection = classes.project(product)
+    kept = classes.kept(product)
+    projection = classes.project(kept)
     own = product_team(fsys, fspec, product, budget)[0]
-    result = check_projection_commutes(classes, product, own)
+    result = check_projection_commutes(classes, product, kept, own)
     core = _core(projection)
     stats = {
         "states": len(projection.states),
@@ -517,7 +518,7 @@ def cmd_verify(args) -> int:
     product_reports = {mode: [] for mode in family}
     for product in valid_products(fsys.feature_model, fsys.space):
         own, spec_p, sys_p = product_team(fsys, fspec, product, budget)
-        result = check_projection_commutes(full, product, own)
+        result = check_projection_commutes(full, product, full.kept(product), own)
         detail = ""
         if not result.ok:
             extra = len(result.only_in_projection) + len(result.only_in_composition)

@@ -49,44 +49,28 @@ from .receptiveness import (
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
-from .values import Value, init_field
 
 FEATURED_COMPLIANT = "featured-compliant"
 FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
 
 
-class FamilyRequirement(Value):
-    """A sender group, action and state with their application condition.
-
-    `mask` holds the bits of the products satisfying the condition, as
-    `expr_mask` would compile it; it follows from the condition, so `==` and
-    `hash` leave it out.
+class FamilyRequirement(
+    namedtuple(
+        "FamilyRequirement",
+        "state senders action mask enabling sync_condition reach_condition",
+    )
+):
+    """A sender group, action and state with the three factors of their
+    application condition and its mask, the bits of the products
+    satisfying it, as `expr_mask` would compile it.
     """
 
-    __match_args__ = (
-        "state", "senders", "action", "condition", "enabling", "sync_condition",
-        "reach_condition", "mask",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self, state: tuple, senders: frozenset[str], action: str, condition: FeatureExpr,
-        enabling: FeatureExpr, sync_condition: FeatureExpr, reach_condition: FeatureExpr,
-        mask: int,
-    ) -> None:
-        init_field(self, "state", state)
-        init_field(self, "senders", senders)
-        init_field(self, "action", action)
-        init_field(self, "condition", condition)
-        init_field(self, "enabling", enabling)
-        init_field(self, "sync_condition", sync_condition)
-        init_field(self, "reach_condition", reach_condition)
-        init_field(self, "mask", mask)
-
-    def _key(self) -> tuple:
-        return (
-            self.state, self.senders, self.action, self.condition, self.enabling,
-            self.sync_condition, self.reach_condition,
-        )
+    @property
+    def condition(self) -> FeatureExpr:
+        """The application condition, the factors' conjunction, built when read."""
+        return And((self.enabling, self.sync_condition, self.reach_condition))
 
     sort_key = Requirement.sort_key
 
@@ -188,14 +172,11 @@ def derive_family_requirements(
                         mask &= parts[name][1]
                     if not mask:
                         continue
-                    enabling = conj(parts[name][0] for name in names)
-                    sync_condition = fsys.products_expr(sync_mask)
-                    reach_condition = fsys.products_expr(reach_mask)
-                    condition = And((enabling, sync_condition, reach_condition))
                     out.append(
                         FamilyRequirement(
-                            q, frozenset(names), action, condition,
-                            enabling, sync_condition, reach_condition, mask,
+                            q, frozenset(names), action, mask,
+                            conj(parts[name][0] for name in names),
+                            fsys.products_expr(sync_mask), fsys.products_expr(reach_mask),
                         )
                     )
     out.sort(key=FamilyRequirement.sort_key)
@@ -335,20 +316,23 @@ def crosscheck_compliance_unfolding(
     Product by product, every distinct condition factor and candidate guard
     is evaluated once for all the verdicts.
     """
-    rows = [(v, [feta.guards[t] for t in _candidates(feta, v.requirement)]) for v in verdicts]
+    rows = [
+        (v, v.requirement.condition, [feta.guards[t] for t in _candidates(feta, v.requirement)])
+        for v in verdicts
+    ]
     unfolded = [True] * len(rows)
     for product in valid_products(feta.feature_model, feta.space):
         satisfied = _holds_once(product)
-        for idx, (verdict, guards) in enumerate(rows):
+        for idx, (_, condition, guards) in enumerate(rows):
             if (
                 unfolded[idx]
-                and satisfied(verdict.requirement.condition)
+                and satisfied(condition)
                 and not any(satisfied(g) for g in guards)
             ):
                 unfolded[idx] = False
     return tuple(
         verdict
-        for (verdict, _), unfolds in zip(rows, unfolded)
+        for (verdict, _, _), unfolds in zip(rows, unfolded)
         if (verdict.status == FEATURED_COMPLIANT) != unfolds
     )
 

@@ -59,10 +59,11 @@ def requirement_json(req: Requirement):
 
 
 def family_requirement_json(freq: FamilyRequirement):
+    condition = freq.condition
     return {
         **requirement_json(freq),
-        "condition": format_expr(freq.condition),
-        "condition_pretty": format_expr(simplified(freq.condition)),
+        "condition": format_expr(condition),
+        "condition_pretty": format_expr(simplified(condition)),
         "factors": {
             "enabling": format_expr(freq.enabling),
             "sync": format_expr(freq.sync_condition),

@@ -330,11 +330,12 @@ class FeaturedClasses(
         check_product(product, self.space, self.feature_model)
         return [cls for cls in self.classes if holds(cls.guard, product)]
 
-    def project(self, product: Product) -> Lts:
-        """The full team's projection (`Fts.project`): the full states and
-        only the kept classes' members, sorted as for any caller's parts."""
-        kept = (t for cls in self.kept(product) for t in self.members(cls))
-        return Lts(self.states, self.initial, self.actions, kept)
+    def project(self, kept: list[LabelClass]) -> Lts:
+        """The full team's projection (`Fts.project`) onto the product whose
+        classes are `kept` (`self.kept(product)`): the full states and only
+        the kept classes' members, sorted as for any caller's parts."""
+        members = (t for cls in kept for t in self.members(cls))
+        return Lts(self.states, self.initial, self.actions, members)
 
 
 def build_featured_classes(
@@ -388,7 +389,7 @@ def _picker(indices):
 
 
 def check_projection_commutes(
-    featured: FeaturedClasses, product: Product, own: Lts
+    featured: FeaturedClasses, product: Product, kept: list[LabelClass], own: Lts
 ) -> CommutationResult:
     """Compare the featured team's projection with the product's own team.
 
@@ -399,11 +400,11 @@ def check_projection_commutes(
 
     The full team comes class by class (`build_featured_classes`) and is
     never expanded whole. The projection keeps a class whole if the product
-    satisfies its guard (`FeaturedClasses.kept`), else drops it. Each of
-    `own`'s transitions is a member of a kept class or only in `own`; a
-    kept class with as many members in `own` as its size is all there, as
-    an `Lts`'s transitions are distinct. Only a class with fewer is
-    expanded, to name the members `own` lacks.
+    satisfies its guard (`kept`, the caller's `featured.kept(product)`), else
+    drops it. Each of `own`'s transitions is a member of a kept class or
+    only in `own`; a kept class with as many members in `own` as its size
+    is all there, as an `Lts`'s transitions are distinct. Only a class with
+    fewer is expanded, to name the members `own` lacks.
     """
     states_agree = featured.states == own.states
     # `own`'s transitions join its states, so over the full team's states
@@ -411,12 +412,12 @@ def check_projection_commutes(
     declared = None if states_agree else frozenset(featured.states)
     # A transition belongs to the class of its label and its participants'
     # local sources and targets if the other components stay put.
-    kept, pick = {}, {}
-    for cls in featured.kept(product):
+    by_key, pick = {}, {}
+    for cls in kept:
         if cls.label not in pick:
             idle = [i for i in range(len(featured.local_states)) if i not in cls.participants]
             pick[cls.label] = _picker(cls.participants), _picker(idle)
-        kept[cls.label, cls.sources, cls.targets] = cls
+        by_key[cls.label, cls.sources, cls.targets] = cls
 
     def key(t):
         source, label, target = t
@@ -429,7 +430,7 @@ def check_projection_commutes(
             return None
         return label, participants(source), participants(target)
 
-    counts = dict.fromkeys(kept, 0)
+    counts = dict.fromkeys(by_key, 0)
     only_in_composition = []
     for t in own.transitions:
         found = key(t)
@@ -437,13 +438,13 @@ def check_projection_commutes(
             counts[found] += 1
         else:
             only_in_composition.append(t)
-    short = {found for found, count in counts.items() if count != kept[found].size}
+    short = {found for found, count in counts.items() if count != by_key[found].size}
     only_in_projection = []
     if short:
         present = {t for t in own.transitions if key(t) in short}
         for found in short:
             only_in_projection.extend(
-                t for t in featured.members(kept[found]) if t not in present
+                t for t in featured.members(by_key[found]) if t not in present
             )
     initial_agree = featured.initial == own.initial
     actions_agree = featured.actions == own.actions

@@ -167,8 +167,12 @@ class BatteryResults:
     comparison (`label_class_disagreements`); `class_projection_checks`
     counts the parts of the products' projections read off the label
     classes compared with the full team's (`class_projection_disagreements`);
-    and `planted_faults` how many faults of each kind were planted in those
-    two checks and caught.
+    `culprit_choices` counts the strict family violations whose culprit
+    had more than one candidate product, so that only their order tells
+    the right one (`culprit_disagreements`); and `planted_faults` how many
+    faults of each kind were planted in the label-class checks and caught,
+    or, under a family-route fault of `FAMILY_FAULTS` (`run_with_fault`),
+    how many checks it tripped.
     """
 
     instances: int = 0
@@ -182,11 +186,13 @@ class BatteryResults:
     successor_checks: int = 0
     label_class_checks: int = 0
     class_projection_checks: int = 0
+    culprit_choices: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
     unfolding_failures: list = dataclasses.field(default_factory=list)
     family_strict_failures: list = dataclasses.field(default_factory=list)
+    culprit_failures: list = dataclasses.field(default_factory=list)
     family_weak_failures: list = dataclasses.field(default_factory=list)
     guard_model_failures: list = dataclasses.field(default_factory=list)
     reachability_failures: list = dataclasses.field(default_factory=list)
@@ -200,6 +206,14 @@ class BatteryResults:
     successor_failures: list = dataclasses.field(default_factory=list)
     label_class_failures: list = dataclasses.field(default_factory=list)
     class_projection_failures: list = dataclasses.field(default_factory=list)
+
+    def tripped(self) -> list[str]:
+        """The names of the failure lists that are not empty."""
+        return [
+            field.name
+            for field in dataclasses.fields(self)
+            if field.name.endswith("_failures") and getattr(self, field.name)
+        ]
 
 
 def mask_disagreements(mask: int, expr: FeatureExpr, space: FeatureSpace) -> tuple[int, list]:
@@ -241,10 +255,35 @@ def weak_disagreements(team, freq, projections, products) -> tuple[int, list]:
         decided.append(culprit)
         if check_weak_compliance(projections[culprit], req).status != VIOLATED:
             wrong.append(("culprit", culprit))
-    expected = [p for p in products if evaluate(freq.condition, p)]
+    condition = freq.condition
+    expected = [p for p in products if evaluate(condition, p)]
     if decided != (expected[: len(decided)] if culprit is not None else expected):
         wrong.append(("products", decided))
     return len(decided), wrong
+
+
+def culprit_disagreements(report, products, violated) -> tuple[int, list]:
+    """Compare each strict family verdict's culprit with the per-product route.
+
+    The culprit must be the first valid product, in `products` order, that
+    satisfies the requirement's condition, evaluated directly, and whose own
+    team violates the requirement (`violated[product]` holds the
+    requirements `check_compliance` finds violated there); a compliant
+    verdict has none. Returns the number of culprits chosen among more than
+    one candidate and the mismatches.
+    """
+    from feta import Requirement
+
+    choices, wrong = 0, []
+    for entry in report.entries:
+        freq = entry.requirement
+        req = Requirement(freq.state, freq.senders, freq.action)
+        condition = freq.condition
+        failing = [p for p in products if evaluate(condition, p) and req in violated[p]]
+        choices += len(failing) > 1
+        if entry.violation_product != next(iter(failing), None):
+            wrong.append((req, entry.violation_product, failing))
+    return choices, wrong
 
 
 def _verdict_outcomes(report) -> list:
@@ -458,9 +497,9 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
         wrong.extend(("guard", t) for t in group if team.guards[t] != cls.guard)
     compared = len(expanded)
 
-    def compare(kind, classes, projection, product, own):
+    def compare(kind, kept, projection, product, own):
         nonlocal compared
-        got = check_projection_commutes(classes, product, own)
+        got = check_projection_commutes(featured, product, kept, own)
         expected = reference_commutation(projection, product, own)
         compared += 1
         if got != expected:
@@ -475,11 +514,12 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
 
     for product, own in own_teams.items():
         projection = team.project(product)
-        compare("plain", featured, projection, product, own)
+        kept = featured.kept(product)
+        compare("plain", kept, projection, product, own)
         if own.transitions:
             dropped = own.transitions[len(own.transitions) // 2]
             lacking = rebuilt(own, [t for t in own.transitions if t != dropped])
-            compare("dropped transition", featured, projection, product, lacking)
+            compare("dropped transition", kept, projection, product, lacking)
             src, label, dst = dropped
             idle = [i for i, name in enumerate(fsys.names) if name not in label.participants()]
             astray = idle[:1] or range(len(fsys.names))
@@ -492,7 +532,7 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
                 own.states + (strayed[0], strayed[2]), own.initial, own.actions,
                 own.transitions + (strayed,),
             )
-            compare("stray state", featured, projection, product, larger)
+            compare("stray state", kept, projection, product, larger)
         for t in own.transitions:
             src, label, dst = t
             idle = [
@@ -504,13 +544,12 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
                 moved = list(dst)
                 moved[idle[0]] = local[(local.index(dst[idle[0]]) + 1) % len(local)]
                 shifted = (src, label, tuple(moved))
-                kept = [u for u in own.transitions if u != t] + [shifted]
-                compare("moved idle component", featured, projection, product, rebuilt(own, kept))
+                moves = [u for u in own.transitions if u != t] + [shifted]
+                compare("moved idle component", kept, projection, product, rebuilt(own, moves))
                 break
         lost = next((cls for cls in featured.classes if evaluate(cls.guard, product)), None)
         if lost is not None:
-            others = tuple(cls for cls in featured.classes if cls is not lost)
-            fewer = featured._replace(classes=others)
+            fewer = [cls for cls in kept if cls is not lost]
             gone = set(featured.members(lost))
             left = Lts(
                 projection.states, projection.initial, projection.actions,
@@ -522,31 +561,24 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
 
 def class_projection_disagreements(featured, projections) -> tuple[int, list, int]:
     """Compare each valid product's projection read off the label classes
-    (`FeaturedClasses.project`) with the full team's in `projections`
-    (`Fts.project`), part by part. A planted fault, `kept` dropping its last class, must make
-    every product that keeps a class differ. Returns the number of parts
-    compared, the mismatches and the number of faults planted.
+    (`FeaturedClasses.project` of `FeaturedClasses.kept`) with the full
+    team's in `projections` (`Fts.project`), part by part. A planted fault,
+    the kept classes without their last, must make every product that keeps
+    a class differ. Returns the number of parts compared, the mismatches
+    and the number of faults planted.
     """
-    from feta import FeaturedClasses
-
-    class DropsLastKept(FeaturedClasses):
-        __slots__ = ()
-
-        def kept(self, product):
-            return super().kept(product)[:-1]
-
-    faulty = DropsLastKept(*featured)
     parts = ("states", "initial", "actions", "transitions")
     compared, wrong, planted = 0, [], 0
     for product, expected in projections.items():
-        got = featured.project(product)
+        kept = featured.kept(product)
+        got = featured.project(kept)
         differ = [part for part in parts if getattr(got, part) != getattr(expected, part)]
         compared += len(parts)
         if differ:
             wrong.append((product, differ))
-        if featured.kept(product):
+        if kept:
             planted += 1
-            if faulty.project(product).transitions == expected.transitions:
+            if featured.project(kept[:-1]).transitions == expected.transitions:
                 wrong.append((product, "fault not caught"))
     return compared, wrong, planted
 
@@ -670,7 +702,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
             product_reports = {mode: [] for mode in family}
             # Each product's own team is built once and feeds every
             # per-product check.
-            own_teams = {}
+            own_teams, violated = {}, {}
             for product in products:
                 own, spec_p, sys_p = product_team(fsys, fspec, product)
                 own_teams[product] = own
@@ -682,7 +714,7 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.plain_team_checks += compared
                 if wrong:
                     results.plain_team_failures.append((seed, product, wrong))
-                if not check_projection_commutes(featured, product, own).ok:
+                if not check_projection_commutes(featured, product, featured.kept(product), own).ok:
                     results.projection_failures.append((seed, product))
                 # The entries do not depend on the mode, only `holds` does.
                 verdicts = check_receptiveness(own, spec_p, sys_p)
@@ -691,11 +723,14 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     results.requirement_projection_failures.append((seed, product))
                 for mode, reports in product_reports.items():
                     reports.append((product, verdicts._replace(mode=mode)))
+                violated[product] = set()
                 for req in own_reqs:
                     strict = check_compliance(own, req).status
                     weak = check_weak_compliance(own, req).status
                     if strict == COMPLIANT and weak == VIOLATED:
                         results.monotonicity_failures.append((seed, req))
+                    if strict == VIOLATED:
+                        violated[product].add(req)
             results.requirements += len(freqs)
             compared, wrong, planted = label_class_disagreements(fsys, fspec, team, own_teams)
             results.label_class_checks += compared
@@ -719,6 +754,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     results.witness_failures.append((seed, freq, wrong))
             if not crosscheck_family_vs_products(family["strict"], product_reports["strict"]).ok:
                 results.family_strict_failures.append((seed,))
+            choices, wrong = culprit_disagreements(family["strict"], products, violated)
+            results.culprit_choices += choices
+            if wrong:
+                results.culprit_failures.append((seed, wrong))
             if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
                 results.family_weak_failures.append((seed,))
             reachable = reachable_featured_team(fsys, fspec)
@@ -750,4 +789,76 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 direct = {p for p in products if state in projections[p].reachable()}
                 if symbolic != direct:
                     results.reachability_failures.append((seed, state))
+    return results
+
+
+def _condition_without_reach(monkeypatch):
+    from feta import FamilyRequirement
+
+    monkeypatch.setattr(
+        FamilyRequirement, "condition", property(lambda f: And((f.enabling, f.sync_condition)))
+    )
+
+
+def _candidates_without_last(monkeypatch):
+    from feta import family
+
+    original = family._candidates
+    monkeypatch.setattr(family, "_candidates", lambda feta, freq: original(feta, freq)[:-1])
+
+
+def _no_groups_of_one(monkeypatch):
+    from feta import family
+
+    original = family.derive_family_requirements
+
+    def derive(*args):
+        return tuple(f for f in original(*args) if len(f.senders) > 1)
+
+    monkeypatch.setattr(family, "derive_family_requirements", derive)
+
+
+def _reach_without_guards(monkeypatch):
+    from feta import automata, team
+
+    original = automata.reach_masks
+
+    def reach(initial, seed, steps, *rest):
+        return original(initial, seed, lambda q: ((t, seed) for t, _ in steps(q)), *rest)
+
+    for module in (automata, team):
+        monkeypatch.setattr(module, "reach_masks", reach)
+
+
+def _last_product_in(monkeypatch):
+    from feta import family, products_in
+
+    def last(mask, feature_model, space):
+        return next(reversed(products_in(mask, feature_model, space)), None)
+
+    monkeypatch.setattr(family, "first_product_in", last)
+
+
+# Faults planted in the family route, each of which some check of the
+# battery must catch; each takes a `pytest.MonkeyPatch` to plant it.
+FAMILY_FAULTS = {
+    "condition drops its reach factor": _condition_without_reach,
+    "_candidates drops its last candidate": _candidates_without_last,
+    "derive_family_requirements skips groups of one": _no_groups_of_one,
+    "reach_masks ignores the guard masks": _reach_without_guards,
+    "first_product_in returns the last product": _last_product_in,
+}
+
+
+def run_with_fault(fault: str, count: int, first_seed: int = 1000) -> BatteryResults:
+    """The battery over `count` instances with one of `FAMILY_FAULTS`
+    planted, and removed again; `planted_faults[fault]` counts the checks
+    it tripped (`BatteryResults.tripped`), 0 if the battery missed it.
+    """
+    import pytest
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        FAMILY_FAULTS[fault](monkeypatch)
+        results = run_battery(count, first_seed)
+    results.planted_faults[fault] = len(results.tripped())
     return results

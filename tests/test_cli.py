@@ -708,6 +708,24 @@ def test_project_composes_no_full_team(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_project_keeps_the_classes_once(capsys, monkeypatch, fmt):
+    """`project` asks which classes the product keeps once and hands that
+    list to both its projection and the check, so each class guard is
+    evaluated once per run."""
+    calls = []
+    original = feta.team.FeaturedClasses.kept
+
+    def counting(self, product):
+        calls.append(product)
+        return original(self, product)
+
+    monkeypatch.setattr(feta.team.FeaturedClasses, "kept", counting)
+    assert cli.main(["project", "-p", "lock", "--format", fmt, ACC4]) == 0
+    assert [str(product) for product in calls] == ["{lock}"]
+    capsys.readouterr()
+
+
 def test_compose_composes_no_full_team(capsys, monkeypatch):
     """`compose` sums the sizes of the full product's label classes: no
     `state_space`, nothing from `_compose`, and the count it composed to."""

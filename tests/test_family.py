@@ -126,6 +126,32 @@ def test_all_conditions_are_satisfiable(team, freqs):
     assert all(is_satisfiable(f.condition, team.space) for f in freqs)
 
 
+@pytest.mark.parametrize(
+    "path",
+    [Path(models.example_path()), Path(__file__).parent / "inputs" / "product_family_v08.feta"],
+    ids=lambda path: path.stem,
+)
+def test_deciding_the_family_reads_no_condition(monkeypatch, path):
+    """Both modes decide on the masks: no requirement's condition is built,
+    only its factors are kept, until a report or cross-check reads it."""
+    result = elaborate_text(path.read_text(encoding="utf-8"))
+    fsys, fspec = result.system, result.sync
+    team = reachable_featured_team(fsys, fspec)
+    reads = []
+    view = FamilyRequirement.condition.fget
+
+    def counting(freq):
+        reads.append(freq)
+        return view(freq)
+
+    monkeypatch.setattr(FamilyRequirement, "condition", property(counting))
+    reports = [check_family_receptiveness(team, fsys, fspec, mode) for mode in ("strict", "weak")]
+    assert reads == []
+    assert all(report.entries for report in reports)
+    str(reports[0].entries[0].requirement)
+    assert len(reads) == 1
+
+
 def test_requirements_at_the_initial_state(team, freqs):
     at_start = {k: f for k, f in by_identity(freqs).items() if k[0] == ("0", "0", "0")}
     assert set(at_start) == {
@@ -360,7 +386,7 @@ def test_per_product_route_reads_no_mask(monkeypatch):
         for product in products:
             own, spec_p, sys_p = product_team(fsys, fspec, product)
             assert sys_p._step_table.plan is fsys._step_table.plan
-            assert check_projection_commutes(featured, product, own).ok
+            assert check_projection_commutes(featured, product, featured.kept(product), own).ok
             verdicts = check_receptiveness(own, spec_p, sys_p, "weak")
             own_reqs = [e.requirement for e in verdicts.entries]
             assert crosscheck_requirement_projection(freqs, product, own_reqs).ok
@@ -413,8 +439,8 @@ def test_requirement_projection_agrees_per_product(own_teams, freqs):
         # not share a memo entry through a reused identity.
         fresh = (
             FamilyRequirement(
-                f.state, f.senders, f.action, And(f.condition.operands), f.enabling,
-                f.sync_condition, f.reach_condition, f.mask,
+                f.state, f.senders, f.action, f.mask, f.enabling, f.sync_condition,
+                f.reach_condition,
             )
             for f in freqs
         )
@@ -434,10 +460,7 @@ def test_requirement_projection_reports_a_swapped_reach_factor(freqs, own_teams)
         if evaluate(f.condition, p) and not evaluate(g.reach_condition, p)
     )
     freq, reach, product = planted
-    swapped = FamilyRequirement(
-        freq.state, freq.senders, freq.action, And((freq.enabling, freq.sync_condition, reach)),
-        freq.enabling, freq.sync_condition, reach, freq.mask,
-    )
+    swapped = freq._replace(reach_condition=reach)
     planted_freqs = [swapped if f is freq else f for f in freqs]
     agreement = crosscheck_requirement_projection(
         planted_freqs, product, derive_requirements(*own_teams[product])

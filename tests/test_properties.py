@@ -9,6 +9,7 @@ seed that broke the law, so the case can be replayed with
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,26 @@ def test_family_compliance_unfolds_product_by_product(battery):
 
 def test_family_strict_verdict_matches_every_product(battery):
     assert battery.family_strict_failures == []
+
+
+def test_family_strict_culprit_is_the_first_failing_product(battery):
+    """A strict violation names the first valid product that satisfies the
+    condition and whose own team violates the requirement; the population
+    holds violations with several such products, where only order tells."""
+    assert battery.culprit_failures == []
+    assert battery.culprit_choices > 0
+
+
+# Planted family-route faults run on the first instances of the population.
+FAULT_INSTANCES = 30
+
+
+@pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
+def test_battery_catches_a_planted_family_fault(fault):
+    results = instancegen.run_with_fault(fault, FAULT_INSTANCES)
+    assert results.planted_faults[fault] > 0, f"the battery missed: {fault}"
+    if fault == "first_product_in returns the last product":
+        assert results.tripped() == ["culprit_failures"]
 
 
 def test_family_weak_verdict_matches_every_product(battery):

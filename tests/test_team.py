@@ -134,7 +134,7 @@ def test_projection_commutes_for_both_products(access):
     featured = build_featured_classes(fsys, fspec)
     for product in valid_products(fsys.feature_model, fsys.space):
         own = product_team(fsys, fspec, product)[0]
-        result = check_projection_commutes(featured, product, own)
+        result = check_projection_commutes(featured, product, featured.kept(product), own)
         assert result.ok, (
             f"{product}: only in projection {result.only_in_projection},"
             f" only in composition {result.only_in_composition}"
@@ -152,7 +152,8 @@ def test_commutation_result_reports_differences(access):
         feature_model=fspec.feature_model,
     )
     own = product_team(fsys, loose, models.UNLOCK)[0]
-    result = check_projection_commutes(build_featured_classes(fsys, fspec), models.UNLOCK, own)
+    featured = build_featured_classes(fsys, fspec)
+    result = check_projection_commutes(featured, models.UNLOCK, featured.kept(models.UNLOCK), own)
     assert not result.ok
     assert result.only_in_projection
     assert result.states_agree
@@ -403,14 +404,14 @@ def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
     fsys, fspec = featured_worker_and_sink(SyncType(Interval(1, STAR), Interval(0, 1)))
     featured = build_featured_classes(fsys, fspec)
     own = product_team(fsys, fspec, product)[0]
-    assert check_projection_commutes(featured, product, own).ok
+    assert check_projection_commutes(featured, product, featured.kept(product), own).ok
     solo = models.label({"w1"}, "go", ())
     (shared_class,) = [cls for cls in featured.classes if cls.label == solo]
     assert shared_class.size == 2
     stays, missing = featured.members(shared_class)
     assert missing == (("0", "0", "1"), solo, ("0", "0", "1"))
     lacking = Lts(own.states, own.initial, own.actions, [t for t in own.transitions if t != missing])
-    result = check_projection_commutes(featured, product, lacking)
+    result = check_projection_commutes(featured, product, featured.kept(product), lacking)
     assert not result.ok
     assert result.only_in_projection == (missing,)
     assert result.only_in_composition == ()

@@ -91,14 +91,6 @@ CASES = [
          "guard": None, "loc": FIRST},
         {"loc": FIRST},
     ),
-    (
-        FamilyRequirement,
-        {"state": ("0",), "senders": U, "action": "go", "condition": A, "enabling": A,
-         "sync_condition": TRUE, "reach_condition": TRUE, "mask": 0b1010},
-        {"state": ("1",), "senders": S, "action": "stop", "condition": B, "enabling": B,
-         "sync_condition": A, "reach_condition": A, "mask": 0b1111},
-        {},
-    ),
     # Named tuples: the plain records.
     (
         Budget,
@@ -110,6 +102,14 @@ CASES = [
         Requirement,
         {"state": ("0",), "senders": U, "action": "go"},
         {"state": ("1",), "senders": S, "action": "stop"},
+        {},
+    ),
+    (
+        FamilyRequirement,
+        {"state": ("0",), "senders": U, "action": "go", "mask": 0b1010, "enabling": A,
+         "sync_condition": TRUE, "reach_condition": TRUE},
+        {"state": ("1",), "senders": S, "action": "stop", "mask": 0b1111, "enabling": B,
+         "sync_condition": A, "reach_condition": A},
         {},
     ),
     (SyncType, {"senders": ONE, "receivers": ONE}, {"receivers": Interval(0, STAR)}, {}),
@@ -127,8 +127,8 @@ CASES = [
     ),
     (Token, {"kind": "ident", "text": "go", "line": 1, "col": 2}, {"kind": "sym"}, {}),
 ]
-# Derived or positional fields that `==` and `hash` leave out.
-UNCOMPARED = {"loc", "mask"}
+# Positional fields that `==` and `hash` leave out.
+UNCOMPARED = {"loc"}
 
 
 def _node_parts(node):
@@ -178,17 +178,18 @@ def test_values_compare_hash_and_show_their_fields(cls, fields, changes, default
 
 def test_values_unpickled_in_another_process_hash_there():
     """A value pickles through its constructor and keeps no hash across: in
-    a process with another string hash seed, each value, hashed before
-    pickling, is found in a set holding a fresh equal value."""
-    values = [cls(**fields) for cls, fields, _, _ in CASES if issubclass(cls, Value)]
-    assert len(values) == 17
+    a process with another string hash seed, each value and each record,
+    hashed before pickling, is found in a set holding a fresh equal one. A
+    record's fields, such as a requirement's factors, are values too."""
+    values = [cls(**fields) for cls, fields, _, _ in CASES]
+    assert len(values) == 23
+    assert sum(isinstance(value, Value) for value in values) == 16
     for value in values:
         hash(value)
     code = (
         "import pickle, sys\n"
-        "from feta.values import Value\n"
         "from test_values import CASES\n"
-        "fresh = [cls(**fields) for cls, fields, _, _ in CASES if issubclass(cls, Value)]\n"
+        "fresh = [cls(**fields) for cls, fields, _, _ in CASES]\n"
         "values = pickle.load(sys.stdin.buffer)\n"
         "print(all(value in {twin} for value, twin in zip(values, fresh, strict=True)))\n"
     )
