@@ -10,9 +10,9 @@ format and maps the verdict to the exit code; failures go through `_fail`.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings as _warnings
+from types import SimpleNamespace
 
 from . import __version__
 from .dsl import elaborate_text
@@ -78,119 +78,94 @@ def _budget(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
+        value = None
+    if value is None or value < 0:
+        import argparse  # only for the error, which argparse reports
+
+        if value is None:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of `_COMMANDS`, the author of help, usage and errors."""
+    import argparse  # `_read` reads plain command lines without it
+
     parser = argparse.ArgumentParser(
         prog="feta",
         description="Build featured team automata and decide featured receptiveness.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    defaults = Budget()
-
-    def common(p, formats=("text", "json")):
-        p.add_argument("input", help="specification file (.feta)")
-        p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.add_argument("--max-states", type=_budget, default=defaults.states, metavar="N")
-        p.add_argument(
-            "--max-participants", type=_budget, default=defaults.participants, metavar="N"
-        )
-        p.add_argument("--max-products", type=_budget, default=defaults.products, metavar="N")
-        p.add_argument(
-            "--strict-sync",
-            action="store_true",
-            help="reject rule lists where a shadowed rule would assign a different type",
-        )
-        p.add_argument("-o", "--output", metavar="FILE", help="write the report to FILE")
-
-    p = sub.add_parser("products", help="list the valid products of the feature model")
-    common(p)
-    p.set_defaults(handler=cmd_products)
-
-    p = sub.add_parser("compose", help="compose the system and report its size")
-    common(p, formats=("text", "json", "dot"))
-    p.set_defaults(handler=cmd_compose)
-
-    p = sub.add_parser("feta", help="build the featured team automaton")
-    common(p, formats=("text", "json", "dot"))
-    p.add_argument(
-        "--reqs",
-        action="store_true",
-        help="annotate DOT output with the featured receptiveness requirements",
-    )
-    p.set_defaults(handler=cmd_feta)
-
-    p = sub.add_parser("project", help="project the featured team onto one product")
-    common(p, formats=("text", "json", "dot"))
-    p.add_argument(
-        "-p",
-        "--product",
-        required=True,
-        metavar="FEATURES",
-        help="comma separated feature names; empty string for the empty product",
-    )
-    p.set_defaults(handler=cmd_project)
-
-    p = sub.add_parser("reqs", help="derive receptiveness requirements")
-    common(p)
-    p.add_argument(
-        "-p",
-        "--product",
-        default=None,
-        metavar="FEATURES",
-        help="derive for one product instead of the whole family",
-    )
-    p.add_argument(
-        "--show-factors",
-        action="store_true",
-        help="also print the three factors of each requirement condition",
-    )
-    p.set_defaults(handler=cmd_reqs)
-
-    p = sub.add_parser("check", help="decide (weak) receptiveness")
-    common(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict", dest="mode", action="store_const", const=STRICT, help="require immediate compliance (default)"
-    )
-    mode.add_argument(
-        "--weak", dest="mode", action="store_const", const=WEAK, help="allow compliance after internal moves"
-    )
-    p.set_defaults(mode=STRICT)
-    p.add_argument(
-        "-p",
-        "--product",
-        default=None,
-        metavar="FEATURES",
-        help="check one product instead of the whole family",
-    )
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser(
-        "verify",
-        help="cross-check the family analyses against per-product analyses",
-    )
-    common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("examples", help="list or print the bundled examples")
-    p.add_argument("name", nargs="?", help="print this example to stdout")
-    p.set_defaults(handler=cmd_examples)
-
+    for name, (handler, text, formats, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        group = None
+        for flags, dest, kind, default, metavar, text in options:
+            how = {"dest": dest if flags else None, "default": default, "metavar": metavar}
+            how.update(help=text, **_KINDS.get(kind, {}))
+            if kind == "format":
+                how["choices"] = formats
+            if kind == "mode":
+                how["const"] = flags[0][2:]
+                group = group or p.add_mutually_exclusive_group()
+            how = {key: value for key, value in how.items() if value is not None}
+            (group if kind == "mode" else p).add_argument(*flags or [dest], **how)
     return parser
 
 
+def _read(argv: list[str]):
+    """The namespace argparse would give a plain command line; None for others.
+
+    Plain: a command other than `examples`, exact option names each followed
+    by its value as the next word, values that do not start with `-` and
+    that the choices and `_budget` accept, one input word, every required
+    option, and not both `--strict` and `--weak`. Help, version, errors and
+    every other spelling are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS or argv[0] == "examples":
+        return None
+    handler, _, formats, options = _COMMANDS[argv[0]]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    args = {"command": argv[0], "handler": handler}
+    args.update((dest, default) for _, dest, _, default, _, _ in options)
+    given, words = set(), iter(argv[1:])
+    for word in words:
+        _, dest, kind, *_ = by_flag.get(word, _INPUT)
+        if kind == "flag":
+            value = True
+        elif kind == "mode":
+            value = word[2:]
+            if dest in given and args[dest] != value:
+                return None
+        else:
+            value = word if kind == "input" else next(words, "-")  # "-" if it is missing
+            if value.startswith("-") or (kind == "input" and dest in given):
+                return None
+            if kind == "format" and value not in formats:
+                return None
+            if kind == "budget":
+                try:
+                    value = _budget(value)
+                except Exception:  # argparse.ArgumentTypeError, which argparse reports
+                    return None
+        args[dest] = value
+        given.add(dest)
+    if any(dest not in given for _, dest, kind, *_ in options if kind in ("input", "required")):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
-        parser.print_help(sys.stderr)
-        return EXIT_INPUT
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "command", None) is None:
+            parser.print_help(sys.stderr)
+            return EXIT_INPUT
     try:
         return args.handler(args)
     except CliError as exc:
@@ -588,6 +563,66 @@ def cmd_examples(args) -> int:
         return EXIT_INPUT
     sys.stdout.write((root / wanted).read_text(encoding="utf-8"))
     return EXIT_OK
+
+
+# --- the command table -------------------------------------------------------
+
+# An option is (flags, dest, kind, default, metavar, help); a positional one
+# has no flags. Its kind says what it reads: "input" the one input word,
+# "name" an optional word, "format" one of the command's formats, "budget" a
+# word through `_budget`, "value" any word, "required" any word that must be
+# given, "flag" nothing, storing True, and "mode" nothing, storing its flag's
+# name (`--weak` stores "weak"); the "mode" options of a command exclude each other.
+_KINDS = {
+    "name": {"nargs": "?"},
+    "budget": {"type": _budget},
+    "required": {"required": True},
+    "flag": {"action": "store_true"},
+    "mode": {"action": "store_const"},
+}
+_INPUT = ((), "input", "input", None, None, "specification file (.feta)")
+_COMMON = (
+    _INPUT,
+    (("--format",), "format", "format", "text", None, "output format"),
+    (("--max-states",), "max_states", "budget", Budget().states, "N", None),
+    (("--max-participants",), "max_participants", "budget", Budget().participants, "N", None),
+    (("--max-products",), "max_products", "budget", Budget().products, "N", None),
+    (("--strict-sync",), "strict_sync", "flag", False, None,
+     "reject rule lists where a shadowed rule would assign a different type"),
+    (("-o", "--output"), "output", "value", None, "FILE", "write the report to FILE"),
+)
+_FORMATS, _DOT_FORMATS = ("text", "json"), ("text", "json", "dot")
+
+# Each command: (handler, help, `--format` choices, options).
+_COMMANDS = {
+    "products": (cmd_products, "list the valid products of the feature model", _FORMATS, _COMMON),
+    "compose": (cmd_compose, "compose the system and report its size", _DOT_FORMATS, _COMMON),
+    "feta": (cmd_feta, "build the featured team automaton", _DOT_FORMATS, _COMMON + (
+        (("--reqs",), "reqs", "flag", False, None,
+         "annotate DOT output with the featured receptiveness requirements"),
+    )),
+    "project": (cmd_project, "project the featured team onto one product", _DOT_FORMATS, _COMMON + (
+        (("-p", "--product"), "product", "required", None, "FEATURES",
+         "comma separated feature names; empty string for the empty product"),
+    )),
+    "reqs": (cmd_reqs, "derive receptiveness requirements", _FORMATS, _COMMON + (
+        (("-p", "--product"), "product", "value", None, "FEATURES",
+         "derive for one product instead of the whole family"),
+        (("--show-factors",), "show_factors", "flag", False, None,
+         "also print the three factors of each requirement condition"),
+    )),
+    "check": (cmd_check, "decide (weak) receptiveness", _FORMATS, _COMMON + (
+        (("--strict",), "mode", "mode", STRICT, None, "require immediate compliance (default)"),
+        (("--weak",), "mode", "mode", STRICT, None, "allow compliance after internal moves"),
+        (("-p", "--product"), "product", "value", None, "FEATURES",
+         "check one product instead of the whole family"),
+    )),
+    "verify": (cmd_verify, "cross-check the family analyses against per-product analyses",
+               _FORMATS, _COMMON),
+    "examples": (cmd_examples, "list or print the bundled examples", None, (
+        ((), "name", "name", None, None, "print this example to stdout"),
+    )),
+}
 
 
 if __name__ == "__main__":

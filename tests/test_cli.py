@@ -994,6 +994,80 @@ def test_no_command_prints_help_and_fails(capsys):
     assert "usage:" in err
 
 
+# --- reading the command line ---------------------------------------------------
+
+_BUDGETS = ("7", " 7", "+7", "1_000", "\u0663", "-3", "x")
+
+
+def _values(kind, formats):
+    """Values to try after an option of `kind`; (None,) when it takes none."""
+    if kind == "budget":
+        return _BUDGETS
+    if kind == "format":
+        return (*formats, "xml")
+    if kind in ("flag", "mode"):
+        return (None,)
+    return ("lock", "", "a,b")
+
+
+def _spellings(flag, values):
+    """`flag` with each value: exact, abbreviated, `=`-joined, repeated,
+    missing its value and with a value that starts with `-`."""
+    for value in values:
+        exact = [flag] if value is None else [flag, value]
+        yield [*exact, "a.feta"]
+        yield ["a.feta", *exact]
+        yield [*exact, *exact, "a.feta"]
+        yield [f"{flag}={'x' if value is None else value}", "a.feta"]
+        if flag.startswith("--"):
+            yield [flag[:-1], *exact[1:], "a.feta"]
+    if values != (None,):
+        yield ["a.feta", flag]
+        yield [flag, "a.feta"]
+        yield [flag, "-x", "a.feta"]
+
+
+def _reader_corpus():
+    """Command lines around every command and option of the command table."""
+    yield from ([], ["-h"], ["--help"], ["--version"], ["nope", "a.feta"])
+    for name, (_, _, formats, options) in cli._COMMANDS.items():
+        flagged = [(flags, _values(kind, formats)) for flags, _, kind, *_ in options if flags]
+        firsts = [[flags[-1], values[0]] if values[0] else flags[:1] for flags, values in flagged]
+        for prefix in ([name], [name, "-p", "lock"]):
+            for rest in ([], ["a.feta", "b.feta"], ["-h", "a.feta"], ["--help"], ["--", "a.feta"]):
+                yield [*prefix, *rest]
+            for word in ("a.feta", "", "-", "--"):
+                yield [*prefix, word]
+            for flags, values in flagged:
+                for flag in flags:
+                    for rest in _spellings(flag, values):
+                        yield [*prefix, *rest]
+            for one in firsts:
+                for other in firsts:
+                    yield [*prefix, *one, *other, "a.feta"]
+
+
+def test_the_reader_agrees_with_argparse(capsys):
+    """Whatever `_read` accepts, argparse reads to the same namespace, and
+    whatever argparse refuses, `_read` leaves to it."""
+    parser = cli.build_parser()
+    accepted = declined = 0
+    for argv in _reader_corpus():
+        read = cli._read(argv)
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            assert read is None, argv
+            continue
+        if read is None:
+            declined += 1
+        else:
+            assert vars(read) == parsed, argv
+            accepted += 1
+    capsys.readouterr()
+    assert accepted > 1000 and declined > 100, (accepted, declined)
+
+
 # --- start-up -----------------------------------------------------------------
 
 
@@ -1001,21 +1075,38 @@ def test_start_up_imports_no_code_generation_or_resource_loading():
     """`import feta.cli` stays off `dataclasses` (and the `inspect` it loads),
     off `importlib.resources`, which only `feta examples` needs, off
     `pathlib`, for which plain `open` does, and off `typing`, for which
-    `collections.namedtuple` and `collections.abc` do.
+    `collections.namedtuple` and `collections.abc` do. Plain `feta`,
+    `check` and `verify` command lines then run without `argparse` and the
+    `gettext` and `locale` it loads, while `--help` still goes through it.
 
     The child runs isolated and without `site`, so no `.pth` file of the
     installation loads any of them first.
     """
     package_root = str(Path(cli.__file__).resolve().parents[1])
     unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib", "typing")
-    code = (
-        f"import sys; sys.path.insert(0, {package_root!r}); import feta.cli; "
-        f"print([name for name in {unwanted!r} if name in sys.modules])"
-    )
+    parsing = ("argparse", "gettext", "locale")
+    code = f"""
+import io, sys
+sys.path.insert(0, {package_root!r})
+import feta.cli
+print([name for name in {unwanted!r} if name in sys.modules])
+out, sys.stdout = sys.stdout, io.StringIO()
+codes = [
+    feta.cli.main([*argv, {ACCESS!r}])
+    for argv in (["feta"], ["check", "--weak", "--format", "json"], ["verify"])
+]
+loaded = [name for name in {parsing!r} if name in sys.modules]
+try:
+    feta.cli.main(["--help"])
+except SystemExit as stop:
+    codes.append(stop.code)
+sys.stdout = out
+print(codes, loaded, "argparse" in sys.modules)
+"""
     child = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert child.stdout == "[]\n"
+    assert child.stdout == "[]\n[0, 0, 0, 0] [] True\n"
 
 
 def test_every_benchmark_trace_target_exists():

@@ -15,7 +15,7 @@ products, so every condition is a large product disjunction). On
 kept too: help and version (wrapped at a fixed `COLUMNS`), usage errors,
 and the abbreviated and `=`-joined flag spellings it accepts. The commands
 run in-process from the input's directory on the bare file name, so no path
-of the checkout ends up in the outputs. Every subcommand of the parser, in
+of the checkout ends up in the outputs. Every command of the CLI's table, in
 each of its `--format` choices, has at least one case.
 
 Re-record after an intended change of output with
@@ -27,7 +27,6 @@ and review the diff of `tests/golden/` before committing it.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -158,14 +157,8 @@ def test_output_matches_the_golden_file(example, command, exit_codes):
 
 
 def _subcommand_formats() -> dict[str, tuple[str, ...]]:
-    """Each subcommand of the parser with its `--format` choices ("text" if none)."""
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    out = {}
-    for name, subparser in sub.choices.items():
-        formats = [a.choices for a in subparser._actions if a.dest == "format"]
-        out[name] = tuple(formats[0]) if formats else ("text",)
-    return out
+    """Each command of the CLI's command table with its `--format` choices ("text" if none)."""
+    return {name: formats or ("text",) for name, (_, _, formats, _) in cli._COMMANDS.items()}
 
 
 def _case_format(argv: tuple[str, ...]) -> tuple[str, str]:
@@ -180,6 +173,14 @@ def test_every_subcommand_and_format_has_a_golden_case():
     }
     assert wanted - recorded == set()
     assert recorded - wanted == set()
+
+
+def test_every_golden_command_line_but_examples_is_read_without_argparse():
+    """The command lines of the goldens but `examples` are plain: `cli._read`
+    reads them, and argparse is not built."""
+    for command, argv in ARGV.items():
+        if argv[0] != "examples":
+            assert cli._read([*argv, "x.feta"]) is not None, command
 
 
 def record() -> None:
