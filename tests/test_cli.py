@@ -284,6 +284,20 @@ def test_compose_budget_errors_name_the_first_offending_state(capsys, tmp_path, 
     assert (code, json.loads(out)["error"]["message"]) == (2, message)
 
 
+@pytest.mark.parametrize("flags, spec, message", _FIRST_OFFENDING)
+def test_feta_budget_errors_name_the_first_offending_state(capsys, tmp_path, flags, spec, message):
+    """`feta` composes the full team and then walks its display core, and
+    only the composition refuses a bound: the same errors, in text and in
+    JSON."""
+    if spec is None:
+        spec = tmp_path / "crowd.feta"
+        spec.write_text(_CROWD, encoding="utf-8")
+    code, out, err = run(capsys, "feta", *flags, str(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "feta", "--format", "json", *flags, str(spec))
+    assert (code, json.loads(out)["error"]["message"]) == (2, message)
+
+
 def test_json_resource_errors_name_the_flag(capsys):
     code, out, _ = run(capsys, "check", "--format", "json", "--max-states", "47", ACC4)
     assert code == 2

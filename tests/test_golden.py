@@ -5,12 +5,16 @@ exact stdout (`<example>.<command>.out`), the stderr when there is any
 (`<example>.<command>.err`) and, in `exit-codes.json`, the exit code. The
 per-product commands, which need a product of the example, and one JSON
 error envelope are kept for `access_management` only. The family commands,
-and `compose` and `project` onto `{lock}` in every format, are also kept on
-three scaled inputs in `tests/inputs/`: `acc4`, the access
+and `feta`, `compose` and `project` onto `{lock}` in every format, are also
+kept on three scaled inputs in `tests/inputs/`: `acc4`, the access
 example with four users (162 states, of which 48 are reachable);
 `product_family_v08`, a six-feature family with 12 products; and `free4`,
 the access example with four unconstrained features `x0..x3` added (32
-products, so every condition is a large product disjunction). On
+products, so every condition is a large product disjunction). `feta` is
+kept on `acc6` too, the access example with six users as the benchmark's
+`inputs.acc(6)` writes it: its counts (1,458 states, 82,702 transitions,
+a display core of 256 states and 1,714 transitions) are the ones the
+benchmark's traced run checks. On
 `access_management`, whole command lines that argparse answers itself are
 kept too: help and version (wrapped at a fixed `COLUMNS`), usage errors,
 and the abbreviated and `=`-joined flag spellings it accepts. The commands
@@ -103,14 +107,19 @@ PARSER_COMMANDS = {
 COLUMNS = "80"
 SCALED = ("acc4", "product_family_v08", "free4")
 SCALED_COMMANDS = (
+    "feta", "feta-json", "feta-dot", "feta-dot-reqs",
     "compose", "compose-json", "compose-dot",
     "reqs-factors", "check-strict", "check-weak-json", "verify",
     "project-lock", "project-lock-json", "project-lock-dot",
 )
+# The largest input kept, for its `feta` counts only (about 0.4 s).
+ACC6_COMMANDS = ("feta",)
+INPUT_FILES = (*SCALED, "acc6")
 CASES = (
     [(example, command) for example in EXAMPLES for command in COMMANDS]
     + [("access_management", command) for command in ACCESS_COMMANDS]
     + [(example, command) for example in SCALED for command in SCALED_COMMANDS]
+    + [("acc6", command) for command in ACC6_COMMANDS]
     + [("access_management", command) for command in PARSER_COMMANDS]
 )
 
@@ -121,7 +130,7 @@ def run_case(example: str, command: str) -> tuple[int, str, str]:
         argv = list(PARSER_COMMANDS[command])
     else:
         argv = [*ARGV[command], f"{example}.feta"]
-    folder = INPUTS if example in SCALED else resources.files("feta") / "examples"
+    folder = INPUTS if example in INPUT_FILES else resources.files("feta") / "examples"
     out, err = io.StringIO(), io.StringIO()
     here, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(folder)
