@@ -150,9 +150,10 @@ class Fts(Lts):
 
     Guards a caller passes are checked against `space`, and their masks are
     compiled from them when first read. A builder's team (`_built`) keeps
-    the builder's guard function instead: its guards are correct by
-    construction, each made when first asked for (`_guard`), and `guards`
-    and the masks are only made when first read in full.
+    the builder's guard and mask functions instead: its guards are correct
+    by construction, each made when first asked for (`_guard`), its masks
+    are read state by state (`_leaving`), and `guards` and `guard_masks`
+    are only made when first read in full.
     """
 
     __match_args__ = Lts.__match_args__ + ("space", "feature_model", "guards")
@@ -178,19 +179,19 @@ class Fts(Lts):
     @classmethod
     def _built(
         cls, states: tuple, initial, actions, transitions: tuple, space: FeatureSpace,
-        feature_model: FeatureExpr, guard, masks,
+        feature_model: FeatureExpr, guard, leaving,
     ):
         """A featured automaton from a builder's own parts, taken as they are.
 
         Besides `Lts._built`'s order: `guard(transition)` returns a guard made
         from parts already checked against `space`, one object for all the
-        transitions that share it, and `masks()` returns every transition's
-        guard mask, on the first read of `guard_masks`. They replace `_guard`
-        and `_masks`.
+        transitions that share it, and `leaving(state)` lists the state's
+        transitions whose guard mask is not 0, each with its mask, in
+        transition order. They replace `_guard` and `_leaving`.
         """
         made = super()._built(states, initial, actions, transitions)
         made.space, made.feature_model = space, feature_model
-        made._guard, made._masks = guard, masks
+        made._guard, made._leaving = guard, leaving
         return made
 
     @cached_property
@@ -204,11 +205,21 @@ class Fts(Lts):
 
     @cached_property
     def guard_masks(self) -> dict:
-        """The mask of every transition's guard, worked out on first read."""
-        return self._masks()
+        """The mask of every transition's guard, worked out on first read: a
+        caller's compiled from its guards, a builder's team's read off
+        `_leaving` state by state, with 0 for every transition it skips."""
+        if "_leaving" not in vars(self):
+            return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
+        masks = dict.fromkeys(self.transitions, 0)
+        for q in self.states:
+            masks.update(self._leaving(q))
+        return masks
 
-    def _masks(self) -> dict:
-        return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
+    def _leaving(self, state) -> list:
+        """The transitions leaving the state whose guard mask is not 0, each
+        with its mask, in transition order."""
+        masks = self.guard_masks
+        return [(t, masks[t]) for t in self._adjacency[state] if masks[t]]
 
     @cached_property
     def reachable_masks(self) -> dict:
@@ -219,11 +230,8 @@ class Fts(Lts):
         its guard. Unreached states read 0. `reachable_featured_team` sets
         it to the fixpoint that built the team.
         """
-        guards = self.guard_masks
         reach = reach_masks(
-            self.initial,
-            model_mask(self.feature_model, self.space),
-            lambda q: ((t, guards[t]) for t in self._adjacency[q]),
+            self.initial, model_mask(self.feature_model, self.space), self._leaving
         )
         return {q: reach.get(q, 0) for q in self.states}
 

@@ -40,6 +40,7 @@ to the parser and to `format_expr` alike. An expression may nest at most
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .automata import FeaturedComponent
@@ -70,7 +71,11 @@ _KEYWORDS = {
 }
 
 _MULTI_SYMBOLS = ("<->", "->", "&&", "||")
+_MULTI_STARTS = frozenset(symbol[0] for symbol in _MULTI_SYMBOLS)
 _SINGLE_SYMBOLS = set("{}()[],;:=*!?")
+# The rest of an identifier: for `str` patterns, `\w` is exactly the
+# characters that are `isalnum()`, and `_`.
+_IDENT_REST = re.compile(r"\w*")
 
 # Every pass over a feature expression recurses on its operands, so deeper
 # input would exhaust the interpreter's stack instead of being diagnosed.
@@ -221,23 +226,23 @@ def _lex(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        matched = next((s for s in _MULTI_SYMBOLS if text.startswith(s, i)), None)
-        if matched:
-            tokens.append(Token("sym", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
+        if ch in _MULTI_STARTS:
+            matched = next((s for s in _MULTI_SYMBOLS if text.startswith(s, i)), None)
+            if matched:
+                tokens.append(Token("sym", matched, line, col))
+                i += len(matched)
+                col += len(matched)
+                continue
         if ch in _SINGLE_SYMBOLS:
             tokens.append(Token("sym", ch, line, col))
             i += 1
             col += 1
             continue
         if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
+            end = _IDENT_REST.match(text, i).end()
+            tokens.append(Token("ident", text[i:end], line, col))
+            col += end - i
+            i = end
             continue
         if ch.isdigit():
             start = i

@@ -269,7 +269,11 @@ class _ComposeMixin:
             for idx, sends in takers:
                 if action in rows[idx]:
                     (senders if sends else receivers).append(idx)
-            budget.check("participants", len(senders) + len(receivers), counted)
+            ready = len(senders) + len(receivers)
+            if ready > budget.participants:
+                budget.check("participants", ready, counted)
+            if not ready:
+                continue
             for label, involved in table.pattern(action, tuple(senders), tuple(receivers)):
                 if keep is None or keep(label):
                     yield label, involved, [rows[idx][action] for idx in involved]
@@ -279,10 +283,16 @@ class _ComposeMixin:
         `_ready_labels`, one per choice of its participants' targets. No sort
         is needed: labels come in key order, and the targets differ only at
         the participants, whose sorted targets taken in index order give them
-        in `state_key` order.
+        in `state_key` order. A label of one participant moves by one splice.
         """
         for state in states:
             for label, involved, targets in self._ready_labels(state, budget, keep):
+                if len(involved) == 1:
+                    (idx,) = involved
+                    head, tail = state[:idx], state[idx + 1:]
+                    for dst in targets[0]:
+                        yield SystemTransition(state, label, head + (dst,) + tail)
+                    continue
                 for combo in itertools.product(*targets):
                     moved = list(state)
                     for idx, dst in zip(involved, combo):

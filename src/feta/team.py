@@ -12,19 +12,20 @@ transition, the featured side label class by label class.
 
 Every verdict is decided on the guards' masks, and each mask a built team
 carries has one source, the per-label walk `_TeamGuards.live`: the full
-team runs it over all states when its masks are first read, the reachable
-team as it explores, and that team's reachability masks are the fixpoint
-that built it. A guard expression is only a view, for display and for the
-per-product check, built when first read and shared by all transitions of
-its label class: the label and its participants' local sources and
-targets, whatever the idle components' states. The builders hand `Fts`
-their guard function, so a projection groups the transitions by guard
-object, one per label class, and no guard is made twice. A guard's sync
-part is the system's one expression per mask (`FeaturedSystem.products_expr`),
-the object the family conditions with that mask hold too. The builders'
-teams are correct by construction: states and transitions come in order
-and guards name only declared features, so unlike a caller's they are not
-checked.
+team runs it on a state each time that state's masks are asked for
+(`Fts._leaving`), which its display walk (`prune_for_display`) does only
+for the states it reaches; the reachable team runs it as it explores, and
+that team's reachability masks are the fixpoint that built it. A guard
+expression is only a view, for display and for the per-product check,
+built when first read and shared by all transitions of its label class:
+the label and its participants' local sources and targets, whatever the
+idle components' states. The builders hand `Fts` their guard function, so
+a projection groups the transitions by guard object, one per label class,
+and no guard is made twice. A guard's sync part is the system's one
+expression per mask (`FeaturedSystem.products_expr`), the object the
+family conditions with that mask hold too. The builders' teams are
+correct by construction: states and transitions come in order and guards
+name only declared features, so unlike a caller's they are not checked.
 
 The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
@@ -167,26 +168,21 @@ def build_featured_team(
 
     Every induced transition over the full product of the local state sets
     is kept and receives the guard described above (`_TeamGuards`), so
-    `budget.states` bounds that full product. The guard masks come from
-    `_TeamGuards.live` over every state when first read (a transition it
-    does not make has mask 0). This is the reference construction: `feta`
-    displays it, and the battery checks the label classes against it. The
+    `budget.states` bounds that full product. A state's guard masks come
+    from `_TeamGuards.live` on that state when asked for (`Fts._leaving`;
+    a transition it does not make has mask 0), so `feta`'s display walk
+    reads only the states it reaches, and `guard_masks` all of them when
+    first read. This is the reference construction: `feta` displays it,
+    and the battery checks the label classes against it. The
     specification must be total over the valid products.
     """
     _check_featured_inputs(fsys, fspec)
     # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
-
-    def masks() -> dict:
-        made = dict.fromkeys(transitions, 0)
-        for q in states:
-            made.update(parts.live(q, budget))
-        return made
-
     return Fts._built(
         states, fsys.initial_states(), fsys.actions, transitions, fsys.space,
-        fsys.feature_model, parts.guard, masks,
+        fsys.feature_model, parts.guard, lambda q: parts.live(q, budget),
     )
 
 
@@ -205,8 +201,9 @@ def reachable_featured_team(
     requirement, strict verdict, culprit and weak witness path depends only
     on this part. `budget.states` bounds the states reached. A state's
     transitions come from `_TeamGuards.live`, which never makes one whose
-    mask is 0. The fixpoint is the team's `reachable_masks`: a dropped
-    transition passes on no product that reaches its source.
+    mask is 0, and the team keeps each state's kept transitions as its
+    masks (`Fts._leaving`). The fixpoint is the team's `reachable_masks`: a
+    dropped transition passes on no product that reaches its source.
     """
     _check_featured_inputs(fsys, fspec)
     parts = _TeamGuards(fsys, fspec)
@@ -221,10 +218,10 @@ def reachable_featured_team(
     # Each state's successors come in `transition_key` order, so taking the
     # states in order gives the team's transitions in order.
     states = tuple(sorted(reach, key=state_key))
-    kept = {t: mask for src in states for t, mask in leaving(src) if mask & reach[src]}
+    kept = {q: [(t, mask) for t, mask in leaving(q) if mask & reach[q]] for q in states}
     team = Fts._built(
-        states, initial, fsys.actions, tuple(kept),
-        fsys.space, fsys.feature_model, parts.guard, lambda: kept,
+        states, initial, fsys.actions, tuple(t for q in states for t, _ in kept[q]),
+        fsys.space, fsys.feature_model, parts.guard, kept.__getitem__,
     )
     team.reachable_masks = {q: reach[q] for q in states}
     return team
@@ -271,20 +268,29 @@ def product_team(
 def prune_for_display(feta: Fts) -> Fts:
     """A trimmed copy for presentation: no unsatisfiable guards, no unreachable states.
 
-    Transitions whose guard no product (valid or not) can satisfy, that is
-    whose guard mask is zero, are dropped, then states that the remaining
-    transitions cannot reach from the initial states. The kept guards come
-    from `feta`'s guard function, each when first read here. Analyses never
-    use this view; they work on the full team or on its reachable part
-    (`reachable_featured_team`).
+    The states reachable from the initial states over the transitions whose
+    guard some product (valid or not) satisfies, that is whose guard mask is
+    not 0, and those transitions from them: a walk over `feta`'s masks state
+    by state (`Fts._leaving`), which reads the masks of each kept state once
+    and of no other state. States and transitions keep `feta`'s order. The kept
+    guards come from `feta`'s guard function, each when first read here.
+    Analyses never use this view; they work on the full team or on its
+    reachable part (`reachable_featured_team`).
     """
-    masks = feta.guard_masks
-    live = tuple(t for t in feta.transitions if masks[t])
-    keep = Lts._built(feta.states, feta.initial, feta.actions, live).reachable()
-    kept = tuple(t for t in live if t[0] in keep)
+    leaving = {}
+    pending = list(feta.initial)
+    seen = set(pending)
+    while pending:
+        q = pending.pop()
+        leaving[q] = steps = feta._leaving(q)
+        for t, _ in steps:
+            if t[2] not in seen:
+                seen.add(t[2])
+                pending.append(t[2])
+    states = tuple(q for q in feta.states if q in seen)
     return Fts._built(
-        tuple(q for q in feta.states if q in keep), feta.initial, feta.actions, kept,
-        feta.space, feta.feature_model, feta._guard, lambda: {t: masks[t] for t in kept},
+        states, feta.initial, feta.actions, tuple(t for q in states for t, _ in leaving[q]),
+        feta.space, feta.feature_model, feta._guard, leaving.__getitem__,
     )
 
 

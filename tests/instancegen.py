@@ -167,6 +167,9 @@ class BatteryResults:
     comparison (`label_class_disagreements`); `class_projection_checks`
     counts the parts of the products' projections read off the label
     classes compared with the full team's (`class_projection_disagreements`);
+    `display_checks` counts the states and transitions of the display team
+    (`prune_for_display`) of the full team and of a caller's copy of it
+    compared with `reference_display_team` (`display_disagreements`);
     `culprit_choices` counts the strict family violations whose culprit
     had more than one candidate product, so that only their order tells
     the right one (`culprit_disagreements`); and `planted_faults` how many
@@ -186,6 +189,7 @@ class BatteryResults:
     successor_checks: int = 0
     label_class_checks: int = 0
     class_projection_checks: int = 0
+    display_checks: int = 0
     culprit_choices: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
@@ -206,6 +210,7 @@ class BatteryResults:
     successor_failures: list = dataclasses.field(default_factory=list)
     label_class_failures: list = dataclasses.field(default_factory=list)
     class_projection_failures: list = dataclasses.field(default_factory=list)
+    display_failures: list = dataclasses.field(default_factory=list)
 
     def tripped(self) -> list[str]:
         """The names of the failure lists that are not empty."""
@@ -444,6 +449,48 @@ def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
     check("full", full)
     check("reachable", reachable_featured_team(fsys, fspec))
     check("pruned", prune_for_display(full))
+    return compared, wrong
+
+
+def reference_display_team(full) -> tuple[tuple, tuple]:
+    """`prune_for_display` as first written, as its states and transitions:
+    the transitions whose guard mask is not 0, then the states they reach
+    from the initial states (`Lts.reachable`), then the kept transitions
+    that leave those states, all in the full team's order."""
+    from feta import Lts
+
+    masks = full.guard_masks
+    live = tuple(t for t in full.transitions if masks[t])
+    keep = Lts._built(full.states, full.initial, full.actions, live).reachable()
+    return tuple(q for q in full.states if q in keep), tuple(t for t in live if t[0] in keep)
+
+
+def display_disagreements(full) -> tuple[int, list]:
+    """Compare `prune_for_display` with `reference_display_team` on the
+    builder's full team and on a caller's copy of it (`Fts(...)`, whose
+    masks are compiled from its guards): the states, the transitions in
+    order, and each kept transition's guard object and mask. Returns the
+    number of states and transitions compared and the mismatches.
+    """
+    from feta import Fts, prune_for_display
+
+    copy = Fts(
+        full.states, full.initial, full.actions, full.transitions, full.space,
+        full.feature_model, full.guards,
+    )
+    compared, wrong = 0, []
+    for name, team in (("built", full), ("caller's", copy)):
+        states, transitions = reference_display_team(team)
+        pruned = prune_for_display(team)
+        if pruned.states != states:
+            wrong.append((name, "states", pruned.states))
+        if pruned.transitions != transitions:
+            wrong.append((name, "transitions", pruned.transitions))
+        masks = team.guard_masks
+        for t in set(pruned.transitions) & set(transitions):
+            if pruned.guards[t] is not team.guards[t] or pruned.guard_masks[t] != masks[t]:
+                wrong.append((name, "guard", t))
+        compared += len(states) + len(transitions)
     return compared, wrong
 
 
@@ -770,6 +817,10 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                 results.built_team_checks += compared
                 if wrong:
                     results.built_team_failures.append((seed, wrong))
+            compared, wrong = display_disagreements(team)
+            results.display_checks += compared
+            if wrong:
+                results.display_failures.append((seed, wrong))
             compared, wrong = guard_class_disagreements(fsys, fspec)
             results.guard_class_checks += compared
             if wrong:
@@ -839,14 +890,26 @@ def _last_product_in(monkeypatch):
     monkeypatch.setattr(family, "first_product_in", last)
 
 
-# Faults planted in the family route, each of which some check of the
-# battery must catch; each takes a `pytest.MonkeyPatch` to plant it.
+def _display_walk_follows_zero_masks(monkeypatch):
+    from feta import Fts
+
+    def leaving(self, state):
+        masks = self.guard_masks
+        return [(t, masks[t]) for t in self._adjacency[state]]
+
+    monkeypatch.setattr(Fts, "_leaving", leaving)
+
+
+# Faults planted in the family route and in the display walk, each of which
+# some check of the battery must catch; each takes a `pytest.MonkeyPatch`
+# to plant it.
 FAMILY_FAULTS = {
     "condition drops its reach factor": _condition_without_reach,
     "_candidates drops its last candidate": _candidates_without_last,
     "derive_family_requirements skips groups of one": _no_groups_of_one,
     "reach_masks ignores the guard masks": _reach_without_guards,
     "first_product_in returns the last product": _last_product_in,
+    "the display walk follows zero-mask transitions": _display_walk_follows_zero_masks,
 }
 
 

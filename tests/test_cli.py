@@ -638,13 +638,13 @@ def test_verify_builds_each_product_team_once(capsys, monkeypatch):
 def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     """`verify` only projects the full team, so the mask walk
     (`_TeamGuards.live`) leaves exactly the reachable team's states, each
-    once; `feta` prunes the full team by its masks and leaves every full
-    state once.
+    once; `feta` walks the full team's display core from the initial states
+    and leaves exactly its states, each once, not every full state.
     """
     result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
     fsys, fspec = result.system, result.sync
     reachable = feta.team.reachable_featured_team(fsys, fspec).states
-    full = fsys._full_states()
+    core = feta.team.prune_for_display(feta.team.build_featured_team(fsys, fspec)).states
     walked = []
     original = feta.team._TeamGuards.live
 
@@ -658,8 +658,8 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     assert len(reachable) == 48
     walked.clear()
     assert cli.main(["feta", ACC4]) == 0
-    assert sorted(walked) == sorted(full)
-    assert len(full) == 162
+    assert sorted(walked) == sorted(core)
+    assert len(core) == 48
     capsys.readouterr()
 
 

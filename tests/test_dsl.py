@@ -1,5 +1,9 @@
 """Parsing, elaboration diagnostics and the canonical formatter."""
 
+import random
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 import models
@@ -19,7 +23,7 @@ from feta import (
     parse,
     parse_expr,
 )
-from feta.dsl import has_errors
+from feta.dsl import _MULTI_SYMBOLS, _SINGLE_SYMBOLS, Token, _lex, _SyntaxError, has_errors
 
 EXAMPLES = (
     "access_management",
@@ -278,3 +282,85 @@ def test_format_keeps_defaults_implicit():
     rendered = format_document(parse(MINIMAL).document)
     assert "when true" not in rendered
     assert "default [1,1] -> [0,*];" in rendered
+
+
+def reference_lex(text: str) -> list[Token]:
+    """`_lex` as first written: every multi-character symbol tried at every
+    position, and identifiers scanned character by character."""
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = next((s for s in _MULTI_SYMBOLS if text.startswith(s, i)), None)
+        if matched:
+            tokens.append(Token("sym", matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if ch in _SINGLE_SYMBOLS:
+            tokens.append(Token("sym", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token("ident", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            tokens.append(Token("number", text[start:i], line, col))
+            col += i - start
+            continue
+        raise _SyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def _lexed(lex, text: str):
+    """The tokens, or the syntax error's message and position."""
+    try:
+        return lex(text)
+    except _SyntaxError as error:
+        return ("error", error.message, error.line, error.col)
+
+
+# Letters, digits and symbols of the grammar, the characters that start a
+# multi-character symbol alone, and non-ASCII letters and digits: `é` is a
+# letter; `²` and `٣` are digits, `Ⅻ` a numeral, all three `isalnum()`.
+_LEX_ALPHABET = "ab_Z09 \t\r\n#<->&|{}()[],;:=*!?.@é²٣Ⅻ"
+
+
+def test_lexer_equals_the_character_by_character_lexer():
+    """Tokens, or the error with its position, equal `reference_lex`'s on
+    every committed input and on seeded random strings."""
+    examples = resources.files("feta") / "examples"
+    texts = [examples.joinpath(f"{name}.feta").read_text(encoding="utf-8") for name in EXAMPLES]
+    texts += [
+        path.read_text(encoding="utf-8")
+        for path in sorted((Path(__file__).parent / "inputs").glob("*.feta"))
+    ]
+    rng = random.Random(2024)
+    texts += [
+        "".join(rng.choices(_LEX_ALPHABET, k=rng.randrange(40))) for _ in range(20_000)
+    ]
+    for text in texts:
+        assert _lexed(_lex, text) == _lexed(reference_lex, text), text

@@ -50,6 +50,14 @@ def test_label_classes_project_as_the_full_team_does(battery):
     assert battery.planted_faults["kept drops last class"] > 0
 
 
+def test_display_team_is_the_masked_reachable_part_of_the_full_team(battery):
+    """`prune_for_display`, a walk from the initial states over the masks,
+    gives what filtering by mask and then `Lts.reachable` gave, on the
+    builder's full team and on a caller's copy of it."""
+    assert battery.display_failures == []
+    assert battery.display_checks > 0
+
+
 def test_built_team_label_classes_are_their_guard_objects(battery):
     assert battery.guard_class_failures == []
     assert battery.guard_class_checks > 0
