@@ -363,10 +363,42 @@ class _ComposeMixin:
 
     def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
         """The full product state set (`_full_states`), not just its reachable
-        part, and every induced transition.
+        part, and every induced transition: `_compose(states)`, with the same
+        errors, expanded label class by label class (`_label_classes`)
+        instead of walking every state's labels.
+
+        The full product numbers its states in mixed radix, so the members
+        of a class, which differ only at the idle components, are the states
+        at the class's own source and target numbers plus each idle offset
+        (the same offsets for every class of a label). Filed under their
+        sources, taken in order, they come in transition order: the classes
+        come in label order and, from one source, a label's classes in
+        `state_key` order of their targets. Sources and targets are the
+        tuples of `states` itself.
         """
         states = self._full_states(budget)
-        return states, tuple(self._compose(states, budget))
+        counts = [len(self.components[name].states) for name in self.names]
+        strides = [math.prod(counts[idx + 1:]) for idx in range(len(counts))]
+        number = [
+            {local: i * stride for i, local in enumerate(self.components[name].states)}
+            for name, stride in zip(self.names, strides)
+        ]
+        leaving: list[list] = [[] for _ in states]
+        last = None
+        for label, involved, sources, targets, _ in self._label_classes(states, budget):
+            if label is not last:
+                idle = [
+                    range(0, counts[idx] * strides[idx], strides[idx])
+                    for idx in range(len(counts)) if idx not in involved
+                ]
+                offsets, last = [sum(choice) for choice in itertools.product(*idle)], label
+            src = sum(number[idx][local] for idx, local in zip(involved, sources))
+            dst = sum(number[idx][local] for idx, local in zip(involved, targets))
+            for offset in offsets:
+                leaving[src + offset].append(
+                    SystemTransition(states[src + offset], label, states[dst + offset])
+                )
+        return states, tuple(itertools.chain.from_iterable(leaving))
 
 
 class System(_ComposeMixin):

@@ -31,13 +31,14 @@ The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
 the initial states, and makes only the transitions whose mask is not 0;
 `build_featured_team` builds the whole team over the full product of the
-local state sets (`System.state_space`) and stays the reference. Every
-builder reads the system's one label walk (`_ready_labels`) with one label
-filter: expanded unpruned (`_compose`) for the full and the plain team,
-pruned by mask, participant by participant, in `_TeamGuards.live`. A
-product's projection and its commutation check need the full team only
-class by class, and `build_featured_classes` reads its classes off the
-local steps (`_ComposeMixin._label_classes`), walking no state.
+local state sets (`System.state_space`) and stays the reference. The
+plain team and every mask read the system's one label walk
+(`_ready_labels`) with one label filter: expanded unpruned (`_compose`)
+for the plain team, pruned by mask, participant by participant, in
+`_TeamGuards.live`. The full product's transitions and, for a product's
+projection and its commutation check, the full team class by class
+(`build_featured_classes`) are read off the local steps
+(`_ComposeMixin._label_classes`), walking no state.
 """
 
 from __future__ import annotations

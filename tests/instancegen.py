@@ -161,7 +161,8 @@ class BatteryResults:
     guard class, guard object and mask were checked
     (`guard_class_disagreements`); `successor_checks` counts the induced
     transitions of every full state of the featured and the products'
-    systems compared with `reference_successors`; `label_class_checks`
+    systems compared with `reference_successors`, through `successors` and
+    through `state_space`; `label_class_checks`
     counts the transitions of the full team rebuilt from its label classes
     and the class-level commutation results compared with a plain set
     comparison (`label_class_disagreements`); `class_projection_checks`
@@ -675,14 +676,20 @@ def reference_successors(sys, state, budget=Budget()):
 
 def successor_disagreements(sys) -> tuple[int, list]:
     """Compare `successors` with `reference_successors` on every state of
-    the full product of the local state sets, in order.
+    the full product of the local state sets, in order, and `state_space`,
+    which expands the label classes instead, with the states and all their
+    reference successors in that order.
     """
-    compared, wrong = 0, []
-    for state in itertools.product(*(sys.components[n].states for n in sys.names)):
+    compared, wrong, composed = 0, [], []
+    states = tuple(itertools.product(*(sys.components[n].states for n in sys.names)))
+    for state in states:
         expected = reference_successors(sys, state)
         if sys.successors(state) != expected:
             wrong.append(state)
         compared += len(expected)
+        composed.extend(expected)
+    if sys.state_space() != (states, tuple(composed)):
+        wrong.append("state_space")
     return compared, wrong
 
 
