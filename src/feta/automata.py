@@ -210,9 +210,9 @@ class Fts(Lts):
         `_leaving` state by state, with 0 for every transition it skips."""
         if "_leaving" not in vars(self):
             return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
-        masks = dict.fromkeys(self.transitions, 0)
-        for q in self.states:
-            masks.update(self._leaving(q))
+        masks = {t: mask for q in self.states for t, mask in self._leaving(q)}
+        if len(masks) < len(self.transitions):
+            masks = {t: masks.get(t, 0) for t in self.transitions}
         return masks
 
     def _leaving(self, state) -> list:

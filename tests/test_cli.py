@@ -20,6 +20,7 @@ import feta.family
 import feta.receptiveness
 import feta.system
 import feta.team
+import instancegen
 import models
 from feta import Budget, cli, elaborate_text, features
 from feta.automata import Lts
@@ -644,7 +645,7 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
     fsys, fspec = result.system, result.sync
     reachable = feta.team.reachable_featured_team(fsys, fspec).states
-    core = feta.team.prune_for_display(feta.team.build_featured_team(fsys, fspec)).states
+    core = instancegen.reference_display_team(feta.team.build_featured_team(fsys, fspec))[0]
     walked = []
     original = feta.team._TeamGuards.live
 
