@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InvalidProductError, SpecificationError
 from .features import (
@@ -227,11 +227,12 @@ class Fts(Lts):
 
         One forward fixpoint over all products at once (`reach_masks`): a
         transition carries the products that reach its source and satisfy
-        its guard. Unreached states read 0. `reachable_featured_team` sets
-        it to the fixpoint that built the team.
+        its guard. Each reached state's masks are read once (`_leaving`),
+        however often it gains products. Unreached states read 0.
+        `reachable_featured_team` sets it to the fixpoint that built the team.
         """
         reach = reach_masks(
-            self.initial, model_mask(self.feature_model, self.space), self._leaving
+            self.initial, model_mask(self.feature_model, self.space), cache(self._leaving)
         )
         return {q: reach.get(q, 0) for q in self.states}
 

@@ -252,7 +252,8 @@ class _ComposeMixin:
         """Per label that the state enables and `keep` (if given) accepts, in
         sort-key order: the label, its participants' indices in ascending
         order and, per participant, its targets sorted by `state_key`; the
-        one per-state label walk of every builder.
+        one per-state label walk, of `successors` and of the featured
+        teams' masks.
 
         The arity, unknown-state and per-action participants checks raise as
         the components' own `successors_from` would, in action order,
@@ -278,43 +279,22 @@ class _ComposeMixin:
                 if keep is None or keep(label):
                     yield label, involved, [rows[idx][action] for idx in involved]
 
-    def _compose(self, states, budget: Budget = Budget(), keep=None):
-        """The induced transitions from the states, in order: per label of
-        `_ready_labels`, one per choice of its participants' targets. No sort
-        is needed: labels come in key order, and the targets differ only at
-        the participants, whose sorted targets taken in index order give them
-        in `state_key` order. A label of one participant moves by one splice.
-        """
-        for state in states:
-            for label, involved, targets in self._ready_labels(state, budget, keep):
-                if len(involved) == 1:
-                    (idx,) = involved
-                    head, tail = state[:idx], state[idx + 1:]
-                    for dst in targets[0]:
-                        yield SystemTransition(state, label, head + (dst,) + tail)
-                    continue
-                for combo in itertools.product(*targets):
-                    moved = list(state)
-                    for idx, dst in zip(involved, combo):
-                        moved[idx] = dst
-                    yield SystemTransition(state, label, tuple(moved))
-
     def _label_classes(self, states: tuple, budget: Budget = Budget()):
-        """Every label class of `_compose(states)` over the full product
-        `states` (`_full_states`), without walking a state: per action in
-        sorted order, per label of the takers ready at some local state (in
-        sort-key order), per choice of the participants' local steps, the
-        label, its participants' indices, their local sources and targets,
-        and the class's size.
+        """Every label class of the induced transitions over the full
+        product `states` (`_full_states`), without walking a state: per
+        action in sorted order, per label of the takers ready at some local
+        state (in sort-key order), per choice of the participants' local
+        steps, the label, its participants' indices, their local sources and
+        targets, and the class's size.
 
         A transition's class is its label and its participants' local steps.
         Over the full product the idle components take every combination of
         their states, so each class holds exactly those transitions, as many
         as the product of the idle components' state counts, and every label
         of the ready takers occurs. `budget.participants` is refused as
-        `_compose(states)` refuses it, at the first (state, action) in order;
-        the states are scanned for it (`_StepTable.refuse`) only when some
-        action's takers ready somewhere exceed the bound.
+        `successors` of each state in order refuses it, at the first (state,
+        action); the states are scanned for it (`_StepTable.refuse`) only
+        when some action's takers ready somewhere exceed the bound.
         """
         table = self._step_table
         if not states:
@@ -344,12 +324,24 @@ class _ComposeMixin:
                     yield label, involved, sources, targets, size
 
     def successors(self, state: tuple, budget: Budget = Budget()) -> tuple[SystemTransition, ...]:
-        """All induced transitions from the state, in deterministic order
-        (`_compose`): per action in sorted order, every nonempty choice of
-        locally ready senders and receivers, each moving to one of its
-        targets, by label sort key, then by target.
+        """All induced transitions from the state, in deterministic order:
+        per action in sorted order, every nonempty choice of locally ready
+        senders and receivers, each moving to one of its targets, by label
+        sort key, then by target.
+
+        One transition per label of `_ready_labels` and choice of its
+        participants' targets. No sort is needed: labels come in key order,
+        and the targets differ only at the participants, whose sorted
+        targets taken in index order give them in `state_key` order.
         """
-        return tuple(self._compose((state,), budget))
+        out = []
+        for label, involved, targets in self._ready_labels(state, budget):
+            for combo in itertools.product(*targets):
+                moved = list(state)
+                for idx, dst in zip(involved, combo):
+                    moved[idx] = dst
+                out.append(SystemTransition(state, label, tuple(moved)))
+        return tuple(out)
 
     def _full_states(self, budget: Budget = Budget()) -> tuple[tuple, ...]:
         """The whole product of the local state sets, sorted by `state_key`.
@@ -363,9 +355,17 @@ class _ComposeMixin:
 
     def state_space(self, budget: Budget = Budget()) -> tuple[tuple, tuple[SystemTransition, ...]]:
         """The full product state set (`_full_states`), not just its reachable
-        part, and every induced transition: `_compose(states)`, with the same
-        errors, expanded label class by label class (`_label_classes`)
-        instead of walking every state's labels.
+        part, and every induced transition (`_full_transitions`).
+        """
+        states = self._full_states(budget)
+        return states, self._full_transitions(states, budget)
+
+    def _full_transitions(self, states: tuple, budget: Budget = Budget(), keep=None) -> tuple:
+        """The induced transitions over the full product `states`
+        (`_full_states`) whose label `keep` (if given) accepts: those of
+        `successors` of each state in order, with its errors, expanded label
+        class by label class (`_label_classes`) instead of walking every
+        state's labels.
 
         The full product numbers its states in mixed radix, so the members
         of a class, which differ only at the idle components, are the states
@@ -376,7 +376,6 @@ class _ComposeMixin:
         `state_key` order of their targets. Sources and targets are the
         tuples of `states` itself.
         """
-        states = self._full_states(budget)
         counts = [len(self.components[name].states) for name in self.names]
         strides = [math.prod(counts[idx + 1:]) for idx in range(len(counts))]
         number = [
@@ -386,6 +385,8 @@ class _ComposeMixin:
         leaving: list[list] = [[] for _ in states]
         last = None
         for label, involved, sources, targets, _ in self._label_classes(states, budget):
+            if keep is not None and not keep(label):
+                continue
             if label is not last:
                 idle = [
                     range(0, counts[idx] * strides[idx], strides[idx])
@@ -398,7 +399,7 @@ class _ComposeMixin:
                 leaving[src + offset].append(
                     SystemTransition(states[src + offset], label, states[dst + offset])
                 )
-        return states, tuple(itertools.chain.from_iterable(leaving))
+        return tuple(itertools.chain.from_iterable(leaving))
 
 
 class System(_ComposeMixin):

@@ -31,12 +31,12 @@ The family analyses only ask about team states that some valid product can
 reach, so `reachable_featured_team` builds just that part, on the fly from
 the initial states, and makes only the transitions whose mask is not 0;
 `build_featured_team` builds the whole team over the full product of the
-local state sets (`System.state_space`) and stays the reference. The
-plain team and every mask read the system's one label walk
-(`_ready_labels`) with one label filter: expanded unpruned (`_compose`)
-for the plain team, pruned by mask, participant by participant, in
-`_TeamGuards.live`. The full product's transitions and, for a product's
-projection and its commutation check, the full team class by class
+local state sets (`System.state_space`) and stays the reference. Every
+mask reads the system's one label walk (`_ready_labels`), pruned by
+mask, participant by participant, in `_TeamGuards.live`. The full
+product's transitions, filtered by type for the plain team
+(`_ComposeMixin._full_transitions`), and, for a product's projection and
+its commutation check, the full team class by class
 (`build_featured_classes`) are read off the local steps
 (`_ComposeMixin._label_classes`), walking no state.
 """
@@ -234,10 +234,10 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
     sets.
 
     It equals `sys.state_space` with its transitions filtered by
-    `transition_satisfies`, under the same budget checks, but composes only
-    what it keeps: `_compose` filters by the type check, once per label,
-    before a label's targets are expanded. States and transitions come in
-    `Lts` order.
+    `transition_satisfies`, under the same budget checks, but expands only
+    what it keeps: `_full_transitions` filters by the type check, once per
+    label, before a label's classes are expanded. States and transitions
+    come in `Lts` order.
     """
     _warn_if_open(sys)
     states = sys._full_states(budget)
@@ -245,7 +245,7 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
         lambda label: spec.for_action(label.action).admits(len(label.senders), len(label.receivers))
     )
     return Lts._built(
-        states, sys.initial_states(), sys.actions, tuple(sys._compose(states, budget, fits))
+        states, sys.initial_states(), sys.actions, sys._full_transitions(states, budget, fits)
     )
 
 

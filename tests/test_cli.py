@@ -640,7 +640,10 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     """`verify` only projects the full team, so the mask walk
     (`_TeamGuards.live`) leaves exactly the reachable team's states, each
     once; `feta` walks the full team's display core from the initial states
-    and leaves exactly its states, each once, not every full state.
+    and leaves exactly its states, each once, not every full state. With
+    `--reqs` it then reads each state the valid products reach once more,
+    for the notes' reachability fixpoint, however often the state gains
+    products.
     """
     result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
     fsys, fspec = result.system, result.sync
@@ -661,34 +664,44 @@ def test_verify_walks_no_full_team_state_for_masks(capsys, monkeypatch):
     assert cli.main(["feta", ACC4]) == 0
     assert sorted(walked) == sorted(core)
     assert len(core) == 48
+    walked.clear()
+    assert cli.main(["feta", "--format", "dot", "--reqs", ACC4]) == 0
+    assert sorted(walked) == sorted(core + reachable)
     capsys.readouterr()
 
 
 def _count_composition(monkeypatch) -> tuple[list, list]:
-    """The systems `state_space` is called on and the transitions `_compose`
-    yields, both recorded from now on."""
+    """The systems `state_space` is called on and the transitions the full
+    product expansion (`_full_transitions`) and `successors` return, all
+    recorded from now on."""
     spaces, composed = [], []
     mixin = feta.system._ComposeMixin
-    state_space, compose = mixin.state_space, mixin._compose
+    state_space, expand, successors = mixin.state_space, mixin._full_transitions, mixin.successors
 
     def counted_state_space(self, *args):
         spaces.append(self)
         return state_space(self, *args)
 
-    def counted_compose(self, *args):
-        for t in compose(self, *args):
-            composed.append(t)
-            yield t
+    def counted_expand(self, *args):
+        made = expand(self, *args)
+        composed.extend(made)
+        return made
+
+    def counted_successors(self, *args):
+        made = successors(self, *args)
+        composed.extend(made)
+        return made
 
     monkeypatch.setattr(mixin, "state_space", counted_state_space)
-    monkeypatch.setattr(mixin, "_compose", counted_compose)
+    monkeypatch.setattr(mixin, "_full_transitions", counted_expand)
+    monkeypatch.setattr(mixin, "successors", counted_successors)
     return spaces, composed
 
 
 def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
     """`verify` compares the full team class by class, so it never composes
-    it: no `state_space`, and `_compose` yields no more transitions than the
-    two products' own teams hold. `feta` still composes it once."""
+    it: no `state_space`, and no more transitions are composed than the two
+    products' own teams hold. `feta` still composes it once."""
     result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
     fsys, fspec = result.system, result.sync
     own = sum(
@@ -706,8 +719,8 @@ def test_verify_composes_only_the_products_own_teams(capsys, monkeypatch):
 
 def test_project_composes_no_full_team(capsys, monkeypatch):
     """`project` expands only the classes the product keeps: no
-    `state_space`, no `build_featured_team`, and `_compose` yields no more
-    transitions than the product's own team holds."""
+    `state_space`, no `build_featured_team`, and no more transitions are
+    composed than the product's own team holds."""
     result = elaborate_text(Path(ACC4).read_text(encoding="utf-8"))
     lock = features.Product.of(result.system.space, "lock")
     own = feta.team.product_team(result.system, result.sync, lock)[0]
@@ -743,7 +756,7 @@ def test_project_keeps_the_classes_once(capsys, monkeypatch, fmt):
 
 def test_compose_composes_no_full_team(capsys, monkeypatch):
     """`compose` sums the sizes of the full product's label classes: no
-    `state_space`, nothing from `_compose`, and the count it composed to."""
+    `state_space`, no transition composed, and the count it composed to."""
     fsys = elaborate_text(Path(ACC4).read_text(encoding="utf-8")).system
     states, transitions = fsys.state_space()
     spaces, composed = _count_composition(monkeypatch)
