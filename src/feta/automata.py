@@ -184,10 +184,9 @@ class Fts(Lts):
         """A featured automaton from a builder's own parts, taken as they are.
 
         Besides `Lts._built`'s order: `guard(transition)` returns a guard made
-        from parts already checked against `space`, one object for all the
-        transitions that share it, and `leaving(state)` lists the state's
-        transitions whose guard mask is not 0, each with its mask, in
-        transition order. They replace `_guard` and `_leaving`.
+        from parts already checked against `space`, and `leaving(state)`
+        lists the state's transitions whose guard mask is not 0, each with
+        its mask, in transition order. They replace `_guard` and `_leaving`.
         """
         made = super()._built(states, initial, actions, transitions)
         made.space, made.feature_model = space, feature_model
@@ -205,15 +204,14 @@ class Fts(Lts):
 
     @cached_property
     def guard_masks(self) -> dict:
-        """The mask of every transition's guard, worked out on first read: a
-        caller's compiled from its guards, a builder's team's read off
-        `_leaving` state by state, with 0 for every transition it skips."""
+        """The mask of every transition's guard, keyed by the transitions in
+        order and worked out on first read: a caller's compiled from its
+        guards, a builder's team's read off `_leaving` state by state, with 0
+        for every transition it skips."""
         if "_leaving" not in vars(self):
             return {t: expr_mask(g, self.space) for t, g in self.guards.items()}
         masks = {t: mask for q in self.states for t, mask in self._leaving(q)}
-        if len(masks) < len(self.transitions):
-            masks = {t: masks.get(t, 0) for t in self.transitions}
-        return masks
+        return {t: masks.get(t, 0) for t in self.transitions}
 
     def _leaving(self, state) -> list:
         """The transitions leaving the state whose guard mask is not 0, each
@@ -236,41 +234,23 @@ class Fts(Lts):
         )
         return {q: reach.get(q, 0) for q in self.states}
 
-    @cached_property
-    def _guard_classes(self) -> tuple:
-        """The transitions grouped by guard object: (guard, transitions)
-        pairs in the order each guard first appears, each group in
-        transition order. Each group holds its guard, so no `id` is reused.
-        """
-        groups: dict = {}
-        for t in self.transitions:
-            guard = self._guard(t)
-            group = groups.get(id(guard))
-            if group is None:
-                groups[id(guard)] = (guard, [t])
-            else:
-                group[1].append(t)
-        return tuple(groups.values())
-
     def _projected_parts(self, product: Product):
         """States, initial states, actions and the transitions whose guard the
-        product satisfies, class by class, so not in transition order. Every
-        guard names only features of `space` (checked by `__init__`, or by
-        construction in `_built`), so once the product is known to be over it
-        the guards are evaluated unchecked, each guard object once.
+        product satisfies, in transition order. Every guard names only
+        features of `space` (checked by `__init__`, or by construction in
+        `_built`), so once the product is known to be over it the guards are
+        evaluated unchecked.
         """
         check_product(product, self.space, self.feature_model)
-        kept = []
-        for guard, transitions in self._guard_classes:
-            if holds(guard, product):
-                kept.extend(transitions)
+        guard = self._guard
+        kept = tuple(t for t in self.transitions if holds(guard(t), product))
         return self.states, self.initial, self.actions, kept
 
     def project(self, product: Product) -> Lts:
         """The behaviour of one valid product: same states, guarded transitions
-        kept, sorted as for any caller's parts.
+        kept, in order.
         """
-        return Lts(*self._projected_parts(product))
+        return Lts._built(*self._projected_parts(product))
 
 
 def check_product(product: Product, space: FeatureSpace, feature_model: FeatureExpr) -> None:

@@ -3,9 +3,10 @@
 Every subcommand reads one specification file, prints a report to stdout
 and signals the outcome through the exit code: 0 when the checked property
 holds (or the command only lists things), 1 when a checked property is
-violated, 2 when the input cannot be processed. Diagnostics and warnings
-go to stderr. Each report goes through `_report`, which writes the chosen
-format and maps the verdict to the exit code; failures go through `_fail`.
+violated, 2 when the input cannot be processed or memory runs out.
+Diagnostics and warnings go to stderr. Each report goes through `_report`,
+which writes the chosen format and maps the verdict to the exit code;
+failures go through `_fail`.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def main(argv=None) -> int:
         return _fail(args, str(exc), ())
     except OSError as exc:
         return _fail(args, str(exc), ())
+    except MemoryError:
+        return _fail(args, "out of memory (lower --max-states to build fewer states)", ())
 
 
 def _fail(args, message: str, details: tuple[str, ...]) -> int:
@@ -289,12 +292,11 @@ def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
 
 
 def _core(lts: Lts) -> Lts:
+    """The part of an automaton reachable from its initial states, in its order."""
     keep = lts.reachable()
-    return Lts(
-        states=tuple(s for s in lts.states if s in keep),
-        initial=lts.initial,
-        actions=lts.actions,
-        transitions=tuple(t for t in lts.transitions if t[0] in keep),
+    return Lts._built(
+        tuple(s for s in lts.states if s in keep), lts.initial, lts.actions,
+        tuple(t for t in lts.transitions if t[0] in keep),
     )
 
 

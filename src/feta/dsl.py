@@ -826,9 +826,6 @@ def _elaborate_sync(rules, fsys, space, model, error) -> FeaturedSyncSpec | None
     except ResourceLimitError as exc:
         error((1, 1), str(exc), "resource")
         return None
-    except FetaError as exc:
-        error((1, 1), str(exc), "invalid-sync")
-        return None
     if missing:
         shown = ", ".join(f"({p}, {a})" for p, a in missing[:4])
         more = "" if len(missing) <= 4 else f" and {len(missing) - 4} more"

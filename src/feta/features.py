@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import Budget, SpecificationError
 from .values import Value, init_field, kept
@@ -26,7 +25,10 @@ class FeatureSpace(Value):
     """The finite universe of feature names, in declaration order.
 
     It keeps one positive and one negative literal per name (`_literals`),
-    which every `product_expr` over the space shares.
+    which every `product_expr` over the space shares, and what is worked
+    out over it: per feature model, the `valid_products` record (`_valid`),
+    and each feature's bit pattern (`_patterns`). They live and die with
+    the space.
     """
 
     __match_args__ = ("names",)
@@ -37,6 +39,7 @@ class FeatureSpace(Value):
         init_field(self, "names", names)
         init_field(self, "name_set", frozenset(names))
         init_field(self, "_literals", {n: (Var(n), Not(Var(n))) for n in names})
+        init_field(self, "_valid", {})
 
     def _key(self) -> tuple:
         return (self.names,)
@@ -319,27 +322,22 @@ def all_products(space: FeatureSpace, budget: Budget = Budget()) -> tuple[Produc
 
 def valid_products(feature_model: FeatureExpr, space: FeatureSpace) -> tuple[Product, ...]:
     """The products satisfying the feature model, in lexicographic order."""
-    return _valid(feature_model, space)[1]
+    return _valid(feature_model, space)[0]
 
 
 def _valid(feature_model: FeatureExpr, space: FeatureSpace) -> tuple:
-    """(space, valid products, their `product_index` bits, those bits' OR),
-    kept on the model's node: the one record of which bit a product has.
-
-    The answer lives and dies with the node. One node can meet many spaces
-    (the shared `TRUE` is the model of every specification without a
-    `feature_model` line); it keeps the last.
+    """(valid products, their `product_index` bits, those bits' OR), kept on
+    the space per model: the one record of which bit a product has.
     """
-    known = getattr(feature_model, "_valid_products", None)
-    if known is None or known[0] != space:
+    known = space._valid.get(feature_model)
+    if known is None:
         _check_vars(feature_model, space)
         products = tuple(p for p in all_products(space) if _holds(feature_model, p.selected))
         bits = tuple(product_index(p) for p in products)
         raw = bytearray(((1 << len(space)) + 7) // 8)
         for bit in bits:
             raw[bit >> 3] |= 1 << (bit & 7)
-        known = (space, products, bits, int.from_bytes(raw, "little"))
-        object.__setattr__(feature_model, "_valid_products", known)
+        known = space._valid[feature_model] = (products, bits, int.from_bytes(raw, "little"))
     return known
 
 
@@ -364,19 +362,19 @@ def product_set_expr(products, space: FeatureSpace) -> FeatureExpr:
 # --- satisfiability ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _var_mask(index: int, width: int) -> int:
-    """The assignments of a `width`-feature space that select feature `index`.
-
-    Bounded by the size check in `expr_mask`: at most 136 (index, width) pairs.
-    """
-    run = 1 << index
-    mask = ((1 << run) - 1) << run
-    span = 2 * run
-    while span < 1 << width:
-        mask |= mask << span
-        span *= 2
-    return mask
+@kept
+def _patterns(space: FeatureSpace) -> dict[str, int]:
+    """Per feature, the assignments of the space that select it, as bits."""
+    width, out = len(space), {}
+    for index, name in enumerate(space.names):
+        run = 1 << index
+        mask = ((1 << run) - 1) << run
+        span = 2 * run
+        while span < 1 << width:
+            mask |= mask << span
+            span *= 2
+        out[name] = mask
+    return out
 
 
 def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
@@ -386,18 +384,17 @@ def expr_mask(expr: FeatureExpr, space: FeatureSpace) -> int:
     for which bit `j` of `k` is set, so a space of n features has 2**n bits.
     """
     Budget().check("products", 2 ** len(space), f"products of the {len(space)}-feature space")
-    width = len(space)
-    full = (1 << (1 << width)) - 1
-    index = {name: i for i, name in enumerate(space.names)}
+    full = (1 << (1 << len(space))) - 1
+    patterns = _patterns(space)
 
     def walk(node: FeatureExpr) -> int:
         match node:
             case Const(value):
                 return full if value else 0
             case Var(name):
-                if name not in index:
+                if name not in patterns:
                     _check_vars(expr, space)
-                return _var_mask(index[name], width)
+                return patterns[name]
             case Not(operand):
                 return full ^ walk(operand)
             case And(operands):
@@ -425,7 +422,7 @@ def model_mask(feature_model: FeatureExpr, space: FeatureSpace) -> int:
     """The valid products as bits, equal to `expr_mask` of the feature model:
     read off the record `valid_products` keeps, so nothing is compiled.
     """
-    return _valid(feature_model, space)[3]
+    return _valid(feature_model, space)[2]
 
 
 def product_index(product: Product) -> int:
@@ -447,7 +444,7 @@ def product_bits(mask: int, feature_model: FeatureExpr, space: FeatureSpace):
     position (its `product_index`), in `valid_products` order.
     """
     if mask:
-        _, products, bits, _ = _valid(feature_model, space)
+        products, bits, _ = _valid(feature_model, space)
         for product, bit in zip(products, bits):
             if mask >> bit & 1:
                 yield product, bit

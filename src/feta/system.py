@@ -102,6 +102,15 @@ def _subsets(items):
         yield from itertools.combinations(items, size)
 
 
+def _picker(indices):
+    """The function taking a tuple to its items at the indices, as a tuple:
+    a label class's key, read off a state."""
+    if len(indices) == 1:
+        (idx,) = indices
+        return lambda state: (state[idx],)
+    return itemgetter(*indices) if indices else lambda state: ()
+
+
 def _local_steps(comp) -> dict:
     """The component's local state -> action -> targets sorted by `state_key`."""
     row: dict = {q: {} for q in comp.states}
@@ -121,8 +130,8 @@ class _StepTable:
     components whose alphabet has it and the text of its participants check.
     Labels are shared per (action, senders, receivers), and `pattern` keeps
     the labels of each set of ready participants in sort-key order, so that
-    composition needs no sort. `involved` maps each label made so far to an
-    `itemgetter` of its participants' indices. Only `steps` reads the
+    composition needs no sort. `involved` maps each label made so far to the
+    `_picker` of its participants' indices. Only `steps` reads the
     components' transitions; the rest depends on the names and alphabets
     alone (`with_steps`).
     """
@@ -144,7 +153,7 @@ class _StepTable:
             for action in sorted(frozenset().union(*(comp.actions for comp in components)))
         )
         self._choices: dict[tuple, tuple[SystemLabel, tuple[int, ...]]] = {}
-        self.involved: dict[SystemLabel, itemgetter] = {}
+        self.involved: dict = {}
         self._patterns: dict[tuple, tuple] = {}
 
     def with_steps(self, components) -> _StepTable:
@@ -170,7 +179,7 @@ class _StepTable:
                 frozenset(self.names[i] for i in receivers),
             )
             indices = tuple(sorted(senders + receivers))
-            self.involved[label] = itemgetter(*indices)
+            self.involved[label] = _picker(indices)
             self._choices[key] = (label, indices)
         return self._choices[key]
 

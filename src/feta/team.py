@@ -20,8 +20,7 @@ expression is only a view, for display and for the per-product check,
 built when first read and shared by all transitions of its label class:
 the label and its participants' local sources and targets, whatever the
 idle components' states. The builders hand `Fts` their guard function, so
-a projection groups the transitions by guard object, one per label class,
-and no guard is made twice. A guard's sync part is the system's one
+no guard is made twice. A guard's sync part is the system's one
 expression per mask (`FeaturedSystem.products_expr`), the object the
 family conditions with that mask hold too. The builders' teams are
 correct by construction: states and transitions come in order and guards
@@ -47,13 +46,12 @@ import functools
 import itertools
 import warnings
 from collections import namedtuple
-from operator import itemgetter
 
 from .automata import Fts, Lts, check_product, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
 from .features import And, FeatureExpr, Product, conj, holds, model_mask
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
-from .system import FeaturedSystem, System, SystemLabel, SystemTransition
+from .system import FeaturedSystem, System, SystemLabel, SystemTransition, _picker
 
 
 class OpenSystemWarning(UserWarning):
@@ -385,14 +383,6 @@ class CommutationResult(
     """Outcome of comparing team projection against per-product composition."""
 
     __slots__ = ()
-
-
-def _picker(indices):
-    """The function taking a tuple to its items at the indices, as a tuple."""
-    if len(indices) == 1:
-        (idx,) = indices
-        return lambda state: (state[idx],)
-    return itemgetter(*indices) if indices else lambda state: ()
 
 
 def check_projection_commutes(

@@ -158,7 +158,7 @@ class BatteryResults:
     transitions of the products' own teams (`build_team`) compared with the
     filtered full composition (`reference_team`); `guard_class_checks`
     counts the transitions of the full, reachable and pruned teams whose
-    guard class, guard object and mask were checked
+    label class, guard object and mask were checked
     (`guard_class_disagreements`); `successor_checks` counts the induced
     transitions of every full state of the featured and the products'
     systems compared with `reference_successors`, through `successors` and
@@ -319,7 +319,9 @@ def reachable_team_disagreements(full, reachable, fsys, fspec) -> tuple[int, lis
     Its states must be the full team's states with a non-zero reachability
     mask, with the same masks; its transitions the full team's transitions
     that some product reaching their source can take, with the same guards
-    and guard masks; and strict and weak family receptiveness must give the
+    and guard masks, so none that the full team lacks (a transition whose
+    mask the full team's walk gives but that it does not hold reads mask
+    0); and strict and weak family receptiveness must give the
     same requirements, statuses, culprits and weak witness paths on both.
     Returns the number of items compared and the mismatches.
     """
@@ -330,7 +332,11 @@ def reachable_team_disagreements(full, reachable, fsys, fspec) -> tuple[int, lis
     states = {q: reach[q] for q in full.states if reach[q]}
     if {q: reachable.reachable_masks[q] for q in reachable.states} != states:
         wrong.append(("states", reachable.states))
-    transitions = [t for t in full.transitions if masks[t] & reach[t[0]]]
+    known = set(full.transitions)
+    missing = [t for t in reachable.transitions if t not in known]
+    if missing:
+        wrong.append(("missing from the full team", missing))
+    transitions = [t for t in full.transitions if masks.get(t, 0) & reach[t[0]]]
     if list(reachable.transitions) != transitions:
         wrong.append(("transitions", reachable.transitions))
     for t in set(transitions) & set(reachable.transitions):
@@ -406,17 +412,17 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
 
 
 def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
-    """Check the guard classes of builder-made teams, grouped through the
-    builder's guard function.
+    """Check the guard objects of builder-made teams, as the builder's guard
+    function (`Fts._guard`) hands them out.
 
     Each of a fresh full team, a fresh reachable team and the full team's
-    pruned copy is projected onto its first valid product, which groups
-    its transitions (`Fts._guard_classes`) before its `guards` dict or the
-    full team's masks are read. Grouping must leave that dict unbuilt and
-    give each class its own guard object. The groups must partition the
-    transitions exactly as grouping the guards dict by object does, in the
-    same order; every member must read its class's guard object; and the
-    guard masks, read only then, must equal `expr_mask` of each guard.
+    pruned copy is projected onto its first valid product, which reads its
+    guards through that function before its `guards` dict or the full
+    team's masks are read. Projecting must leave that dict unbuilt. Grouped
+    by the object the function hands out, the transitions must fall into
+    their label classes (the label and its participants' local sources and
+    targets), in the same order, and the dict must hold those objects; and
+    the guard masks, read only then, must equal `expr_mask` of each guard.
     Returns the number of transitions checked and the mismatches.
     """
     from feta import build_featured_team, expr_mask, prune_for_display, reachable_featured_team
@@ -428,17 +434,19 @@ def guard_class_disagreements(fsys, fspec) -> tuple[int, list]:
         nonlocal compared
         for product in first:
             team.project(product)
-        classes = team._guard_classes
         if "guards" in vars(team):
-            wrong.append((name, "guards dict made by grouping"))
-        if len({id(guard) for guard, _ in classes}) != len(classes):
-            wrong.append((name, "guard object shared by classes", classes))
-        by_object: dict = {}
+            wrong.append((name, "guards dict made by projecting"))
+        by_object, by_class = {}, {}
         for t in team.transitions:
-            by_object.setdefault(id(team.guards[t]), []).append(t)
-        if [group for _, group in classes] != list(by_object.values()):
-            wrong.append((name, "partition", classes))
-        for guard, group in classes:
+            guard = team._guard(t)
+            by_object.setdefault(id(guard), (guard, []))[1].append(t)
+            src, label, dst = t
+            involved = [i for i, n in enumerate(fsys.names) if n in label.participants()]
+            key = label, tuple(src[i] for i in involved), tuple(dst[i] for i in involved)
+            by_class.setdefault(key, []).append(t)
+        if [group for _, group in by_object.values()] != list(by_class.values()):
+            wrong.append((name, "partition", list(by_object.values())))
+        for guard, group in by_object.values():
             wrong.extend((name, "guard", t) for t in group if team.guards[t] is not guard)
         masks = team.guard_masks
         for t in team.transitions:
@@ -512,7 +520,9 @@ def reference_commutation(projection, product, own):
     )
 
 
-def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, dict]:
+def label_class_disagreements(
+    fsys, fspec, team, own_teams, projections
+) -> tuple[int, list, dict]:
     """Check the full team's label classes (`build_featured_classes`)
     against the full team `team`, and the class-level commutation check
     against the plain one (`reference_commutation`).
@@ -521,7 +531,8 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
     exactly the team's transitions, in order once sorted, each class as
     many as its size, and each member's guard must equal its class's guard.
     Per valid product and its own team in `own_teams`, the class-level
-    result must equal the plain comparison of the team's projection. So
+    result must equal the plain comparison of the team's projection (in
+    `projections`, from `Fts.project`). So
     must it under four planted faults, each of which must also make it
     fail: the own team loses one transition; one of its transitions moves
     a component that takes no part; it gains a transition between two
@@ -561,7 +572,7 @@ def label_class_disagreements(fsys, fspec, team, own_teams) -> tuple[int, list, 
         return Lts(own.states, own.initial, own.actions, transitions)
 
     for product, own in own_teams.items():
-        projection = team.project(product)
+        projection = projections[product]
         kept = featured.kept(product)
         compare("plain", kept, projection, product, own)
         if own.transitions:
@@ -695,12 +706,16 @@ def successor_disagreements(sys) -> tuple[int, list]:
 
 def reference_team(sys, spec):
     """The plain team by its definition: every induced transition over the
-    full product of local states, filtered by the types of the actions.
+    full product of local states (`reference_successors` of each state),
+    filtered by the types of the actions; no label class is read.
     """
     from feta import Lts, transition_satisfies
 
-    states, transitions = sys.state_space()
-    kept = [t for t in transitions if transition_satisfies(t, spec.for_action(t.action))]
+    states = tuple(itertools.product(*(sys.components[n].states for n in sys.names)))
+    kept = [
+        t for q in states for t in reference_successors(sys, q)
+        if transition_satisfies(t, spec.for_action(t.action))
+    ]
     return Lts(states, sys.initial_states(), sys.actions, kept)
 
 
@@ -715,7 +730,11 @@ def plain_team_disagreements(team, sys, spec) -> tuple[int, list]:
     return len(reference.transitions), wrong
 
 
-def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
+def run_battery(
+    count: int = 200, first_seed: int = 1000, until_tripped: bool = False
+) -> BatteryResults:
+    """Every cross-check over `count` instances from `first_seed` on; with
+    `until_tripped`, none after the first instance on which a check fails."""
     from feta import (
         OpenSystemWarning,
         build_featured_classes,
@@ -740,6 +759,8 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OpenSystemWarning)
         for seed, (fsys, fspec) in instances(count, first_seed):
+            if until_tripped and results.tripped():
+                break
             results.instances += 1
             compared, wrong = successor_disagreements(fsys)
             results.successor_checks += compared
@@ -786,13 +807,15 @@ def run_battery(count: int = 200, first_seed: int = 1000) -> BatteryResults:
                     if strict == VIOLATED:
                         violated[product].add(req)
             results.requirements += len(freqs)
-            compared, wrong, planted = label_class_disagreements(fsys, fspec, team, own_teams)
+            projections = {p: team.project(p) for p in products}
+            compared, wrong, planted = label_class_disagreements(
+                fsys, fspec, team, own_teams, projections
+            )
             results.label_class_checks += compared
             for kind, count in planted.items():
                 results.planted_faults[kind] = results.planted_faults.get(kind, 0) + count
             if wrong:
                 results.label_class_failures.append((seed, wrong))
-            projections = {p: team.project(p) for p in products}
             compared, wrong, planted = class_projection_disagreements(featured, projections)
             results.class_projection_checks += compared
             faults = results.planted_faults
@@ -907,9 +930,77 @@ def _display_walk_follows_zero_masks(monkeypatch):
     monkeypatch.setattr(Fts, "_leaving", leaving)
 
 
-# Faults planted in the family route and in the display walk, each of which
-# some check of the battery must catch; each takes a `pytest.MonkeyPatch`
-# to plant it.
+def _live_without_the_last_local_mask(monkeypatch):
+    from feta.team import SystemTransition, _TeamGuards
+
+    def live(self, source, budget):
+        out = []
+        for label, involved, targets in self.fsys._ready_labels(source, budget, self.sync_mask):
+            partial = [(source, self.sync_mask(label))]
+            for idx, dests in zip(involved, targets):
+                local = self._local[idx]
+                step = [
+                    (dst, -1 if idx == involved[-1] else local[(source[idx], label.action, dst)])
+                    for dst in dests
+                ]
+                partial = [
+                    (moved[:idx] + (dst,) + moved[idx + 1:], kept & own)
+                    for moved, kept in partial
+                    for dst, own in step
+                    if kept & own
+                ]
+            out.extend((SystemTransition(source, label, moved), kept) for moved, kept in partial)
+        return out
+
+    monkeypatch.setattr(_TeamGuards, "live", live)
+
+
+def _group_size_off_by_one(monkeypatch):
+    from feta import family
+
+    original = family.products_for_group
+    monkeypatch.setattr(
+        family, "products_for_group",
+        lambda fspec, group, action: original(fspec, (*group, None), action),
+    )
+
+
+def _projection_keeps_a_failing_guard(monkeypatch):
+    from feta import Fts
+
+    original = Fts._projected_parts
+
+    def parts(self, product):
+        states, initial, actions, kept = original(self, product)
+        failing = next((t for t in self.transitions if t not in kept), None)
+        kept = tuple(t for t in self.transitions if t in kept or t == failing)
+        return states, initial, actions, kept
+
+    monkeypatch.setattr(Fts, "_projected_parts", parts)
+
+
+def _label_classes_without(end):
+    """A fault: `_label_classes` drops its first (`end` 0) or last (-1) class."""
+
+    def plant(monkeypatch):
+        from feta.system import _ComposeMixin
+
+        original = _ComposeMixin._label_classes
+
+        def dropping(self, states, budget=Budget()):
+            classes = list(original(self, states, budget))
+            if classes:
+                del classes[end]
+            return iter(classes)
+
+        monkeypatch.setattr(_ComposeMixin, "_label_classes", dropping)
+
+    return plant
+
+
+# Faults planted in the family route, the display walk, the team's mask walk,
+# projection and the label classes, each of which some check of the battery
+# must catch; each takes a `pytest.MonkeyPatch` to plant it.
 FAMILY_FAULTS = {
     "condition drops its reach factor": _condition_without_reach,
     "_candidates drops its last candidate": _candidates_without_last,
@@ -917,18 +1008,27 @@ FAMILY_FAULTS = {
     "reach_masks ignores the guard masks": _reach_without_guards,
     "first_product_in returns the last product": _last_product_in,
     "the display walk follows zero-mask transitions": _display_walk_follows_zero_masks,
+    "_TeamGuards.live drops the last participant's local mask": _live_without_the_last_local_mask,
+    "products_for_group is off by one in the group size": _group_size_off_by_one,
+    "_projected_parts keeps a transition whose guard fails": _projection_keeps_a_failing_guard,
+    "_label_classes drops its first class": _label_classes_without(0),
+    "_label_classes drops its last class": _label_classes_without(-1),
 }
 
 
-def run_with_fault(fault: str, count: int, first_seed: int = 1000) -> BatteryResults:
+def run_with_fault(
+    fault: str, count: int, first_seed: int = 1000, until_caught: bool = True
+) -> BatteryResults:
     """The battery over `count` instances with one of `FAMILY_FAULTS`
-    planted, and removed again; `planted_faults[fault]` counts the checks
-    it tripped (`BatteryResults.tripped`), 0 if the battery missed it.
+    planted, and removed again, stopping after the first instance on which
+    it trips a check unless `until_caught` is false; `planted_faults[fault]`
+    counts the checks it tripped (`BatteryResults.tripped`), 0 if the
+    battery missed it.
     """
     import pytest
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         FAMILY_FAULTS[fault](monkeypatch)
-        results = run_battery(count, first_seed)
+        results = run_battery(count, first_seed, until_caught)
     results.planted_faults[fault] = len(results.tripped())
     return results

@@ -1170,3 +1170,98 @@ def test_every_benchmark_trace_target_exists():
     importlib.import_module(ast.literal_eval(assigned["REPORTING"]))
     observed = {ast.literal_eval(key) for key in assigned["OBSERVERS"].keys}
     assert observed <= {name for name, _, _ in targets}
+
+
+# --- running out of memory ------------------------------------------------------
+
+OUT_OF_MEMORY = "out of memory (lower --max-states to build fewer states)"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# One builder per command, each made to run out of memory.
+_MEMORY_HUNGRY = [
+    (("products",), cli, "valid_products"),
+    (("compose",), feta.system._ComposeMixin, "_label_classes"),
+    (("feta",), cli, "build_featured_team"),
+    (("project", "-p", "lock"), cli, "build_featured_classes"),
+    (("reqs",), cli, "reachable_featured_team"),
+    (("check", "--weak"), cli, "check_family_receptiveness"),
+    (("check", "-p", "lock"), cli, "product_team"),
+    (("verify",), cli, "product_team"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, owner, builder", _MEMORY_HUNGRY, ids=[" ".join(argv) for argv, _, _ in _MEMORY_HUNGRY]
+)
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch, schema, argv, owner, builder):
+    """Exit 2 with one `error:` line naming `--max-states`; nothing on
+    stdout in text mode, the error envelope in JSON mode."""
+    monkeypatch.setattr(owner, builder, _out_of_memory)
+    code, out, err = run(capsys, *argv, ACCESS)
+    assert (code, out, err) == (2, "", f"error: {OUT_OF_MEMORY}\n")
+    code, payload = run_json(capsys, schema, *argv, "--format", "json", ACCESS)
+    assert code == 2
+    assert payload["error"] == {"message": OUT_OF_MEMORY, "diagnostics": []}
+
+
+def test_only_main_catches_memory_errors():
+    source = Path(cli.__file__).parent
+    catching = [
+        (path.name, line.strip())
+        for path in sorted(source.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "MemoryError" in line
+    ]
+    assert catching == [("cli.py", "except MemoryError:")]
+
+
+# --- report lines that only a disagreement or a gap prints ----------------------
+
+
+def test_project_lists_each_transition_only_one_side_has(capsys, monkeypatch):
+    """An own team that lacks one transition of the projection and has one
+    that the projection lacks: both are listed, and `project` exits 1."""
+    original = cli.product_team
+
+    def planted(*args, **kwargs):
+        own, *rest = original(*args, **kwargs)
+        (src, label, dst), *others = own.transitions
+        extra = feta.system.SystemTransition(dst, label, src)
+        return (Lts(own.states, own.initial, own.actions, [*others, extra]), *rest)
+
+    monkeypatch.setattr(cli, "product_team", planted)
+    code, out, _ = run(capsys, "project", "-p", "lock", ACCESS)
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "projection agrees with the product's own team: no",
+        "  only in the projection: (0,0,0) --{u1} join {s}--> (1,0,1)",
+        "  only in the product's team: (1,0,1) --{u1} join {s}--> (0,0,0)",
+    ]
+
+
+def test_compose_lists_the_actions_without_a_sender_or_receiver(capsys, tmp_path):
+    text = Path(TURNSTILE).read_text(encoding="utf-8")
+    text = text.replace("output coin, push;", "output coin, push, wave;")
+    text = text.replace("input coin, push;", "input coin, push, bell;")
+    spec = tmp_path / "open.feta"
+    spec.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "compose", str(spec))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "closed: no",
+        "  actions without a sender: bell",
+        "  actions without a receiver: wave",
+    ]
+
+
+def test_a_family_without_products_is_vacuously_receptive(capsys, tmp_path):
+    spec = turnstile_with(tmp_path, "feature_model true;", "feature_model false;")
+    for mode in ("--strict", "--weak"):
+        code, out, err = run(capsys, "check", mode, spec)
+        assert code == 0
+        assert "note: the feature model has no valid products; receptiveness holds vacuously" in out
+        assert "warning: the feature model admits no products [empty-family]" in err

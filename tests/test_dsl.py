@@ -1,5 +1,6 @@
 """Parsing, elaboration diagnostics and the canonical formatter."""
 
+import ast
 import random
 from importlib import resources
 from pathlib import Path
@@ -23,7 +24,11 @@ from feta import (
     parse,
     parse_expr,
 )
-from feta.dsl import _MULTI_SYMBOLS, _SINGLE_SYMBOLS, Token, _lex, _SyntaxError, has_errors
+from feta import dsl
+from feta.dsl import (
+    _MULTI_SYMBOLS, _SINGLE_SYMBOLS, ComponentDecl, SystemDecl, Token, _lex, _SyntaxError,
+    elaborate, has_errors,
+)
 
 EXAMPLES = (
     "access_management",
@@ -263,6 +268,140 @@ sync {
     assert result.ok
     assert codes(result.diagnostics) == ["open-system"]
     assert result.diagnostics[0].severity == "warning"
+
+
+def variant(old: str, new: str) -> str:
+    """MINIMAL with the first occurrence of `old` replaced."""
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new, 1)
+
+
+SYSTEM = "system S = { c: C, d: D };"
+SYNC = "sync {\n  default [1,1] -> [0,*];\n}\n"
+MORE_FEATURES = "features f, " + ", ".join(f"g{i}" for i in range(16)) + ";"
+
+# One text per diagnostic it reaches: the case's name, the text, and the
+# code and a piece of the message of the diagnostic it must give.
+DIAGNOSTIC_TEXTS = [
+    ("syntax", "features f;\ncomponent {", "syntax", "expected a component name"),
+    ("keyword as a name", variant("features f;", "features f, init;"), "syntax",
+     "'init' is a keyword, not a feature name"),
+    ("unterminated component body", MINIMAL[: MINIMAL.index("component D")] + "component D {",
+     "syntax", "unterminated component body"),
+    ("unterminated sync block", MINIMAL.rstrip().removesuffix("}"), "syntax",
+     "unterminated sync block"),
+    ("duplicate feature", variant("features f;", "features f, f;"), "duplicate-feature",
+     "feature 'f' declared twice"),
+    ("duplicate feature model",
+     variant("feature_model true;", "feature_model true;\nfeature_model f;"),
+     "duplicate-section", "feature model declared twice"),
+    ("duplicate system", variant(SYSTEM, SYSTEM + "\n" + SYSTEM), "duplicate-section",
+     "system declared twice"),
+    ("duplicate sync block", MINIMAL + SYNC, "duplicate-section", "sync block declared twice"),
+    ("missing feature model", variant("feature_model true;", ""), "missing-feature-model",
+     "missing feature model"),
+    ("missing system", variant(SYSTEM, ""), "missing-system", "missing system declaration"),
+    ("missing sync block", MINIMAL[: MINIMAL.index("sync {")], "missing-sync",
+     "missing sync block"),
+    ("duplicate state", variant("init 0;", "states 0, 0;\n  init 0;"), "duplicate-state",
+     "state '0' declared twice"),
+    ("duplicate initial state", variant("init 0;", "init 0, 0;"), "duplicate-state",
+     "initial state '0' listed twice"),
+    ("duplicate action", variant("output go;", "output go, go;"), "duplicate-action",
+     "action 'go' declared twice"),
+    ("input and output action", variant("output go;", "input go;\n  output go;"),
+     "duplicate-action", "action 'go' declared twice"),
+    ("unknown feature in the model", variant("feature_model true;", "feature_model g;"),
+     "unknown-feature", "feature model references undeclared features ['g']"),
+    ("unknown feature in a guard", variant("by go!;", "by go! when g;"), "unknown-feature",
+     "guard references undeclared features ['g']"),
+    ("unknown feature in a sync guard", variant("[0,*];", "[0,*] when g;"), "unknown-feature",
+     "guard references undeclared features ['g']"),
+    ("duplicate component", variant("system S", "component C {\n  init 0;\n}\n\nsystem S"),
+     "duplicate-name", "component 'C' declared twice"),
+    ("duplicate instance", variant(SYSTEM, "system S = { c: C, c: D };"), "duplicate-name",
+     "instance name 'c' used twice"),
+    ("unknown state",
+     variant("init 0;", "states 0;\n  init 0;").replace("0 -> 0 by go!", "0 -> 9 by go!"),
+     "unknown-state", "states ['9'] not in the states list"),
+    ("missing init", variant("  init 0;\n", ""), "missing-init", "component 'C' has no init"),
+    ("unknown action", variant("by go!;", "by stop;"), "unknown-action",
+     "action 'stop' is not declared"),
+    ("unknown action in a sync rule", variant("default", "stop:"), "unknown-action",
+     "sync rule names unknown actions ['stop']"),
+    ("suffix mismatch", variant("by go!;", "by go?;"), "suffix-mismatch",
+     "action 'go' is an output of 'C' but written with '?'"),
+    ("duplicate transition", variant("0 -> 0 by go!;", "0 -> 0 by go!;\n  0 -> 0 by go;"),
+     "duplicate-transition", "transition 0 -> 0 by go declared twice"),
+    ("unknown component", variant("d: D", "d: E"), "unknown-component", "unknown component 'E'"),
+    ("empty interval", variant("[1,1]", "[2,1]"), "empty-interval", "empty interval [2,1]"),
+    ("not total", variant("default [1,1] -> [0,*];", "go: [1,1] -> [0,*] when f;"), "not-total",
+     "sync rules do not cover every product and action: ({}, go)"),
+    ("too many features", variant("features f;", MORE_FEATURES), "resource",
+     "products of the 17-feature space: 131072, above the bound 65536"),
+    ("too many features, no actions", "\n".join([
+        MORE_FEATURES, "feature_model true;", "component C {\n  init 0;\n}",
+        "system S = { c: C };", "sync {\n}",
+     ]), "resource", "products of the 17-feature space: 131072, above the bound 65536"),
+    ("no products", variant("feature_model true;", "feature_model false;"), "empty-family",
+     "the feature model admits no products"),
+    ("no component inputs", variant(SYSTEM, "system S = { c: C };"), "open-system",
+     "no component inputs go"),
+    ("no component outputs", variant(SYSTEM, "system S = { d: D };"), "open-system",
+     "no component outputs go"),
+]
+
+# Diagnostics that `elaborate` makes but no text reaches there (the parser
+# reports a duplicate feature and a missing section first), elaborated from
+# a document built by hand: the case's name, what replaces MINIMAL's fields,
+# the code and the message.
+DIAGNOSTIC_DOCUMENTS = [
+    ("duplicate feature", {"features": ("f", "f")}, "duplicate-feature",
+     "duplicate feature names in ('f', 'f')"),
+    ("missing feature model", {"model": None}, "missing-feature-model", "missing feature model"),
+    ("missing system", {"system": None}, "missing-system", "missing system declaration"),
+    ("missing sync block", {"sync": None}, "missing-sync", "missing sync block"),
+    ("input and output action",
+     {"components": (ComponentDecl("C", ("go",), ("go",), None, ("0",), ()),)},
+     "invalid-component", "actions ['go'] declared both input and output"),
+    ("no instance", {"system": SystemDecl("S", ())}, "invalid-system",
+     "a system needs at least one component"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, message", [case[1:] for case in DIAGNOSTIC_TEXTS],
+    ids=[case[0] for case in DIAGNOSTIC_TEXTS],
+)
+def test_each_diagnostic_a_text_can_reach(text, code, message):
+    diagnostics = elaborate_text(text).diagnostics
+    assert any(d.code == code and message in d.message for d in diagnostics), diagnostics
+
+
+@pytest.mark.parametrize(
+    "fields, code, message", [case[1:] for case in DIAGNOSTIC_DOCUMENTS],
+    ids=[case[0] for case in DIAGNOSTIC_DOCUMENTS],
+)
+def test_each_diagnostic_only_a_document_can_reach(fields, code, message):
+    result = elaborate(parse(MINIMAL).document._replace(**fields))
+    assert result.system is None and result.sync is None
+    assert (code, message) in [(d.code, d.message) for d in result.diagnostics]
+
+
+def test_every_diagnostic_code_has_a_case():
+    """The codes are the last argument of every `Diagnostic(...)`,
+    `error(...)` and `warning(...)` call in `dsl.py`."""
+    tree = ast.parse(Path(dsl.__file__).read_text(encoding="utf-8"))
+    makers = ("Diagnostic", "error", "warning")
+    made = {
+        node.args[-1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in makers
+        and isinstance(node.args[-1], ast.Constant)
+    }
+    cased = {case[2] for case in DIAGNOSTIC_TEXTS + DIAGNOSTIC_DOCUMENTS}
+    assert made == cased
 
 
 # --- formatting -------------------------------------------------------------

@@ -110,6 +110,19 @@ def test_valid_products_keep_no_model_or_space_alive():
     assert [ref() for ref in dropped] == [None, None]
 
 
+def test_a_dropped_space_frees_what_was_worked_out_over_it():
+    """The shared `TRUE` keeps nothing of a space it was the model of: the
+    valid products and the bit patterns live and die with the space."""
+    space = FeatureSpace(tuple(f"f{i}" for i in range(16)))
+    products = valid_products(TRUE, space)
+    assert len(products) == 1 << 16
+    assert expr_mask(Var("f15"), space) == ((1 << (1 << 15)) - 1) << (1 << 15)
+    dropped = [weakref.ref(space), weakref.ref(products[0]), weakref.ref(products[-1])]
+    del space, products
+    gc.collect()
+    assert [ref() for ref in dropped] == [None, None, None]
+
+
 def test_one_model_answers_each_space_it_meets():
     """`TRUE` is the model of every specification without a feature model."""
     assert len(valid_products(TRUE, AB)) == 4

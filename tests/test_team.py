@@ -252,9 +252,9 @@ def test_full_team_shares_one_guard_per_label_class():
 
 @pytest.mark.parametrize("name", [*models.EXAMPLES, "acc4"])
 def test_built_teams_read_their_label_classes_off_the_build(name):
-    """The classes a projection groups by are the guard objects the build's
-    guard function hands out, one per class, read without building the
-    team's `guards` dict; they agree with grouping that dict by object.
+    """The build's guard function hands out one guard object per label
+    class, and projecting reads it without building the team's `guards`
+    dict, which holds the same objects.
     """
     if name == "acc4":
         fsys, fspec = acc4()
@@ -266,28 +266,47 @@ def test_built_teams_read_their_label_classes_off_the_build(name):
     assert compared > len(build_featured_team(fsys, fspec).transitions)
 
 
-def test_projection_evaluates_each_guard_object_once_per_product(monkeypatch):
+def test_projection_keeps_exactly_the_transitions_whose_guard_holds(monkeypatch, access):
+    """`Fts.project` and `FeaturedComponent.project` keep the transitions
+    whose guard the product satisfies, in transition order, reading each
+    transition's guard once: on a caller's `Fts`, a built full team, a
+    reachable team and every component."""
+    assert "project" in vars(Fts)
     fsys, fspec = acc4()
     full = build_featured_team(fsys, fspec)
-    distinct = len({id(guard) for guard in full.guards.values()})
+    caller = Fts(
+        full.states, full.initial, full.actions, full.transitions, full.space,
+        full.feature_model, full.guards,
+    )
+    automata = [full, caller, reachable_featured_team(fsys, fspec)]
+    automata += access[0].components.values()
     calls = []
     original = feta.automata.holds
 
     def counting(guard, product):
-        calls.append(id(guard))
+        calls.append(guard)
         return original(guard, product)
 
     monkeypatch.setattr(feta.automata, "holds", counting)
-    for product in valid_products(fsys.feature_model, fsys.space):
-        calls.clear()
-        projected = full.project(product)
-        assert 0 < len(calls) == len(set(calls)) <= distinct
-        expected = tuple(t for t in full.transitions if evaluate(full.guards[t], product))
-        assert projected.transitions == expected
+    for automaton in automata:
+        for product in valid_products(automaton.feature_model, automaton.space):
+            calls.clear()
+            projected = automaton.project(product)
+            assert len(calls) == len(automaton.transitions)
+            expected = tuple(
+                t for t in automaton.transitions if evaluate(automaton.guards[t], product)
+            )
+            assert projected.transitions == expected
+            assert (projected.states, projected.initial, projected.actions) == (
+                automaton.states, automaton.initial, automaton.actions,
+            )
+            kind = Component if isinstance(automaton, FeaturedComponent) else Lts
+            assert type(projected) is kind
 
 
 def test_caller_guards_that_are_equal_but_distinct_project_per_transition(access, team):
-    """Guards are told apart by identity, so equal copies are each evaluated."""
+    """Equal but distinct copies of the built guards project as the built
+    team's shared guard objects do."""
     fsys, _ = access
     guards = {t: And(team.guards[t].operands) for t in team.transitions}
     assert len({id(g) for g in guards.values()}) == len(team.transitions)
@@ -385,8 +404,9 @@ def test_featured_teams_check_the_participants_of_labels_they_skip(build):
 
 
 def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
-    """Projection keeps or drops a guard class wholesale; the comparison
-    still names the single transition of a class that the product's team lacks.
+    """Projection keeps or drops the transitions of a shared guard
+    together; the comparison still names the single transition of a label
+    class that the product's team lacks.
     """
     space = FeatureSpace.of("x")
     shared = Var("x")
@@ -395,7 +415,6 @@ def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
         ("0", "1"), {"0"}, {"a"}, [lost, kept], space, TRUE,
         {kept: shared, lost: shared},
     )
-    assert [transitions for _, transitions in caller._guard_classes] == [[kept, lost]]
     product = Product.of(space, "x")
     assert caller.project(product).transitions == (kept, lost)
     assert caller.project(Product.of(space)).transitions == ()
@@ -436,7 +455,7 @@ def test_label_classes_are_the_full_team_class_by_class(access, team):
             assert team.guards[t].operands[1] is cls.guard.operands[1]
         expanded.extend(members)
     assert sorted(expanded, key=feta.automata.transition_key) == list(team.transitions)
-    assert len(featured.classes) == len(team._guard_classes)
+    assert len(featured.classes) == len({id(team.guards[t]) for t in team.transitions})
 
 
 def test_label_classes_check_the_budget_as_the_full_team_does():
