@@ -11,6 +11,8 @@ failures go through `_fail`.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import sys
 import warnings as _warnings
 from types import SimpleNamespace
@@ -64,6 +66,9 @@ from .team import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+# `gc.freeze` once `main` has registered it to run at exit.
+_exit_freeze = None
 
 
 class CliError(Exception):
@@ -159,6 +164,11 @@ def _read(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    global _exit_freeze
+    if _exit_freeze is None:
+        # The collections of interpreter shutdown skip a frozen heap, and
+        # the process is about to end.
+        _exit_freeze = atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is None:

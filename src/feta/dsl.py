@@ -641,13 +641,7 @@ def elaborate(document: SpecDocument) -> ElaborationResult:
     model = document.model if document.model is not None else TRUE
     if document.model is None:
         error((1, 1), "missing feature model", "missing-feature-model")
-    unknown = variables(model) - space.name_set
-    if unknown:
-        error(
-            (1, 1),
-            f"feature model references undeclared features {sorted(unknown)}",
-            "unknown-feature",
-        )
+    if not _names_declared_features(model, "feature model", (1, 1), space, error):
         model = TRUE
 
     components: dict[str, FeaturedComponent] = {}
@@ -698,6 +692,20 @@ def elaborate(document: SpecDocument) -> ElaborationResult:
     return ElaborationResult(fsys, fspec, tuple(diags))
 
 
+def _names_declared_features(expr, what, loc, space, error) -> bool:
+    """Is the feature model or guard a feature expression over declared
+    features? Reports it if not; a document built by hand may hold anything.
+    """
+    try:
+        unknown = variables(expr) - space.name_set
+    except SpecificationError as exc:
+        error(loc, f"{what}: {exc}", "invalid-expression")
+        return False
+    if unknown:
+        error(loc, f"{what} references undeclared features {sorted(unknown)}", "unknown-feature")
+    return not unknown
+
+
 def _elaborate_component(decl, space, model, error) -> FeaturedComponent | None:
     ok = True
     actions = set(decl.inputs) | set(decl.outputs)
@@ -733,9 +741,7 @@ def _elaborate_component(decl, space, model, error) -> FeaturedComponent | None:
             )
             ok = False
         guard = t.guard if t.guard is not None else TRUE
-        bad = variables(guard) - space.name_set
-        if bad:
-            error(t.loc, f"guard references undeclared features {sorted(bad)}", "unknown-feature")
+        if not _names_declared_features(guard, "guard", t.loc, space, error):
             ok = False
         triple = (t.source, t.action, t.target)
         if triple in guards:
@@ -803,9 +809,7 @@ def _elaborate_sync(rules, fsys, space, model, error) -> FeaturedSyncSpec | None
                 ok = False
                 continue
         guard = rule.guard if rule.guard is not None else TRUE
-        bad = variables(guard) - space.name_set
-        if bad:
-            error(rule.loc, f"guard references undeclared features {sorted(bad)}", "unknown-feature")
+        if not _names_declared_features(guard, "guard", rule.loc, space, error):
             ok = False
             continue
         try:

@@ -888,6 +888,22 @@ def _candidates_without_last(monkeypatch):
     monkeypatch.setattr(family, "_candidates", lambda feta, freq: original(feta, freq)[:-1])
 
 
+def _compliance_without_last_candidate(monkeypatch):
+    """`check_family_compliance` reads every candidate but decides on all but
+    the last, which it still reports as a witness."""
+    from feta import family
+
+    def check(feta, freq):
+        candidates = family._candidates(feta, freq)
+        uncovered = freq.mask & ~family.mask_union(feta.guard_masks[t] for t in candidates[:-1])
+        if not uncovered:
+            return family.FamilyVerdict(freq, family.FEATURED_COMPLIANT, tuple(candidates), None)
+        culprit = family.first_product_in(uncovered, feta.feature_model, feta.space)
+        return family.FamilyVerdict(freq, family.VIOLATED, (), culprit)
+
+    monkeypatch.setattr(family, "check_family_compliance", check)
+
+
 def _no_groups_of_one(monkeypatch):
     from feta import family
 
@@ -1004,6 +1020,7 @@ def _label_classes_without(end):
 FAMILY_FAULTS = {
     "condition drops its reach factor": _condition_without_reach,
     "_candidates drops its last candidate": _candidates_without_last,
+    "check_family_compliance ignores its last candidate": _compliance_without_last_candidate,
     "derive_family_requirements skips groups of one": _no_groups_of_one,
     "reach_masks ignores the guard masks": _reach_without_guards,
     "first_product_in returns the last product": _last_product_in,

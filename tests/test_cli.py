@@ -1,6 +1,8 @@
 """End-to-end command line behaviour, exit codes and report formats."""
 
 import ast
+import atexit
+import gc
 import importlib
 import inspect
 import json
@@ -22,7 +24,7 @@ import feta.system
 import feta.team
 import instancegen
 import models
-from feta import Budget, cli, elaborate_text, features
+from feta import Budget, TotalityError, cli, elaborate_text, features
 from feta.automata import Lts
 
 ACCESS = models.example_path()
@@ -1137,6 +1139,64 @@ print(codes, loaded, "argparse" in sys.modules)
     assert child.stdout == "[]\n[0, 0, 0, 0] [] True\n"
 
 
+def test_main_freezes_the_heap_only_at_exit(capsys, monkeypatch):
+    """`main` registers `gc.freeze` as one exit hook, however often it runs,
+    and freezes nothing itself, so in-process callers keep collecting."""
+    monkeypatch.setattr(cli, "_exit_freeze", None)
+    hooks, frozen = atexit._ncallbacks(), gc.get_freeze_count()
+    for argv in (["products"], ["check", "--weak"], ["feta", "--format", "json"]):
+        cli.main([*argv, ACCESS])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+    assert atexit._ncallbacks() == hooks + 1
+    assert cli._exit_freeze is gc.freeze
+
+
+# Runs `feta.cli` as `python -I -m feta.cli` would, with the package's root
+# (the first argument) put on the path; an exit hook registered before
+# `main` runs after its freeze, and appends the frozen count to stderr.
+_FRESH_CLI = """
+import atexit, gc, runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("feta.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "-o FILE"])
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "--weak", "--format", "json"], 0),
+    (["check", "--strict"], 1),
+    (["check", "--max-states", "3", "--format", "json"], 2),
+], ids=["weak json", "strict", "json error"])
+def test_a_fresh_process_reports_what_main_reports_in_process(
+    capsys, tmp_path, argv, expected, to_file
+):
+    """The heap frozen at exit loses no output: a fresh process prints, or
+    writes with `-o`, the bytes the in-process call does, with its exit code."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    ran = {}
+    for where in ("in-process", "fresh"):
+        target = tmp_path / f"{where}.out"
+        full = [*argv, *(["-o", str(target)] if to_file else []), ACCESS]
+        if where == "fresh":
+            child = subprocess.run(
+                [sys.executable, "-I", "-c", _FRESH_CLI, package_root, *full],
+                capture_output=True,
+            )
+            err, frozen = re.fullmatch(r"(.*)frozen (\d+)\n", child.stderr.decode(), re.S).groups()
+            assert int(frozen) > 0
+            code, out = child.returncode, child.stdout
+        else:
+            code, out, err = run(capsys, *full)
+            out = out.encode()
+        written = target.read_bytes() if to_file else None
+        ran[where] = (code, out, err, written)
+    assert ran["fresh"] == ran["in-process"]
+    assert ran["fresh"][0] == expected
+    assert (ran["fresh"][1] == b"") == to_file
+
+
 def test_every_benchmark_trace_target_exists():
     """`perfbench/tracer.py` wraps these names in place; one that is gone
     would stop every `perfbench/run.py --trace 1` child with an
@@ -1206,6 +1266,22 @@ def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch, schema, ar
     code, payload = run_json(capsys, schema, *argv, "--format", "json", ACCESS)
     assert code == 2
     assert payload["error"] == {"message": OUT_OF_MEMORY, "diagnostics": []}
+
+
+def test_a_package_error_no_handler_catches_is_an_input_error(capsys, monkeypatch, schema):
+    """A `FetaError` that is neither a `CliError` nor a resource limit, here
+    a bare `TotalityError` from a builder: exit 2 with one `error:` line,
+    nothing on stdout in text mode, the error envelope in JSON mode."""
+    message = "no synchronisation type for action 'lock'"
+
+    def uncovered(*args, **kwargs):
+        raise TotalityError(message)
+
+    monkeypatch.setattr(cli, "build_featured_team", uncovered)
+    assert run(capsys, "feta", ACCESS) == (2, "", f"error: {message}\n")
+    code, payload = run_json(capsys, schema, "feta", "--format", "json", ACCESS)
+    assert code == 2
+    assert payload["error"] == {"message": message, "diagnostics": []}
 
 
 def test_only_main_catches_memory_errors():

@@ -26,8 +26,8 @@ from feta import (
 )
 from feta import dsl
 from feta.dsl import (
-    _MULTI_SYMBOLS, _SINGLE_SYMBOLS, ComponentDecl, SystemDecl, Token, _lex, _SyntaxError,
-    elaborate, has_errors,
+    _MULTI_SYMBOLS, _SINGLE_SYMBOLS, ComponentDecl, SyncRuleDecl, SystemDecl, Token,
+    TransitionDecl, _lex, _SyntaxError, elaborate, has_errors,
 )
 
 EXAMPLES = (
@@ -366,6 +366,15 @@ DIAGNOSTIC_DOCUMENTS = [
      "invalid-component", "actions ['go'] declared both input and output"),
     ("no instance", {"system": SystemDecl("S", ())}, "invalid-system",
      "a system needs at least one component"),
+    ("model not an expression", {"model": "f"}, "invalid-expression",
+     "feature model: not a feature expression: 'f'"),
+    ("guard not an expression",
+     {"components": (
+         ComponentDecl("C", (), ("go",), None, ("0",), (TransitionDecl("0", "0", "go", "!", "f"),)),
+     )},
+     "invalid-expression", "guard: not a feature expression: 'f'"),
+    ("sync guard not an expression", {"sync": (SyncRuleDecl(None, 1, 1, 0, None, "f"),)},
+     "invalid-expression", "guard: not a feature expression: 'f'"),
 ]
 
 
