@@ -87,7 +87,6 @@ from .team import (
     CommutationResult,
     FeaturedClasses,
     LabelClass,
-    OpenSystemWarning,
     build_featured_classes,
     build_featured_team,
     build_team,

@@ -17,9 +17,9 @@ from collections import deque
 from collections.abc import Mapping
 from functools import cache, cached_property
 
-from .errors import InvalidProductError, SpecificationError
+from .errors import SpecificationError
 from .features import (
-    FeatureExpr, FeatureSpace, Product, evaluate, expr_mask, holds, model_mask, variables,
+    FeatureExpr, FeatureSpace, Product, check_product, expr_mask, holds, model_mask, variables,
 )
 
 
@@ -251,14 +251,6 @@ class Fts(Lts):
         kept, in order.
         """
         return Lts._built(*self._projected_parts(product))
-
-
-def check_product(product: Product, space: FeatureSpace, feature_model: FeatureExpr) -> None:
-    """Refuse a product over another space or outside the feature model."""
-    if product.space != space:
-        raise InvalidProductError(f"product {product} is over a different feature space")
-    if not evaluate(feature_model, product):
-        raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
 
 def reach_masks(initial, seed: int, steps, reached=lambda count: None) -> dict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import atexit
 import gc
 import sys
-import warnings as _warnings
 from types import SimpleNamespace
 
 from . import __version__
@@ -27,7 +26,7 @@ from .family import (
     crosscheck_requirement_projection,
     derive_family_requirements,
 )
-from .features import Product, evaluate, format_expr, valid_products
+from .features import Product, check_product, format_expr, valid_products
 from .automata import Lts
 from .receptiveness import (
     STRICT,
@@ -54,7 +53,6 @@ from .reporting import (
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
 from .team import (
-    OpenSystemWarning,
     build_featured_classes,
     build_featured_team,
     check_projection_commutes,
@@ -188,7 +186,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(args, str(exc), ())
     except MemoryError:
-        return _fail(args, "out of memory (lower --max-states to build fewer states)", ())
+        pass
+    # Reported out of the handler, whose traceback holds the partial build.
+    return _fail(args, "out of memory (lower --max-states to build fewer states)", ())
 
 
 def _fail(args, message: str, details: tuple[str, ...]) -> int:
@@ -278,26 +278,13 @@ def _load(args) -> tuple[FeaturedSystem, FeaturedSyncSpec, Budget, list[str]]:
     return result.system, result.sync, budget, notes
 
 
-def _build_teams(args, fsys, fspec, budget, warns: list[str], *builders) -> list:
-    """One team per builder; each distinct warning of the builds is reported once."""
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", OpenSystemWarning)
-        teams = [build(fsys, fspec, budget) for build in builders]
-    for message in dict.fromkeys(str(item.message) for item in caught):
-        line = f"{args.input}: warning: {message}"
-        warns.append(line)
-        print(line, file=sys.stderr)
-    return teams
-
-
 def _parse_product(text: str, fsys: FeaturedSystem) -> Product:
     names = [part.strip() for part in text.split(",") if part.strip()]
     unknown = sorted(set(names) - fsys.space.name_set)
     if unknown:
         raise CliError(f"unknown features in product: {', '.join(unknown)}")
     product = Product.of(fsys.space, *names)
-    if not evaluate(fsys.feature_model, product):
-        raise CliError(f"product {product} does not satisfy the feature model")
+    check_product(product, fsys.space, fsys.feature_model)
     return product
 
 
@@ -362,7 +349,7 @@ def cmd_compose(args) -> int:
 
 def cmd_feta(args) -> int:
     fsys, fspec, budget, warns = _load(args)
-    (feta,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_team)
+    feta = build_featured_team(fsys, fspec, budget)
     pruned = prune_for_display(feta)
 
     def dot():
@@ -378,7 +365,7 @@ def cmd_feta(args) -> int:
 def cmd_project(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
-    (classes,) = _build_teams(args, fsys, fspec, budget, warns, build_featured_classes)
+    classes = build_featured_classes(fsys, fspec, budget)
     kept = classes.kept(product)
     projection = classes.project(kept)
     own = product_team(fsys, fspec, product, budget)[0]
@@ -411,7 +398,7 @@ def cmd_project(args) -> int:
 def cmd_reqs(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     if args.product is None:
-        (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+        feta = reachable_featured_team(fsys, fspec, budget)
         reqs = derive_family_requirements(feta, fsys, fspec, budget)
         title, where, as_json = "featured requirements", {}, family_requirement_json
 
@@ -444,7 +431,7 @@ def cmd_reqs(args) -> int:
 def cmd_check(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     if args.product is None:
-        (feta,) = _build_teams(args, fsys, fspec, budget, warns, reachable_featured_team)
+        feta = reachable_featured_team(fsys, fspec, budget)
         report = check_family_receptiveness(feta, fsys, fspec, args.mode, budget)
         head, where, as_json = [], {}, family_report_json
 
@@ -493,9 +480,8 @@ def cmd_verify(args) -> int:
     # family is decided, as by `check` and `reqs`, on its reachable part.
     # Each valid product's own team is built once, under the same budget,
     # and feeds every per-product half; only the outcomes outlive the loop.
-    full, feta = _build_teams(
-        args, fsys, fspec, budget, warns, build_featured_classes, reachable_featured_team
-    )
+    full = build_featured_classes(fsys, fspec, budget)
+    feta = reachable_featured_team(fsys, fspec, budget)
     # Weak mode keeps every strictly compliant entry and re-decides only the
     # violated ones, so read in strict mode the same entries give its verdict.
     weak = check_family_receptiveness(feta, fsys, fspec, WEAK, budget)

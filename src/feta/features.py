@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .errors import Budget, SpecificationError
+from .errors import Budget, InvalidProductError, SpecificationError
 from .values import Value, init_field, kept
 
 
@@ -91,6 +91,16 @@ class Product(Value):
 
     def __str__(self) -> str:
         return "{" + ",".join(self.names()) + "}"
+
+
+def check_product(
+    product: Product, space: FeatureSpace, feature_model: FeatureExpr | None = None
+) -> None:
+    """Refuse a product over another space or, given a feature model, outside it."""
+    if product.space != space:
+        raise InvalidProductError(f"product {product} is over a different feature space")
+    if feature_model is not None and not evaluate(feature_model, product):
+        raise InvalidProductError(f"product {product} does not satisfy the feature model")
 
 
 class FeatureExpr(Value):

@@ -14,11 +14,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .errors import InvalidProductError, SpecificationError, TotalityError
+from .errors import SpecificationError, TotalityError
 from .features import (
     FeatureExpr,
     FeatureSpace,
     Product,
+    check_product,
     evaluate,
     expr_mask,
     format_expr,
@@ -138,6 +139,7 @@ class FeaturedSyncSpec:
 
     def lookup(self, product: Product, action: str) -> SyncType:
         """First-match rule lookup for one product and action (the per-product route)."""
+        check_product(product, self.space)
         if action not in self.alphabet:
             raise SpecificationError(f"unknown action {action!r}")
         for rule in self.rules:
@@ -149,8 +151,7 @@ class FeaturedSyncSpec:
 
     def project(self, product: Product) -> SyncTypeSpec:
         """The per-action type map seen by one valid product."""
-        if not evaluate(self.feature_model, product):
-            raise InvalidProductError(f"product {product} does not satisfy the feature model")
+        check_product(product, self.space, self.feature_model)
         return SyncTypeSpec({a: self.lookup(product, a) for a in sorted(self.alphabet)})
 
     def table(self, action: str) -> ActionTable:

@@ -44,18 +44,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from collections import namedtuple
 
-from .automata import Fts, Lts, check_product, reach_masks, state_key, transition_key
+from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import And, FeatureExpr, Product, conj, holds, model_mask
+from .features import And, FeatureExpr, Product, check_product, conj, holds, model_mask
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemLabel, SystemTransition, _picker
-
-
-class OpenSystemWarning(UserWarning):
-    """A team is being built over a system with unmatched inputs or outputs."""
 
 
 def participants_guard(fsys: FeaturedSystem, transition: SystemTransition) -> FeatureExpr:
@@ -69,20 +64,8 @@ def participants_guard(fsys: FeaturedSystem, transition: SystemTransition) -> Fe
     )
 
 
-def _warn_if_open(sys, stacklevel: int = 3) -> None:
-    report = sys.validate_closed()
-    if not report.ok:
-        gaps = []
-        if report.missing_senders:
-            gaps.append(f"no sender for {', '.join(report.missing_senders)}")
-        if report.missing_receivers:
-            gaps.append(f"no receiver for {', '.join(report.missing_receivers)}")
-        message = f"system is not closed: {'; '.join(gaps)}"
-        warnings.warn(message, OpenSystemWarning, stacklevel=stacklevel)
-
-
-def _check_featured_inputs(fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
-    """Refuse a specification that is not total; warn about an open system."""
+def _check_total(fspec: FeaturedSyncSpec) -> None:
+    """Refuse a specification that is not total."""
     missing = fspec.validate_total()
     if missing:
         product, action = missing[0]
@@ -90,7 +73,6 @@ def _check_featured_inputs(fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> Non
             f"specification misses {len(missing)} (product, action) pairs,"
             f" first {product} / {action!r}"
         )
-    _warn_if_open(fsys, stacklevel=4)
 
 
 class _TeamGuards:
@@ -175,7 +157,7 @@ def build_featured_team(
     and the battery checks the label classes against it. The
     specification must be total over the valid products.
     """
-    _check_featured_inputs(fsys, fspec)
+    _check_total(fspec)
     # `state_space` emits the states and transitions in `Fts` order.
     states, transitions = fsys.state_space(budget)
     parts = _TeamGuards(fsys, fspec)
@@ -204,7 +186,7 @@ def reachable_featured_team(
     masks (`Fts._leaving`). The fixpoint is the team's `reachable_masks`: a
     dropped transition passes on no product that reaches its source.
     """
-    _check_featured_inputs(fsys, fspec)
+    _check_total(fspec)
     parts = _TeamGuards(fsys, fspec)
     initial = fsys.initial_states()
     leaving = functools.cache(lambda src: parts.live(src, budget))
@@ -237,7 +219,6 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
     label, before a label's classes are expanded. States and transitions
     come in `Lts` order.
     """
-    _warn_if_open(sys)
     states = sys._full_states(budget)
     fits = functools.cache(
         lambda label: spec.for_action(label.action).admits(len(label.senders), len(label.receivers))
@@ -253,15 +234,10 @@ def product_team(
     product: Product,
     budget: Budget = Budget(),
 ) -> tuple[Lts, SyncTypeSpec, System]:
-    """The product's own team, specification and system: the per-product route.
-
-    A projected system may be open where the family is closed; that warning is silenced.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OpenSystemWarning)
-        sys_p = fsys.project(product)
-        spec_p = fspec.project(product)
-        return build_team(sys_p, spec_p, budget), spec_p, sys_p
+    """The product's own team, specification and system: the per-product route."""
+    sys_p = fsys.project(product)
+    spec_p = fspec.project(product)
+    return build_team(sys_p, spec_p, budget), spec_p, sys_p
 
 
 def prune_for_display(feta: Fts) -> Fts:
@@ -356,7 +332,7 @@ def build_featured_classes(
     object the full team's transitions of the class read, and every guard
     is made here, so comparing projections reads no mask.
     """
-    _check_featured_inputs(fsys, fspec)
+    _check_total(fspec)
     states = fsys._full_states(budget)
     parts = _TeamGuards(fsys, fspec)
     local_states = tuple(fsys.components[name].states for name in fsys.names)

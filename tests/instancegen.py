@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-import warnings
 
 from feta import (
     TRUE,
@@ -736,7 +735,6 @@ def run_battery(
     """Every cross-check over `count` instances from `first_seed` on; with
     `until_tripped`, none after the first instance on which a check fails."""
     from feta import (
-        OpenSystemWarning,
         build_featured_classes,
         build_featured_team,
         check_compliance,
@@ -756,120 +754,118 @@ def run_battery(
     from feta.receptiveness import COMPLIANT, VIOLATED
 
     results = BatteryResults()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OpenSystemWarning)
-        for seed, (fsys, fspec) in instances(count, first_seed):
-            if until_tripped and results.tripped():
-                break
-            results.instances += 1
-            compared, wrong = successor_disagreements(fsys)
+    for seed, (fsys, fspec) in instances(count, first_seed):
+        if until_tripped and results.tripped():
+            break
+        results.instances += 1
+        compared, wrong = successor_disagreements(fsys)
+        results.successor_checks += compared
+        if wrong:
+            results.successor_failures.append((seed, wrong))
+        team = build_featured_team(fsys, fspec)
+        featured = build_featured_classes(fsys, fspec)
+        products = valid_products(fsys.feature_model, fsys.space)
+        family = {
+            mode: check_family_receptiveness(team, fsys, fspec, mode)
+            for mode in ("strict", "weak")
+        }
+        freqs = tuple(v.requirement for v in family["strict"].entries)
+        product_reports = {mode: [] for mode in family}
+        # Each product's own team is built once and feeds every
+        # per-product check.
+        own_teams, violated = {}, {}
+        for product in products:
+            own, spec_p, sys_p = product_team(fsys, fspec, product)
+            own_teams[product] = own
+            compared, wrong = successor_disagreements(sys_p)
             results.successor_checks += compared
             if wrong:
-                results.successor_failures.append((seed, wrong))
-            team = build_featured_team(fsys, fspec)
-            featured = build_featured_classes(fsys, fspec)
-            products = valid_products(fsys.feature_model, fsys.space)
-            family = {
-                mode: check_family_receptiveness(team, fsys, fspec, mode)
-                for mode in ("strict", "weak")
-            }
-            freqs = tuple(v.requirement for v in family["strict"].entries)
-            product_reports = {mode: [] for mode in family}
-            # Each product's own team is built once and feeds every
-            # per-product check.
-            own_teams, violated = {}, {}
-            for product in products:
-                own, spec_p, sys_p = product_team(fsys, fspec, product)
-                own_teams[product] = own
-                compared, wrong = successor_disagreements(sys_p)
-                results.successor_checks += compared
-                if wrong:
-                    results.successor_failures.append((seed, product, wrong))
-                compared, wrong = plain_team_disagreements(own, sys_p, spec_p)
-                results.plain_team_checks += compared
-                if wrong:
-                    results.plain_team_failures.append((seed, product, wrong))
-                if not check_projection_commutes(featured, product, featured.kept(product), own).ok:
-                    results.projection_failures.append((seed, product))
-                # The entries do not depend on the mode, only `holds` does.
-                verdicts = check_receptiveness(own, spec_p, sys_p)
-                own_reqs = [entry.requirement for entry in verdicts.entries]
-                if not crosscheck_requirement_projection(freqs, product, own_reqs).ok:
-                    results.requirement_projection_failures.append((seed, product))
-                for mode, reports in product_reports.items():
-                    reports.append((product, verdicts._replace(mode=mode)))
-                violated[product] = set()
-                for req in own_reqs:
-                    strict = check_compliance(own, req).status
-                    weak = check_weak_compliance(own, req).status
-                    if strict == COMPLIANT and weak == VIOLATED:
-                        results.monotonicity_failures.append((seed, req))
-                    if strict == VIOLATED:
-                        violated[product].add(req)
-            results.requirements += len(freqs)
-            projections = {p: team.project(p) for p in products}
-            compared, wrong, planted = label_class_disagreements(
-                fsys, fspec, team, own_teams, projections
-            )
-            results.label_class_checks += compared
-            for kind, count in planted.items():
-                results.planted_faults[kind] = results.planted_faults.get(kind, 0) + count
+                results.successor_failures.append((seed, product, wrong))
+            compared, wrong = plain_team_disagreements(own, sys_p, spec_p)
+            results.plain_team_checks += compared
             if wrong:
-                results.label_class_failures.append((seed, wrong))
-            compared, wrong, planted = class_projection_disagreements(featured, projections)
-            results.class_projection_checks += compared
-            faults = results.planted_faults
-            faults["kept drops last class"] = faults.get("kept drops last class", 0) + planted
+                results.plain_team_failures.append((seed, product, wrong))
+            if not check_projection_commutes(featured, product, featured.kept(product), own).ok:
+                results.projection_failures.append((seed, product))
+            # The entries do not depend on the mode, only `holds` does.
+            verdicts = check_receptiveness(own, spec_p, sys_p)
+            own_reqs = [entry.requirement for entry in verdicts.entries]
+            if not crosscheck_requirement_projection(freqs, product, own_reqs).ok:
+                results.requirement_projection_failures.append((seed, product))
+            for mode, reports in product_reports.items():
+                reports.append((product, verdicts._replace(mode=mode)))
+            violated[product] = set()
+            for req in own_reqs:
+                strict = check_compliance(own, req).status
+                weak = check_weak_compliance(own, req).status
+                if strict == COMPLIANT and weak == VIOLATED:
+                    results.monotonicity_failures.append((seed, req))
+                if strict == VIOLATED:
+                    violated[product].add(req)
+        results.requirements += len(freqs)
+        projections = {p: team.project(p) for p in products}
+        compared, wrong, planted = label_class_disagreements(
+            fsys, fspec, team, own_teams, projections
+        )
+        results.label_class_checks += compared
+        for kind, count in planted.items():
+            results.planted_faults[kind] = results.planted_faults.get(kind, 0) + count
+        if wrong:
+            results.label_class_failures.append((seed, wrong))
+        compared, wrong, planted = class_projection_disagreements(featured, projections)
+        results.class_projection_checks += compared
+        faults = results.planted_faults
+        faults["kept drops last class"] = faults.get("kept drops last class", 0) + planted
+        if wrong:
+            results.class_projection_failures.append((seed, wrong))
+        for verdict in crosscheck_compliance_unfolding(team, family["strict"].entries):
+            results.unfolding_failures.append((seed, verdict.requirement))
+        for freq in freqs:
+            compared, wrong = weak_disagreements(team, freq, projections, products)
+            results.weak_checks += compared
             if wrong:
-                results.class_projection_failures.append((seed, wrong))
-            for verdict in crosscheck_compliance_unfolding(team, family["strict"].entries):
-                results.unfolding_failures.append((seed, verdict.requirement))
-            for freq in freqs:
-                compared, wrong = weak_disagreements(team, freq, projections, products)
-                results.weak_checks += compared
-                if wrong:
-                    results.witness_failures.append((seed, freq, wrong))
-            if not crosscheck_family_vs_products(family["strict"], product_reports["strict"]).ok:
-                results.family_strict_failures.append((seed,))
-            choices, wrong = culprit_disagreements(family["strict"], products, violated)
-            results.culprit_choices += choices
+                results.witness_failures.append((seed, freq, wrong))
+        if not crosscheck_family_vs_products(family["strict"], product_reports["strict"]).ok:
+            results.family_strict_failures.append((seed,))
+        choices, wrong = culprit_disagreements(family["strict"], products, violated)
+        results.culprit_choices += choices
+        if wrong:
+            results.culprit_failures.append((seed, wrong))
+        if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
+            results.family_weak_failures.append((seed,))
+        reachable = reachable_featured_team(fsys, fspec)
+        compared, wrong = reachable_team_disagreements(team, reachable, fsys, fspec)
+        results.reachable_team_checks += compared
+        if wrong:
+            results.reachable_team_failures.append((seed, wrong))
+        for built in (team, reachable, prune_for_display(team)):
+            compared, wrong = built_team_disagreements(built, fsys, fspec)
+            results.built_team_checks += compared
             if wrong:
-                results.culprit_failures.append((seed, wrong))
-            if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
-                results.family_weak_failures.append((seed,))
-            reachable = reachable_featured_team(fsys, fspec)
-            compared, wrong = reachable_team_disagreements(team, reachable, fsys, fspec)
-            results.reachable_team_checks += compared
+                results.built_team_failures.append((seed, wrong))
+        compared, wrong = display_disagreements(team)
+        results.display_checks += compared
+        if wrong:
+            results.display_failures.append((seed, wrong))
+        compared, wrong = guard_class_disagreements(fsys, fspec)
+        results.guard_class_checks += compared
+        if wrong:
+            results.guard_class_failures.append((seed, wrong))
+        for t in team.transitions:
+            if not entails(team.guards[t], team.feature_model, team.space):
+                results.guard_model_failures.append((seed, t))
+        stored = [(team.guard_masks[t], team.guards[t]) for t in team.transitions]
+        stored += [(f.mask, f.condition) for f in freqs]
+        for mask, expr in stored:
+            compared, wrong = mask_disagreements(mask, expr, team.space)
+            results.queries += compared
             if wrong:
-                results.reachable_team_failures.append((seed, wrong))
-            for built in (team, reachable, prune_for_display(team)):
-                compared, wrong = built_team_disagreements(built, fsys, fspec)
-                results.built_team_checks += compared
-                if wrong:
-                    results.built_team_failures.append((seed, wrong))
-            compared, wrong = display_disagreements(team)
-            results.display_checks += compared
-            if wrong:
-                results.display_failures.append((seed, wrong))
-            compared, wrong = guard_class_disagreements(fsys, fspec)
-            results.guard_class_checks += compared
-            if wrong:
-                results.guard_class_failures.append((seed, wrong))
-            for t in team.transitions:
-                if not entails(team.guards[t], team.feature_model, team.space):
-                    results.guard_model_failures.append((seed, t))
-            stored = [(team.guard_masks[t], team.guards[t]) for t in team.transitions]
-            stored += [(f.mask, f.condition) for f in freqs]
-            for mask, expr in stored:
-                compared, wrong = mask_disagreements(mask, expr, team.space)
-                results.queries += compared
-                if wrong:
-                    results.mask_failures.append((seed, expr, wrong))
-            for state in team.states:
-                symbolic = set(reachable_products(team, state))
-                direct = {p for p in products if state in projections[p].reachable()}
-                if symbolic != direct:
-                    results.reachability_failures.append((seed, state))
+                results.mask_failures.append((seed, expr, wrong))
+        for state in team.states:
+            symbolic = set(reachable_products(team, state))
+            direct = {p for p in products if state in projections[p].reachable()}
+            if symbolic != direct:
+                results.reachability_failures.append((seed, state))
     return results
 
 

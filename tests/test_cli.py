@@ -401,16 +401,25 @@ def test_unreadable_interval_bounds_are_syntax_errors(capsys, tmp_path, bound, s
     assert f"variant.feta:27:14: error: expected an interval maximum, found {shown} [syntax]" in err
 
 
-def test_verify_reports_an_open_system_once(capsys, schema, tmp_path):
-    """`verify` builds the full and the reachable team; the warning is one line."""
+SPEC_COMMANDS = [
+    ("products",), ("compose",), ("feta",), ("project", "-p", "coin"), ("reqs",),
+    ("reqs", "-p", "coin"), ("check",), ("check", "-p", "coin"), ("verify",),
+]
+
+
+@pytest.mark.parametrize("argv", SPEC_COMMANDS, ids=" ".join)
+def test_every_command_reports_an_open_system_once(capsys, schema, tmp_path, argv):
+    """Elaboration's `open-system` diagnostic is the one report of an open
+    system: the only line on stderr, and the only JSON warning."""
     spec = turnstile_with(tmp_path, "output coin, push;", "output coin, push, wave;")
-    warning = f"{spec}: warning: system is not closed: no receiver for wave"
-    code, _, err = run(capsys, "verify", spec)
-    assert code == 0
-    assert err.splitlines().count(warning) == 1
-    code, payload = run_json(capsys, schema, "verify", "--format", "json", spec)
-    assert code == 0
-    assert payload["warnings"].count(warning) == 1
+    warning = f"{spec}:1:1: warning: no component inputs wave [open-system]"
+    code, _, err = run(capsys, *argv, spec)
+    assert (code, err) == (0, warning + "\n")
+    code, out, err = run(capsys, *argv, "--format", "json", spec)
+    assert (code, err) == (0, warning + "\n")
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    assert payload["warnings"] == [warning]
 
 
 def test_too_many_features_is_a_resource_error(capsys, tmp_path):
@@ -1284,6 +1293,62 @@ def test_a_package_error_no_handler_catches_is_an_input_error(capsys, monkeypatc
     assert payload["error"] == {"message": message, "diagnostics": []}
 
 
+# Runs `feta.cli` as `python -I -m feta.cli` would, with the package's root
+# (the first argument) put on the path; given no command line, it prints its
+# `VmPeak` in kB once `feta.cli` is imported.
+_MEASURED_CLI = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+import feta.cli
+if len(sys.argv) > 1:
+    sys.exit(feta.cli.main(sys.argv[1:]))
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmPeak:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak")
+def test_a_process_that_runs_out_of_memory_exits_with_an_input_error(tmp_path, schema):
+    """A child whose address space ends 16 MB above what `import feta.cli`
+    took runs `feta` on the access example with seven users (about 54 MB):
+    exit 2 and one `error:` line, in text mode nothing on stdout, in JSON
+    mode the error envelope, which must still fit once the build is freed.
+    The limit is set in the child only."""
+    resource = pytest.importorskip("resource")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    users = ", ".join(f"u{i}: User" for i in range(1, 8))
+    spec = tmp_path / "acc7.feta"
+    spec.write_text(
+        Path(ACCESS).read_text(encoding="utf-8").replace(
+            "system Access = { u1: User, u2: User, s: Server };",
+            f"system Access = {{ {users}, s: Server }};",
+        ),
+        encoding="utf-8",
+    )
+    measured = subprocess.run(
+        [sys.executable, "-I", "-c", _MEASURED_CLI, package_root],
+        capture_output=True, text=True, check=True,
+    )
+    limit = (int(measured.stdout) + 16 * 1024) * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for fmt in ("text", "json"):
+        child = subprocess.run(
+            [sys.executable, "-I", "-c", _MEASURED_CLI, package_root,
+             "feta", "--format", fmt, str(spec)],
+            capture_output=True, text=True, preexec_fn=cap,
+        )
+        assert (child.returncode, child.stderr) == (2, f"error: {OUT_OF_MEMORY}\n")
+        if fmt == "text":
+            assert child.stdout == ""
+        else:
+            payload = json.loads(child.stdout)
+            jsonschema.validate(payload, schema)
+            assert payload["error"] == {"message": OUT_OF_MEMORY, "diagnostics": []}
+
+
 def test_only_main_catches_memory_errors():
     source = Path(cli.__file__).parent
     catching = [
@@ -1293,6 +1358,29 @@ def test_only_main_catches_memory_errors():
         if "MemoryError" in line
     ]
     assert catching == [("cli.py", "except MemoryError:")]
+
+
+def test_no_module_imports_warnings():
+    """What a user should hear about an input, such as an open system, is
+    an elaboration diagnostic; no module raises Python warnings."""
+    source = Path(cli.__file__).parent
+    importing = [
+        (path.name, node.lineno)
+        for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _absolute_imports(node)
+        if name.partition(".")[0] == "warnings"
+    ]
+    assert importing == []
+
+
+def _absolute_imports(node) -> list[str]:
+    """The modules an `import` or `from ... import` statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
 
 
 # --- report lines that only a disagreement or a gap prints ----------------------

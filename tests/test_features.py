@@ -15,6 +15,7 @@ from feta import (
     Budget,
     FeatureSpace,
     Iff,
+    InvalidProductError,
     Implies,
     Not,
     Or,
@@ -42,7 +43,7 @@ from feta import (
 )
 from feta import features
 from feta.dsl import parse_expr
-from feta.features import first_product_in, holds, model_mask, product_bits
+from feta.features import check_product, first_product_in, holds, model_mask, product_bits
 
 AB = FeatureSpace.of("a", "b")
 ABC = FeatureSpace.of("a", "b", "c")
@@ -74,6 +75,19 @@ def test_product_str_sorted():
     p = Product.of(AB, "b", "a")
     assert str(p) == "{a,b}"
     assert str(Product.of(AB)) == "{}"
+
+
+def test_check_product_refuses_another_space_and_given_a_model_what_it_excludes():
+    """Without a model only the space is checked; a space is its names in order."""
+    a = Product.of(AB, "a")
+    check_product(a, AB)
+    check_product(a, AB, Var("a"))
+    check_product(Product.of(AB, "b"), AB)
+    with pytest.raises(InvalidProductError, match=r"product \{b\} does not satisfy the feature model"):
+        check_product(Product.of(AB, "b"), AB, Var("a"))
+    for space in (FeatureSpace.of("b", "a"), ABC):
+        with pytest.raises(InvalidProductError, match="over a different feature space"):
+            check_product(Product.of(space, "a"), AB)
 
 
 def test_all_products_is_lexicographic():

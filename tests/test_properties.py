@@ -8,14 +8,16 @@ seed that broke the law, so the case can be replayed with
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instancegen
+import models
 from conftest import RANDOM_INSTANCES
-from feta import FeaturedSyncSpec, valid_products
+from feta import FeaturedSyncSpec, cli, valid_products
 
 
 def test_battery_covered_the_whole_population(battery):
@@ -102,6 +104,49 @@ def test_battery_catches_a_planted_family_fault(fault):
         # The teams read off the classes lack what the state-by-state walks
         # make: the reachable team's and the plain reference's.
         assert {"reachable_team_failures", "plain_team_failures"} <= set(results.tripped())
+
+
+INPUTS = Path(__file__).parent / "inputs"
+VERIFIED = {name: models.example_path(name) for name in models.EXAMPLES} | {
+    name: str(INPUTS / f"{name}.feta") for name in ("acc4", "free4", "product_family_v08")
+}
+_EVERY_BUT = set(VERIFIED) - {"broadcast_logger"}
+
+# The inputs on which `verify` fails under each planted fault; without one,
+# each passes (its `verify` golden). `verify` prints neither culprit
+# products nor the display team, so the two faults confined to them are
+# out of its scope.
+# Dropping the first label class is caught on broadcast_logger only: the
+# per-product side of the projection check reads the same classes, so the
+# fault cancels out wherever the first class holds (ROADMAP item 21).
+VERIFY_CATCHES = {
+    "condition drops its reach factor":
+        {"access_management", "relay", "turnstile", "acc4", "free4", "product_family_v08"},
+    "_candidates drops its last candidate": {"dual_sign", "sensor_fusion", "turnstile"},
+    "check_family_compliance ignores its last candidate": _EVERY_BUT,
+    "derive_family_requirements skips groups of one": _EVERY_BUT,
+    "reach_masks ignores the guard masks":
+        {"access_management", "relay", "turnstile", "acc4", "free4", "product_family_v08"},
+    "first_product_in returns the last product": set(),
+    "the display walk follows zero-mask transitions": set(),
+    "_TeamGuards.live drops the last participant's local mask":
+        {"access_management", "relay", "acc4", "free4", "product_family_v08"},
+    "products_for_group is off by one in the group size": _EVERY_BUT,
+    "_projected_parts keeps a transition whose guard fails": set(VERIFIED) - {"dual_sign"},
+    "_label_classes drops its first class": {"broadcast_logger"},
+    "_label_classes drops its last class": set(VERIFIED) - {"dual_sign", "product_family_v08"},
+}
+
+
+@pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
+def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
+    """In-process `verify` on the bundled examples and the committed
+    inputs: ten of the twelve faults fail it on at least one input."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        instancegen.FAMILY_FAULTS[fault](monkeypatch)
+        failing = {name for name, path in VERIFIED.items() if cli.main(["verify", path]) != 0}
+    capsys.readouterr()
+    assert failing == VERIFY_CATCHES[fault]
 
 
 def test_family_weak_verdict_matches_every_product(battery):

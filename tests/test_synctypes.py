@@ -12,6 +12,7 @@ from feta import (
     STAR,
     TRUE,
     FeaturedSyncSpec,
+    FeatureSpace,
     Interval,
     InvalidProductError,
     Not,
@@ -195,6 +196,17 @@ def test_projection_rejects_invalid_products():
     spec = models.make_sync()
     with pytest.raises(InvalidProductError):
         spec.project(Product.of(models.SPACE, "lock", "unlock"))
+
+
+def test_projection_and_lookup_reject_products_over_another_space():
+    """The space's declaration order is part of it, so `{lock}` over
+    ("unlock", "lock") is not a product of the example's family: the
+    specification refuses it as the system does."""
+    other = Product.of(FeatureSpace(("unlock", "lock")), "lock")
+    spec, fsys = models.make_sync(), models.make_system()
+    for refuse in (spec.project, lambda p: spec.lookup(p, "join"), fsys.project):
+        with pytest.raises(InvalidProductError, match="over a different feature space"):
+            refuse(other)
 
 
 def test_totality_is_validated_once_per_spec(monkeypatch):

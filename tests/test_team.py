@@ -1,5 +1,6 @@
 """Featured team construction, guards, pruning and projection agreement."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from feta import (
     Interval,
     Lts,
     Not,
-    OpenSystemWarning,
     ResourceLimitError,
     SyncRule,
     SyncType,
@@ -105,17 +105,23 @@ def test_totality_is_checked_before_building(access):
         build_featured_team(fsys, partial)
 
 
-def test_open_system_warns(access):
+def test_open_systems_build_silently_and_report_their_gaps(access):
+    """An open system is elaboration's `open-system` diagnostic to report;
+    every builder accepts one without a word, and `validate_closed` names
+    the gaps."""
     fsys, fspec = access
     # Keeping only the server leaves join and leave without a sender and
     # confirm without a receiver.
-    from feta import FeaturedSystem
-
     open_sys = FeaturedSystem(
         ("s",), {"s": fsys.components["s"]}, fsys.space, fsys.feature_model
     )
-    with pytest.warns(OpenSystemWarning):
-        build_featured_team(open_sys, fspec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (build_featured_team, reachable_featured_team, build_featured_classes):
+            build(open_sys, fspec)
+        for product in valid_products(fsys.feature_model, fsys.space):
+            product_team(open_sys, fspec, product)
+    assert open_sys.validate_closed() == (("join", "leave"), ("confirm",))
 
 
 def test_pruned_view_counts(pruned):
