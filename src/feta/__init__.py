@@ -21,7 +21,6 @@ from .errors import (
     TotalityError,
 )
 from .family import (
-    FamilyReport,
     FamilyRequirement,
     FamilyVerdict,
     check_family_compliance,

@@ -366,10 +366,14 @@ def cmd_project(args) -> int:
     fsys, fspec, budget, warns = _load(args)
     product = _parse_product(args.product, fsys)
     classes = build_featured_classes(fsys, fspec, budget)
-    kept = classes.kept(product)
-    projection = classes.project(kept)
     own = product_team(fsys, fspec, product, budget)[0]
-    result = check_projection_commutes(classes, product, kept, own)
+    result = check_projection_commutes(classes, product, classes.kept(product), own)
+    # The projection as the check defines it.
+    extra = set(result.only_in_composition)
+    projection = Lts(
+        classes.states, classes.initial, classes.actions,
+        [t for t in own.transitions if t not in extra] + [*result.only_in_projection],
+    )
     core = _core(projection)
     stats = {
         "states": len(projection.states),

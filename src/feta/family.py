@@ -38,6 +38,8 @@ from .features import (
     valid_products,
 )
 from .receptiveness import (
+    FEATURED_COMPLIANT,
+    FEATURED_WEAKLY_COMPLIANT,
     STRICT,
     VIOLATED,
     WEAK,
@@ -49,9 +51,6 @@ from .receptiveness import (
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
-
-FEATURED_COMPLIANT = "featured-compliant"
-FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
 
 
 class FamilyRequirement(
@@ -84,22 +83,6 @@ class FamilyVerdict(
     """How one family requirement fared across the whole family."""
 
     __slots__ = ()
-
-
-class FamilyReport(namedtuple("FamilyReport", "mode entries warnings")):
-    """The verdict of every family requirement in one mode, and the notes."""
-
-    __slots__ = ()
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-    @property
-    def violations(self) -> tuple[FamilyVerdict, ...]:
-        if self.mode == STRICT:
-            return tuple(e for e in self.entries if e.status != FEATURED_COMPLIANT)
-        return tuple(e for e in self.entries if e.status == VIOLATED)
 
 
 def reachable_products(feta: Fts, state) -> tuple[Product, ...]:
@@ -233,7 +216,7 @@ def check_family_receptiveness(
     fspec: FeaturedSyncSpec,
     mode: str = STRICT,
     budget: Budget = Budget(),
-) -> FamilyReport:
+) -> ReceptivenessReport:
     """Verdict over all family requirements, in strict or weak mode."""
     _check_mode(mode)
     warnings_: list[str] = []
@@ -245,7 +228,7 @@ def check_family_receptiveness(
         if verdict.status == VIOLATED and mode == WEAK:
             verdict = check_family_weak_compliance(feta, freq)
         entries.append(verdict)
-    return FamilyReport(mode, tuple(entries), tuple(warnings_))
+    return ReceptivenessReport(mode, tuple(entries), tuple(warnings_))
 
 
 # --- cross-checks between the family route and the per-product route -------
@@ -354,7 +337,7 @@ class FamilyProductsAgreement(
 
 
 def crosscheck_family_vs_products(
-    family_report: FamilyReport,
+    family_report: ReceptivenessReport,
     product_reports: Iterable[tuple[Product, ReceptivenessReport]],
 ) -> FamilyProductsAgreement:
     """Family receptiveness must equal receptiveness of every product's team.

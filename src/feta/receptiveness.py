@@ -24,6 +24,8 @@ WEAK = "weak"
 
 COMPLIANT = "compliant"
 WEAKLY_COMPLIANT = "weakly-compliant"
+FEATURED_COMPLIANT = "featured-compliant"
+FEATURED_WEAKLY_COMPLIANT = "featured-weakly-compliant"
 VIOLATED = "violated"
 
 
@@ -48,7 +50,7 @@ class ComplianceVerdict(namedtuple("ComplianceVerdict", "requirement status witn
 
 
 class ReceptivenessReport(namedtuple("ReceptivenessReport", "mode entries warnings")):
-    """The verdict of every requirement of one team in one mode, and the notes."""
+    """The verdict of every requirement of a team or a family in one mode, and the notes."""
 
     __slots__ = ()
 
@@ -57,9 +59,10 @@ class ReceptivenessReport(namedtuple("ReceptivenessReport", "mode entries warnin
         return not self.violations
 
     @property
-    def violations(self) -> tuple[ComplianceVerdict, ...]:
+    def violations(self) -> tuple:
+        """Strict: all but the (featured-)compliant entries; weak: the violated ones."""
         if self.mode == STRICT:
-            return tuple(e for e in self.entries if e.status != COMPLIANT)
+            return tuple(e for e in self.entries if e.status not in (COMPLIANT, FEATURED_COMPLIANT))
         return tuple(e for e in self.entries if e.status == VIOLATED)
 
 

@@ -6,7 +6,7 @@ import json
 from collections.abc import Iterable, Mapping
 
 from .automata import Fts, Lts
-from .family import FamilyReport, FamilyRequirement
+from .family import FamilyRequirement
 from .features import format_expr, simplified, valid_products
 from .receptiveness import ReceptivenessReport, Requirement
 from .system import FeaturedSystem, SystemLabel
@@ -108,7 +108,7 @@ def receptiveness_json(report: ReceptivenessReport):
     }
 
 
-def family_report_json(report: FamilyReport):
+def family_report_json(report: ReceptivenessReport):
     return {
         "mode": report.mode,
         "holds": report.holds,

@@ -311,13 +311,6 @@ class FeaturedClasses(
         check_product(product, self.space, self.feature_model)
         return [cls for cls in self.classes if holds(cls.guard, product)]
 
-    def project(self, kept: list[LabelClass]) -> Lts:
-        """The full team's projection (`Fts.project`) onto the product whose
-        classes are `kept` (`self.kept(product)`): the full states and only
-        the kept classes' members, sorted as for any caller's parts."""
-        members = (t for cls in kept for t in self.members(cls))
-        return Lts(self.states, self.initial, self.actions, members)
-
 
 def build_featured_classes(
     fsys: FeaturedSystem, fspec: FeaturedSyncSpec, budget: Budget = Budget()

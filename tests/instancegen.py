@@ -172,7 +172,11 @@ class BatteryResults:
     compared with `reference_display_team` (`display_disagreements`);
     `culprit_choices` counts the strict family violations whose culprit
     had more than one candidate product, so that only their order tells
-    the right one (`culprit_disagreements`); and `planted_faults` how many
+    the right one (`culprit_disagreements`); `strict_reading_checks`
+    counts the entries of the weak family report read in strict mode
+    (`_replace(mode="strict")`, as `verify` reads it) whose verdict and
+    violated requirements were compared with the strict report's; and
+    `planted_faults` how many
     faults of each kind were planted in the label-class checks and caught,
     or, under a family-route fault of `FAMILY_FAULTS` (`run_with_fault`),
     how many checks it tripped.
@@ -191,6 +195,7 @@ class BatteryResults:
     class_projection_checks: int = 0
     display_checks: int = 0
     culprit_choices: int = 0
+    strict_reading_checks: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
@@ -198,6 +203,7 @@ class BatteryResults:
     family_strict_failures: list = dataclasses.field(default_factory=list)
     culprit_failures: list = dataclasses.field(default_factory=list)
     family_weak_failures: list = dataclasses.field(default_factory=list)
+    strict_reading_failures: list = dataclasses.field(default_factory=list)
     guard_model_failures: list = dataclasses.field(default_factory=list)
     reachability_failures: list = dataclasses.field(default_factory=list)
     monotonicity_failures: list = dataclasses.field(default_factory=list)
@@ -617,26 +623,36 @@ def label_class_disagreements(
     return compared, wrong, planted
 
 
+def class_projection(featured, kept):
+    """The full team's projection (`Fts.project`) onto the product whose
+    label classes are `kept` (`FeaturedClasses.kept`), read off the classes:
+    the full states and only the kept classes' members."""
+    from feta import Lts
+
+    members = (t for cls in kept for t in featured.members(cls))
+    return Lts(featured.states, featured.initial, featured.actions, members)
+
+
 def class_projection_disagreements(featured, projections) -> tuple[int, list, int]:
     """Compare each valid product's projection read off the label classes
-    (`FeaturedClasses.project` of `FeaturedClasses.kept`) with the full
-    team's in `projections` (`Fts.project`), part by part. A planted fault,
-    the kept classes without their last, must make every product that keeps
-    a class differ. Returns the number of parts compared, the mismatches
-    and the number of faults planted.
+    (`class_projection` of `FeaturedClasses.kept`) with the full team's in
+    `projections` (`Fts.project`), part by part. A planted fault, the kept
+    classes without their last, must make every product that keeps a class
+    differ. Returns the number of parts compared, the mismatches and the
+    number of faults planted.
     """
     parts = ("states", "initial", "actions", "transitions")
     compared, wrong, planted = 0, [], 0
     for product, expected in projections.items():
         kept = featured.kept(product)
-        got = featured.project(kept)
+        got = class_projection(featured, kept)
         differ = [part for part in parts if getattr(got, part) != getattr(expected, part)]
         compared += len(parts)
         if differ:
             wrong.append((product, differ))
         if kept:
             planted += 1
-            if featured.project(kept[:-1]).transitions == expected.transitions:
+            if class_projection(featured, kept[:-1]).transitions == expected.transitions:
                 wrong.append((product, "fault not caught"))
     return compared, wrong, planted
 
@@ -833,6 +849,14 @@ def run_battery(
             results.culprit_failures.append((seed, wrong))
         if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
             results.family_weak_failures.append((seed,))
+        read_strictly = family["weak"]._replace(mode="strict")
+        results.strict_reading_checks += len(read_strictly.entries)
+        outcomes = [
+            (report.holds, [e.requirement for e in report.violations])
+            for report in (read_strictly, family["strict"])
+        ]
+        if outcomes[0] != outcomes[1]:
+            results.strict_reading_failures.append((seed, outcomes))
         reachable = reachable_featured_team(fsys, fspec)
         compared, wrong = reachable_team_disagreements(team, reachable, fsys, fspec)
         results.reachable_team_checks += compared
@@ -991,6 +1015,20 @@ def _projection_keeps_a_failing_guard(monkeypatch):
     monkeypatch.setattr(Fts, "_projected_parts", parts)
 
 
+def _strict_reading_accepts_featured_weak(monkeypatch):
+    """`ReceptivenessReport.violations` in strict mode lets
+    featured-weakly-compliant entries pass."""
+    from feta import ReceptivenessReport
+    from feta.receptiveness import FEATURED_WEAKLY_COMPLIANT
+
+    original = ReceptivenessReport.violations.fget
+
+    def violations(self):
+        return tuple(e for e in original(self) if e.status != FEATURED_WEAKLY_COMPLIANT)
+
+    monkeypatch.setattr(ReceptivenessReport, "violations", property(violations))
+
+
 def _label_classes_without(end):
     """A fault: `_label_classes` drops its first (`end` 0) or last (-1) class."""
 
@@ -1010,9 +1048,10 @@ def _label_classes_without(end):
     return plant
 
 
-# Faults planted in the family route, the display walk, the team's mask walk,
-# projection and the label classes, each of which some check of the battery
-# must catch; each takes a `pytest.MonkeyPatch` to plant it.
+# Faults planted in the family route, the strict reading of its report, the
+# display walk, the team's mask walk, projection and the label classes, each
+# of which some check of the battery must catch; each takes a
+# `pytest.MonkeyPatch` to plant it.
 FAMILY_FAULTS = {
     "condition drops its reach factor": _condition_without_reach,
     "_candidates drops its last candidate": _candidates_without_last,
@@ -1026,6 +1065,8 @@ FAMILY_FAULTS = {
     "_projected_parts keeps a transition whose guard fails": _projection_keeps_a_failing_guard,
     "_label_classes drops its first class": _label_classes_without(0),
     "_label_classes drops its last class": _label_classes_without(-1),
+    "the strict reading accepts featured-weakly-compliant entries":
+        _strict_reading_accepts_featured_weak,
 }
 
 

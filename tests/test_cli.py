@@ -750,8 +750,8 @@ def test_project_composes_no_full_team(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_project_keeps_the_classes_once(capsys, monkeypatch, fmt):
     """`project` asks which classes the product keeps once and hands that
-    list to both its projection and the check, so each class guard is
-    evaluated once per run."""
+    list to the check, whose result its projection is read off, so each
+    class guard is evaluated once per run."""
     calls = []
     original = feta.team.FeaturedClasses.kept
 
@@ -762,6 +762,23 @@ def test_project_keeps_the_classes_once(capsys, monkeypatch, fmt):
     monkeypatch.setattr(feta.team.FeaturedClasses, "kept", counting)
     assert cli.main(["project", "-p", "lock", "--format", fmt, ACC4]) == 0
     assert [str(product) for product in calls] == ["{lock}"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_project_expands_no_class_when_its_check_agrees(capsys, monkeypatch, fmt):
+    """Where the product's own team holds every member of every kept class,
+    `project` prints the projection without expanding a single class."""
+    calls = []
+    original = feta.team.FeaturedClasses.members
+
+    def counting(self, cls):
+        calls.append(cls)
+        return original(self, cls)
+
+    monkeypatch.setattr(feta.team.FeaturedClasses, "members", counting)
+    assert cli.main(["project", "-p", "lock", "--format", fmt, ACC4]) == 0
+    assert calls == []
     capsys.readouterr()
 
 
@@ -1388,7 +1405,10 @@ def _absolute_imports(node) -> list[str]:
 
 def test_project_lists_each_transition_only_one_side_has(capsys, monkeypatch):
     """An own team that lacks one transition of the projection and has one
-    that the projection lacks: both are listed, and `project` exits 1."""
+    that the projection lacks: both are listed, and `project` exits 1. The
+    counts are the projection's, not the own team's: the projection is
+    read off the check's result, so it must put back what only it has and
+    leave out what only the own team has."""
     original = cli.product_team
 
     def planted(*args, **kwargs):
@@ -1400,11 +1420,27 @@ def test_project_lists_each_transition_only_one_side_has(capsys, monkeypatch):
     monkeypatch.setattr(cli, "product_team", planted)
     code, out, _ = run(capsys, "project", "-p", "lock", ACCESS)
     assert code == 1
-    assert out.splitlines()[-3:] == [
-        "projection agrees with the product's own team: no",
-        "  only in the projection: (0,0,0) --{u1} join {s}--> (1,0,1)",
-        "  only in the product's team: (1,0,1) --{u1} join {s}--> (0,0,0)",
-    ]
+    assert out == (
+        "product: {lock}\n"
+        "states: 18\n"
+        "transitions: 18\n"
+        "reachable core states: 8\n"
+        "reachable core transitions: 12\n"
+        "projection agrees with the product's own team: no\n"
+        "  only in the projection: (0,0,0) --{u1} join {s}--> (1,0,1)\n"
+        "  only in the product's team: (1,0,1) --{u1} join {s}--> (0,0,0)\n"
+    )
+    code, out, _ = run(capsys, "project", "-p", "lock", "--format", "json", ACCESS)
+    assert code == 1
+    report = {
+        "schema": "report-v1",
+        "command": "project",
+        "input": ACCESS,
+        "product": ["lock"],
+        "stats": {"states": 18, "transitions": 18, "core_states": 8, "core_transitions": 12},
+        "projection_agrees": False,
+    }
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_compose_lists_the_actions_without_a_sender_or_receiver(capsys, tmp_path):

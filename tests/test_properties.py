@@ -87,15 +87,20 @@ def test_family_strict_culprit_is_the_first_failing_product(battery):
 
 # Planted family-route faults run on the first instances of the population.
 FAULT_INSTANCES = 30
+# Only 4 of the population's instances hold a featured-weakly-compliant
+# entry, the first on its 79th (seed 1078), so a fault in how a strict
+# report reads them runs on the whole population until it is caught.
+WEAK_ENTRY_FAULTS = {"the strict reading accepts featured-weakly-compliant entries"}
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_battery_catches_a_planted_family_fault(fault):
-    """Caught on one of the first instances. The run stops at the first
-    instance that trips a check, except where the test asserts which checks
-    trip on all of them."""
+    """Caught on one of the first instances, or of the whole population for
+    `WEAK_ENTRY_FAULTS`. The run stops at the first instance that trips a
+    check, except where the test asserts which checks trip on all of them."""
     exclusive = fault == "first_product_in returns the last product"
-    results = instancegen.run_with_fault(fault, FAULT_INSTANCES, until_caught=not exclusive)
+    count = RANDOM_INSTANCES if fault in WEAK_ENTRY_FAULTS else FAULT_INSTANCES
+    results = instancegen.run_with_fault(fault, count, until_caught=not exclusive)
     assert results.planted_faults[fault] > 0, f"the battery missed: {fault}"
     if exclusive:
         assert results.instances == FAULT_INSTANCES
@@ -135,13 +140,15 @@ VERIFY_CATCHES = {
     "_projected_parts keeps a transition whose guard fails": set(VERIFIED) - {"dual_sign"},
     "_label_classes drops its first class": {"broadcast_logger"},
     "_label_classes drops its last class": set(VERIFIED) - {"dual_sign", "product_family_v08"},
+    "the strict reading accepts featured-weakly-compliant entries":
+        {"access_management", "relay", "acc4", "free4"},
 }
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
     """In-process `verify` on the bundled examples and the committed
-    inputs: ten of the twelve faults fail it on at least one input."""
+    inputs: eleven of the thirteen faults fail it on at least one input."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         instancegen.FAMILY_FAULTS[fault](monkeypatch)
         failing = {name for name, path in VERIFIED.items() if cli.main(["verify", path]) != 0}
@@ -151,6 +158,13 @@ def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
 
 def test_family_weak_verdict_matches_every_product(battery):
     assert battery.family_weak_failures == []
+
+
+def test_weak_family_report_read_strictly_is_the_strict_report(battery):
+    """`verify` reads its one weak family report in strict mode too: read
+    so, it must give the strict report's verdict and violated requirements."""
+    assert battery.strict_reading_failures == []
+    assert battery.strict_reading_checks > 0
 
 
 def test_team_guards_entail_the_feature_model(battery):

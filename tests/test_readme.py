@@ -39,3 +39,14 @@ def test_every_building_block_resolves_from_the_package_root():
     assert len(named) == 41
     missing = sorted(name for name in named if not hasattr(feta, name))
     assert not missing
+
+
+def test_every_value_type_named_resolves_from_the_package_root():
+    """Each identifier the value types paragraph names is an attribute of
+    `feta`, but for a declaration's field `loc` and the named tuples'
+    `_replace`."""
+    paragraph = readme_paragraph("Value types")
+    named = set(re.findall(r"`(\w+)`", paragraph)) - {"loc", "_replace"}
+    assert len(named) == 17
+    missing = sorted(name for name in named if not hasattr(feta, name))
+    assert not missing
