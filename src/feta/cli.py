@@ -27,7 +27,7 @@ from .family import (
     derive_family_requirements,
 )
 from .features import Product, check_product, format_expr, valid_products
-from .automata import Lts
+from .automata import Lts, transition_key
 from .receptiveness import (
     STRICT,
     WEAK,
@@ -368,12 +368,12 @@ def cmd_project(args) -> int:
     classes = build_featured_classes(fsys, fspec, budget)
     own = product_team(fsys, fspec, product, budget)[0]
     result = check_projection_commutes(classes, product, classes.kept(product), own)
-    # The projection as the check defines it.
+    # The projection as the check defines it, kept in `own`'s order.
     extra = set(result.only_in_composition)
-    projection = Lts(
-        classes.states, classes.initial, classes.actions,
-        [t for t in own.transitions if t not in extra] + [*result.only_in_projection],
-    )
+    transitions = tuple(t for t in own.transitions if t not in extra) if extra else own.transitions
+    if result.only_in_projection:
+        transitions = tuple(sorted(transitions + result.only_in_projection, key=transition_key))
+    projection = Lts._built(classes.states, classes.initial, classes.actions, transitions)
     core = _core(projection)
     stats = {
         "states": len(projection.states),

@@ -29,7 +29,7 @@ from .features import (
     Product,
     conj,
     disj,
-    evaluate,
+    evaluator,
     first_product_in,
     format_expr,
     mask_union,
@@ -246,28 +246,6 @@ class ProjectionAgreement(
         return not (self.only_in_family or self.only_in_product)
 
 
-def _holds_once(product: Product):
-    """`evaluate` on the product, once per expression for one call: family
-    conditions share their sync and reach factors, and a team's transitions
-    of one label class share their guard. A conjunction is split into its
-    operands, each looked up in turn, and all of them are evaluated, so
-    every name is still checked.
-    """
-    memo: dict[FeatureExpr, bool] = {}
-
-    def verdict(expr: FeatureExpr) -> bool:
-        known = memo.get(expr)
-        if known is None:
-            if isinstance(expr, And):
-                known = all([verdict(op) for op in expr.operands])
-            else:
-                known = evaluate(expr, product)
-            memo[expr] = known
-        return known
-
-    return verdict
-
-
 def crosscheck_requirement_projection(
     freqs: Iterable[FamilyRequirement], product: Product, own_reqs: Iterable[Requirement]
 ) -> ProjectionAgreement:
@@ -276,7 +254,7 @@ def crosscheck_requirement_projection(
     gives them on the product's own team. Each distinct factor of the
     conditions is evaluated once.
     """
-    satisfied = _holds_once(product)
+    satisfied = evaluator(product)
     family_side = {(f.state, f.senders, f.action) for f in freqs if satisfied(f.condition)}
     product_side = {(r.state, r.senders, r.action) for r in own_reqs}
     return ProjectionAgreement(
@@ -305,7 +283,7 @@ def crosscheck_compliance_unfolding(
     ]
     unfolded = [True] * len(rows)
     for product in valid_products(feta.feature_model, feta.space):
-        satisfied = _holds_once(product)
+        satisfied = evaluator(product)
         for idx, (_, condition, guards) in enumerate(rows):
             if (
                 unfolded[idx]

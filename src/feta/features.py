@@ -14,6 +14,7 @@ equivalent for display only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -316,6 +317,22 @@ def holds(expr: FeatureExpr, product: Product) -> bool:
     against the product's space, as `Fts` does for its guards.
     """
     return _holds(expr, product.selected)
+
+
+def evaluator(product: Product):
+    """`evaluate` on the product, once per distinct expression: family
+    conditions share their factors, label classes their conjuncts. A
+    conjunction's operands are all evaluated, so every name is checked. The
+    memo is keyed by value, as a fresh conjunction may reuse a freed `id`.
+    """
+
+    @functools.cache
+    def verdict(expr: FeatureExpr) -> bool:
+        if isinstance(expr, And):
+            return all([verdict(op) for op in expr.operands])
+        return evaluate(expr, product)
+
+    return verdict
 
 
 def all_products(space: FeatureSpace, budget: Budget = Budget()) -> tuple[Product, ...]:

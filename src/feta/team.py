@@ -48,7 +48,7 @@ from collections import namedtuple
 
 from .automata import Fts, Lts, reach_masks, state_key, transition_key
 from .errors import Budget, TotalityError
-from .features import And, FeatureExpr, Product, check_product, conj, holds, model_mask
+from .features import And, FeatureExpr, Product, check_product, conj, evaluator, model_mask
 from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemLabel, SystemTransition, _picker
 
@@ -269,12 +269,13 @@ def prune_for_display(feta: Fts) -> Fts:
     )
 
 
-class LabelClass(namedtuple("LabelClass", "label participants sources targets guard size")):
+class LabelClass(namedtuple("LabelClass", "label participants sources targets conjuncts size")):
     """One label class of the full featured team: the label, its
     participants' indices in ascending order, their local sources and
-    targets, the guard object that all the class's transitions share, and
-    how many transitions it has, one per combination of the states of the
-    components that do not take part.
+    targets and guards, then its sync expression, the `conjuncts` of the
+    guard `And((conj(conjuncts[:-1]), conjuncts[-1]))` that all the class's
+    transitions share, and how many transitions it has, one per combination
+    of the states of the components that do not take part.
     """
 
     __slots__ = ()
@@ -307,9 +308,10 @@ class FeaturedClasses(
             yield SystemTransition(source, cls.label, tuple(target))
 
     def kept(self, product: Product) -> list[LabelClass]:
-        """The classes whose guard a valid product satisfies (`holds`), in order."""
+        """The classes whose conjuncts a valid product satisfies, in order."""
         check_product(product, self.space, self.feature_model)
-        return [cls for cls in self.classes if holds(cls.guard, product)]
+        satisfied = evaluator(product)
+        return [cls for cls in self.classes if all(map(satisfied, cls.conjuncts))]
 
 
 def build_featured_classes(
@@ -321,21 +323,22 @@ def build_featured_classes(
     Inputs and bounds are checked as `build_featured_team` checks them, with
     the same errors in the same order: the specification's totality,
     `budget.states` against the full product, then `budget.participants`.
-    Each class's guard is `_TeamGuards.guard` of one of its members, the
-    object the full team's transitions of the class read, and every guard
-    is made here, so comparing projections reads no mask.
+    Each class keeps its guard's conjuncts, the participants' local guard
+    objects and the sync expression the full team's guards share, and no
+    guard is made, so comparing projections reads no mask.
     """
     _check_total(fspec)
     states = fsys._full_states(budget)
-    parts = _TeamGuards(fsys, fspec)
+    guards = [fsys.components[name].guards for name in fsys.names]
     local_states = tuple(fsys.components[name].states for name in fsys.names)
-    classes = []
+    sync, classes = {}, []
     for label, participants, sources, targets, size in fsys._label_classes(states, budget):
-        source, target = list(states[0]), list(states[0])
-        for idx, src, dst in zip(participants, sources, targets):
-            source[idx], target[idx] = src, dst
-        guard = parts.guard(SystemTransition(tuple(source), label, tuple(target)))
-        classes.append(LabelClass(label, participants, sources, targets, guard, size))
+        if label not in sync:
+            counts = len(label.senders), len(label.receivers)
+            sync[label] = fsys.products_expr(fspec.allowed_products(label.action, *counts))
+        steps = zip(participants, sources, targets)
+        conjuncts = *(guards[i][src, label.action, dst] for i, src, dst in steps), sync[label]
+        classes.append(LabelClass(label, participants, sources, targets, conjuncts, size))
     return FeaturedClasses(
         states, fsys.initial_states(), fsys.actions, fsys.space, fsys.feature_model,
         local_states, tuple(classes),

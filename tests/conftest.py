@@ -2,9 +2,10 @@ import pytest
 
 import models
 from feta import build_featured_team, prune_for_display
-from instancegen import run_battery
+from instancegen import WARM_UP_SEED, run_battery, warm_up_instance
 
 RANDOM_INSTANCES = 200
+WARM_UP_INSTANCES = 30
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,8 @@ def pruned(team):
 @pytest.fixture(scope="session")
 def battery():
     return run_battery(RANDOM_INSTANCES)
+
+
+@pytest.fixture(scope="session")
+def warm_up_battery():
+    return run_battery(WARM_UP_INSTANCES, WARM_UP_SEED, generate=warm_up_instance)

@@ -36,6 +36,7 @@ from feta import (
     Var,
     Xor,
     all_products,
+    conj,
     evaluate,
     valid_products,
 )
@@ -134,9 +135,58 @@ def random_instance(seed: int) -> tuple[FeaturedSystem, FeaturedSyncSpec]:
     return fsys, fspec
 
 
-def instances(count: int, first_seed: int = 1000):
+def warm_up_instance(seed: int) -> tuple[FeaturedSystem, FeaturedSyncSpec]:
+    """A seeded instance whose send needs a group-free warm-up.
+
+    `C1` outputs `a` from its initial state; `C2` receives `a` only at the
+    end of a chain of one or two `w`s, which `C3` sends and in which `C1`
+    takes no part, and now and then also at once, under a guard of its own.
+    Every step's guard, the feature model and the types of `w` are drawn;
+    `a` always needs one sender and a receiver, so the send at the initial
+    state is a requirement that only a warm-up can meet in most products:
+    its entries are featured-weakly-compliant where every product's warm-up
+    succeeds, and violated where some product's does not.
+    """
+    rng = random.Random(seed)
+    space = FeatureSpace.of(*[f"f{i + 1}" for i in range(rng.randint(1, 3))])
+    model = random_model(rng, space)
+
+    def component(states, steps, inputs=(), outputs=()):
+        guards = {step: random_guard(rng, space.names) for step in steps}
+        return FeaturedComponent(
+            states=states, initial=frozenset({states[0]}), actions=frozenset(inputs + outputs),
+            transitions=tuple(guards), space=space, feature_model=model, guards=guards,
+            inputs=frozenset(inputs), outputs=frozenset(outputs),
+        )
+
+    chain = tuple(f"s{k}" for k in range(rng.randint(2, 3)))
+    steps = [(src, "w", dst) for src, dst in zip(chain, chain[1:])]
+    steps.append((chain[-1], "a", chain[0]))
+    if rng.random() < 0.2:
+        steps.append((chain[0], "a", chain[0]))
+    components = {
+        "C1": component(("s0", "s1"), [("s0", "a", "s1"), ("s1", "a", "s0")], outputs=("a",)),
+        "C2": component(chain, steps, inputs=("a", "w")),
+        "C3": component(("s0",), [("s0", "w", "s0")], outputs=("w",)),
+    }
+    fsys = FeaturedSystem(("C1", "C2", "C3"), components, space, model)
+    rules = [
+        SyncRule(random_guard(rng, space.names), frozenset({"w"}), random_sync_type(rng))
+        for _ in range(rng.randint(0, 2))
+    ]
+    receivers = Interval(1, rng.choice([1, None]))
+    rules.append(SyncRule(TRUE, None, SyncType(Interval(1, 1), receivers)))
+    fspec = FeaturedSyncSpec(tuple(rules), frozenset({"a", "w"}), space, model)
+    return fsys, fspec
+
+
+# The warm-up slice's seeds start here, away from the population's.
+WARM_UP_SEED = 5000
+
+
+def instances(count: int, first_seed: int = 1000, generate=random_instance):
     for offset in range(count):
-        yield first_seed + offset, random_instance(first_seed + offset)
+        yield first_seed + offset, generate(first_seed + offset)
 
 
 @dataclasses.dataclass
@@ -175,8 +225,9 @@ class BatteryResults:
     the right one (`culprit_disagreements`); `strict_reading_checks`
     counts the entries of the weak family report read in strict mode
     (`_replace(mode="strict")`, as `verify` reads it) whose verdict and
-    violated requirements were compared with the strict report's; and
-    `planted_faults` how many
+    violated requirements were compared with the strict report's;
+    `featured_weak_entries` counts the weak family reports' entries that
+    only a warm-up makes compliant; and `planted_faults` how many
     faults of each kind were planted in the label-class checks and caught,
     or, under a family-route fault of `FAMILY_FAULTS` (`run_with_fault`),
     how many checks it tripped.
@@ -196,6 +247,7 @@ class BatteryResults:
     display_checks: int = 0
     culprit_choices: int = 0
     strict_reading_checks: int = 0
+    featured_weak_entries: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
@@ -525,6 +577,13 @@ def reference_commutation(projection, product, own):
     )
 
 
+def class_guard(cls):
+    """The guard of a label class's transitions, rebuilt from its conjuncts
+    as `_TeamGuards.guard` builds it: the participants' local guards'
+    conjunction, then the sync expression."""
+    return And((conj(cls.conjuncts[:-1]), cls.conjuncts[-1]))
+
+
 def label_class_disagreements(
     fsys, fspec, team, own_teams, projections
 ) -> tuple[int, list, dict]:
@@ -558,7 +617,8 @@ def label_class_disagreements(
     for cls, group in members:
         if len(group) != cls.size:
             wrong.append(("size", cls, len(group)))
-        wrong.extend(("guard", t) for t in group if team.guards[t] != cls.guard)
+        guard = class_guard(cls)
+        wrong.extend(("guard", t) for t in group if team.guards[t] != guard)
     compared = len(expanded)
 
     def compare(kind, kept, projection, product, own):
@@ -611,7 +671,9 @@ def label_class_disagreements(
                 moves = [u for u in own.transitions if u != t] + [shifted]
                 compare("moved idle component", kept, projection, product, rebuilt(own, moves))
                 break
-        lost = next((cls for cls in featured.classes if evaluate(cls.guard, product)), None)
+        lost = next(
+            (cls for cls in featured.classes if evaluate(class_guard(cls), product)), None
+        )
         if lost is not None:
             fewer = [cls for cls in kept if cls is not lost]
             gone = set(featured.members(lost))
@@ -746,10 +808,12 @@ def plain_team_disagreements(team, sys, spec) -> tuple[int, list]:
 
 
 def run_battery(
-    count: int = 200, first_seed: int = 1000, until_tripped: bool = False
+    count: int = 200, first_seed: int = 1000, until_tripped: bool = False,
+    generate=random_instance,
 ) -> BatteryResults:
-    """Every cross-check over `count` instances from `first_seed` on; with
-    `until_tripped`, none after the first instance on which a check fails."""
+    """Every cross-check over `count` instances of `generate` from
+    `first_seed` on; with `until_tripped`, none after the first instance on
+    which a check fails."""
     from feta import (
         build_featured_classes,
         build_featured_team,
@@ -767,10 +831,10 @@ def run_battery(
         reachable_featured_team,
         reachable_products,
     )
-    from feta.receptiveness import COMPLIANT, VIOLATED
+    from feta.receptiveness import COMPLIANT, FEATURED_WEAKLY_COMPLIANT, VIOLATED
 
     results = BatteryResults()
-    for seed, (fsys, fspec) in instances(count, first_seed):
+    for seed, (fsys, fspec) in instances(count, first_seed, generate):
         if until_tripped and results.tripped():
             break
         results.instances += 1
@@ -849,6 +913,9 @@ def run_battery(
             results.culprit_failures.append((seed, wrong))
         if not crosscheck_family_vs_products(family["weak"], product_reports["weak"]).ok:
             results.family_weak_failures.append((seed,))
+        results.featured_weak_entries += sum(
+            entry.status == FEATURED_WEAKLY_COMPLIANT for entry in family["weak"].entries
+        )
         read_strictly = family["weak"]._replace(mode="strict")
         results.strict_reading_checks += len(read_strictly.entries)
         outcomes = [
@@ -1029,6 +1096,39 @@ def _strict_reading_accepts_featured_weak(monkeypatch):
     monkeypatch.setattr(ReceptivenessReport, "violations", property(violations))
 
 
+def _kept_ignores_the_sync_conjunct(monkeypatch):
+    """`FeaturedClasses.kept` evaluates every conjunct of a class but the
+    last, its sync expression."""
+    from feta.features import check_product, evaluator
+    from feta.team import FeaturedClasses
+
+    def kept(self, product):
+        check_product(product, self.space, self.feature_model)
+        satisfied = evaluator(product)
+        return [cls for cls in self.classes if all(map(satisfied, cls.conjuncts[:-1]))]
+
+    monkeypatch.setattr(FeaturedClasses, "kept", kept)
+
+
+def _classes_without_the_last_local_guard(monkeypatch):
+    """`build_featured_classes` leaves the last participant's local guard
+    out of each class's conjuncts."""
+    import feta
+    from feta import cli, team
+
+    original = team.build_featured_classes
+
+    def build(*args):
+        featured = original(*args)
+        return featured._replace(classes=tuple(
+            cls._replace(conjuncts=cls.conjuncts[:-2] + cls.conjuncts[-1:])
+            for cls in featured.classes
+        ))
+
+    for module in (feta, cli, team):
+        monkeypatch.setattr(module, "build_featured_classes", build)
+
+
 def _label_classes_without(end):
     """A fault: `_label_classes` drops its first (`end` 0) or last (-1) class."""
 
@@ -1049,7 +1149,8 @@ def _label_classes_without(end):
 
 
 # Faults planted in the family route, the strict reading of its report, the
-# display walk, the team's mask walk, projection and the label classes, each
+# display walk, the team's mask walk, projection, the label classes and the
+# classes' conjuncts and the evaluation of them, each
 # of which some check of the battery must catch; each takes a
 # `pytest.MonkeyPatch` to plant it.
 FAMILY_FAULTS = {
@@ -1067,22 +1168,26 @@ FAMILY_FAULTS = {
     "_label_classes drops its last class": _label_classes_without(-1),
     "the strict reading accepts featured-weakly-compliant entries":
         _strict_reading_accepts_featured_weak,
+    "FeaturedClasses.kept ignores the sync conjunct": _kept_ignores_the_sync_conjunct,
+    "build_featured_classes drops the last participant's local guard":
+        _classes_without_the_last_local_guard,
 }
 
 
 def run_with_fault(
-    fault: str, count: int, first_seed: int = 1000, until_caught: bool = True
+    fault: str, count: int, first_seed: int = 1000, until_caught: bool = True,
+    generate=random_instance,
 ) -> BatteryResults:
-    """The battery over `count` instances with one of `FAMILY_FAULTS`
-    planted, and removed again, stopping after the first instance on which
-    it trips a check unless `until_caught` is false; `planted_faults[fault]`
-    counts the checks it tripped (`BatteryResults.tripped`), 0 if the
-    battery missed it.
+    """The battery over `count` instances of `generate` with one of
+    `FAMILY_FAULTS` planted, and removed again, stopping after the first
+    instance on which it trips a check unless `until_caught` is false;
+    `planted_faults[fault]` counts the checks it tripped
+    (`BatteryResults.tripped`), 0 if the battery missed it.
     """
     import pytest
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         FAMILY_FAULTS[fault](monkeypatch)
-        results = run_battery(count, first_seed, until_caught)
+        results = run_battery(count, first_seed, until_caught, generate)
     results.planted_faults[fault] = len(results.tripped())
     return results

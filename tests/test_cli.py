@@ -751,7 +751,7 @@ def test_project_composes_no_full_team(capsys, monkeypatch):
 def test_project_keeps_the_classes_once(capsys, monkeypatch, fmt):
     """`project` asks which classes the product keeps once and hands that
     list to the check, whose result its projection is read off, so each
-    class guard is evaluated once per run."""
+    distinct conjunct of the class guards is evaluated once per run."""
     calls = []
     original = feta.team.FeaturedClasses.kept
 
@@ -779,6 +779,25 @@ def test_project_expands_no_class_when_its_check_agrees(capsys, monkeypatch, fmt
     monkeypatch.setattr(feta.team.FeaturedClasses, "members", counting)
     assert cli.main(["project", "-p", "lock", "--format", fmt, ACC4]) == 0
     assert calls == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_project_builds_no_automaton_it_would_sort_and_check(capsys, monkeypatch, fmt):
+    """`project` takes its projection in the order the product's own team
+    and the check's lists already have: no plain `Lts` goes through
+    `__init__`, which sorts and checks a caller's parts, loading included."""
+    made = []
+    original = Lts.__init__
+
+    def counting(self, *args):
+        if type(self) is Lts:
+            made.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Lts, "__init__", counting)
+    assert cli.main(["project", "-p", "lock", "--format", fmt, ACC4]) == 0
+    assert made == []
     capsys.readouterr()
 
 

@@ -339,7 +339,7 @@ def test_verify_builds_one_display_expression_per_mask(monkeypatch, capsys, name
 
     for cls in full.classes:
         counts = (len(cls.label.senders), len(cls.label.receivers))
-        one_object(fspec.allowed_products(cls.label.action, *counts), cls.guard.operands[1])
+        one_object(fspec.allowed_products(cls.label.action, *counts), cls.conjuncts[-1])
     for t in feta.transitions:
         counts = (len(t.label.senders), len(t.label.receivers))
         one_object(fspec.allowed_products(t.label.action, *counts), feta.guards[t].operands[1])

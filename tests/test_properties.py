@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import instancegen
 import models
-from conftest import RANDOM_INSTANCES
+from conftest import RANDOM_INSTANCES, WARM_UP_INSTANCES
 from feta import FeaturedSyncSpec, cli, valid_products
 
 
@@ -85,22 +85,42 @@ def test_family_strict_culprit_is_the_first_failing_product(battery):
     assert battery.culprit_choices > 0
 
 
-# Planted family-route faults run on the first instances of the population.
+def test_warm_up_slice_holds_featured_weak_entries_and_passes_every_check(warm_up_battery):
+    """Only 4 of the population's instances hold a featured-weakly-compliant
+    entry; most sends of the warm-up slice need a group-free warm-up, and
+    every check of the battery holds on it."""
+    assert warm_up_battery.instances == WARM_UP_INSTANCES
+    assert warm_up_battery.featured_weak_entries > 0
+    assert warm_up_battery.strict_reading_checks > 0
+    assert warm_up_battery.weak_checks > 0
+    assert warm_up_battery.tripped() == []
+
+
+# Planted family-route faults run on the first instances of the population,
+# or, for a fault in how a report reads featured-weakly-compliant entries,
+# of the warm-up slice.
 FAULT_INSTANCES = 30
-# Only 4 of the population's instances hold a featured-weakly-compliant
-# entry, the first on its 79th (seed 1078), so a fault in how a strict
-# report reads them runs on the whole population until it is caught.
 WEAK_ENTRY_FAULTS = {"the strict reading accepts featured-weakly-compliant entries"}
+# Faults in the label classes' conjuncts or in how `kept` evaluates them.
+CONJUNCT_FAULTS = {
+    "FeaturedClasses.kept ignores the sync conjunct",
+    "build_featured_classes drops the last participant's local guard",
+}
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_battery_catches_a_planted_family_fault(fault):
-    """Caught on one of the first instances, or of the whole population for
-    `WEAK_ENTRY_FAULTS`. The run stops at the first instance that trips a
-    check, except where the test asserts which checks trip on all of them."""
+    """Caught on one of the first instances. The run stops at the first
+    instance that trips a check, except where the test asserts which checks
+    trip on all of them."""
     exclusive = fault == "first_product_in returns the last product"
-    count = RANDOM_INSTANCES if fault in WEAK_ENTRY_FAULTS else FAULT_INSTANCES
-    results = instancegen.run_with_fault(fault, count, until_caught=not exclusive)
+    if fault in WEAK_ENTRY_FAULTS:
+        first_seed, generate = instancegen.WARM_UP_SEED, instancegen.warm_up_instance
+    else:
+        first_seed, generate = 1000, instancegen.random_instance
+    results = instancegen.run_with_fault(
+        fault, FAULT_INSTANCES, first_seed, not exclusive, generate
+    )
     assert results.planted_faults[fault] > 0, f"the battery missed: {fault}"
     if exclusive:
         assert results.instances == FAULT_INSTANCES
@@ -109,6 +129,13 @@ def test_battery_catches_a_planted_family_fault(fault):
         # The teams read off the classes lack what the state-by-state walks
         # make: the reachable team's and the plain reference's.
         assert {"reachable_team_failures", "plain_team_failures"} <= set(results.tripped())
+    if fault in WEAK_ENTRY_FAULTS:
+        assert results.tripped() == ["strict_reading_failures"]
+    if fault in CONJUNCT_FAULTS:
+        # The product keeps classes its own team lacks.
+        assert {
+            "projection_failures", "label_class_failures", "class_projection_failures"
+        } <= set(results.tripped())
 
 
 INPUTS = Path(__file__).parent / "inputs"
@@ -142,13 +169,16 @@ VERIFY_CATCHES = {
     "_label_classes drops its last class": set(VERIFIED) - {"dual_sign", "product_family_v08"},
     "the strict reading accepts featured-weakly-compliant entries":
         {"access_management", "relay", "acc4", "free4"},
+    "FeaturedClasses.kept ignores the sync conjunct": set(VERIFIED),
+    "build_featured_classes drops the last participant's local guard":
+        set(VERIFIED) - {"dual_sign"},
 }
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
     """In-process `verify` on the bundled examples and the committed
-    inputs: eleven of the thirteen faults fail it on at least one input."""
+    inputs: thirteen of the fifteen faults fail it on at least one input."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         instancegen.FAMILY_FAULTS[fault](monkeypatch)
         failing = {name for name, path in VERIFIED.items() if cli.main(["verify", path]) != 0}

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import feta
-from feta import Budget
+from feta import Budget, FeaturedClasses, FeaturedSystem, Fts, System, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +50,33 @@ def test_every_value_type_named_resolves_from_the_package_root():
     assert len(named) == 17
     missing = sorted(name for name in named if not hasattr(feta, name))
     assert not missing
+
+
+# The objects the README's calls name by a variable or class: `featured`
+# is a `FeaturedClasses`, `fsys` a `FeaturedSystem`, `fts` an `Fts`, `sys`
+# a `System`.
+RECEIVERS = {
+    "featured": FeaturedClasses, "fsys": FeaturedSystem, "fts": Fts, "sys": System,
+    "System": System, "cli": cli,
+}
+
+
+def test_every_call_written_names_its_parameters():
+    """Each call the README writes with plain arguments, `name(a, b)`,
+    names exactly the parameters of what it calls, in order, a method's
+    `self` aside; a name resolves through `RECEIVERS` or from `feta`."""
+    text = README.read_text(encoding="utf-8")
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\(([\w,\s]*)\)`", text)
+    assert len(calls) == 25
+    wrong = []
+    for name, arguments in calls:
+        head, _, rest = name.partition(".")
+        target = RECEIVERS[head] if head in RECEIVERS else getattr(feta, head)
+        for part in filter(None, rest.split(".")):
+            target = getattr(target, part)
+        parameters = list(inspect.signature(target).parameters)
+        if parameters[:1] == ["self"]:
+            parameters = parameters[1:]
+        if [a.strip() for a in arguments.split(",") if a.strip()] != parameters:
+            wrong.append((name, arguments, parameters))
+    assert not wrong

@@ -9,7 +9,7 @@ import feta.automata
 import feta.team
 import models
 from instancegen import (
-    built_team_disagreements, guard_class_disagreements, plain_team_disagreements,
+    built_team_disagreements, class_guard, guard_class_disagreements, plain_team_disagreements,
 )
 from feta import (
     STAR,
@@ -446,7 +446,7 @@ def test_commutation_lists_the_missing_member_of_a_shared_guard_class():
 def test_label_classes_are_the_full_team_class_by_class(access, team):
     """Every class expands, over the idle components' states, to its share
     of the full team's transitions, each of which reads a guard equal to
-    the class's, with the same sync object."""
+    the one rebuilt from the class's conjuncts, with the same sync object."""
     fsys, fspec = access
     featured = build_featured_classes(fsys, fspec)
     assert (featured.states, featured.initial, featured.actions) == (
@@ -457,8 +457,8 @@ def test_label_classes_are_the_full_team_class_by_class(access, team):
         members = list(featured.members(cls))
         assert len(members) == cls.size
         for t in members:
-            assert team.guards[t] == cls.guard
-            assert team.guards[t].operands[1] is cls.guard.operands[1]
+            assert team.guards[t] == class_guard(cls)
+            assert team.guards[t].operands[1] is cls.conjuncts[-1]
         expanded.extend(members)
     assert sorted(expanded, key=feta.automata.transition_key) == list(team.transitions)
     assert len(featured.classes) == len({id(team.guards[t]) for t in team.transitions})
@@ -467,7 +467,7 @@ def test_label_classes_are_the_full_team_class_by_class(access, team):
 def test_label_classes_check_the_budget_as_the_full_team_does():
     """The states bound first, then the participants of the first state and
     action in order; with no label fitting the type, every class is there,
-    each with a guard no product satisfies."""
+    each with conjuncts no product satisfies."""
     fsys, fspec = featured_worker_and_sink(SyncType(Interval(5, 5), Interval(1, 1)))
     for budget, bound, message in (
         (Budget(states=1, participants=2), "states",
@@ -480,4 +480,23 @@ def test_label_classes_check_the_budget_as_the_full_team_does():
     featured = build_featured_classes(fsys, fspec, Budget(participants=3))
     assert sum(cls.size for cls in featured.classes) == 10
     for product in valid_products(fsys.feature_model, fsys.space):
-        assert not any(evaluate(cls.guard, product) for cls in featured.classes)
+        assert not any(evaluate(class_guard(cls), product) for cls in featured.classes)
+        assert featured.kept(product) == []
+
+
+def test_label_classes_make_no_guard(monkeypatch):
+    """`build_featured_classes` keeps each class's conjuncts and asks the
+    full team's guard function for no guard."""
+    calls = []
+    original = feta.team._TeamGuards.guard
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(feta.team._TeamGuards, "guard", counting)
+    source = (Path(__file__).parent / "inputs" / "acc4.feta").read_text(encoding="utf-8")
+    result = elaborate_text(source)
+    featured = build_featured_classes(result.system, result.sync)
+    assert len(featured.classes) == 304
+    assert calls == []
