@@ -8,7 +8,6 @@ from .dsl import (
     SpecDocument,
     elaborate,
     elaborate_text,
-    format_document,
     parse,
     parse_expr,
 )
@@ -50,7 +49,6 @@ from .features import (
     conj,
     disj,
     entails,
-    equivalent,
     evaluate,
     expr_mask,
     format_expr,
@@ -67,7 +65,6 @@ from .receptiveness import (
     ComplianceVerdict,
     ReceptivenessReport,
     Requirement,
-    check_compliance,
     check_receptiveness,
     check_weak_compliance,
     derive_requirements,
@@ -79,7 +76,6 @@ from .synctypes import (
     SyncRule,
     SyncType,
     SyncTypeSpec,
-    transition_satisfies,
 )
 from .system import ClosureReport, FeaturedSystem, System, SystemLabel, SystemTransition
 from .team import (

@@ -53,7 +53,6 @@ from .features import (
     FeatureSpace,
     Not,
     Var,
-    format_expr,
     valid_products,
     variables,
 )
@@ -851,52 +850,3 @@ def elaborate_text(text: str) -> ElaborationResult:
     return ElaborationResult(
         result.system, result.sync, parsed.diagnostics + result.diagnostics
     )
-
-
-# --- formatting -------------------------------------------------------------
-
-
-def _format_interval(lo: int, hi: int | None) -> str:
-    return f"[{lo},{'*' if hi is None else hi}]"
-
-
-def format_document(document: SpecDocument) -> str:
-    """Canonical layout; reparsing the output reproduces the same syntax tree."""
-    lines: list[str] = []
-    if document.features:
-        lines.append(f"features {', '.join(document.features)};")
-    if document.model is not None:
-        lines.append(f"feature_model {format_expr(document.model)};")
-    for comp in document.components:
-        lines.append("")
-        lines.append(f"component {comp.name} {{")
-        if comp.inputs:
-            lines.append(f"  input {', '.join(comp.inputs)};")
-        if comp.outputs:
-            lines.append(f"  output {', '.join(comp.outputs)};")
-        if comp.states is not None:
-            lines.append(f"  states {', '.join(comp.states)};")
-        if comp.init:
-            lines.append(f"  init {', '.join(comp.init)};")
-        for t in comp.transitions:
-            guard = "" if t.guard is None else f" when {format_expr(t.guard)}"
-            suffix = t.suffix or ""
-            lines.append(f"  {t.source} -> {t.target} by {t.action}{suffix}{guard};")
-        lines.append("}")
-    if document.system is not None:
-        lines.append("")
-        bindings = ", ".join(f"{i}: {c}" for i, c in document.system.bindings)
-        lines.append(f"system {document.system.name} = {{ {bindings} }};")
-    if document.sync is not None:
-        lines.append("")
-        lines.append("sync {")
-        for rule in document.sync:
-            head = "default " if rule.actions is None else ", ".join(rule.actions) + ": "
-            body = (
-                f"{_format_interval(rule.send_lo, rule.send_hi)} -> "
-                f"{_format_interval(rule.recv_lo, rule.recv_hi)}"
-            )
-            guard = "" if rule.guard is None else f" when {format_expr(rule.guard)}"
-            lines.append(f"  {head}{body}{guard};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

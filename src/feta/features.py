@@ -497,11 +497,6 @@ def entails(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
     return expr_mask(lhs, space) & ~expr_mask(rhs, space) == 0
 
 
-def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
-    """Whether the two expressions are satisfied by exactly the same products."""
-    return expr_mask(lhs, space) == expr_mask(rhs, space)
-
-
 # --- rendering -------------------------------------------------------------
 
 

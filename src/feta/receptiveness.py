@@ -119,14 +119,6 @@ def sends(transition, req) -> bool:
     return label.action == req.action and label.senders == req.senders and bool(label.receivers)
 
 
-def check_compliance(team: Lts, req: Requirement) -> ComplianceVerdict:
-    """Can exactly this group send right now, with someone receiving?"""
-    witness = next((t for t in team.successors_from(req.state) if sends(t, req)), None)
-    if witness is None:
-        return ComplianceVerdict(req, VIOLATED, None)
-    return ComplianceVerdict(req, COMPLIANT, (witness,))
-
-
 def search_weak_compliance(req: Requirement, successors) -> ComplianceVerdict:
     """Breadth-first search for a group-free warm-up after which the send works.
 

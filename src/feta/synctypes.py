@@ -70,12 +70,6 @@ class SyncType(namedtuple("SyncType", "senders receivers")):
         return f"{self.senders} -> {self.receivers}"
 
 
-def transition_satisfies(transition, sync_type: SyncType) -> bool:
-    """Whether the transition's participant counts fit the type."""
-    label = transition.label
-    return sync_type.admits(len(label.senders), len(label.receivers))
-
-
 class SyncTypeSpec:
     """A total map from actions to synchronisation types (one product's view)."""
 

@@ -213,8 +213,8 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
     counts fit their action's type, over the full product of the local state
     sets.
 
-    It equals `sys.state_space` with its transitions filtered by
-    `transition_satisfies`, under the same budget checks, but expands only
+    It equals `sys.state_space` with its transitions filtered by their
+    action's `SyncType.admits`, under the same budget checks, but expands only
     what it keeps: `_full_transitions` filters by the type check, once per
     label, before a label's classes are expanded. States and transitions
     come in `Lts` order.

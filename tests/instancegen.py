@@ -18,6 +18,7 @@ from feta import (
     TRUE,
     And,
     Budget,
+    ComplianceVerdict,
     FeaturedComponent,
     FeaturedSyncSpec,
     FeaturedSystem,
@@ -38,9 +39,11 @@ from feta import (
     all_products,
     conj,
     evaluate,
+    expr_mask,
     valid_products,
 )
 from feta.automata import state_key
+from feta.receptiveness import COMPLIANT, VIOLATED
 
 
 _SHAPES = (lambda a, b: And((a, b)), lambda a, b: Or((a, b)), Xor, Iff, Implies)
@@ -425,7 +428,6 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     """
     from feta import participants_guard, product_set_expr, variables
     from feta.automata import label_action, state_key, transition_key
-    from feta.synctypes import transition_satisfies
 
     products = valid_products(fsys.feature_model, fsys.space)
     sync_exprs = {}
@@ -433,7 +435,10 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     def sync_expr(t):
         key = (t.action, len(t.senders), len(t.receivers))
         if key not in sync_exprs:
-            admitted = [p for p in products if transition_satisfies(t, fspec.lookup(p, t.action))]
+            admitted = [
+                p for p in products
+                if fspec.lookup(p, t.action).admits(len(t.senders), len(t.receivers))
+            ]
             sync_exprs[key] = product_set_expr(admitted, fsys.space)
         return sync_exprs[key]
 
@@ -786,14 +791,34 @@ def reference_team(sys, spec):
     full product of local states (`reference_successors` of each state),
     filtered by the types of the actions; no label class is read.
     """
-    from feta import Lts, transition_satisfies
+    from feta import Lts
 
     states = tuple(itertools.product(*(sys.components[n].states for n in sys.names)))
     kept = [
         t for q in states for t in reference_successors(sys, q)
-        if transition_satisfies(t, spec.for_action(t.action))
+        if spec.for_action(t.action).admits(len(t.senders), len(t.receivers))
     ]
     return Lts(states, sys.initial_states(), sys.actions, kept)
+
+
+def check_compliance(team, req) -> ComplianceVerdict:
+    """The strict reference, by its definition: whether exactly the
+    requirement's group can send its action from its state, with someone
+    receiving. The first such transition is the witness. It shares no code
+    with the library, whose strict route reads the first step of its weak
+    search.
+    """
+    for t in team.successors_from(req.state):
+        label = t[1]
+        if label.action == req.action and label.senders == req.senders and label.receivers:
+            return ComplianceVerdict(req, COMPLIANT, (t,))
+    return ComplianceVerdict(req, VIOLATED, None)
+
+
+def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
+    """Whether the two expressions hold on exactly the same products of the
+    space, valid or not: their `expr_mask`s are equal."""
+    return expr_mask(lhs, space) == expr_mask(rhs, space)
 
 
 def plain_team_disagreements(team, sys, spec) -> tuple[int, list]:
@@ -817,7 +842,6 @@ def run_battery(
     from feta import (
         build_featured_classes,
         build_featured_team,
-        check_compliance,
         check_family_receptiveness,
         check_projection_commutes,
         check_receptiveness,
@@ -831,7 +855,7 @@ def run_battery(
         reachable_featured_team,
         reachable_products,
     )
-    from feta.receptiveness import COMPLIANT, FEATURED_WEAKLY_COMPLIANT, VIOLATED
+    from feta.receptiveness import FEATURED_WEAKLY_COMPLIANT
 
     results = BatteryResults()
     for seed, (fsys, fspec) in instances(count, first_seed, generate):

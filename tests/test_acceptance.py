@@ -6,6 +6,7 @@ fixed seeds and checks every feature bit-mask against direct evaluation.
 """
 
 import models
+from instancegen import equivalent
 from feta import (
     And,
     Not,
@@ -20,7 +21,6 @@ from feta import (
     derive_family_requirements,
     derive_requirements,
     entails,
-    equivalent,
     is_satisfiable,
     prune_for_display,
     reachable_products,

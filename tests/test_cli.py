@@ -1419,6 +1419,57 @@ def _absolute_imports(node) -> list[str]:
     return []
 
 
+# Exports that no module of the package reads. `perfbench/tracer.py` wraps
+# each by name, so each stays until the benchmark stops tracing it
+# (`test_every_benchmark_trace_target_exists`).
+TRACED_ONLY_EXPORTS = {
+    "is_satisfiable": "traced as features.is_satisfiable",
+    "entails": "traced as features.entails",
+    "reachable_products": "traced as family.reachable_products",
+}
+
+
+def test_every_export_is_read_in_the_package():
+    """Each name `feta/__init__.py` exports is read by some module of the
+    package outside that name's own top-level definition, so an export that
+    no command needs cannot come back unnoticed; `TRACED_ONLY_EXPORTS` are
+    the exceptions. An import alone is not a read."""
+    source = Path(cli.__file__).parent
+    init = ast.parse((source / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for path in sorted(source.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            read |= {name for node in ast.walk(top) for name in _loads(node)} - _defines(top)
+    assert sorted(exported - read) == sorted(TRACED_ONLY_EXPORTS)
+
+
+def _defines(top) -> set[str]:
+    """The names a module's top-level statement defines."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    if isinstance(top, ast.Assign):
+        return {target.id for target in top.targets if isinstance(target, ast.Name)}
+    if isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+        return {top.target.id}
+    return set()
+
+
+def _loads(node) -> tuple[str, ...]:
+    """The name a node reads: a plain name or an attribute, when loaded."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return (node.id,)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return (node.attr,)
+    return ()
+
+
 # --- report lines that only a disagreement or a gap prints ----------------------
 
 

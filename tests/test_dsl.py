@@ -1,4 +1,4 @@
-"""Parsing, elaboration diagnostics and the canonical formatter."""
+"""Parsing and elaboration diagnostics."""
 
 import ast
 import random
@@ -19,7 +19,6 @@ from feta import (
     Var,
     Xor,
     elaborate_text,
-    format_document,
     format_expr,
     parse,
     parse_expr,
@@ -40,8 +39,8 @@ EXAMPLES = (
 )
 
 
-def read_example(name: str = "access_management") -> str:
-    with open(models.example_path(name), encoding="utf-8") as handle:
+def read_example() -> str:
+    with open(models.example_path(), encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -411,25 +410,6 @@ def test_every_diagnostic_code_has_a_case():
     }
     cased = {case[2] for case in DIAGNOSTIC_TEXTS + DIAGNOSTIC_DOCUMENTS}
     assert made == cased
-
-
-# --- formatting -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", EXAMPLES)
-def test_format_is_a_fixpoint_for_every_bundled_example(name):
-    parsed = parse(read_example(name))
-    assert parsed.document is not None
-    rendered = format_document(parsed.document)
-    reparsed = parse(rendered)
-    assert reparsed.document == parsed.document
-    assert format_document(reparsed.document) == rendered
-
-
-def test_format_keeps_defaults_implicit():
-    rendered = format_document(parse(MINIMAL).document)
-    assert "when true" not in rendered
-    assert "default [1,1] -> [0,*];" in rendered
 
 
 def reference_lex(text: str) -> list[Token]:

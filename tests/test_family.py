@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import models
+from instancegen import equivalent
 from feta import (
     And,
     Budget,
@@ -31,7 +32,6 @@ from feta import (
     derive_requirements,
     disj,
     elaborate_text,
-    equivalent,
     evaluate,
     is_satisfiable,
     product_team,
@@ -185,6 +185,15 @@ def test_reachable_products(team):
     assert [str(p) for p in reachable_products(team, ("1", "0", "1"))] == ["{lock}"]
     assert [str(p) for p in reachable_products(team, ("2", "2", "0"))] == ["{lock}", "{unlock}"]
     assert reachable_products(team, ("1", "1", "1")) == ()
+
+
+def test_no_product_reaches_a_state_outside_the_team():
+    """Not even the family's first product, the empty one, which the
+    turnstile's feature model admits."""
+    result = elaborate_text(Path(models.example_path("turnstile")).read_text(encoding="utf-8"))
+    team = build_featured_team(result.system, result.sync)
+    assert [str(p) for p in reachable_products(team, ("0", "0"))] == ["{}", "{coin}"]
+    assert reachable_products(team, ("9", "9")) == ()
 
 
 def test_senders_guard_conjoins_local_alternatives(access, freqs):
@@ -506,3 +515,26 @@ def test_family_requirements_bound_the_ready_senders(access, team):
         derive_family_requirements(team, fsys, fspec, Budget(participants=1))
     assert refused.value.bound == "participants"
     assert str(refused.value) == "ready senders of 'join': 2, above the bound 1"
+
+
+def test_a_type_admitting_zero_senders_adds_no_empty_group(capsys):
+    """`ping: [0,1] -> [1,1]` admits a send by no sender, yet a requirement
+    needs a ready group of at least one: P's send is the only one. An empty
+    group would be a family requirement that no product's own team has."""
+    spec = str(Path(__file__).parent / "inputs" / "zero_senders.feta")
+    assert main(["reqs", spec]) == 0
+    assert capsys.readouterr().out == (
+        "featured requirements (1):\n"
+        "  [!f || f] rcp({p}, ping) @ (0,0)\n"
+    )
+    assert main(["verify", spec]) == 0
+    assert capsys.readouterr().out == (
+        "ok: projection of the team commutes for {}\n"
+        "ok: projection of the team commutes for {f}\n"
+        "ok: requirements project correctly for {}\n"
+        "ok: requirements project correctly for {f}\n"
+        "ok: compliance unfolds product by product (1 requirements)\n"
+        "ok: family verdict equals all product verdicts (strict)\n"
+        "ok: family verdict equals all product verdicts (weak)\n"
+        "verify: 7 checks passed\n"
+    )

@@ -36,7 +36,7 @@ def test_every_building_block_resolves_from_the_package_root():
     `verify`, a CLI command named there, is not an export."""
     paragraph = readme_paragraph("The building blocks are exported from the package root")
     named = set(re.findall(r"`(\w+)`", paragraph)) - {"verify"}
-    assert len(named) == 41
+    assert len(named) == 40
     missing = sorted(name for name in named if not hasattr(feta, name))
     assert not missing
 

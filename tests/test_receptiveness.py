@@ -3,6 +3,7 @@
 import pytest
 
 import models
+from instancegen import check_compliance
 from feta import (
     STAR,
     TRUE,
@@ -14,7 +15,6 @@ from feta import (
     SyncTypeSpec,
     System,
     build_team,
-    check_compliance,
     check_receptiveness,
     check_weak_compliance,
     derive_requirements,

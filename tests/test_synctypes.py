@@ -21,8 +21,6 @@ from feta import (
     SyncRule,
     SyncType,
     SyncTypeSpec,
-    SystemLabel,
-    SystemTransition,
     TotalityError,
     Var,
     elaborate_text,
@@ -31,18 +29,11 @@ from feta import (
     products_for_group,
     products_in,
     synctypes,
-    transition_satisfies,
     valid_products,
 )
 
 ONE = Interval(1, 1)
 ANY = Interval(0, STAR)
-
-
-def transition(n_senders, n_receivers, action="go"):
-    senders = frozenset(f"s{i}" for i in range(n_senders))
-    receivers = frozenset(f"r{i}" for i in range(n_receivers))
-    return SystemTransition(("0",), SystemLabel(senders, action, receivers), ("0",))
 
 
 def test_interval_membership():
@@ -66,12 +57,12 @@ def test_interval_and_type_formatting():
     assert str(SyncType(ONE, Interval(0, 2))) == "[1,1] -> [0,2]"
 
 
-def test_transition_satisfies_counts_both_roles():
+def test_admits_counts_both_roles():
     st = SyncType(Interval(1, 2), Interval(1, 1))
-    assert transition_satisfies(transition(1, 1), st)
-    assert transition_satisfies(transition(2, 1), st)
-    assert not transition_satisfies(transition(3, 1), st)
-    assert not transition_satisfies(transition(1, 0), st)
+    assert st.admits(1, 1)
+    assert st.admits(2, 1)
+    assert not st.admits(3, 1)
+    assert not st.admits(1, 0)
 
 
 def test_spec_for_action_is_total_or_raises():

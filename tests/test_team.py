@@ -9,7 +9,11 @@ import feta.automata
 import feta.team
 import models
 from instancegen import (
-    built_team_disagreements, class_guard, guard_class_disagreements, plain_team_disagreements,
+    built_team_disagreements,
+    class_guard,
+    equivalent,
+    guard_class_disagreements,
+    plain_team_disagreements,
 )
 from feta import (
     STAR,
@@ -38,7 +42,6 @@ from feta import (
     check_projection_commutes,
     elaborate_text,
     entails,
-    equivalent,
     evaluate,
     is_satisfiable,
     participants_guard,
@@ -101,8 +104,16 @@ def test_totality_is_checked_before_building(access):
         space=fspec.space,
         feature_model=fspec.feature_model,
     )
-    with pytest.raises(TotalityError):
+    missing = partial.validate_total()
+    assert [(str(product), action) for product, action in missing] == [
+        ("{unlock}", "join"), ("{unlock}", "leave"),
+    ]
+    with pytest.raises(TotalityError) as refused:
         build_featured_team(fsys, partial)
+    # The message names the first missing pair in `validate_total` order.
+    assert str(refused.value) == (
+        "specification misses 2 (product, action) pairs, first {unlock} / 'join'"
+    )
 
 
 def test_open_systems_build_silently_and_report_their_gaps(access):
