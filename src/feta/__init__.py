@@ -86,7 +86,6 @@ from .team import (
     build_featured_team,
     build_team,
     check_projection_commutes,
-    participants_guard,
     product_team,
     prune_for_display,
     reachable_featured_team,

@@ -58,7 +58,6 @@ from .features import (
 )
 from .synctypes import FeaturedSyncSpec, Interval, SyncRule, SyncType
 from .system import FeaturedSystem
-from .values import Value, init_field
 
 ERROR = "error"
 WARNING = "warning"
@@ -97,80 +96,21 @@ def has_errors(diagnostics) -> bool:
 
 # --- abstract syntax --------------------------------------------------------
 #
-# A declaration's `loc` (line, column) is shown by `repr` but left out of
-# `==` and `hash`: the same text parsed at two places gives equal nodes.
+# Each declaration ends with its source position `loc` (line, column), which
+# `==` and `hash` compare like every other field. An omitted guard or action
+# suffix is None, as are a component's undeclared `states`, the `actions` of
+# the `default` rule and an upper bound `*`.
 
-
-class TransitionDecl(Value):
-    __match_args__ = ("source", "target", "action", "suffix", "guard", "loc")
-
-    def __init__(
-        self, source: str, target: str, action: str, suffix: str | None,
-        guard: FeatureExpr | None, loc: tuple[int, int] = (1, 1),
-    ) -> None:
-        init_field(self, "source", source)
-        init_field(self, "target", target)
-        init_field(self, "action", action)
-        init_field(self, "suffix", suffix)
-        init_field(self, "guard", guard)
-        init_field(self, "loc", loc)
-
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.action, self.suffix, self.guard)
-
-
-class ComponentDecl(Value):
-    __match_args__ = ("name", "inputs", "outputs", "states", "init", "transitions", "loc")
-
-    def __init__(
-        self, name: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
-        states: tuple[str, ...] | None, init: tuple[str, ...],
-        transitions: tuple[TransitionDecl, ...], loc: tuple[int, int] = (1, 1),
-    ) -> None:
-        init_field(self, "name", name)
-        init_field(self, "inputs", inputs)
-        init_field(self, "outputs", outputs)
-        init_field(self, "states", states)
-        init_field(self, "init", init)
-        init_field(self, "transitions", transitions)
-        init_field(self, "loc", loc)
-
-    def _key(self) -> tuple:
-        return (self.name, self.inputs, self.outputs, self.states, self.init, self.transitions)
-
-
-class SystemDecl(Value):
-    __match_args__ = ("name", "bindings", "loc")
-
-    def __init__(
-        self, name: str, bindings: tuple[tuple[str, str], ...], loc: tuple[int, int] = (1, 1)
-    ) -> None:
-        init_field(self, "name", name)
-        init_field(self, "bindings", bindings)
-        init_field(self, "loc", loc)
-
-    def _key(self) -> tuple:
-        return (self.name, self.bindings)
-
-
-class SyncRuleDecl(Value):
-    __match_args__ = ("actions", "send_lo", "send_hi", "recv_lo", "recv_hi", "guard", "loc")
-
-    def __init__(
-        self, actions: tuple[str, ...] | None, send_lo: int, send_hi: int | None,
-        recv_lo: int, recv_hi: int | None, guard: FeatureExpr | None,
-        loc: tuple[int, int] = (1, 1),
-    ) -> None:
-        init_field(self, "actions", actions)
-        init_field(self, "send_lo", send_lo)
-        init_field(self, "send_hi", send_hi)
-        init_field(self, "recv_lo", recv_lo)
-        init_field(self, "recv_hi", recv_hi)
-        init_field(self, "guard", guard)
-        init_field(self, "loc", loc)
-
-    def _key(self) -> tuple:
-        return (self.actions, self.send_lo, self.send_hi, self.recv_lo, self.recv_hi, self.guard)
+TransitionDecl = namedtuple(
+    "TransitionDecl", "source target action suffix guard loc", defaults=((1, 1),)
+)
+ComponentDecl = namedtuple(
+    "ComponentDecl", "name inputs outputs states init transitions loc", defaults=((1, 1),)
+)
+SystemDecl = namedtuple("SystemDecl", "name bindings loc", defaults=((1, 1),))
+SyncRuleDecl = namedtuple(
+    "SyncRuleDecl", "actions send_lo send_hi recv_lo recv_hi guard loc", defaults=((1, 1),)
+)
 
 
 # The declared feature names, the model (or None), the component

@@ -53,17 +53,6 @@ from .synctypes import FeaturedSyncSpec, SyncTypeSpec
 from .system import FeaturedSystem, System, SystemLabel, SystemTransition, _picker
 
 
-def participants_guard(fsys: FeaturedSystem, transition: SystemTransition) -> FeatureExpr:
-    """Conjunction of the local guards of every participant's step, in system order."""
-    src, label, dst = transition
-    involved = label.participants()
-    return conj(
-        fsys.components[name].guards[(src[idx], label.action, dst[idx])]
-        for idx, name in enumerate(fsys.names)
-        if name in involved
-    )
-
-
 def _check_total(fspec: FeaturedSyncSpec) -> None:
     """Refuse a specification that is not total."""
     missing = fspec.validate_total()
@@ -89,14 +78,18 @@ class _TeamGuards:
     team whose guards are never read asks for none. A guard depends only on
     its label class, the label and its participants' local sources and
     targets, never on the idle components' states, so the transitions of
-    one class share one guard object.
+    one class share one guard object, made of its `conjuncts`.
     """
 
     def __init__(self, fsys: FeaturedSystem, fspec: FeaturedSyncSpec) -> None:
         self.fsys, self.fspec = fsys, fspec
-        self._local = [fsys.components[name].guard_masks for name in fsys.names]
+        self._components = [fsys.components[name] for name in fsys.names]
         self._masks: dict[tuple[str, int, int], int] = {}
         self._guards: dict[tuple, FeatureExpr] = {}
+
+    @functools.cached_property
+    def _local(self) -> list[dict]:
+        return [comp.guard_masks for comp in self._components]
 
     def sync_mask(self, label: SystemLabel) -> int:
         key = (label.action, len(label.senders), len(label.receivers))
@@ -129,6 +122,15 @@ class _TeamGuards:
             out.extend((SystemTransition(source, label, moved), kept) for moved, kept in partial)
         return out
 
+    def conjuncts(
+        self, label: SystemLabel, participants, sources, targets
+    ) -> tuple[FeatureExpr, ...]:
+        """A label class's guard conjuncts: its participants' local guards,
+        in index order, then the sync expression."""
+        steps = zip(participants, sources, targets)
+        local = (self._components[i].guards[src, label.action, dst] for i, src, dst in steps)
+        return *local, self.fsys.products_expr(self.sync_mask(label))
+
     def guard(self, t: SystemTransition) -> FeatureExpr:
         """The guard of one of the team's transitions, one object for its
         label class: the label and its participants' local sources and targets."""
@@ -137,8 +139,10 @@ class _TeamGuards:
         key = label, get(source), get(target)
         guard = self._guards.get(key)
         if guard is None:
-            sync = self.fsys.products_expr(self.sync_mask(t.label))
-            guard = self._guards[key] = And((participants_guard(self.fsys, t), sync))
+            involved = label.participants()
+            participants = [i for i, name in enumerate(self.fsys.names) if name in involved]
+            *local, sync = self.conjuncts(label, participants, *key[1:])
+            guard = self._guards[key] = And((conj(local), sync))
         return guard
 
 
@@ -323,25 +327,21 @@ def build_featured_classes(
     Inputs and bounds are checked as `build_featured_team` checks them, with
     the same errors in the same order: the specification's totality,
     `budget.states` against the full product, then `budget.participants`.
-    Each class keeps its guard's conjuncts, the participants' local guard
-    objects and the sync expression the full team's guards share, and no
-    guard is made, so comparing projections reads no mask.
+    Each class keeps its guard's conjuncts (`_TeamGuards.conjuncts`), the
+    objects the full team's guards are made of, and no guard is made, so
+    comparing projections reads no mask.
     """
     _check_total(fspec)
     states = fsys._full_states(budget)
-    guards = [fsys.components[name].guards for name in fsys.names]
-    local_states = tuple(fsys.components[name].states for name in fsys.names)
-    sync, classes = {}, []
-    for label, participants, sources, targets, size in fsys._label_classes(states, budget):
-        if label not in sync:
-            counts = len(label.senders), len(label.receivers)
-            sync[label] = fsys.products_expr(fspec.allowed_products(label.action, *counts))
-        steps = zip(participants, sources, targets)
-        conjuncts = *(guards[i][src, label.action, dst] for i, src, dst in steps), sync[label]
-        classes.append(LabelClass(label, participants, sources, targets, conjuncts, size))
+    parts = _TeamGuards(fsys, fspec)
+    classes = tuple(
+        LabelClass(label, participants, sources, targets,
+                   parts.conjuncts(label, participants, sources, targets), size)
+        for label, participants, sources, targets, size in fsys._label_classes(states, budget)
+    )
     return FeaturedClasses(
         states, fsys.initial_states(), fsys.actions, fsys.space, fsys.feature_model,
-        local_states, tuple(classes),
+        tuple(comp.states for comp in parts._components), classes,
     )
 
 

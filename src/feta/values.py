@@ -1,9 +1,8 @@
 """Immutable value classes, declared without generated code.
 
 Plain records are named tuples. `Value` is the base of the classes a named
-tuple cannot be: those that validate their fields, that keep derived
-results as attributes (expression nodes), or that leave a field out of
-comparison, which a tuple's own `!=` and ordering would still compare.
+tuple cannot be: those that validate their fields, or that keep derived
+results as attributes (expression nodes).
 """
 
 from __future__ import annotations

@@ -2,10 +2,17 @@ import pytest
 
 import models
 from feta import build_featured_team, prune_for_display
-from instancegen import WARM_UP_SEED, run_battery, warm_up_instance
+from instancegen import (
+    WARM_UP_SEED,
+    ZERO_SENDER_SEED,
+    run_battery,
+    warm_up_instance,
+    zero_sender_instance,
+)
 
 RANDOM_INSTANCES = 200
 WARM_UP_INSTANCES = 30
+ZERO_SENDER_INSTANCES = 30
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +39,8 @@ def battery():
 @pytest.fixture(scope="session")
 def warm_up_battery():
     return run_battery(WARM_UP_INSTANCES, WARM_UP_SEED, generate=warm_up_instance)
+
+
+@pytest.fixture(scope="session")
+def zero_sender_battery():
+    return run_battery(ZERO_SENDER_INSTANCES, ZERO_SENDER_SEED, generate=zero_sender_instance)

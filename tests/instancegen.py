@@ -187,6 +187,22 @@ def warm_up_instance(seed: int) -> tuple[FeaturedSystem, FeaturedSyncSpec]:
 WARM_UP_SEED = 5000
 
 
+def zero_sender_instance(seed: int) -> tuple[FeaturedSystem, FeaturedSyncSpec]:
+    """`random_instance(seed)`, except that its last (default) rule's type
+    admits zero senders, up to the same maximum, and no zero receivers,
+    which `random_sync_type` never draws."""
+    fsys, fspec = random_instance(seed)
+    *rules, last = fspec.rules
+    senders, receivers = last.sync_type
+    zero = SyncType(Interval(0, senders.hi), Interval(max(receivers.lo, 1), receivers.hi))
+    rules.append(last._replace(sync_type=zero))
+    return fsys, FeaturedSyncSpec(tuple(rules), fspec.alphabet, fspec.space, fspec.feature_model)
+
+
+# The zero-sender slice's seeds start here.
+ZERO_SENDER_SEED = 7000
+
+
 def instances(count: int, first_seed: int = 1000, generate=random_instance):
     for offset in range(count):
         yield first_seed + offset, generate(first_seed + offset)
@@ -230,7 +246,9 @@ class BatteryResults:
     (`_replace(mode="strict")`, as `verify` reads it) whose verdict and
     violated requirements were compared with the strict report's;
     `featured_weak_entries` counts the weak family reports' entries that
-    only a warm-up makes compliant; and `planted_faults` how many
+    only a warm-up makes compliant; `weak_reference_checks` counts the
+    products' requirements whose weak verdict (`check_weak_compliance`) was
+    compared with the reference `weak_compliance`; and `planted_faults` how many
     faults of each kind were planted in the label-class checks and caught,
     or, under a family-route fault of `FAMILY_FAULTS` (`run_with_fault`),
     how many checks it tripped.
@@ -251,6 +269,7 @@ class BatteryResults:
     culprit_choices: int = 0
     strict_reading_checks: int = 0
     featured_weak_entries: int = 0
+    weak_reference_checks: int = 0
     planted_faults: dict = dataclasses.field(default_factory=dict)
     projection_failures: list = dataclasses.field(default_factory=list)
     requirement_projection_failures: list = dataclasses.field(default_factory=list)
@@ -272,6 +291,7 @@ class BatteryResults:
     label_class_failures: list = dataclasses.field(default_factory=list)
     class_projection_failures: list = dataclasses.field(default_factory=list)
     display_failures: list = dataclasses.field(default_factory=list)
+    weak_reference_failures: list = dataclasses.field(default_factory=list)
 
     def tripped(self) -> list[str]:
         """The names of the failure lists that are not empty."""
@@ -414,6 +434,18 @@ def reachable_team_disagreements(full, reachable, fsys, fspec) -> tuple[int, lis
     return compared, wrong
 
 
+def participants_guard(fsys, transition) -> FeatureExpr:
+    """The local part of a team guard by its definition: the conjunction of
+    the local guards of every participant's step, in system order."""
+    src, label, dst = transition
+    involved = label.participants()
+    return conj(
+        fsys.components[name].guards[(src[idx], label.action, dst[idx])]
+        for idx, name in enumerate(fsys.names)
+        if name in involved
+    )
+
+
 def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     """Check a builder-made team for what `Fts.__init__` checks of caller input.
 
@@ -426,7 +458,7 @@ def built_team_disagreements(team, fsys, fspec) -> tuple[int, list]:
     increase by `transition_key`, with declared states and actions.
     Returns the number of transitions checked and the mismatches.
     """
-    from feta import participants_guard, product_set_expr, variables
+    from feta import product_set_expr, variables
     from feta.automata import label_action, state_key, transition_key
 
     products = valid_products(fsys.feature_model, fsys.space)
@@ -815,6 +847,29 @@ def check_compliance(team, req) -> ComplianceVerdict:
     return ComplianceVerdict(req, VIOLATED, None)
 
 
+def weak_compliance(team, req) -> bool:
+    """The weak reference, by its definition: whether, from some state
+    reachable from the requirement's state by transitions in which no
+    sender takes part (its own state included), exactly the group can send
+    its action to at least one receiver. It shares no code with the
+    library's breadth-first search (`search_weak_compliance`).
+    """
+    leaving = {}
+    for t in team.transitions:
+        leaving.setdefault(t[0], []).append(t)
+    warmed, pending = {req.state}, [req.state]
+    while pending:
+        for _, label, target in leaving.get(pending.pop(), ()):
+            free = req.senders.isdisjoint(label.senders | label.receivers)
+            if free and target not in warmed:
+                warmed.add(target)
+                pending.append(target)
+    return any(
+        label.action == req.action and label.senders == req.senders and label.receivers
+        for state in warmed for _, label, _ in leaving.get(state, ())
+    )
+
+
 def equivalent(lhs: FeatureExpr, rhs: FeatureExpr, space: FeatureSpace) -> bool:
     """Whether the two expressions hold on exactly the same products of the
     space, valid or not: their `expr_mask`s are equal."""
@@ -906,6 +961,9 @@ def run_battery(
                     results.monotonicity_failures.append((seed, req))
                 if strict == VIOLATED:
                     violated[product].add(req)
+                results.weak_reference_checks += 1
+                if (weak != VIOLATED) != weak_compliance(own, req):
+                    results.weak_reference_failures.append((seed, product, req))
         results.requirements += len(freqs)
         projections = {p: team.project(p) for p in products}
         compared, wrong, planted = label_class_disagreements(
@@ -1153,6 +1211,47 @@ def _classes_without_the_last_local_guard(monkeypatch):
         monkeypatch.setattr(module, "build_featured_classes", build)
 
 
+def _conjuncts_without_the_last_local_guard(monkeypatch):
+    """`_TeamGuards.conjuncts` leaves the last participant's local guard
+    out, of the full team's guards and of the label classes alike."""
+    from feta.team import _TeamGuards
+
+    original = _TeamGuards.conjuncts
+
+    def conjuncts(self, *args):
+        parts = original(self, *args)
+        return parts[:-2] + parts[-1:]
+
+    monkeypatch.setattr(_TeamGuards, "conjuncts", conjuncts)
+
+
+def _mutated(module_name: str, name: str, old: str, new: str):
+    """A fault: the function `name` of the module, recompiled from its
+    source with the one `old` in it replaced by `new`, and planted in every
+    `feta` module that holds the function by name."""
+
+    def plant(monkeypatch):
+        import __future__
+        import importlib
+        import inspect
+        import sys
+
+        module = importlib.import_module(module_name)
+        original = getattr(module, name)
+        source = inspect.getsource(original)
+        assert source.count(old) == 1, (name, old)
+        namespace = dict(vars(module))
+        exec(compile(
+            source.replace(old, new), module.__file__, "exec",
+            __future__.annotations.compiler_flag, dont_inherit=True,
+        ), namespace)
+        for held_name, held in list(sys.modules.items()):
+            if held_name.partition(".")[0] == "feta" and getattr(held, name, None) is original:
+                monkeypatch.setattr(held, name, namespace[name])
+
+    return plant
+
+
 def _label_classes_without(end):
     """A fault: `_label_classes` drops its first (`end` 0) or last (-1) class."""
 
@@ -1174,9 +1273,9 @@ def _label_classes_without(end):
 
 # Faults planted in the family route, the strict reading of its report, the
 # display walk, the team's mask walk, projection, the label classes and the
-# classes' conjuncts and the evaluation of them, each
-# of which some check of the battery must catch; each takes a
-# `pytest.MonkeyPatch` to plant it.
+# classes' conjuncts and the evaluation of them, the team's guards and the
+# weak search, each of which some check of the battery must catch; each
+# takes a `pytest.MonkeyPatch` to plant it.
 FAMILY_FAULTS = {
     "condition drops its reach factor": _condition_without_reach,
     "_candidates drops its last candidate": _candidates_without_last,
@@ -1195,6 +1294,16 @@ FAMILY_FAULTS = {
     "FeaturedClasses.kept ignores the sync conjunct": _kept_ignores_the_sync_conjunct,
     "build_featured_classes drops the last participant's local guard":
         _classes_without_the_last_local_guard,
+    "_TeamGuards.conjuncts drops the last participant's local guard":
+        _conjuncts_without_the_last_local_guard,
+    "search_weak_compliance skips every warm-up": _mutated(
+        "feta.receptiveness", "search_weak_compliance",
+        "participants() & req.senders", "participants() | req.senders",
+    ),
+    "derive_family_requirements draws groups of no sender": _mutated(
+        "feta.family", "derive_family_requirements",
+        "range(1, len(ready) + 1)", "range(0, len(ready) + 1)",
+    ),
 }
 
 

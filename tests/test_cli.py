@@ -112,7 +112,7 @@ def test_text_feta_builds_no_team_guard(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a team guard was built")
 
-    _patch_everywhere(monkeypatch, feta.team, "participants_guard", refuse)
+    monkeypatch.setattr(feta.team._TeamGuards, "conjuncts", refuse)
     code, out, _ = run(capsys, "feta", ACCESS)
     assert code == 0
     assert out == (GOLDEN / "access_management.feta.out").read_text(encoding="utf-8")
@@ -121,7 +121,13 @@ def test_text_feta_builds_no_team_guard(capsys, monkeypatch):
 def test_dot_feta_builds_only_the_printed_team_guards(capsys, monkeypatch):
     """At most one guard per transition of the pruned team that DOT draws."""
     calls = []
-    _counting(monkeypatch, feta.team, "participants_guard", calls)
+    original = feta.team._TeamGuards.conjuncts
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(feta.team._TeamGuards, "conjuncts", counted)
     code, out, _ = run(capsys, "feta", "--format", "dot", ACCESS)
     assert code == 0
     assert out == (GOLDEN / "access_management.feta-dot.out").read_text(encoding="utf-8")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import instancegen
 import models
-from conftest import RANDOM_INSTANCES, WARM_UP_INSTANCES
+from conftest import RANDOM_INSTANCES, WARM_UP_INSTANCES, ZERO_SENDER_INSTANCES
 from feta import FeaturedSyncSpec, cli, valid_products
 
 
@@ -96,15 +96,63 @@ def test_warm_up_slice_holds_featured_weak_entries_and_passes_every_check(warm_u
     assert warm_up_battery.tripped() == []
 
 
+def test_weak_search_agrees_with_its_definition(battery, warm_up_battery):
+    """Every product requirement's weak verdict (`check_weak_compliance`)
+    equals the reference read off the definition, on the population and on
+    the warm-up slice, where most sends need a warm-up."""
+    for results in (battery, warm_up_battery):
+        assert results.weak_reference_failures == []
+        assert results.weak_reference_checks > 0
+
+
+def test_zero_sender_slice_passes_every_check(zero_sender_battery):
+    """Types that admit zero senders, which the population never draws,
+    keep every check of the battery."""
+    assert zero_sender_battery.instances == ZERO_SENDER_INSTANCES
+    assert zero_sender_battery.requirements > 0
+    assert zero_sender_battery.tripped() == []
+
+
 # Planted family-route faults run on the first instances of the population,
-# or, for a fault in how a report reads featured-weakly-compliant entries,
-# of the warm-up slice.
+# or of the slice that holds what the fault is in: the warm-up slice for
+# how a report reads featured-weakly-compliant entries and for the weak
+# search, the zero-sender slice for the group sizes.
 FAULT_INSTANCES = 30
-WEAK_ENTRY_FAULTS = {"the strict reading accepts featured-weakly-compliant entries"}
-# Faults in the label classes' conjuncts or in how `kept` evaluates them.
-CONJUNCT_FAULTS = {
-    "FeaturedClasses.kept ignores the sync conjunct",
-    "build_featured_classes drops the last participant's local guard",
+FAULT_SLICES = {
+    "the strict reading accepts featured-weakly-compliant entries":
+        (instancegen.WARM_UP_SEED, instancegen.warm_up_instance),
+    "search_weak_compliance skips every warm-up":
+        (instancegen.WARM_UP_SEED, instancegen.warm_up_instance),
+    "derive_family_requirements draws groups of no sender":
+        (instancegen.ZERO_SENDER_SEED, instancegen.zero_sender_instance),
+}
+# The checks a fault must trip; one of `EXACT_TRIPS` trips no other.
+_CONJUNCTS_TRIP = {"projection_failures", "label_class_failures", "class_projection_failures"}
+FAULT_TRIPS = {
+    "first_product_in returns the last product": {"culprit_failures"},
+    # The teams read off the classes lack what the state-by-state walks
+    # make: the reachable team's and the plain reference's.
+    "_label_classes drops its first class": {"reachable_team_failures", "plain_team_failures"},
+    "_label_classes drops its last class": {"reachable_team_failures", "plain_team_failures"},
+    "the strict reading accepts featured-weakly-compliant entries": {"strict_reading_failures"},
+    # The product keeps classes its own team lacks.
+    "FeaturedClasses.kept ignores the sync conjunct": _CONJUNCTS_TRIP,
+    "build_featured_classes drops the last participant's local guard": _CONJUNCTS_TRIP,
+    # The full team's guards lose a conjunct that the reference keeps.
+    "_TeamGuards.conjuncts drops the last participant's local guard": {"built_team_failures"},
+    # The library's weak verdicts, family and product alike, lose every
+    # warm-up; only the reference keeps them.
+    "search_weak_compliance skips every warm-up": {"weak_reference_failures"},
+    # Groups of no sender are owed a reception on the family route only.
+    "derive_family_requirements draws groups of no sender": {
+        "requirement_projection_failures", "family_strict_failures", "culprit_failures",
+        "family_weak_failures",
+    },
+}
+EXACT_TRIPS = {
+    "first_product_in returns the last product",
+    "the strict reading accepts featured-weakly-compliant entries",
+    "search_weak_compliance skips every warm-up",
 }
 
 
@@ -113,29 +161,16 @@ def test_battery_catches_a_planted_family_fault(fault):
     """Caught on one of the first instances. The run stops at the first
     instance that trips a check, except where the test asserts which checks
     trip on all of them."""
+    first_seed, generate = FAULT_SLICES.get(fault, (1000, instancegen.random_instance))
     exclusive = fault == "first_product_in returns the last product"
-    if fault in WEAK_ENTRY_FAULTS:
-        first_seed, generate = instancegen.WARM_UP_SEED, instancegen.warm_up_instance
-    else:
-        first_seed, generate = 1000, instancegen.random_instance
     results = instancegen.run_with_fault(
         fault, FAULT_INSTANCES, first_seed, not exclusive, generate
     )
     assert results.planted_faults[fault] > 0, f"the battery missed: {fault}"
     if exclusive:
         assert results.instances == FAULT_INSTANCES
-        assert results.tripped() == ["culprit_failures"]
-    if fault.startswith("_label_classes"):
-        # The teams read off the classes lack what the state-by-state walks
-        # make: the reachable team's and the plain reference's.
-        assert {"reachable_team_failures", "plain_team_failures"} <= set(results.tripped())
-    if fault in WEAK_ENTRY_FAULTS:
-        assert results.tripped() == ["strict_reading_failures"]
-    if fault in CONJUNCT_FAULTS:
-        # The product keeps classes its own team lacks.
-        assert {
-            "projection_failures", "label_class_failures", "class_projection_failures"
-        } <= set(results.tripped())
+    tripped, expected = set(results.tripped()), FAULT_TRIPS.get(fault, set())
+    assert tripped == expected if fault in EXACT_TRIPS else expected <= tripped
 
 
 INPUTS = Path(__file__).parent / "inputs"
@@ -151,6 +186,10 @@ _EVERY_BUT = set(VERIFIED) - {"broadcast_logger"}
 # Dropping the first label class is caught on broadcast_logger only: the
 # per-product side of the projection check reads the same classes, so the
 # fault cancels out wherever the first class holds (ROADMAP item 21).
+# `verify` misses a weak search that skips every warm-up on every input:
+# its family and per-product verdicts both come from that search. No
+# input has a type that admits zero senders, so none can show groups of
+# no sender.
 VERIFY_CATCHES = {
     "condition drops its reach factor":
         {"access_management", "relay", "turnstile", "acc4", "free4", "product_family_v08"},
@@ -172,13 +211,17 @@ VERIFY_CATCHES = {
     "FeaturedClasses.kept ignores the sync conjunct": set(VERIFIED),
     "build_featured_classes drops the last participant's local guard":
         set(VERIFIED) - {"dual_sign"},
+    "_TeamGuards.conjuncts drops the last participant's local guard":
+        set(VERIFIED) - {"dual_sign"},
+    "search_weak_compliance skips every warm-up": set(),
+    "derive_family_requirements draws groups of no sender": set(),
 }
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
     """In-process `verify` on the bundled examples and the committed
-    inputs: thirteen of the fifteen faults fail it on at least one input."""
+    inputs: fourteen of the eighteen faults fail it on at least one input."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         instancegen.FAMILY_FAULTS[fault](monkeypatch)
         failing = {name for name, path in VERIFIED.items() if cli.main(["verify", path]) != 0}

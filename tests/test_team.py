@@ -13,6 +13,7 @@ from instancegen import (
     class_guard,
     equivalent,
     guard_class_disagreements,
+    participants_guard,
     plain_team_disagreements,
 )
 from feta import (
@@ -44,7 +45,6 @@ from feta import (
     entails,
     evaluate,
     is_satisfiable,
-    participants_guard,
     Product,
     products_in,
     product_team,
@@ -87,13 +87,19 @@ def test_every_guard_entails_the_feature_model(team):
     )
 
 
-def test_participants_guard_multiplies_local_guards(access):
-    fsys, _ = access
-    guard = participants_guard(fsys, models.JOINT_JOIN_LOOP)
+def test_label_class_conjuncts_are_the_local_guards_then_the_sync_expression(access, team):
+    fsys, fspec = access
+    src, label, dst = models.JOINT_JOIN_LOOP
+    parts = feta.team._TeamGuards(fsys, fspec)
+    *local, sync = parts.conjuncts(label, (0, 1, 2), src, dst)
     # u1 and u2 move 0 -> 2 (guarded unlock) and s loops 0 -> 0 (guarded
-    # unlock), so the local part is a three-way unlock conjunction.
-    assert equivalent(guard, Var("unlock"), fsys.space)
-    assert isinstance(guard, And) and len(guard.operands) == 3
+    # unlock), so the local part is three unlock guards, in system order.
+    assert local == [fsys.components[name].guards[src[i], "join", dst[i]]
+                     for i, name in enumerate(fsys.names)]
+    assert all(equivalent(guard, Var("unlock"), fsys.space) for guard in local)
+    allowed = fspec.allowed_products("join", 2, 1)
+    assert sync is fsys.products_expr(allowed)
+    assert parts.guard(models.JOINT_JOIN_LOOP) == team.guards[models.JOINT_JOIN_LOOP]
 
 
 def test_totality_is_checked_before_building(access):
