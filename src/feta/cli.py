@@ -48,7 +48,6 @@ from .reporting import (
     stats_text,
     team_stats,
     to_dot,
-    transition_text,
 )
 from .synctypes import FeaturedSyncSpec
 from .system import FeaturedSystem
@@ -387,9 +386,9 @@ def cmd_project(args) -> int:
         lines = [f"product: {product}", *stats_text(stats)]
         lines.append(f"projection agrees with the product's own team: {agrees}")
         for t in result.only_in_projection:
-            lines.append(f"  only in the projection: {transition_text(t)}")
+            lines.append(f"  only in the projection: {t}")
         for t in result.only_in_composition:
-            lines.append(f"  only in the product's team: {transition_text(t)}")
+            lines.append(f"  only in the product's team: {t}")
         return lines
 
     def fields():
@@ -455,7 +454,7 @@ def cmd_check(args) -> int:
         def lines_of(entry):
             lines = [f"  {entry.requirement}: {entry.status.replace('-', ' ')}"]
             if entry.status == WEAKLY_COMPLIANT and entry.witness and args.mode == WEAK:
-                lines += [f"    via {transition_text(t)}" for t in entry.witness]
+                lines += [f"    via {t}" for t in entry.witness]
             return lines
 
     verdict = _verdict(args.product is None, args.mode, report.holds)

@@ -42,9 +42,6 @@ class FeatureSpace(Value):
         init_field(self, "_literals", {n: (Var(n), Not(Var(n))) for n in names})
         init_field(self, "_valid", {})
 
-    def _key(self) -> tuple:
-        return (self.names,)
-
     @classmethod
     def of(cls, *names: str) -> FeatureSpace:
         return cls(tuple(names))
@@ -70,9 +67,6 @@ class Product(Value):
             raise SpecificationError(f"product selects unknown features {sorted(extra)}")
         init_field(self, "selected", selected)
         init_field(self, "space", space)
-
-    def _key(self) -> tuple:
-        return (self.selected, self.space)
 
     @classmethod
     def of(cls, space: FeatureSpace, *names: str) -> Product:
@@ -131,9 +125,6 @@ class Const(FeatureExpr):
     def __init__(self, value: bool) -> None:
         init_field(self, "value", value)
 
-    def _key(self) -> tuple:
-        return (self.value,)
-
 
 TRUE = Const(True)
 FALSE = Const(False)
@@ -145,18 +136,12 @@ class Var(FeatureExpr):
     def __init__(self, name: str) -> None:
         init_field(self, "name", name)
 
-    def _key(self) -> tuple:
-        return (self.name,)
-
 
 class Not(FeatureExpr):
     __match_args__ = ("operand",)
 
     def __init__(self, operand: FeatureExpr) -> None:
         init_field(self, "operand", operand)
-
-    def _key(self) -> tuple:
-        return (self.operand,)
 
 
 class And(FeatureExpr):
@@ -165,18 +150,12 @@ class And(FeatureExpr):
     def __init__(self, operands: tuple[FeatureExpr, ...]) -> None:
         init_field(self, "operands", operands)
 
-    def _key(self) -> tuple:
-        return (self.operands,)
-
 
 class Or(FeatureExpr):
     __match_args__ = ("operands",)
 
     def __init__(self, operands: tuple[FeatureExpr, ...]) -> None:
         init_field(self, "operands", operands)
-
-    def _key(self) -> tuple:
-        return (self.operands,)
 
 
 class Implies(FeatureExpr):
@@ -186,9 +165,6 @@ class Implies(FeatureExpr):
         init_field(self, "antecedent", antecedent)
         init_field(self, "consequent", consequent)
 
-    def _key(self) -> tuple:
-        return (self.antecedent, self.consequent)
-
 
 class Iff(FeatureExpr):
     __match_args__ = ("left", "right")
@@ -197,9 +173,6 @@ class Iff(FeatureExpr):
         init_field(self, "left", left)
         init_field(self, "right", right)
 
-    def _key(self) -> tuple:
-        return (self.left, self.right)
-
 
 class Xor(FeatureExpr):
     __match_args__ = ("left", "right")
@@ -207,9 +180,6 @@ class Xor(FeatureExpr):
     def __init__(self, left: FeatureExpr, right: FeatureExpr) -> None:
         init_field(self, "left", left)
         init_field(self, "right", right)
-
-    def _key(self) -> tuple:
-        return (self.left, self.right)
 
 
 def conj(operands) -> FeatureExpr:

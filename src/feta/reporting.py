@@ -24,11 +24,6 @@ def state_json(state):
     return list(state) if isinstance(state, tuple) else state
 
 
-def transition_text(transition) -> str:
-    src, label, dst = transition
-    return f"{state_text(src)} --{label}--> {state_text(dst)}"
-
-
 def transition_json(transition):
     src, label, dst = transition
     out = {"source": state_json(src), "target": state_json(dst)}

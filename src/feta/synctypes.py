@@ -46,9 +46,6 @@ class Interval(Value):
         init_field(self, "lo", lo)
         init_field(self, "hi", hi)
 
-    def _key(self) -> tuple:
-        return (self.lo, self.hi)
-
     def contains(self, value: int) -> bool:
         return value >= self.lo and (self.hi is STAR or value <= self.hi)
 

@@ -46,9 +46,6 @@ class SystemLabel(Value):
         # Labels sort transitions, so the sort key is worked out once.
         init_field(self, "_sort_key", (action, tuple(sorted(senders)), tuple(sorted(receivers))))
 
-    def _key(self) -> tuple:
-        return (self.senders, self.action, self.receivers)
-
     def participants(self) -> frozenset[str]:
         return self.senders | self.receivers
 
@@ -133,12 +130,11 @@ class _StepTable:
     composition needs no sort. `involved` maps each label made so far to the
     `_picker` of its participants' indices. Only `steps` reads the
     components' transitions; the rest depends on the names and alphabets
-    alone (`with_steps`).
+    alone (`with_steps`). It checks no state; `_ComposeMixin._ready` does.
     """
 
     def __init__(self, names: tuple[str, ...], components) -> None:
         self.names = names
-        self.components = components
         self.steps = [_local_steps(comp) for comp in components]
         self.plan = tuple(
             (
@@ -163,7 +159,6 @@ class _StepTable:
         """
         table = _StepTable.__new__(_StepTable)
         table.__dict__.update(self.__dict__)
-        table.components = components
         table.steps = [_local_steps(comp) for comp in components]
         return table
 
@@ -201,29 +196,9 @@ class _StepTable:
             self._patterns[key] = tuple(chosen)
         return self._patterns[key]
 
-    def refuse(self, state: tuple, rows: list, budget: Budget) -> None:
-        """Make `_ready_labels`'s checks of the state without walking its
-        labels: per action in order, the participants check, raising first
-        as the first unknown local state does in a component's
-        `successors_from` (a row is None for an unknown local state).
-        """
-        for action, takers, counted in self.plan:
-            ready = 0
-            for idx, _ in takers:
-                if rows[idx] is None:
-                    self.components[idx].successors_from(state[idx])
-                ready += action in rows[idx]
-            budget.check("participants", ready, counted)
-
 
 class _ComposeMixin:
     """Shared composition machinery for plain and featured systems."""
-
-    def component(self, name: str):
-        try:
-            return self.components[name]
-        except KeyError:
-            raise SpecificationError(f"unknown component name {name!r}") from None
 
     @property
     def actions(self) -> frozenset[str]:
@@ -257,34 +232,43 @@ class _ComposeMixin:
     def _step_table(self) -> _StepTable:
         return _StepTable(self.names, [self.components[n] for n in self.names])
 
-    def _ready_labels(self, state: tuple, budget: Budget = Budget(), keep=None):
-        """Per label that the state enables and `keep` (if given) accepts, in
-        sort-key order: the label, its participants' indices in ascending
-        order and, per participant, its targets sorted by `state_key`; the
-        one per-state label walk, of `successors` and of the featured
-        teams' masks.
-
-        The arity, unknown-state and per-action participants checks raise as
-        the components' own `successors_from` would, in action order,
-        whatever `keep` says.
+    def _ready(self, state: tuple, budget: Budget = Budget()):
+        """The state's rows of the table's `steps` and, per action in sorted
+        order with a ready participant, the action and its ready senders' and
+        receivers' indices. It raises as the components' `successors_from`
+        would: on a wrong arity, then per action in order on a taker's
+        unknown local state and on ready participants above the budget.
         """
         if len(state) != len(self.names):
             raise SpecificationError(f"state {state!r} has wrong arity")
         table = self._step_table
         rows = [steps.get(local) for steps, local in zip(table.steps, state)]
-        if None in rows:
-            table.refuse(state, rows, budget)
+        ready = []
         for action, takers, counted in table.plan:
             senders, receivers = [], []
             for idx, sends in takers:
+                if rows[idx] is None:
+                    self.components[self.names[idx]].successors_from(state[idx])
                 if action in rows[idx]:
                     (senders if sends else receivers).append(idx)
-            ready = len(senders) + len(receivers)
-            if ready > budget.participants:
-                budget.check("participants", ready, counted)
-            if not ready:
-                continue
-            for label, involved in table.pattern(action, tuple(senders), tuple(receivers)):
+            count = len(senders) + len(receivers)
+            if count > budget.participants:
+                budget.check("participants", count, counted)
+            if count:
+                ready.append((action, tuple(senders), tuple(receivers)))
+        return rows, ready
+
+    def _ready_labels(self, state: tuple, budget: Budget = Budget(), keep=None):
+        """Per label that the state enables and `keep` (if given) accepts, in
+        sort-key order: the label, its participants' indices in ascending
+        order and, per participant, its targets sorted by `state_key`; the
+        one per-state label walk, of `successors` and of the featured
+        teams' masks: the `pattern` of each action's ready participants
+        (`_ready`, whose checks raise whatever `keep` says).
+        """
+        rows, ready = self._ready(state, budget)
+        for action, senders, receivers in ready:
+            for label, involved in self._step_table.pattern(action, senders, receivers):
                 if keep is None or keep(label):
                     yield label, involved, [rows[idx][action] for idx in involved]
 
@@ -302,8 +286,9 @@ class _ComposeMixin:
         as the product of the idle components' state counts, and every label
         of the ready takers occurs. `budget.participants` is refused as
         `successors` of each state in order refuses it, at the first (state,
-        action); the states are scanned for it (`_StepTable.refuse`) only
-        when some action's takers ready somewhere exceed the bound.
+        action): only when some action's takers ready somewhere exceed the
+        bound are the states scanned, each through `_ready`, which counts the
+        ready participants and builds no label.
         """
         table = self._step_table
         if not states:
@@ -317,7 +302,7 @@ class _ComposeMixin:
         ]
         if any(len(ready) > budget.participants for _, ready in somewhere):
             for state in states:
-                table.refuse(state, [table.steps[i][q] for i, q in enumerate(state)], budget)
+                self._ready(state, budget)
         counts = [len(self.components[name].states) for name in self.names]
         for action, ready in somewhere:
             senders = tuple(idx for idx, sends in ready if sends)

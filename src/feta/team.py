@@ -249,27 +249,19 @@ def prune_for_display(feta: Fts) -> Fts:
 
     The states reachable from the initial states over the transitions whose
     guard some product (valid or not) satisfies, that is whose guard mask is
-    not 0, and those transitions from them: a walk over `feta`'s masks state
-    by state (`Fts._leaving`), which reads the masks of each kept state once
-    and of no other state. States and transitions keep `feta`'s order. The kept
-    guards come from `feta`'s guard function, each when first read here.
-    Analyses never use this view; they work on the full team or on its
-    reachable part (`reachable_featured_team`).
+    not 0, and those transitions from them: `reach_masks` with one bit that
+    each such transition passes on (`Fts._leaving`), so each kept state's
+    masks are read once and no other state's. States and transitions keep
+    `feta`'s order. The kept guards come from `feta`'s guard function, each
+    when first read here. Analyses never use this view; they work on the
+    full team or on its reachable part (`reachable_featured_team`).
     """
-    leaving = {}
-    pending = list(feta.initial)
-    seen = set(pending)
-    while pending:
-        q = pending.pop()
-        leaving[q] = steps = feta._leaving(q)
-        for t, _ in steps:
-            if t[2] not in seen:
-                seen.add(t[2])
-                pending.append(t[2])
-    states = tuple(q for q in feta.states if q in seen)
+    leaving = functools.cache(feta._leaving)
+    reach = reach_masks(feta.initial, 1, lambda q: [(t, 1) for t, _ in leaving(q)])
+    states = tuple(q for q in feta.states if q in reach)
     return Fts._built(
-        states, feta.initial, feta.actions, tuple(t for q in states for t, _ in leaving[q]),
-        feta.space, feta.feature_model, feta._guard, leaving.__getitem__,
+        states, feta.initial, feta.actions, tuple(t for q in states for t, _ in leaving(q)),
+        feta.space, feta.feature_model, feta._guard, leaving,
     )
 
 

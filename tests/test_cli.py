@@ -1456,6 +1456,20 @@ def test_every_export_is_read_in_the_package():
     assert sorted(exported - read) == sorted(TRACED_ONLY_EXPORTS)
 
 
+def test_no_value_class_writes_its_own_key():
+    """`Value` derives every subclass's `_key` from its `__match_args__`, so
+    no class of the package defines or assigns `_key` in its body."""
+    source = Path(cli.__file__).parent
+    own = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "_key" in set().union(
+                *map(_defines, node.body)
+            ):
+                own.append(f"{path.name}:{node.name}")
+    assert own == []
+
+
 def _defines(top) -> set[str]:
     """The names a module's top-level statement defines."""
     if isinstance(top, (ast.FunctionDef, ast.ClassDef)):

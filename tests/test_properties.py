@@ -175,25 +175,28 @@ def test_battery_catches_a_planted_family_fault(fault):
 
 INPUTS = Path(__file__).parent / "inputs"
 VERIFIED = {name: models.example_path(name) for name in models.EXAMPLES} | {
-    name: str(INPUTS / f"{name}.feta") for name in ("acc4", "free4", "product_family_v08")
+    name: str(INPUTS / f"{name}.feta")
+    for name in ("acc4", "free4", "product_family_v08", "zero_senders")
 }
 _EVERY_BUT = set(VERIFIED) - {"broadcast_logger"}
 
 # The inputs on which `verify` fails under each planted fault; without one,
-# each passes (its `verify` golden). `verify` prints neither culprit
-# products nor the display team, so the two faults confined to them are
-# out of its scope.
+# each passes (its `verify` golden; zero_senders's output is pinned by
+# `test_family.py::test_a_type_admitting_zero_senders_adds_no_empty_group`).
+# `verify` prints neither culprit products nor the display team, so the two
+# faults confined to them are out of its scope.
 # Dropping the first label class is caught on broadcast_logger only: the
 # per-product side of the projection check reads the same classes, so the
 # fault cancels out wherever the first class holds (ROADMAP item 21).
 # `verify` misses a weak search that skips every warm-up on every input:
-# its family and per-product verdicts both come from that search. No
-# input has a type that admits zero senders, so none can show groups of
-# no sender.
+# its family and per-product verdicts both come from that search. Only
+# zero_senders has a type that admits zero senders, so only it can show
+# groups of no sender.
 VERIFY_CATCHES = {
     "condition drops its reach factor":
         {"access_management", "relay", "turnstile", "acc4", "free4", "product_family_v08"},
-    "_candidates drops its last candidate": {"dual_sign", "sensor_fusion", "turnstile"},
+    "_candidates drops its last candidate":
+        {"dual_sign", "sensor_fusion", "turnstile", "zero_senders"},
     "check_family_compliance ignores its last candidate": _EVERY_BUT,
     "derive_family_requirements skips groups of one": _EVERY_BUT,
     "reach_masks ignores the guard masks":
@@ -203,25 +206,26 @@ VERIFY_CATCHES = {
     "_TeamGuards.live drops the last participant's local mask":
         {"access_management", "relay", "acc4", "free4", "product_family_v08"},
     "products_for_group is off by one in the group size": _EVERY_BUT,
-    "_projected_parts keeps a transition whose guard fails": set(VERIFIED) - {"dual_sign"},
+    "_projected_parts keeps a transition whose guard fails":
+        set(VERIFIED) - {"dual_sign", "zero_senders"},
     "_label_classes drops its first class": {"broadcast_logger"},
     "_label_classes drops its last class": set(VERIFIED) - {"dual_sign", "product_family_v08"},
     "the strict reading accepts featured-weakly-compliant entries":
         {"access_management", "relay", "acc4", "free4"},
     "FeaturedClasses.kept ignores the sync conjunct": set(VERIFIED),
     "build_featured_classes drops the last participant's local guard":
-        set(VERIFIED) - {"dual_sign"},
+        set(VERIFIED) - {"dual_sign", "zero_senders"},
     "_TeamGuards.conjuncts drops the last participant's local guard":
-        set(VERIFIED) - {"dual_sign"},
+        set(VERIFIED) - {"dual_sign", "zero_senders"},
     "search_weak_compliance skips every warm-up": set(),
-    "derive_family_requirements draws groups of no sender": set(),
+    "derive_family_requirements draws groups of no sender": {"zero_senders"},
 }
 
 
 @pytest.mark.parametrize("fault", list(instancegen.FAMILY_FAULTS))
 def test_verify_catches_a_planted_family_fault_where_pinned(capsys, fault):
     """In-process `verify` on the bundled examples and the committed
-    inputs: fourteen of the eighteen faults fail it on at least one input."""
+    inputs: fifteen of the eighteen faults fail it on at least one input."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         instancegen.FAMILY_FAULTS[fault](monkeypatch)
         failing = {name for name, path in VERIFIED.items() if cli.main(["verify", path]) != 0}

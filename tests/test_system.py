@@ -161,12 +161,6 @@ def test_closed_system_report_is_ok():
     assert fsys.validate_closed().ok
 
 
-def test_unknown_binding_name():
-    sys = System(("a",), {"a": component(outputs=("go",))})
-    with pytest.raises(SpecificationError):
-        sys.component("zz")
-
-
 def test_featured_system_requires_shared_space_and_model():
     fsys, _ = models.make_all()
     other_space = FeatureSpace.of("lock", "unlock", "extra")

@@ -152,6 +152,8 @@ def test_values_compare_hash_and_show_their_fields(cls, fields, changes, default
     assert repr(value) == f"{cls.__name__}({shown})"
     assert cls.__match_args__ == tuple(fields)
     assert all(getattr(value, name) is field for name, field in fields.items())
+    if isinstance(value, Value):
+        assert value._key() == tuple(fields.values())
 
     for name, other in changes.items():
         changed = cls(**{**fields, name: other})
