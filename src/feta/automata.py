@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 from .errors import SpecificationError
 from .features import (
-    FeatureExpr, FeatureSpace, Product, check_product, expr_mask, holds, model_mask, variables,
+    FeatureExpr, FeatureSpace, Product, check_product, evaluator, expr_mask, model_mask, variables,
 )
 
 
@@ -236,14 +236,12 @@ class Fts(Lts):
 
     def _projected_parts(self, product: Product):
         """States, initial states, actions and the transitions whose guard the
-        product satisfies, in transition order. Every guard names only
-        features of `space` (checked by `__init__`, or by construction in
-        `_built`), so once the product is known to be over it the guards are
-        evaluated unchecked.
+        product satisfies, in transition order: each distinct guard is
+        evaluated once, by the product's one `evaluator`.
         """
         check_product(product, self.space, self.feature_model)
-        guard = self._guard
-        kept = tuple(t for t in self.transitions if holds(guard(t), product))
+        guard, satisfied = self._guard, evaluator(product)
+        kept = tuple(t for t in self.transitions if satisfied(guard(t)))
         return self.states, self.initial, self.actions, kept
 
     def project(self, product: Product) -> Lts:

@@ -40,7 +40,6 @@ to the parser and to `format_expr` alike. An expression may nest at most
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from .automata import FeaturedComponent
@@ -71,9 +70,6 @@ _KEYWORDS = {
 _MULTI_SYMBOLS = ("<->", "->", "&&", "||")
 _MULTI_STARTS = frozenset(symbol[0] for symbol in _MULTI_SYMBOLS)
 _SINGLE_SYMBOLS = set("{}()[],;:=*!?")
-# The rest of an identifier: for `str` patterns, `\w` is exactly the
-# characters that are `isalnum()`, and `_`.
-_IDENT_REST = re.compile(r"\w*")
 
 # Every pass over a feature expression recurses on its operands, so deeper
 # input would exhaust the interpreter's stack instead of being diagnosed.
@@ -178,10 +174,11 @@ def _lex(text: str) -> list[Token]:
             col += 1
             continue
         if ch.isalpha() or ch == "_":
-            end = _IDENT_REST.match(text, i).end()
-            tokens.append(Token("ident", text[i:end], line, col))
-            col += end - i
-            i = end
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token("ident", text[start:i], line, col))
+            col += i - start
             continue
         if ch.isdigit():
             start = i

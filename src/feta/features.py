@@ -282,13 +282,6 @@ def evaluate(expr: FeatureExpr, product: Product) -> bool:
     return _holds(expr, product.selected)
 
 
-def holds(expr: FeatureExpr, product: Product) -> bool:
-    """`evaluate` for an expression whose names the caller has already checked
-    against the product's space, as `Fts` does for its guards.
-    """
-    return _holds(expr, product.selected)
-
-
 def evaluator(product: Product):
     """`evaluate` on the product, once per distinct expression: family
     conditions share their factors, label classes their conjuncts. A

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping
 
 from .automata import Fts, Lts
@@ -121,6 +120,8 @@ def family_report_json(report: ReceptivenessReport):
 
 
 def render_json(payload: Mapping) -> str:
+    import json  # only JSON output needs it; it loads `re` and `enum`
+
     return json.dumps(payload, indent=2) + "\n"
 
 

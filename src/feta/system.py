@@ -272,13 +272,15 @@ class _ComposeMixin:
                 if keep is None or keep(label):
                     yield label, involved, [rows[idx][action] for idx in involved]
 
-    def _label_classes(self, states: tuple, budget: Budget = Budget()):
+    def _label_classes(self, states: tuple, budget: Budget = Budget(), keep=None):
         """Every label class of the induced transitions over the full
-        product `states` (`_full_states`), without walking a state: per
-        action in sorted order, per label of the takers ready at some local
-        state (in sort-key order), per choice of the participants' local
-        steps, the label, its participants' indices, their local sources and
-        targets, and the class's size.
+        product `states` (`_full_states`) whose label `keep` (if given)
+        accepts, without walking a state: per action in sorted order, per
+        label of the takers ready at some local state (in sort-key order),
+        per choice of the participants' local steps, the label, its
+        participants' indices, their local sources and targets, and the
+        class's size. A label that `keep` rejects is skipped before its
+        participants' steps are listed.
 
         A transition's class is its label and its participants' local steps.
         Over the full product the idle components take every combination of
@@ -308,6 +310,8 @@ class _ComposeMixin:
             senders = tuple(idx for idx, sends in ready if sends)
             receivers = tuple(idx for idx, sends in ready if not sends)
             for label, involved in table.pattern(action, senders, receivers):
+                if keep is not None and not keep(label):
+                    continue
                 steps = [
                     [(src, dst) for src, row in table.steps[idx].items() for dst in row.get(action, ())]
                     for idx in involved
@@ -378,9 +382,7 @@ class _ComposeMixin:
         ]
         leaving: list[list] = [[] for _ in states]
         last = None
-        for label, involved, sources, targets, _ in self._label_classes(states, budget):
-            if keep is not None and not keep(label):
-                continue
+        for label, involved, sources, targets, _ in self._label_classes(states, budget, keep):
             if label is not last:
                 idle = [
                     range(0, counts[idx] * strides[idx], strides[idx])

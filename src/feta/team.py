@@ -219,9 +219,9 @@ def build_team(sys: System, spec: SyncTypeSpec, budget: Budget = Budget()) -> Lt
 
     It equals `sys.state_space` with its transitions filtered by their
     action's `SyncType.admits`, under the same budget checks, but expands only
-    what it keeps: `_full_transitions` filters by the type check, once per
-    label, before a label's classes are expanded. States and transitions
-    come in `Lts` order.
+    what it keeps: `_label_classes` skips each label that the type rejects,
+    once per label, before that label's classes are listed. States and
+    transitions come in `Lts` order.
     """
     states = sys._full_states(budget)
     fits = functools.cache(

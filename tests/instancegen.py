@@ -1260,8 +1260,8 @@ def _label_classes_without(end):
 
         original = _ComposeMixin._label_classes
 
-        def dropping(self, states, budget=Budget()):
-            classes = list(original(self, states, budget))
+        def dropping(self, states, budget=Budget(), keep=None):
+            classes = list(original(self, states, budget, keep))
             if classes:
                 del classes[end]
             return iter(classes)

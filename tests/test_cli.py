@@ -1155,16 +1155,21 @@ def test_the_reader_agrees_with_argparse(capsys):
 def test_start_up_imports_no_code_generation_or_resource_loading():
     """`import feta.cli` stays off `dataclasses` (and the `inspect` it loads),
     off `importlib.resources`, which only `feta examples` needs, off
-    `pathlib`, for which plain `open` does, and off `typing`, for which
-    `collections.namedtuple` and `collections.abc` do. Plain `feta`,
-    `check` and `verify` command lines then run without `argparse` and the
-    `gettext` and `locale` it loads, while `--help` still goes through it.
+    `pathlib`, for which plain `open` does, off `typing`, for which
+    `collections.namedtuple` and `collections.abc` do, and off `re`, `enum`
+    and `json`: the lexer ends an identifier with `str.isalnum`, and only
+    `render_json` imports `json`, which loads `re` and, through it, `enum`.
+    Plain text `feta`, `check --strict` and `verify` command lines then run
+    without `argparse` and the `gettext` and `locale` it loads, and without
+    `re`, `enum` and `json`; a JSON report loads `json`, and `--help` still
+    goes through `argparse`.
 
     The child runs isolated and without `site`, so no `.pth` file of the
     installation loads any of them first.
     """
     package_root = str(Path(cli.__file__).resolve().parents[1])
-    unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib", "typing")
+    text_free = ("re", "enum", "json")
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib", "typing", *text_free)
     parsing = ("argparse", "gettext", "locale")
     code = f"""
 import io, sys
@@ -1173,10 +1178,11 @@ import feta.cli
 print([name for name in {unwanted!r} if name in sys.modules])
 out, sys.stdout = sys.stdout, io.StringIO()
 codes = [
-    feta.cli.main([*argv, {ACCESS!r}])
-    for argv in (["feta"], ["check", "--weak", "--format", "json"], ["verify"])
+    feta.cli.main([*argv, {ACCESS!r}]) for argv in (["feta"], ["check", "--strict"], ["verify"])
 ]
-loaded = [name for name in {parsing!r} if name in sys.modules]
+loaded = [name for name in {parsing + text_free!r} if name in sys.modules]
+codes.append(feta.cli.main(["check", "--weak", "--format", "json", {ACCESS!r}]))
+loaded.append("json" in sys.modules)
 try:
     feta.cli.main(["--help"])
 except SystemExit as stop:
@@ -1187,7 +1193,7 @@ print(codes, loaded, "argparse" in sys.modules)
     child = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert child.stdout == "[]\n[0, 0, 0, 0] [] True\n"
+    assert child.stdout == "[]\n[0, 1, 0, 0, 0] [True] True\n"
 
 
 def test_main_freezes_the_heap_only_at_exit(capsys, monkeypatch):

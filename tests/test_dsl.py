@@ -2,10 +2,14 @@
 
 import ast
 import random
+import re
+import string
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import models
 from feta import (
@@ -412,9 +416,17 @@ def test_every_diagnostic_code_has_a_case():
     assert made == cased
 
 
-def reference_lex(text: str) -> list[Token]:
+def _scanned_word_end(text: str, start: int) -> int:
+    end = start
+    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+        end += 1
+    return end
+
+
+def reference_lex(text: str, word_end=_scanned_word_end) -> list[Token]:
     """`_lex` as first written: every multi-character symbol tried at every
-    position, and identifiers scanned character by character."""
+    position, and each identifier ended at `word_end(text, start)`, by
+    default scanned character by character."""
     tokens: list[Token] = []
     line, col, i = 1, 1, 0
     n = len(text)
@@ -445,9 +457,7 @@ def reference_lex(text: str) -> list[Token]:
             col += 1
             continue
         if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
+            start, i = i, word_end(text, i)
             tokens.append(Token("ident", text[start:i], line, col))
             col += i - start
             continue
@@ -492,3 +502,34 @@ def test_lexer_equals_the_character_by_character_lexer():
     ]
     for text in texts:
         assert _lexed(_lex, text) == _lexed(reference_lex, text), text
+
+
+# The lexer once ended an identifier with this pattern's match.
+_WORD = re.compile(r"\w*")
+
+
+def _matched_word_end(text: str, start: int) -> int:
+    return _WORD.match(text, start).end()
+
+
+def test_word_characters_are_the_alphanumerics_and_underscore():
+    """For `str` patterns, `\\w` matches exactly the characters that are
+    `isalnum()`, and `_`, over every code point."""
+    every = "".join(map(chr, range(0x110000)))
+    assert "".join(re.findall(r"\w+", every)) == "".join(
+        [ch for ch in every if ch.isalnum() or ch == "_"]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(
+    alphabet=string.ascii_letters + string.digits + "_é²٣Ⅻ \n#" + "".join(
+        _MULTI_SYMBOLS + tuple(sorted(_SINGLE_SYMBOLS))
+    ),
+    max_size=40,
+))
+def test_lexer_splits_identifiers_as_the_word_pattern_did(text):
+    """Tokens, or the error with its position, equal those of a lexer that
+    ends each identifier at `\\w*`'s match: `é` is a letter, `²` and `٣`
+    digits, `Ⅻ` a numeral."""
+    assert _lexed(_lex, text) == _lexed(lambda t: reference_lex(t, _matched_word_end), text)

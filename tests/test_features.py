@@ -42,7 +42,7 @@ from feta import (
 )
 from feta import features
 from feta.dsl import parse_expr
-from feta.features import check_product, first_product_in, holds, model_mask, product_bits
+from feta.features import check_product, evaluator, first_product_in, model_mask, product_bits
 
 AB = FeatureSpace.of("a", "b")
 ABC = FeatureSpace.of("a", "b", "c")
@@ -169,7 +169,7 @@ def test_evaluate_rejects_a_nested_non_expression(expr):
     with pytest.raises(SpecificationError, match="not a feature expression"):
         evaluate(expr, p)
     with pytest.raises(SpecificationError, match="not a feature expression"):
-        holds(expr, p)
+        evaluator(p)(expr)
 
 
 def test_empty_connectives_evaluate_as_their_units():

@@ -185,9 +185,9 @@ _EVERY_BUT = set(VERIFIED) - {"broadcast_logger"}
 # `test_family.py::test_a_type_admitting_zero_senders_adds_no_empty_group`).
 # `verify` prints neither culprit products nor the display team, so the two
 # faults confined to them are out of its scope.
-# Dropping the first label class is caught on broadcast_logger only: the
-# per-product side of the projection check reads the same classes, so the
-# fault cancels out wherever the first class holds (ROADMAP item 21).
+# Dropping a label class also drops it from each product's own team, whose
+# `build_team` lists only the classes its type keeps; the fault cancels out
+# only where that class is absent from every product's team too.
 # `verify` misses a weak search that skips every warm-up on every input:
 # its family and per-product verdicts both come from that search. Only
 # zero_senders has a type that admits zero senders, so only it can show
@@ -208,8 +208,8 @@ VERIFY_CATCHES = {
     "products_for_group is off by one in the group size": _EVERY_BUT,
     "_projected_parts keeps a transition whose guard fails":
         set(VERIFIED) - {"dual_sign", "zero_senders"},
-    "_label_classes drops its first class": {"broadcast_logger"},
-    "_label_classes drops its last class": set(VERIFIED) - {"dual_sign", "product_family_v08"},
+    "_label_classes drops its first class": set(VERIFIED) - {"zero_senders"},
+    "_label_classes drops its last class": set(VERIFIED) - {"product_family_v08"},
     "the strict reading accepts featured-weakly-compliant entries":
         {"access_management", "relay", "acc4", "free4"},
     "FeaturedClasses.kept ignores the sync conjunct": set(VERIFIED),

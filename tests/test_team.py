@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import feta.automata
+import feta.system
 import feta.team
 import models
 from instancegen import (
@@ -304,13 +305,18 @@ def test_projection_keeps_exactly_the_transitions_whose_guard_holds(monkeypatch,
     automata = [full, caller, reachable_featured_team(fsys, fspec)]
     automata += access[0].components.values()
     calls = []
-    original = feta.automata.holds
+    original = feta.automata.evaluator
 
-    def counting(guard, product):
-        calls.append(guard)
-        return original(guard, product)
+    def counting(product):
+        satisfied = original(product)
 
-    monkeypatch.setattr(feta.automata, "holds", counting)
+        def verdict(guard):
+            calls.append(guard)
+            return satisfied(guard)
+
+        return verdict
+
+    monkeypatch.setattr(feta.automata, "evaluator", counting)
     for automaton in automata:
         for product in valid_products(automaton.feature_model, automaton.space):
             calls.clear()
@@ -392,6 +398,30 @@ def test_plain_team_checks_the_participants_of_labels_it_skips(senders):
     assert str(refused.value) == "ready participants of 'go': 3, above the bound 2"
     team = build_team(sys, spec, Budget(participants=3))
     assert len(team.transitions) == (3 if senders.lo == 1 else 0)
+
+
+def test_plain_team_expands_only_the_label_classes_its_type_keeps(monkeypatch):
+    """`build_team` skips each label that the type rejects before that
+    label's classes are listed: over acc4's two products, it expands the 42
+    classes its teams' transitions fall in, of the 155 there are."""
+    fsys, fspec = acc4()
+    original = feta.system._ComposeMixin._label_classes
+    expanded = []
+
+    def counting(self, states, budget=Budget(), keep=None):
+        for cls in original(self, states, budget, keep):
+            expanded.append(cls)
+            yield cls
+
+    monkeypatch.setattr(feta.system._ComposeMixin, "_label_classes", counting)
+    every, kept = 0, set()
+    for product in valid_products(fsys.feature_model, fsys.space):
+        team, _, sys = product_team(fsys, fspec, product)
+        every += sum(1 for _ in original(sys, team.states))
+        for src, label, dst in team.transitions:
+            involved = [i for i, name in enumerate(sys.names) if name in label.participants()]
+            kept.add((product, label, *((src[i], dst[i]) for i in involved)))
+    assert (len(expanded), len(kept), every) == (42, 42, 155)
 
 
 def featured_worker_and_sink(sync_type):
